@@ -12,16 +12,18 @@ top level as well:
 * :mod:`qgm_sim.oracles` — deterministic test functions and seeded
   stochastic gradient oracles (counter-based per worker and step), plus a
   finite-difference gradient checker.
-* :mod:`qgm_sim.optim` — per-worker state and one-step update rules:
-  decentralized SGD with and without momentum, the quasi-global momentum
-  family, double-averaging momentum, difference-correction methods,
-  gradient tracking, an adaptive variant, and round-structured methods
-  (slow outer momentum, server-momentum-style rounds).
+* :mod:`qgm_sim.optim` — one stacked ``(dim, n)`` state and one-step
+  update rules over it, with per-worker adapters: decentralized SGD with
+  and without momentum, the quasi-global momentum family, double-averaging
+  momentum, difference-correction methods, gradient tracking, an adaptive
+  variant, and round-structured methods (slow outer momentum,
+  server-momentum-style rounds).
 * :mod:`qgm_sim.consensus` — pure averaging experiments: plain gossip vs
   the momentum-buffered recursion, distance traces, hitting times.
 * :mod:`qgm_sim.engine` — config-driven deterministic runs with metrics
-  (CSV byte-stable across thread counts), learning-rate schedules, and a
-  step-size/momentum condition report.
+  (CSV byte-stable across reruns; the ``run.threads`` key is accepted and
+  ignored), learning-rate schedules, and a step-size/momentum condition
+  report.
 * :mod:`qgm_sim.cli` — ``qgm-sim`` command-line front end over all of the
   above.
 """

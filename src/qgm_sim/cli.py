@@ -286,7 +286,8 @@ def _build_parser():
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default="metrics.csv")
     p_run.add_argument("--threads", type=int, default=None,
-                       help="shorthand for --run.threads")
+                       help="shorthand for --run.threads; accepted and ignored "
+                            "(runs are single-threaded)")
     p_run.add_argument("--plot-script", action="store_true")
 
     p_val = sub.add_parser("validate", allow_abbrev=False,

@@ -13,7 +13,9 @@ worker j — identical to W X for the symmetric matrices built in
 
     X_next = (X - beta M) W^T,        M <- mu M + (1 - mu) (X - X_next),
 
-with M starting at zero; note there is no step size anywhere.  Unlike plain
+with M starting at zero; note there is no step size anywhere.  It is the
+optimizer's quasi-global step (:func:`qgm_sim.optim.stacked_dsgd_step`) with
+eta = 1 and no gradient, and runs on that same code.  Unlike plain
 gossip it does not preserve the column mean exactly once beta > 0, so the
 mean drift is recorded alongside the distance trace (recorded, never
 asserted away).
@@ -24,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .optim import HyperParams, StackedState, mixing_weights, stacked_dsgd_step
 
 __all__ = [
     "ConsensusRun",
@@ -72,30 +76,22 @@ class ConsensusRun:
             arr.setflags(write=False)
 
 
-def _matrix_at(W, t: int) -> np.ndarray:
-    """Resolve a static matrix, a MixingMatrix, or a time-varying generator."""
-    if callable(W) and not hasattr(W, "weights") and not isinstance(W, np.ndarray):
-        W = W(t)
-    return W.weights if hasattr(W, "weights") else np.asarray(W, dtype=float)
-
-
 def _run(X0, W, beta: float, mu: float, T: int) -> ConsensusRun:
-    X = np.asarray(X0, dtype=float).copy()
+    """The optimizer's quasi-global recursion with eta = 1 and no gradient."""
+    X = np.asarray(X0, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X0 must be a d x n matrix; got shape {X.shape}")
     if T < 0:
         raise ValueError(f"iteration count must be >= 0; got {T}")
-    M = np.zeros_like(X)
-    mean0 = X.mean(axis=1)
-    trace = [consensus_distance(X)]
+    hp = HyperParams(eta=1.0, beta=beta, mu=mu)
+    S = StackedState.from_matrix(X)
+    mean0 = S.X.mean(axis=1)
+    trace = [consensus_distance(S.X)]
     drift = [0.0]
     for t in range(T):
-        Wm = _matrix_at(W, t)
-        X_next = (X - beta * M) @ Wm.T
-        M = mu * M + (1.0 - mu) * (X - X_next)
-        X = X_next
-        trace.append(consensus_distance(X))
-        drift.append(float(np.linalg.norm(X.mean(axis=1) - mean0)))
+        stacked_dsgd_step("qg_dsgdm", S, None, mixing_weights(W, t), hp)
+        trace.append(consensus_distance(S.X))
+        drift.append(float(np.linalg.norm(S.X.mean(axis=1) - mean0)))
     return ConsensusRun(
         x0=np.asarray(X0, dtype=float).copy(),
         mixing=W,
@@ -104,7 +100,7 @@ def _run(X0, W, beta: float, mu: float, T: int) -> ConsensusRun:
         iterations=T,
         trace=np.array(trace),
         mean_drift=np.array(drift),
-        x_final=X,
+        x_final=S.X,
     )
 
 
@@ -127,9 +123,6 @@ def qg_consensus(X0, W, beta: float, mu: float, T: int) -> ConsensusRun:
     never read).  On a complete graph the distance is zero from the first
     iteration onward regardless of beta and mu.
     """
-    for name, val in (("beta", beta), ("mu", mu)):
-        if not 0.0 <= val < 1.0:
-            raise ValueError(f"{name} must lie in [0, 1); got {val}")
     return _run(X0, W, beta=beta, mu=mu, T=T)
 
 

@@ -3,24 +3,27 @@ validation, the training loop, and per-step telemetry.
 
 A run is described by a flat sectioned config (``[problem]``, ``[topology]``,
 ``[optim]``, ``[schedule]``, ``[run]``) loaded into a :class:`RunConfig`.
-The loop samples per-worker gradients (deterministically keyed by
-(worker, step)), applies the configured step rule, mixes, and records
-metrics evaluated at the averaged model.  Worker-local gradient sampling may
-run on a thread pool; every aggregation point is a barrier and arithmetic
-order never depends on the thread count, so metrics are byte-identical for
-any ``threads`` setting.
+The loop holds the whole run as one :class:`~qgm_sim.optim.StackedState`
+(every buffer a ``(dim, n)`` array, one column per worker), samples each
+worker's gradient in worker order (deterministically keyed by
+(worker, step)), applies the configured step rule to the stacked state, and
+records metrics evaluated at the averaged model.  Nothing depends on
+evaluation order, so metrics are byte-identical across reruns.  The
+``run.threads`` key is accepted and ignored: the loop is single-threaded,
+because a thread pool around the per-worker oracle calls made runs slower.
 
-Divergence aborts: any non-finite worker state raises
-:class:`NumericalDivergence` (the CLI maps it to exit code 2) rather than
-being clamped — blowing up is signal in an optimizer test bed.
+Divergence aborts: any non-finite entry in any array the state holds raises
+:class:`NumericalDivergence` naming the step, the buffer and the worker (the
+CLI maps it to exit code 2) rather than being clamped — blowing up is signal
+in an optimizer test bed.
 """
 
 from __future__ import annotations
 
 import configparser
 import dataclasses
+import itertools
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +32,13 @@ from .consensus import consensus_distance
 from .oracles import ProblemSpec, quadratic_family
 from .optim import (
     HyperParams,
-    WorkerState,
-    decentralized_step,
-    d2_step,
-    dmsgd_step,
-    gt_init,
-    gt_step,
-    init_worker_states,
+    StackedState,
+    column_mean,
     mimelite_round,
-    qg_dadam_step,
-    qhm_step,
-    slowmo_round,
+    mixing_weights,
+    stacked_gt_init,
+    stacked_slowmo_round,
+    stacked_step,
 )
 from .topology import build_graph, mixing_matrix, one_peer_exponential_matrix
 
@@ -68,11 +67,6 @@ OPTIM_KINDS = (
     "slowmo", "mimelite", "qhm",
 )
 
-# kinds whose step consumes a pre-sampled per-worker gradient list; the
-# remaining kinds sample internally (tracking) or run whole rounds
-_FLAT_KINDS = ("dsgd", "dsgdm", "dsgdm_n", "qg_dsgdm", "qg_dsgdm_n",
-               "qg_dadam", "dmsgd_i", "dmsgd_ii", "d2", "d2_plus", "qhm")
-
 _PROBLEM_ALIASES = {
     "quadratic": "quadratic_family",
     "quadratic_family": "quadratic_family",
@@ -88,13 +82,21 @@ class ConfigError(Exception):
 
 
 class NumericalDivergence(Exception):
-    """A worker state went non-finite; the CLI exits 2 on this."""
+    """A state array went non-finite; the CLI exits 2 on this.
 
-    def __init__(self, step: int, method: str):
+    ``field`` names the buffer (a :class:`~qgm_sim.optim.WorkerState` field,
+    or ``server_s``) and ``worker`` the first worker whose column holds a
+    non-finite entry; ``worker`` is None for arrays shared by all workers.
+    """
+
+    def __init__(self, step: int, method: str, field: str = "x", worker: int | None = None):
         self.step = step
         self.method = method
+        self.field = field
+        self.worker = worker
+        owner = "" if worker is None else f" of worker {worker}"
         super().__init__(
-            f"non-finite worker state at step {step} (method {method}); aborting")
+            f"non-finite {field}{owner} at step {step} (method {method}); aborting")
 
 
 # ---------------------------------------------------------------------------
@@ -506,9 +508,8 @@ class MetricsRecord:
     eff_stepsize: float
 
 
-def _make_record(problem: ProblemSpec, states, step: int, lr: float,
+def _make_record(problem: ProblemSpec, X: np.ndarray, step: int, lr: float,
                  steps_per_epoch: int) -> MetricsRecord:
-    X = np.stack([s.x for s in states], axis=1)
     x_bar = X.mean(axis=1)
     weight_norm = float(np.linalg.norm(x_bar))
     eff = lr / weight_norm**2 if weight_norm > 0.0 else float("inf")
@@ -584,17 +585,14 @@ class RunResult:
     theorem_report: TheoremReport | None
 
 
-def _check_finite(states, step: int, method: str) -> None:
-    for s in states:
-        for arr in (s.x, s.m_hat, s.m_local, s.v):
-            if arr is not None and not np.all(np.isfinite(arr)):
-                raise NumericalDivergence(step, method)
-
-
-def _sampling_point(kind: str, state: WorkerState) -> np.ndarray:
-    if kind == "dmsgd_ii" and state.x_half_prev is not None:
-        return state.x_half_prev
-    return state.x
+def _check_finite(S: StackedState, step: int, method: str, extra=()) -> None:
+    """Raise on the first array (in ``S.named_arrays()`` order, then
+    ``extra`` pairs) that holds a non-finite entry."""
+    for field, arr in itertools.chain(S.named_arrays(), extra):
+        finite = np.isfinite(arr)
+        if not finite.all():
+            worker = int(np.argmin(finite.all(axis=0))) if arr.ndim == 2 else None
+            raise NumericalDivergence(step, method, field, worker)
 
 
 def run(config: RunConfig) -> RunResult:
@@ -619,81 +617,49 @@ def run(config: RunConfig) -> RunResult:
         return problem.sample(i, x, t).grad
 
     x0 = _initial_point(config, problem.dim)
-    states = init_worker_states(x0, n)
+    S = StackedState.init(x0, n)
     if kind in ("gt", "gt_momentum"):
-        states = gt_init(states, grad_fn, step=0)
-
-    server_x, server_s = x0.copy(), np.zeros_like(x0)  # mimelite only
+        stacked_gt_init(S, grad_fn, step=0)
 
     records: list[MetricsRecord] = []
-    xbar_trace = [np.mean([s.x for s in states], axis=0)]
-    executor = (ThreadPoolExecutor(max_workers=config.threads)
-                if config.threads > 1 and kind in _FLAT_KINDS else None)
+    xbar_trace = [column_mean(S.X)]
 
-    def matrix_at(t):
-        return mixing(t) if callable(mixing) else mixing
-
-    def sample_grads(t):
-        points = [_sampling_point(kind, s) for s in states]
-        if executor is not None:
-            return list(executor.map(
-                lambda i: grad_fn(i, points[i], t), range(n)))
-        return [grad_fn(i, points[i], t) for i in range(n)]
-
-    try:
-        if kind in ("slowmo", "mimelite"):
-            rounds = config.steps // config.tau
-            for r in range(rounds):
-                step0 = r * config.tau
-                step_end = step0 + config.tau
-                lr = lr_schedule(schedule, step0 + 1, config.steps)
-                hp_r = dataclasses.replace(hp0, eta=lr)
-                if kind == "slowmo":
-                    states = slowmo_round(states, matrix_at(step0), hp_r,
-                                          config.slowmo_base, grad_fn, step0)
-                else:
-                    server_x, server_s = mimelite_round(
-                        server_x, server_s, hp_r, grad_fn,
-                        lambda i, x: problem.sample_mean_part(i, x), n, step0)
-                    states = [s.replace(x=server_x.copy()) for s in states]
-                _check_finite(states, step_end, kind)
-                xbar_trace.append(np.mean([s.x for s in states], axis=0))
-                if step_end % config.metrics_every == 0 or r == rounds - 1:
-                    records.append(_make_record(problem, states, step_end, lr,
-                                                config.steps_per_epoch))
-        else:
-            for t in range(1, config.steps + 1):
-                lr = lr_schedule(schedule, t, config.steps)
-                hp_t = dataclasses.replace(hp0, eta=lr)
-                W_t = matrix_at(t - 1)
-                if kind in ("gt", "gt_momentum"):
-                    states = gt_step(states, W_t, hp_t, grad_fn, t - 1,
-                                     with_momentum=(kind == "gt_momentum"))
-                elif kind == "qhm":
-                    g = sample_grads(t)[0]
-                    states = [qhm_step(states[0], g, hp_t)]
-                elif kind in ("dmsgd_i", "dmsgd_ii"):
-                    states = dmsgd_step(states, sample_grads(t), W_t, hp_t,
-                                        "I" if kind == "dmsgd_i" else "II")
-                elif kind in ("d2", "d2_plus"):
-                    states = d2_step(states, sample_grads(t), W_t, hp_t, kind)
-                elif kind == "qg_dadam":
-                    states = qg_dadam_step(states, sample_grads(t), W_t, hp_t)
-                else:
-                    states = decentralized_step(kind, states, sample_grads(t),
-                                                W_t, hp_t, step_index=t)
-                _check_finite(states, t, kind)
-                xbar_trace.append(np.mean([s.x for s in states], axis=0))
-                if t % config.metrics_every == 0 or t == config.steps:
-                    records.append(_make_record(problem, states, t, lr,
-                                                config.steps_per_epoch))
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+    if kind in ("slowmo", "mimelite"):
+        server_x, server_s = x0.copy(), np.zeros_like(x0)  # mimelite only
+        rounds = config.steps // config.tau
+        for r in range(rounds):
+            step0 = r * config.tau
+            step_end = step0 + config.tau
+            lr = lr_schedule(schedule, step0 + 1, config.steps)
+            hp_r = dataclasses.replace(hp0, eta=lr)
+            extra = ()
+            if kind == "slowmo":
+                stacked_slowmo_round(S, mixing, hp_r, config.slowmo_base, grad_fn, step0)
+            else:
+                server_x, server_s = mimelite_round(
+                    server_x, server_s, hp_r, grad_fn,
+                    lambda i, x: problem.sample_mean_part(i, x), n, step0)
+                S.X = np.repeat(server_x[:, None], n, axis=1)
+                extra = (("server_s", server_s),)
+            _check_finite(S, step_end, kind, extra)
+            xbar_trace.append(column_mean(S.X))
+            if step_end % config.metrics_every == 0 or r == rounds - 1:
+                records.append(_make_record(problem, S.X, step_end, lr,
+                                            config.steps_per_epoch))
+    else:
+        for t in range(1, config.steps + 1):
+            lr = lr_schedule(schedule, t, config.steps)
+            hp_t = dataclasses.replace(hp0, eta=lr)
+            stacked_step(kind, S, mixing_weights(mixing, t - 1), hp_t, t, grad_fn)
+            _check_finite(S, t, kind)
+            xbar_trace.append(column_mean(S.X))
+            if t % config.metrics_every == 0 or t == config.steps:
+                records.append(_make_record(problem, S.X, t, lr,
+                                            config.steps_per_epoch))
 
     return RunResult(
         records=tuple(records),
-        final_states=tuple(states),
+        final_states=tuple(S.to_workers()),
         xbar_trace=np.stack(xbar_trace, axis=0),
         problem=problem,
         theorem_report=report,

@@ -1,4 +1,4 @@
-"""Optimizer step rules as pure state transitions.
+"""Optimizer step rules over one stacked state.
 
 Every decentralized method here follows the same skeleton per step:
 
@@ -16,10 +16,21 @@ so the momentum direction tracks where the post-gossip model actually went
 rather than where the local gradients point — the difference matters
 precisely when workers' data disagree.
 
-All functions are pure: they take states and return fresh states, never
-mutating arrays in place.  Buffers start at zero.  ``grad_fn`` arguments
-have signature ``grad_fn(worker, x, step) -> ndarray`` and must be pure in
-``(worker, x, step)`` so results are independent of evaluation order.
+The methods are written once, over a :class:`StackedState` that holds each
+buffer as a ``(dim, n)`` array with one column per worker, so a step is a
+few whole-array expressions and one ``X W^T`` per gossip.  The engine, the
+matrix-form reference and the consensus experiments all run this core.  The
+per-worker functions (:func:`decentralized_step`, :func:`gt_step`, ...)
+take and return lists of :class:`WorkerState` and are thin adapters that
+stack, run the core, and unstack; column arithmetic is elementwise, so both
+give the same bits.
+
+The per-worker functions are pure: they return fresh states, never mutating
+arrays in place.  The stacked functions update the :class:`StackedState`
+they are given by rebinding its fields to fresh arrays.  Buffers start at
+zero.  ``grad_fn`` arguments have signature
+``grad_fn(worker, x, step) -> ndarray``, are called once per worker in
+worker order, and must be pure in ``(worker, x, step)``.
 """
 
 from __future__ import annotations
@@ -32,7 +43,15 @@ import numpy as np
 __all__ = [
     "HyperParams",
     "WorkerState",
+    "StackedState",
     "init_worker_states",
+    "mix",
+    "mixing_weights",
+    "column_mean",
+    "stacked_step",
+    "stacked_dsgd_step",
+    "stacked_gt_init",
+    "stacked_slowmo_round",
     "gossip",
     "local_half_step",
     "decentralized_step",
@@ -49,6 +68,7 @@ __all__ = [
     "qhm_core",
     "qg_matrix_form",
     "HALF_STEP_KINDS",
+    "STEP_KINDS",
 ]
 
 HALF_STEP_KINDS = ("dsgd", "dsgdm", "dsgdm_n", "qg_dsgdm", "qg_dsgdm_n")
@@ -120,28 +140,318 @@ class WorkerState:
 
 def init_worker_states(x0, n: int) -> list[WorkerState]:
     """All workers start at the same point with zero buffers."""
-    x0 = np.asarray(x0, dtype=float)
-    return [
-        WorkerState(
-            x=x0.copy(),
-            m_hat=np.zeros_like(x0),
-            m_local=np.zeros_like(x0),
-            v=np.zeros_like(x0),
-        )
-        for _ in range(n)
-    ]
+    return StackedState.init(x0, n).to_workers()
+
+
+# stacked attribute -> WorkerState field, in the order divergence checks
+# visit them: the live model and buffers first, then the one-step history
+_FIELDS = (
+    ("X", "x"), ("M_hat", "m_hat"), ("M_local", "m_local"), ("V", "v"),
+    ("Y", "y_tracker"), ("G_prev", "g_prev"), ("X_prev", "x_prev"),
+    ("X_half_prev", "x_half_prev"), ("M_hat_prev", "m_hat_prev"),
+)
+
+
+@dataclass(slots=True)
+class StackedState:
+    """Every worker's model and buffers as C-contiguous ``(dim, n)`` arrays,
+    column ``i`` belonging to worker ``i``.
+
+    Fields mirror :class:`WorkerState`: ``X``, ``M_hat``, ``M_local`` and
+    ``V`` always exist; the history arrays ``Y`` (gradient tracker),
+    ``G_prev``, ``X_prev``, ``X_half_prev`` and ``M_hat_prev`` stay ``None``
+    until a method needs them.  ``eta_prev`` is the previous step size, and
+    ``slow_x`` / ``slow_m`` are the slow-momentum round's ``(dim,)``
+    anchor and buffer, shared by all workers.
+
+    The step functions below rebind fields to fresh arrays and never write
+    into an array in place, so arrays handed out stay valid.
+    """
+
+    X: np.ndarray
+    M_hat: np.ndarray
+    M_local: np.ndarray
+    V: np.ndarray
+    Y: np.ndarray | None = None
+    G_prev: np.ndarray | None = None
+    X_prev: np.ndarray | None = None
+    X_half_prev: np.ndarray | None = None
+    M_hat_prev: np.ndarray | None = None
+    eta_prev: float | None = None
+    slow_x: np.ndarray | None = None
+    slow_m: np.ndarray | None = None
+
+    @classmethod
+    def init(cls, x0, n: int) -> "StackedState":
+        """All workers start at ``x0`` with zero buffers."""
+        return cls.from_matrix(np.repeat(np.asarray(x0, dtype=float)[:, None], n, axis=1))
+
+    @classmethod
+    def from_matrix(cls, X0) -> "StackedState":
+        """Workers start at the columns of ``X0`` with zero buffers."""
+        X = np.array(X0, dtype=float, order="C")
+        return cls(X=X, M_hat=np.zeros_like(X), M_local=np.zeros_like(X), V=np.zeros_like(X))
+
+    @classmethod
+    def from_workers(cls, states: list[WorkerState]) -> "StackedState":
+        """Stack per-worker states; a history field must be set on every
+        worker or on none.  Round-level values come from worker 0."""
+        stacked = {}
+        for attr, name in _FIELDS:
+            cols = [getattr(s, name) for s in states]
+            missing = sum(c is None for c in cols)
+            if missing and missing < len(cols):
+                raise ValueError(f"{name} is set on some workers but not on others")
+            stacked[attr] = None if missing else np.stack(cols, axis=1)
+        first = states[0]
+        return cls(**stacked, eta_prev=first.eta_prev, slow_x=first.slow_x,
+                   slow_m=first.slow_m)
+
+    def to_workers(self) -> list[WorkerState]:
+        """Per-worker states holding copies of each worker's columns."""
+        out = []
+        for i in range(self.X.shape[1]):
+            fields = {name: None if getattr(self, attr) is None
+                      else getattr(self, attr)[:, i].copy() for attr, name in _FIELDS}
+            out.append(WorkerState(
+                **fields, eta_prev=self.eta_prev,
+                slow_x=None if self.slow_x is None else self.slow_x.copy(),
+                slow_m=None if self.slow_m is None else self.slow_m.copy()))
+        return out
+
+    def named_arrays(self):
+        """``(WorkerState field name, array)`` for every array held."""
+        for attr, name in _FIELDS:
+            arr = getattr(self, attr)
+            if arr is not None:
+                yield name, arr
+        for name in ("slow_x", "slow_m"):
+            arr = getattr(self, name)
+            if arr is not None:
+                yield name, arr
 
 
 def _weights(W) -> np.ndarray:
     return W.weights if hasattr(W, "weights") else np.asarray(W, dtype=float)
 
 
-def _stack(states: list[WorkerState]) -> np.ndarray:
-    return np.stack([s.x for s in states], axis=1)  # dim x n, one column per worker
+def mixing_weights(W, t: int) -> np.ndarray:
+    """Weights of a static matrix, a MixingMatrix, or a time-varying
+    generator ``t -> matrix`` evaluated at step ``t``."""
+    if callable(W):
+        W = W(t)
+    return _weights(W)
+
+
+def mix(X: np.ndarray, W) -> np.ndarray:
+    """One communication round on stacked models: ``X W^T``, so worker i
+    receives sum_j W[i, j] x_j.  Only models move; buffers stay local."""
+    Wm = _weights(W)
+    if X.shape[1] != Wm.shape[0]:
+        raise ValueError(
+            f"state count {X.shape[1]} does not match mixing matrix size {Wm.shape[0]}")
+    return X @ Wm.T
+
+
+def _sample_columns(grad_fn, P: np.ndarray, step: int) -> np.ndarray:
+    """``G[:, i] = grad_fn(i, P[:, i], step)``, one oracle call per worker in
+    worker order.  A fresh array each call: states keep G as history."""
+    G = np.empty(P.shape)
+    for i in range(P.shape[1]):
+        G[:, i] = grad_fn(i, P[:, i], step)
+    return G
 
 
 # ---------------------------------------------------------------------------
-# core primitives: gossip, half steps, QG buffer
+# the stacked core: one small function per method, all over StackedState
+# ---------------------------------------------------------------------------
+
+def _half_step(kind: str, S: StackedState, G, hp: HyperParams) -> np.ndarray:
+    """Pre-gossip models of the dsgd/qg family; writes ``M_local`` for the
+    local-momentum kinds.  ``G`` None means no gradient (pure consensus),
+    which only the quasi-global kind accepts."""
+    eta, beta = hp.eta, hp.beta
+    if kind == "dsgd":
+        return S.X - eta * G
+    if kind == "dsgdm":
+        S.M_local = beta * S.M_local + G
+        return S.X - eta * S.M_local
+    if kind == "dsgdm_n":
+        S.M_local = m = beta * S.M_local + G
+        return S.X - eta * (beta * m + G)
+    if kind == "qg_dsgdm":
+        return S.X - eta * (beta * S.M_hat if G is None else beta * S.M_hat + G)
+    if kind == "qg_dsgdm_n":
+        m_tmp = beta * S.M_hat + G
+        return S.X - eta * (beta * m_tmp + G)
+    raise ValueError(f"unknown half-step kind {kind!r}; expected one of {HALF_STEP_KINDS}")
+
+
+def _qg_buffer(M_hat, X_before, X_after, eta: float, mu: float) -> np.ndarray:
+    d = (X_before - X_after) / eta
+    return mu * M_hat + (1.0 - mu) * d
+
+
+def stacked_dsgd_step(kind: str, S: StackedState, G, W, hp: HyperParams,
+                      step_index: int = 1) -> None:
+    """One step of the dsgd/qg family on ``S`` from the gradient matrix
+    ``G``: half steps, gossip, and the quasi-global buffer when the
+    multi-step gate fires at 1-based ``step_index``.  For ``qg_dsgdm`` this
+    is the stacked recursion
+
+        X_{t+1} = ( X_t - eta (beta M + G_t) ) W^T,
+        M      <- mu M + (1 - mu) (X_t - X_{t+1}) / eta,
+
+    and ``G`` None drops the gradient, leaving pure buffered averaging.
+    """
+    X_new = mix(_half_step(kind, S, G, hp), W)
+    if kind.startswith("qg_") and qg_multistep_gate(step_index, hp.tau):
+        S.M_hat = _qg_buffer(S.M_hat, S.X, X_new, hp.eta, hp.mu)
+    S.X = X_new
+
+
+def _qg_dadam(S: StackedState, G, W, hp: HyperParams) -> None:
+    b1, b2 = hp.beta1, hp.beta2
+    m = b1 * S.M_hat + (1.0 - b1) * G
+    v = b2 * S.V + (1.0 - b2) * G * G
+    X_new = mix(S.X - hp.eta * m / (np.sqrt(v) + hp.epsilon), W)
+    D = S.X - X_new
+    # a norm per column keeps each worker's own reduction order, which
+    # np.linalg.norm(D, axis=0) does not promise
+    norms = np.array([np.linalg.norm(D[:, i]) for i in range(D.shape[1])])
+    D_unit = np.divide(D, norms, out=np.zeros_like(D), where=norms > 0.0)
+    S.M_hat = b1 * S.M_hat + (1.0 - b1) * D_unit
+    S.V = b2 * S.V + (1.0 - b2) * D_unit * D_unit
+    S.X = X_new
+
+
+def _dmsgd(S: StackedState, G, W, hp: HyperParams, option: str) -> None:
+    if option not in ("I", "II"):
+        raise ValueError(f"dmsgd option must be 'I' or 'II'; got {option!r}")
+    eta, beta, mu = hp.eta, hp.beta, hp.mu
+    X = S.X
+    update = beta * S.M_hat + G
+    half = (X if option == "I" else _dmsgd_anchor(S)) - eta * update
+    X_new = mix(half, W)
+    drift = (X - X_new) / eta
+    if option == "II":
+        M_new = mu * update + (1.0 - mu) * drift
+    else:
+        X_prev = S.X_prev if S.X_prev is not None else X
+        M_hat_prev = S.M_hat_prev if S.M_hat_prev is not None else np.zeros_like(X)
+        G_prev = S.G_prev if S.G_prev is not None else np.zeros_like(X)
+        M_new = mu * (
+            beta * S.M_hat + G + (X_prev - X) / eta - beta * M_hat_prev - G_prev
+        ) + (1.0 - mu) * drift
+    S.M_hat_prev, S.G_prev, S.X_prev, S.X_half_prev = S.M_hat, G, X, half
+    S.M_hat, S.X = M_new, X_new
+
+
+def _dmsgd_anchor(S: StackedState) -> np.ndarray:
+    return S.X_half_prev if S.X_half_prev is not None else S.X
+
+
+def _d2(S: StackedState, G, W, hp: HyperParams, variant: str) -> None:
+    if variant not in ("d2", "d2_plus"):
+        raise ValueError(f"variant must be 'd2' or 'd2_plus'; got {variant!r}")
+    eta = hp.eta
+    if S.X_prev is None:
+        half = S.X - eta * G
+    else:
+        eta_div = eta if variant == "d2" else S.eta_prev
+        correction = (S.X_prev - S.X) / eta_div
+        half = S.X - eta * (correction + G - S.G_prev)
+    S.X_prev, S.G_prev, S.eta_prev = S.X, G, eta
+    S.X = mix(half, W)
+
+
+def stacked_gt_init(S: StackedState, grad_fn, step: int = 0) -> None:
+    """Start gradient tracking on ``S``: Y = G_prev = g(X, step)."""
+    S.Y = S.G_prev = _sample_columns(grad_fn, S.X, step)
+
+
+def _gt(S: StackedState, W, hp: HyperParams, grad_fn, step: int, with_momentum: bool) -> None:
+    if S.Y is None:
+        raise ValueError("gradient tracking states must be initialized with gt_init")
+    if with_momentum:
+        S.M_local = m = hp.beta * S.M_local + S.Y
+        half = S.X - hp.eta * (hp.beta * m + S.Y)
+    else:
+        half = S.X - hp.eta * S.Y
+    S.X = mix(half, W)
+    G = _sample_columns(grad_fn, S.X, step)
+    S.Y = mix(S.Y, W) + G - S.G_prev
+    S.G_prev = G
+
+
+def _qhm(S: StackedState, G, hp: HyperParams) -> None:
+    beta_hat = hp.mu + (1.0 - hp.mu) * hp.beta
+    S.X, S.M_hat = qhm_core(S.X, S.M_hat, G, hp.eta, beta_hat, hp.mu)
+
+
+STEP_KINDS = HALF_STEP_KINDS + (
+    "qg_dadam", "dmsgd_i", "dmsgd_ii", "d2", "d2_plus", "gt", "gt_momentum", "qhm")
+
+
+def stacked_step(kind: str, S: StackedState, W, hp: HyperParams, step: int, grad_fn) -> None:
+    """Step ``step`` (1-based) of per-step method ``kind``, updating ``S``.
+
+    Gradients come from ``grad_fn(worker, x, step)``, one call per worker:
+    at the current models, at the previous half iterates for ``dmsgd_ii``,
+    and at the post-gossip models for the tracking kinds, whose state
+    :func:`stacked_gt_init` must have started.  ``W`` is this step's
+    mixing matrix; ``hp.eta`` this step's step size.
+    """
+    if kind in ("gt", "gt_momentum"):
+        _gt(S, W, hp, grad_fn, step, with_momentum=kind == "gt_momentum")
+        return
+    if kind not in STEP_KINDS:
+        raise ValueError(f"unknown per-step kind {kind!r}; expected one of {STEP_KINDS}")
+    G = _sample_columns(grad_fn, _dmsgd_anchor(S) if kind == "dmsgd_ii" else S.X, step)
+    if kind in HALF_STEP_KINDS:
+        stacked_dsgd_step(kind, S, G, W, hp, step)
+    elif kind == "qg_dadam":
+        _qg_dadam(S, G, W, hp)
+    elif kind in ("dmsgd_i", "dmsgd_ii"):
+        _dmsgd(S, G, W, hp, "I" if kind == "dmsgd_i" else "II")
+    elif kind in ("d2", "d2_plus"):
+        _d2(S, G, W, hp, kind)
+    else:
+        _qhm(S, G, hp)
+
+
+def stacked_slowmo_round(S: StackedState, W, hp: HyperParams, base_kind: str,
+                         grad_fn, step0: int) -> None:
+    """One slow-momentum round on ``S`` (see :func:`slowmo_round`).  Inner
+    step ``k`` samples at step ``step0 + k`` and mixes with
+    ``W_{step0 + k}`` when ``W`` is a generator ``t -> matrix``."""
+    x0 = S.X[:, 0].copy()
+    slow_m = S.slow_m if S.slow_m is not None else np.zeros_like(x0)
+
+    # hp.tau counts this round's inner steps; the inner steps themselves
+    # always refresh their buffers (no multi-step gating inside a round)
+    inner_hp = dataclasses.replace(hp, tau=1)
+    for k in range(hp.tau):
+        t = step0 + k
+        G = _sample_columns(grad_fn, S.X, t)
+        stacked_dsgd_step(base_kind, S, G, mixing_weights(W, t), inner_hp, step_index=t + 1)
+
+    x_tau = column_mean(S.X)
+    gamma = hp.eta
+    slow_m = hp.slowmo_beta * slow_m + (x0 - x_tau) / gamma
+    x_new = x0 - hp.slowmo_alpha * gamma * slow_m
+    S.X = np.repeat(x_new[:, None], S.X.shape[1], axis=1)
+    S.slow_x, S.slow_m = x0, slow_m
+
+
+def column_mean(X: np.ndarray) -> np.ndarray:
+    """Mean of the worker columns, summed worker by worker in order (the
+    reduction of an ``(n, dim)`` row stack, whose bits the metrics keep)."""
+    return np.ascontiguousarray(X.T).mean(axis=0)
+
+
+# ---------------------------------------------------------------------------
+# per-worker API: thin adapters that stack, run the core, and unstack
 # ---------------------------------------------------------------------------
 
 def gossip(states: list[WorkerState], W) -> list[WorkerState]:
@@ -149,13 +459,7 @@ def gossip(states: list[WorkerState], W) -> list[WorkerState]:
 
     Only the models move; every optimizer buffer stays local and untouched.
     """
-    Wm = _weights(W)
-    if len(states) != Wm.shape[0]:
-        raise ValueError(
-            f"state count {len(states)} does not match mixing matrix size {Wm.shape[0]}"
-        )
-    X = _stack(states)
-    X_new = X @ Wm.T
+    X_new = mix(np.stack([s.x for s in states], axis=1), W)
     return [s.replace(x=X_new[:, i].copy()) for i, s in enumerate(states)]
 
 
@@ -174,21 +478,9 @@ def local_half_step(kind: str, state: WorkerState, grad: np.ndarray, hp: HyperPa
     more.  QG variants read the quasi-global buffer ``m_hat`` but never
     write it — that happens after gossip in :func:`qg_buffer_update`.
     """
-    eta, beta = hp.eta, hp.beta
-    if kind == "dsgd":
-        return state.replace(x=state.x - eta * grad)
-    if kind == "dsgdm":
-        m = beta * state.m_local + grad
-        return state.replace(x=state.x - eta * m, m_local=m)
-    if kind == "dsgdm_n":
-        m = beta * state.m_local + grad
-        return state.replace(x=state.x - eta * (beta * m + grad), m_local=m)
-    if kind == "qg_dsgdm":
-        return state.replace(x=state.x - eta * (beta * state.m_hat + grad))
-    if kind == "qg_dsgdm_n":
-        m_tmp = beta * state.m_hat + grad
-        return state.replace(x=state.x - eta * (beta * m_tmp + grad))
-    raise ValueError(f"unknown half-step kind {kind!r}; expected one of {HALF_STEP_KINDS}")
+    S = StackedState.from_workers([state])
+    S.X = _half_step(kind, S, np.asarray(grad, dtype=float)[:, None], hp)
+    return S.to_workers()[0]
 
 
 def qg_buffer_update(
@@ -206,8 +498,8 @@ def qg_buffer_update(
     """
     if eta == 0:
         raise ValueError("qg_buffer_update needs eta > 0: d divides by the step size")
-    d = (x_before_half_step - x_after_gossip) / eta
-    return state.replace(m_hat=mu * state.m_hat + (1.0 - mu) * d)
+    return state.replace(
+        m_hat=_qg_buffer(state.m_hat, x_before_half_step, x_after_gossip, eta, mu))
 
 
 def qg_multistep_gate(step_index: int, tau: int) -> bool:
@@ -220,10 +512,6 @@ def qg_multistep_gate(step_index: int, tau: int) -> bool:
         raise ValueError(f"tau must be a positive integer; got {tau}")
     return step_index % tau == 0
 
-
-# ---------------------------------------------------------------------------
-# full per-step rules for the gossip-every-step methods
-# ---------------------------------------------------------------------------
 
 def decentralized_step(
     kind: str,
@@ -238,14 +526,15 @@ def decentralized_step(
     ``step_index`` is 1-based and only consulted by the multi-step gate
     (hp.tau > 1), which freezes the quasi-global buffer between refreshes.
     """
-    halves = [local_half_step(kind, s, g, hp) for s, g in zip(states, grads)]
-    mixed = gossip(halves, W)
-    if kind.startswith("qg_") and qg_multistep_gate(step_index, hp.tau):
-        mixed = [
-            qg_buffer_update(m, s.x, m.x, hp.eta, hp.mu)
-            for m, s in zip(mixed, states)
-        ]
-    return mixed
+    S = StackedState.from_workers(states)
+    stacked_dsgd_step(kind, S, np.stack(grads, axis=1), W, hp, step_index)
+    return S.to_workers()
+
+
+def _stacked_call(states, grads, fn, *args) -> list[WorkerState]:
+    S = StackedState.from_workers(states)
+    fn(S, np.stack(grads, axis=1), *args)
+    return S.to_workers()
 
 
 def qg_dadam_step(
@@ -268,23 +557,7 @@ def qg_dadam_step(
 
     No bias correction anywhere.
     """
-    b1, b2 = hp.beta1, hp.beta2
-    halves = []
-    for s, g in zip(states, grads):
-        m = b1 * s.m_hat + (1.0 - b1) * g
-        v = b2 * s.v + (1.0 - b2) * g * g
-        halves.append(s.replace(x=s.x - hp.eta * m / (np.sqrt(v) + hp.epsilon)))
-    mixed = gossip(halves, W)
-    out = []
-    for before, after in zip(states, mixed):
-        d = before.x - after.x
-        norm = float(np.linalg.norm(d))
-        d_unit = d / norm if norm > 0.0 else np.zeros_like(d)
-        out.append(after.replace(
-            m_hat=b1 * after.m_hat + (1.0 - b1) * d_unit,
-            v=b2 * after.v + (1.0 - b2) * d_unit * d_unit,
-        ))
-    return out
+    return _stacked_call(states, grads, _qg_dadam, W, hp)
 
 
 def dmsgd_step(
@@ -314,39 +587,7 @@ def dmsgd_step(
                           + (1 - mu)(x - x_new)/eta
     with zero/identity bootstraps for the one step of history option I needs.
     """
-    if option not in ("I", "II"):
-        raise ValueError(f"dmsgd option must be 'I' or 'II'; got {option!r}")
-    eta, beta, mu = hp.eta, hp.beta, hp.mu
-    halves = []
-    for s, g in zip(states, grads):
-        update = beta * s.m_hat + g
-        base = s.x if option == "I" else _dmsgd_half_prev(s)
-        halves.append(s.replace(x=base - eta * update))
-    mixed = gossip(halves, W)
-    out = []
-    for s, half, after, g in zip(states, halves, mixed, grads):
-        drift = (s.x - after.x) / eta
-        if option == "II":
-            m_new = mu * (beta * s.m_hat + g) + (1.0 - mu) * drift
-        else:
-            x_prev = s.x_prev if s.x_prev is not None else s.x
-            m_hat_prev = s.m_hat_prev if s.m_hat_prev is not None else np.zeros_like(s.x)
-            g_prev = s.g_prev if s.g_prev is not None else np.zeros_like(s.x)
-            m_new = mu * (
-                beta * s.m_hat + g + (x_prev - s.x) / eta - beta * m_hat_prev - g_prev
-            ) + (1.0 - mu) * drift
-        out.append(after.replace(
-            m_hat=m_new,
-            m_hat_prev=s.m_hat,
-            g_prev=g,
-            x_prev=s.x,
-            x_half_prev=half.x,
-        ))
-    return out
-
-
-def _dmsgd_half_prev(s: WorkerState) -> np.ndarray:
-    return s.x_half_prev if s.x_half_prev is not None else s.x
+    return _stacked_call(states, grads, _dmsgd, W, hp, option)
 
 
 def d2_step(
@@ -365,31 +606,14 @@ def d2_step(
     makes the plain variant fragile under step-size decay.  The first step
     has no history and falls back to plain DSGD.
     """
-    if variant not in ("d2", "d2_plus"):
-        raise ValueError(f"variant must be 'd2' or 'd2_plus'; got {variant!r}")
-    eta = hp.eta
-    halves = []
-    for s, g in zip(states, grads):
-        if s.x_prev is None:
-            halves.append(s.replace(x=s.x - eta * g))
-        else:
-            eta_div = eta if variant == "d2" else s.eta_prev
-            correction = (s.x_prev - s.x) / eta_div
-            halves.append(s.replace(x=s.x - eta * (correction + g - s.g_prev)))
-    mixed = gossip(halves, W)
-    return [
-        after.replace(x_prev=s.x, g_prev=g, eta_prev=eta)
-        for s, after, g in zip(states, mixed, grads)
-    ]
+    return _stacked_call(states, grads, _d2, W, hp, variant)
 
 
 def gt_init(states: list[WorkerState], grad_fn, step: int = 0) -> list[WorkerState]:
     """Start gradient tracking: y_i = g_i(x_i) at the initial point."""
-    out = []
-    for i, s in enumerate(states):
-        g0 = grad_fn(i, s.x, step)
-        out.append(s.replace(y_tracker=g0, g_prev=g0))
-    return out
+    S = StackedState.from_workers(states)
+    stacked_gt_init(S, grad_fn, step)
+    return S.to_workers()
 
 
 def gt_step(
@@ -412,25 +636,9 @@ def gt_step(
     gradient — which removes the heterogeneity bias DSGD suffers.  Requires
     states initialized by :func:`gt_init`.
     """
-    if any(s.y_tracker is None for s in states):
-        raise ValueError("gradient tracking states must be initialized with gt_init")
-    halves = []
-    for s in states:
-        if with_momentum:
-            m = hp.beta * s.m_local + s.y_tracker
-            u = hp.beta * m + s.y_tracker
-            halves.append(s.replace(x=s.x - hp.eta * u, m_local=m))
-        else:
-            halves.append(s.replace(x=s.x - hp.eta * s.y_tracker))
-    mixed = gossip(halves, W)
-
-    Wm = _weights(W)
-    Y = np.stack([s.y_tracker for s in states], axis=1) @ Wm.T
-    out = []
-    for i, (s, after) in enumerate(zip(states, mixed)):
-        g_new = grad_fn(i, after.x, step + 1)
-        out.append(after.replace(y_tracker=Y[:, i] + g_new - s.g_prev, g_prev=g_new))
-    return out
+    S = StackedState.from_workers(states)
+    _gt(S, W, hp, grad_fn, step + 1, with_momentum)
+    return S.to_workers()
 
 
 # ---------------------------------------------------------------------------
@@ -454,22 +662,12 @@ def slowmo_round(
 
     gamma is the base step size hp.eta.  Base optimizer buffers persist
     across rounds; rounds consume steps ``step0 .. step0 + tau - 1``.
+    ``W`` is a fixed matrix or a generator ``t -> matrix``; inner step k
+    mixes with ``W(step0 + k)``.
     """
-    x0 = states[0].x.copy()
-    slow_m = states[0].slow_m if states[0].slow_m is not None else np.zeros_like(x0)
-
-    # hp.tau counts this round's inner steps; the inner steps themselves
-    # always refresh their buffers (no multi-step gating inside a round)
-    inner_hp = dataclasses.replace(hp, tau=1)
-    for k in range(hp.tau):
-        grads = [grad_fn(i, s.x, step0 + k) for i, s in enumerate(states)]
-        states = decentralized_step(base_kind, states, grads, W, inner_hp, step_index=step0 + k + 1)
-
-    x_tau = np.mean([s.x for s in states], axis=0)
-    gamma = hp.eta
-    slow_m = hp.slowmo_beta * slow_m + (x0 - x_tau) / gamma
-    x_new = x0 - hp.slowmo_alpha * gamma * slow_m
-    return [s.replace(x=x_new.copy(), slow_x=x0.copy(), slow_m=slow_m.copy()) for s in states]
+    S = StackedState.from_workers(states)
+    stacked_slowmo_round(S, W, hp, base_kind, grad_fn, step0)
+    return S.to_workers()
 
 
 def mimelite_round(
@@ -550,10 +748,10 @@ def qg_matrix_form(
     mu: float,
     grads_seq,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked-matrix reference for the quasi-global heavy-ball method.
+    """The quasi-global heavy-ball method in matrix form.
 
     With columns as workers (X is dim x n) the whole per-worker loop
-    collapses to two matrix recursions per step:
+    collapses to two matrix recursions per step (:func:`stacked_dsgd_step`):
 
         X_{t+1} = ( X_t - eta (beta M_{t-1} + G_t) ) W^T
         M_t     = mu M_{t-1} + (1 - mu) (X_t - X_{t+1}) / eta
@@ -562,11 +760,8 @@ def qg_matrix_form(
     into the buffer.  Returns final (X, M).  ``grads_seq[t]`` is the dim x n
     gradient matrix of step t.
     """
-    Wm = _weights(W)
-    X = np.asarray(X0, dtype=float).copy()
-    M = np.zeros_like(X)
+    S = StackedState.from_matrix(X0)
+    hp = HyperParams(eta=eta, beta=beta, mu=mu)
     for G in grads_seq:
-        X_next = (X - eta * (beta * M + G)) @ Wm.T
-        M = mu * M + (1.0 - mu) * (X - X_next) / eta
-        X = X_next
-    return X, M
+        stacked_dsgd_step("qg_dsgdm", S, G, W, hp)
+    return S.X, S.M_hat

@@ -1,5 +1,8 @@
 """Tests for configuration, schedules, the validator, and the run loop."""
 
+import dataclasses
+import hashlib
+import os
 import warnings
 
 import numpy as np
@@ -20,8 +23,23 @@ from qgm_sim.engine import (
     validate_theorem_conditions,
     write_metrics_csv,
 )
-from qgm_sim.optim import HyperParams
-from qgm_sim.topology import build_graph, mixing_matrix
+from qgm_sim.optim import HyperParams, decentralized_step, init_worker_states
+from qgm_sim.topology import build_graph, mixing_matrix, one_peer_exponential_matrix
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+# SHA-256 of each shipped config's metrics CSV at run.seed = 0, captured
+# before the optimizer moved to the stacked core; any change in these bytes
+# is a change in results and must be named, never re-frozen silently
+SHIPPED_METRICS_SHA256 = {
+    "adam_ring8.ini": "4757559c34a0371b7b1ab299dfa409517164f84e5184fcaf0e1b276666a8a74f",
+    "hetero_gradient_tracking.ini":
+        "b912956b1cbc812f20e82ab367342ab3ff4d5d0a15589e897074956b370dafd0",
+    "quadratic_ring16_qg.ini": "5e08805743aaed0b525106ff557900d71a03f11bf68fdded701d33a1f09cf3ad",
+    "rosenbrock_nesterov.ini": "bb79062ffcc1898fc90309a83e1343ed638658928983ce0a1be3a448e3199cb4",
+    "slowmo_quadratic.ini": "d5e56cf3db42dda8000cc2274d64a1d52c3bf6aa5b8616987d436058c26be677",
+    "toy2d_dsgdm.ini": "6ffcc561a42c36cb864c04cde0d7de0b8e5d00c63b384e6e353e651dd64c0b77",
+}
 
 
 def make_config(**tweaks):
@@ -290,6 +308,65 @@ class TestRun:
         assert exc.value.method == "dsgdm"
         assert 1 <= exc.value.step <= 50
         assert "aborting" in str(exc.value)
+
+    def test_divergence_caught_in_tracker_before_models(self):
+        # gradient tracking on the Rosenbrock valley at eta 0.2: the
+        # gradients at step 5's models overflow, so the tracker goes
+        # non-finite at step 5 while the models built from it follow only
+        # at step 6; the models are checked first, so the tracker is named
+        cfg = make_config(**{"problem.kind": "rosenbrock", "problem.dim": "2",
+                             "topology.n": "4", "optim.kind": "gt",
+                             "optim.eta": "0.2", "optim.beta": "0.0",
+                             "run.steps": "20"})
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            with pytest.raises(NumericalDivergence) as exc:
+                run(cfg)
+        assert (exc.value.step, exc.value.method) == (5, "gt")
+        assert exc.value.field == "y_tracker"
+        assert exc.value.worker == 0
+        assert "y_tracker of worker 0 at step 5" in str(exc.value)
+        assert "aborting" in str(exc.value)
+
+    def test_slowmo_mixes_each_inner_step_with_its_own_matrix(self):
+        # one-peer pairings change every step, so a round that reused its
+        # first matrix for all tau inner steps would leave this path
+        cfg = make_config(**{"optim.kind": "slowmo", "optim.tau": "2",
+                             "optim.slowmo_base": "dsgdm",
+                             "topology.kind": "one_peer_exponential",
+                             "run.steps": "4"})
+        res = quiet_run(cfg)
+        assert not np.array_equal(one_peer_exponential_matrix(4, 0).weights,
+                                  one_peer_exponential_matrix(4, 1).weights)
+
+        def grad_fn(i, x, t):
+            return res.problem.sample(i, x, t).grad
+
+        hp = cfg.hyper_params()
+        inner = dataclasses.replace(hp, tau=1)
+        states = init_worker_states(np.zeros(cfg.dim), 4)
+        slow_m = np.zeros(cfg.dim)
+        for step0 in (0, 2):
+            x0 = states[0].x.copy()
+            for t in (step0, step0 + 1):
+                grads = [grad_fn(i, s.x, t) for i, s in enumerate(states)]
+                states = decentralized_step("dsgdm", states, grads,
+                                            one_peer_exponential_matrix(4, t), inner,
+                                            step_index=t + 1)
+            x_tau = np.mean([s.x for s in states], axis=0)
+            slow_m = hp.slowmo_beta * slow_m + (x0 - x_tau) / hp.eta
+            x_new = x0 - hp.slowmo_alpha * hp.eta * slow_m
+            states = [s.replace(x=x_new.copy()) for s in states]
+        for got, want in zip(res.final_states, states):
+            np.testing.assert_array_equal(got.x, want.x)
+            np.testing.assert_array_equal(got.m_local, want.m_local)
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_METRICS_SHA256))
+    def test_shipped_config_metrics_bytes_frozen(self, name):
+        cfg = RunConfig.from_ini(os.path.join(CONFIG_DIR, name),
+                                 overrides={"run.seed": "0"})
+        data = ("\n".join(metrics_csv_lines(quiet_run(cfg).records)) + "\n").encode()
+        assert hashlib.sha256(data).hexdigest() == SHIPPED_METRICS_SHA256[name]
 
     def test_momentum_warning_emitted_once_per_run(self):
         with pytest.warns(UserWarning, match="momentum bound violated"):

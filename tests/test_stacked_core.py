@@ -1,0 +1,155 @@
+"""The stacked (dim x n) optimizer core against the per-worker reference.
+
+``reference_loops`` keeps the per-worker step rules as they were before the
+core existed.  For every per-step kind, on random small cases, the core as
+the engine drives it (``stacked_step``) and the public per-worker adapters
+must both reproduce the reference bit for bit, step after step.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_loops as ref
+from qgm_sim import optim
+from qgm_sim.optim import (
+    HALF_STEP_KINDS,
+    STEP_KINDS,
+    HyperParams,
+    StackedState,
+    WorkerState,
+    init_worker_states,
+    qhm_step,
+    stacked_gt_init,
+    stacked_slowmo_round,
+    stacked_step,
+)
+from qgm_sim.topology import one_peer_exponential_matrix
+
+STEPS = 4
+
+
+def assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        for f in dataclasses.fields(WorkerState):
+            va, vb = getattr(a, f.name), getattr(b, f.name)
+            if va is None or vb is None:
+                assert va is None and vb is None, (i, f.name)
+            elif isinstance(va, float):
+                assert va == vb, (i, f.name)
+            else:
+                assert np.shape(va) == np.shape(vb), (i, f.name)
+                assert np.asarray(va).tobytes() == np.asarray(vb).tobytes(), (i, f.name)
+
+
+def per_worker_step(mod, kind, states, W, hp, t, grad_fn):
+    """Step ``t`` (1-based) of ``kind`` through module ``mod``'s per-worker
+    functions, dispatched as the engine did before the stacked core."""
+    if kind in ("gt", "gt_momentum"):
+        return mod.gt_step(states, W, hp, grad_fn, t - 1,
+                           with_momentum=kind == "gt_momentum")
+    grads = [grad_fn(i, ref.sampling_point(kind, s), t) for i, s in enumerate(states)]
+    if kind == "qhm":
+        return [qhm_step(s, g, hp) for s, g in zip(states, grads)]
+    if kind in ("dmsgd_i", "dmsgd_ii"):
+        return mod.dmsgd_step(states, grads, W, hp, "I" if kind == "dmsgd_i" else "II")
+    if kind in ("d2", "d2_plus"):
+        return mod.d2_step(states, grads, W, hp, kind)
+    if kind == "qg_dadam":
+        return mod.qg_dadam_step(states, grads, W, hp)
+    return mod.decentralized_step(kind, states, grads, W, hp, step_index=t)
+
+
+@st.composite
+def cases(draw):
+    """A small problem: worker count, dimension, per-step mixing matrices,
+    per-step step sizes, hyperparameters and a pure quadratic-plus-noise
+    oracle.  Mixing is a random doubly stochastic matrix (a convex mix of
+    permutations) or the time-varying one-peer scheme."""
+    one_peer = draw(st.booleans())
+    n = draw(st.sampled_from([1, 2, 4])) if one_peer else draw(st.integers(1, 6))
+    dim = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if one_peer:
+        mats = [one_peer_exponential_matrix(n, t) for t in range(STEPS)]
+    else:
+        weights = rng.dirichlet(np.ones(3))
+        W = sum(w * np.eye(n)[rng.permutation(n)] for w in weights)
+        mats = [W] * STEPS
+    etas = rng.uniform(0.01, 0.3, size=STEPS)
+    hp = HyperParams(eta=float(etas[0]), beta=draw(st.floats(0.0, 0.95)),
+                     mu=draw(st.floats(0.0, 0.95)), tau=draw(st.integers(1, 3)))
+    a = rng.uniform(0.5, 2.0, size=(dim, n))
+    b = rng.standard_normal((dim, n))
+    noise = rng.standard_normal((STEPS + 1, dim, n))
+    x0 = rng.standard_normal(dim)
+
+    def grad_fn(i, x, t):
+        return a[:, i] * (a[:, i] * x - b[:, i]) + 0.1 * noise[t, :, i]
+
+    return n, x0, mats, etas, hp, grad_fn
+
+
+@pytest.mark.parametrize("kind", STEP_KINDS)
+@given(case=cases())
+@settings(max_examples=40, deadline=None)
+def test_stacked_core_matches_per_worker_reference(kind, case):
+    n, x0, mats, etas, hp, grad_fn = case
+    want = init_worker_states(x0, n)
+    adapted = init_worker_states(x0, n)
+    S = StackedState.init(x0, n)
+    if kind in ("gt", "gt_momentum"):
+        want = ref.gt_init(want, grad_fn, 0)
+        adapted = optim.gt_init(adapted, grad_fn, 0)
+        stacked_gt_init(S, grad_fn, 0)
+        assert_same_bits(S.to_workers(), want)
+    for t in range(1, STEPS + 1):
+        hp_t = dataclasses.replace(hp, eta=float(etas[t - 1]))
+        W = mats[t - 1]
+        want = per_worker_step(ref, kind, want, W, hp_t, t, grad_fn)
+        adapted = per_worker_step(optim, kind, adapted, W, hp_t, t, grad_fn)
+        stacked_step(kind, S, W, hp_t, t, grad_fn)
+        assert_same_bits(adapted, want)
+        assert_same_bits(S.to_workers(), want)
+
+
+@pytest.mark.parametrize("base_kind", HALF_STEP_KINDS)
+@given(case=cases())
+@settings(max_examples=25, deadline=None)
+def test_stacked_slowmo_matches_per_worker_reference(base_kind, case):
+    # the reference mixes every inner step with one matrix, so only static
+    # mixing is compared here; time-varying rounds are tested in test_engine
+    n, x0, mats, etas, hp, grad_fn = case
+    W = mats[0]
+    hp = dataclasses.replace(hp, tau=2, slowmo_beta=0.5)
+    want = init_worker_states(x0, n)
+    S = StackedState.init(x0, n)
+    for r in range(2):
+        hp_r = dataclasses.replace(hp, eta=float(etas[r]))
+        want = ref.slowmo_round(want, W, hp_r, base_kind, grad_fn, step0=2 * r)
+        stacked_slowmo_round(S, W, hp_r, base_kind, grad_fn, step0=2 * r)
+        assert_same_bits(S.to_workers(), want)
+
+
+def test_round_trip_through_worker_states():
+    states = init_worker_states(np.arange(3.0), 2)
+    states = [s.replace(y_tracker=np.full(3, float(i)), eta_prev=0.1)
+              for i, s in enumerate(states)]
+    assert_same_bits(StackedState.from_workers(states).to_workers(), states)
+
+
+def test_history_set_on_only_some_workers_is_rejected():
+    states = init_worker_states(np.zeros(2), 2)
+    states[1] = states[1].replace(g_prev=np.zeros(2))
+    with pytest.raises(ValueError, match="g_prev"):
+        StackedState.from_workers(states)
+
+
+def test_unknown_kind_rejected():
+    with pytest.raises(ValueError, match="per-step kind"):
+        stacked_step("slowmo", StackedState.init(np.zeros(1), 1), np.eye(1),
+                     HyperParams(eta=0.1), 1, lambda i, x, t: x)
