@@ -12,9 +12,9 @@ top level as well:
 * :mod:`qgm_sim.oracles` — deterministic test functions and seeded
   stochastic gradient oracles (counter-based per worker and step), plus a
   finite-difference gradient checker.
-* :mod:`qgm_sim.optim` — one stacked ``(dim, n)`` state and one-step
-  update rules over it, with per-worker adapters: decentralized SGD with
-  and without momentum, the quasi-global momentum family, double-averaging
+* :mod:`qgm_sim.optim` — one stacked ``(dim, n)`` state and the update
+  rules over it, the only optimizer API: decentralized SGD with and
+  without momentum, the quasi-global momentum family, double-averaging
   momentum, difference-correction methods, gradient tracking, an adaptive
   variant, and round-structured methods (slow outer momentum,
   server-momentum-style rounds).
@@ -53,19 +53,11 @@ from .engine import (
 from .heterogeneity import dirichlet_partition, partition_stats
 from .optim import (
     HyperParams,
+    StackedState,
     WorkerState,
-    d2_step,
-    decentralized_step,
-    gossip,
-    gt_init,
-    gt_step,
-    init_worker_states,
-    mimelite_round,
-    qg_dadam_step,
-    dmsgd_step,
-    qg_matrix_form,
-    qhm_step,
-    slowmo_round,
+    stacked_mimelite_round,
+    stacked_slowmo_round,
+    stacked_step,
 )
 from .oracles import (
     GradientSample,
@@ -102,39 +94,31 @@ __all__ = [
     "RunConfig",
     "RunResult",
     "ScheduleSpec",
+    "StackedState",
     "TheoremReport",
     "WorkerState",
     "build_graph",
     "consensus_distance",
-    "d2_step",
-    "decentralized_step",
     "dirichlet_partition",
-    "dmsgd_step",
     "finite_difference_check",
-    "gossip",
     "gossip_consensus",
-    "gt_init",
-    "gt_step",
     "heading_change_sum",
-    "init_worker_states",
     "iterations_to_threshold",
     "lr_schedule",
     "metrics_csv_lines",
-    "mimelite_round",
     "mixing_matrix",
     "nonconvex_toy_gradient",
     "one_peer_exponential_matrix",
     "partition_stats",
     "qg_consensus",
-    "qg_dadam_step",
-    "qg_matrix_form",
-    "qhm_step",
     "quadratic_family",
     "quadratic_gradient",
     "rosenbrock_gradient",
     "run",
-    "slowmo_round",
     "spectral_gap",
+    "stacked_mimelite_round",
+    "stacked_slowmo_round",
+    "stacked_step",
     "toy2d_gradient",
     "validate_theorem_conditions",
     "worker_rng",

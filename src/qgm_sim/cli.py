@@ -29,9 +29,10 @@ from .engine import (
     NumericalDivergence,
     RunConfig,
     build_mixing,
+    build_problem,
+    build_theorem_report,
     heading_change_sum,
     run,
-    validate_theorem_conditions,
     write_metrics_csv,
 )
 from .heterogeneity import dirichlet_partition, partition_stats
@@ -137,15 +138,11 @@ def cmd_run(config_path, overrides, out="metrics.csv", plot_script=False):
 
 def cmd_validate(config_path, overrides):
     config = RunConfig.from_ini(config_path, overrides=overrides)
-    mixing = build_mixing(config)
-    if callable(mixing):
+    report = build_theorem_report(config, build_problem(config), build_mixing(config))
+    if report is None:
         print("time-varying topology: spectral gap undefined; "
               "momentum bound not checked")
         return 0
-    sigma_sq = config.sigma**2 if config.sigma > 0 else None
-    report = validate_theorem_conditions(
-        config.hyper_params(), mixing.rho, n_workers=config.n,
-        sigma_sq=sigma_sq, total_steps=config.steps)
     print(report.message)
     if report.suggested_eta is not None:
         print(f"suggested_eta={_fmt(report.suggested_eta)}")

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -31,12 +30,13 @@ import numpy as np
 from .consensus import consensus_distance
 from .oracles import ProblemSpec, quadratic_family
 from .optim import (
+    HALF_STEP_KINDS,
     HyperParams,
     StackedState,
     column_mean,
-    mimelite_round,
     mixing_weights,
     stacked_gt_init,
+    stacked_mimelite_round,
     stacked_slowmo_round,
     stacked_step,
 )
@@ -85,8 +85,9 @@ class NumericalDivergence(Exception):
     """A state array went non-finite; the CLI exits 2 on this.
 
     ``field`` names the buffer (a :class:`~qgm_sim.optim.WorkerState` field,
-    or ``server_s``) and ``worker`` the first worker whose column holds a
-    non-finite entry; ``worker`` is None for arrays shared by all workers.
+    or ``server_s``, mimelite's server momentum) and ``worker`` the first
+    worker whose column holds a non-finite entry; ``worker`` is None for
+    arrays shared by all workers.
     """
 
     def __init__(self, step: int, method: str, field: str = "x", worker: int | None = None):
@@ -390,7 +391,7 @@ class RunConfig:
         if self.optim_kind not in OPTIM_KINDS:
             raise ConfigError(
                 f"optim.kind must be one of {OPTIM_KINDS}; got {self.optim_kind!r}")
-        if self.slowmo_base not in ("dsgd", "dsgdm", "dsgdm_n", "qg_dsgdm", "qg_dsgdm_n"):
+        if self.slowmo_base not in HALF_STEP_KINDS:
             raise ConfigError(
                 f"optim.slowmo_base must be a per-step kind; got {self.slowmo_base!r}")
         for name in ("steps", "steps_per_epoch", "metrics_every", "threads", "n"):
@@ -585,18 +586,40 @@ class RunResult:
     theorem_report: TheoremReport | None
 
 
-def _check_finite(S: StackedState, step: int, method: str, extra=()) -> None:
-    """Raise on the first array (in ``S.named_arrays()`` order, then
-    ``extra`` pairs) that holds a non-finite entry."""
-    for field, arr in itertools.chain(S.named_arrays(), extra):
+def _check_finite(S: StackedState, step: int, method: str) -> None:
+    """Raise on the first array (in ``S.named_arrays()`` order) that holds a
+    non-finite entry."""
+    for field, arr in S.named_arrays():
         finite = np.isfinite(arr)
         if not finite.all():
             worker = int(np.argmin(finite.all(axis=0))) if arr.ndim == 2 else None
             raise NumericalDivergence(step, method, field, worker)
 
 
+def build_theorem_report(config: RunConfig, problem: ProblemSpec,
+                         mixing) -> TheoremReport | None:
+    """The theorem-condition report of a run, or None for a time-varying
+    topology, whose spectral gap is undefined.  The noise level is the
+    quadratic family's ``noise_bound`` (E||noise||^2 = dim sigma^2); other
+    problems are noise-free and get no step-size suggestion."""
+    if callable(mixing):
+        return None
+    return validate_theorem_conditions(
+        config.hyper_params(), mixing.rho, n_workers=config.n,
+        sigma_sq=problem.noise_bound if problem.kind == "quadratic_family" else None,
+        total_steps=config.steps)
+
+
 def run(config: RunConfig) -> RunResult:
-    """Execute one configured run; deterministic given the config."""
+    """Execute one configured run; deterministic given the config.
+
+    Every method advances the stacked state one span at a time: a round of
+    ``tau`` steps for slowmo and mimelite, one step for the rest.  Each span
+    starts at step ``step0`` and ends at ``end``; its step size is the
+    schedule's at ``step0 + 1``, and after it the state is checked for
+    divergence, the averaged model is traced, and a metrics row is recorded
+    when ``end`` is a multiple of ``metrics_every`` or the last step.
+    """
     problem = build_problem(config)
     mixing = build_mixing(config)
     hp0 = config.hyper_params()
@@ -604,58 +627,34 @@ def run(config: RunConfig) -> RunResult:
     kind = config.optim_kind
     n = config.n
 
-    report = None
-    if not callable(mixing):
-        report = validate_theorem_conditions(
-            hp0, mixing.rho, n_workers=n,
-            sigma_sq=problem.noise_bound if problem.kind == "quadratic_family" else None,
-            total_steps=config.steps)
-        if not report.momentum_ok:
-            warnings.warn(report.message)
+    report = build_theorem_report(config, problem, mixing)
+    if report is not None and not report.momentum_ok:
+        warnings.warn(report.message)
 
     def grad_fn(i, x, t):
         return problem.sample(i, x, t).grad
 
-    x0 = _initial_point(config, problem.dim)
-    S = StackedState.init(x0, n)
+    S = StackedState.init(_initial_point(config, problem.dim), n)
     if kind in ("gt", "gt_momentum"):
         stacked_gt_init(S, grad_fn, step=0)
 
     records: list[MetricsRecord] = []
     xbar_trace = [column_mean(S.X)]
-
-    if kind in ("slowmo", "mimelite"):
-        server_x, server_s = x0.copy(), np.zeros_like(x0)  # mimelite only
-        rounds = config.steps // config.tau
-        for r in range(rounds):
-            step0 = r * config.tau
-            step_end = step0 + config.tau
-            lr = lr_schedule(schedule, step0 + 1, config.steps)
-            hp_r = dataclasses.replace(hp0, eta=lr)
-            extra = ()
-            if kind == "slowmo":
-                stacked_slowmo_round(S, mixing, hp_r, config.slowmo_base, grad_fn, step0)
-            else:
-                server_x, server_s = mimelite_round(
-                    server_x, server_s, hp_r, grad_fn,
-                    lambda i, x: problem.sample_mean_part(i, x), n, step0)
-                S.X = np.repeat(server_x[:, None], n, axis=1)
-                extra = (("server_s", server_s),)
-            _check_finite(S, step_end, kind, extra)
-            xbar_trace.append(column_mean(S.X))
-            if step_end % config.metrics_every == 0 or r == rounds - 1:
-                records.append(_make_record(problem, S.X, step_end, lr,
-                                            config.steps_per_epoch))
-    else:
-        for t in range(1, config.steps + 1):
-            lr = lr_schedule(schedule, t, config.steps)
-            hp_t = dataclasses.replace(hp0, eta=lr)
-            stacked_step(kind, S, mixing_weights(mixing, t - 1), hp_t, t, grad_fn)
-            _check_finite(S, t, kind)
-            xbar_trace.append(column_mean(S.X))
-            if t % config.metrics_every == 0 or t == config.steps:
-                records.append(_make_record(problem, S.X, t, lr,
-                                            config.steps_per_epoch))
+    span = config.tau if kind in ("slowmo", "mimelite") else 1
+    for step0 in range(0, config.steps, span):
+        end = step0 + span
+        lr = lr_schedule(schedule, step0 + 1, config.steps)
+        hp = dataclasses.replace(hp0, eta=lr)
+        if kind == "slowmo":
+            stacked_slowmo_round(S, mixing, hp, config.slowmo_base, grad_fn, step0)
+        elif kind == "mimelite":
+            stacked_mimelite_round(S, hp, grad_fn, problem.sample_mean_part, step0)
+        else:
+            stacked_step(kind, S, mixing_weights(mixing, step0), hp, end, grad_fn)
+        _check_finite(S, end, kind)
+        xbar_trace.append(column_mean(S.X))
+        if end % config.metrics_every == 0 or end == config.steps:
+            records.append(_make_record(problem, S.X, end, lr, config.steps_per_epoch))
 
     return RunResult(
         records=tuple(records),

@@ -16,21 +16,21 @@ so the momentum direction tracks where the post-gossip model actually went
 rather than where the local gradients point — the difference matters
 precisely when workers' data disagree.
 
-The methods are written once, over a :class:`StackedState` that holds each
+Every method is written once, over a :class:`StackedState` that holds each
 buffer as a ``(dim, n)`` array with one column per worker, so a step is a
-few whole-array expressions and one ``X W^T`` per gossip.  The engine, the
-matrix-form reference and the consensus experiments all run this core.  The
-per-worker functions (:func:`decentralized_step`, :func:`gt_step`, ...)
-take and return lists of :class:`WorkerState` and are thin adapters that
-stack, run the core, and unstack; column arithmetic is elementwise, so both
-give the same bits.
+few whole-array expressions and one ``X W^T`` per gossip.  The engine and
+the consensus experiments drive this core directly: :func:`stacked_step`
+for the per-step kinds, :func:`stacked_slowmo_round` and
+:func:`stacked_mimelite_round` for the round-structured ones.  Each
+method's recursion is written out in the docstring of the function that
+computes it.  :class:`WorkerState` is the per-worker view of a state
+(:meth:`StackedState.to_workers`), which runs return as their final states.
 
-The per-worker functions are pure: they return fresh states, never mutating
-arrays in place.  The stacked functions update the :class:`StackedState`
-they are given by rebinding its fields to fresh arrays.  Buffers start at
-zero.  ``grad_fn`` arguments have signature
-``grad_fn(worker, x, step) -> ndarray``, are called once per worker in
-worker order, and must be pure in ``(worker, x, step)``.
+The step functions update the :class:`StackedState` they are given by
+rebinding its fields to fresh arrays.  Buffers start at zero.  ``grad_fn``
+arguments have signature ``grad_fn(worker, x, step) -> ndarray``, are
+called once per worker in worker order, and must be pure in
+``(worker, x, step)``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "HyperParams",
     "WorkerState",
     "StackedState",
-    "init_worker_states",
     "mix",
     "mixing_weights",
     "column_mean",
@@ -52,21 +51,9 @@ __all__ = [
     "stacked_dsgd_step",
     "stacked_gt_init",
     "stacked_slowmo_round",
-    "gossip",
-    "local_half_step",
-    "decentralized_step",
-    "qg_buffer_update",
+    "stacked_mimelite_round",
     "qg_multistep_gate",
-    "qg_dadam_step",
-    "dmsgd_step",
-    "d2_step",
-    "gt_init",
-    "gt_step",
-    "slowmo_round",
-    "mimelite_round",
-    "qhm_step",
     "qhm_core",
-    "qg_matrix_form",
     "HALF_STEP_KINDS",
     "STEP_KINDS",
 ]
@@ -138,11 +125,6 @@ class WorkerState:
         return dataclasses.replace(self, **kw)
 
 
-def init_worker_states(x0, n: int) -> list[WorkerState]:
-    """All workers start at the same point with zero buffers."""
-    return StackedState.init(x0, n).to_workers()
-
-
 # stacked attribute -> WorkerState field, in the order divergence checks
 # visit them: the live model and buffers first, then the one-step history
 _FIELDS = (
@@ -160,9 +142,11 @@ class StackedState:
     Fields mirror :class:`WorkerState`: ``X``, ``M_hat``, ``M_local`` and
     ``V`` always exist; the history arrays ``Y`` (gradient tracker),
     ``G_prev``, ``X_prev``, ``X_half_prev`` and ``M_hat_prev`` stay ``None``
-    until a method needs them.  ``eta_prev`` is the previous step size, and
-    ``slow_x`` / ``slow_m`` are the slow-momentum round's ``(dim,)``
-    anchor and buffer, shared by all workers.
+    until a method needs them.  ``eta_prev`` is the previous step size.
+    The round-structured methods keep ``(dim,)`` arrays shared by all
+    workers: ``slow_x`` / ``slow_m``, the slow-momentum round's anchor and
+    buffer, and ``server_s``, the server momentum of a mimelite round (it
+    has no :class:`WorkerState` field).
 
     The step functions below rebind fields to fresh arrays and never write
     into an array in place, so arrays handed out stay valid.
@@ -180,6 +164,7 @@ class StackedState:
     eta_prev: float | None = None
     slow_x: np.ndarray | None = None
     slow_m: np.ndarray | None = None
+    server_s: np.ndarray | None = None
 
     @classmethod
     def init(cls, x0, n: int) -> "StackedState":
@@ -191,21 +176,6 @@ class StackedState:
         """Workers start at the columns of ``X0`` with zero buffers."""
         X = np.array(X0, dtype=float, order="C")
         return cls(X=X, M_hat=np.zeros_like(X), M_local=np.zeros_like(X), V=np.zeros_like(X))
-
-    @classmethod
-    def from_workers(cls, states: list[WorkerState]) -> "StackedState":
-        """Stack per-worker states; a history field must be set on every
-        worker or on none.  Round-level values come from worker 0."""
-        stacked = {}
-        for attr, name in _FIELDS:
-            cols = [getattr(s, name) for s in states]
-            missing = sum(c is None for c in cols)
-            if missing and missing < len(cols):
-                raise ValueError(f"{name} is set on some workers but not on others")
-            stacked[attr] = None if missing else np.stack(cols, axis=1)
-        first = states[0]
-        return cls(**stacked, eta_prev=first.eta_prev, slow_x=first.slow_x,
-                   slow_m=first.slow_m)
 
     def to_workers(self) -> list[WorkerState]:
         """Per-worker states holding copies of each worker's columns."""
@@ -220,12 +190,13 @@ class StackedState:
         return out
 
     def named_arrays(self):
-        """``(WorkerState field name, array)`` for every array held."""
+        """``(field name, array)`` for every array held: per-worker arrays
+        by their :class:`WorkerState` name, then the shared ones."""
         for attr, name in _FIELDS:
             arr = getattr(self, attr)
             if arr is not None:
                 yield name, arr
-        for name in ("slow_x", "slow_m"):
+        for name in ("slow_x", "slow_m", "server_s"):
             arr = getattr(self, name)
             if arr is not None:
                 yield name, arr
@@ -262,14 +233,32 @@ def _sample_columns(grad_fn, P: np.ndarray, step: int) -> np.ndarray:
     return G
 
 
+def column_mean(X: np.ndarray) -> np.ndarray:
+    """Mean of the worker columns, summed worker by worker in order (the
+    reduction of an ``(n, dim)`` row stack, whose bits the metrics keep)."""
+    return np.ascontiguousarray(X.T).mean(axis=0)
+
+
 # ---------------------------------------------------------------------------
 # the stacked core: one small function per method, all over StackedState
 # ---------------------------------------------------------------------------
 
 def _half_step(kind: str, S: StackedState, G, hp: HyperParams) -> np.ndarray:
-    """Pre-gossip models of the dsgd/qg family; writes ``M_local`` for the
-    local-momentum kinds.  ``G`` None means no gradient (pure consensus),
-    which only the quasi-global kind accepts."""
+    """Pre-gossip models of the dsgd/qg family, per worker column:
+
+      dsgd       x <- x - eta g
+      dsgdm      m_local <- beta m_local + g;       x <- x - eta m_local
+      dsgdm_n    m_local <- beta m_local + g;       x <- x - eta (beta m_local + g)
+      qg_dsgdm   x <- x - eta (beta m_hat + g)
+      qg_dsgdm_n m_tmp = beta m_hat + g;            x <- x - eta (beta m_tmp + g)
+
+    The ``_n`` variants apply the buffer the way PyTorch's Nesterov flag
+    does: the freshly updated buffer is combined with the raw gradient once
+    more.  The local-momentum kinds write ``M_local``; the QG kinds read
+    ``M_hat`` but never write it (that happens after gossip, in
+    :func:`stacked_dsgd_step`).  ``G`` None means no gradient (pure
+    consensus), which only ``qg_dsgdm`` accepts.
+    """
     eta, beta = hp.eta, hp.beta
     if kind == "dsgd":
         return S.X - eta * G
@@ -287,30 +276,58 @@ def _half_step(kind: str, S: StackedState, G, hp: HyperParams) -> np.ndarray:
     raise ValueError(f"unknown half-step kind {kind!r}; expected one of {HALF_STEP_KINDS}")
 
 
-def _qg_buffer(M_hat, X_before, X_after, eta: float, mu: float) -> np.ndarray:
-    d = (X_before - X_after) / eta
-    return mu * M_hat + (1.0 - mu) * d
+def qg_multistep_gate(step_index: int, tau: int) -> bool:
+    """Whether the quasi-global buffer updates at 1-based step ``step_index``.
+
+    The multi-step variant refreshes m_hat only every ``tau`` steps and
+    holds it in between; tau=1 updates every step.
+    """
+    if tau < 1:
+        raise ValueError(f"tau must be a positive integer; got {tau}")
+    return step_index % tau == 0
 
 
 def stacked_dsgd_step(kind: str, S: StackedState, G, W, hp: HyperParams,
                       step_index: int = 1) -> None:
     """One step of the dsgd/qg family on ``S`` from the gradient matrix
-    ``G``: half steps, gossip, and the quasi-global buffer when the
-    multi-step gate fires at 1-based ``step_index``.  For ``qg_dsgdm`` this
-    is the stacked recursion
+    ``G``: half steps (:func:`_half_step`), gossip, and for the QG kinds the
+    quasi-global buffer update from consecutive synchronized models,
+
+        d = (x_before - x_after) / eta,      m_hat <- mu m_hat + (1 - mu) d,
+
+    when the multi-step gate fires at 1-based ``step_index`` (with hp.tau
+    > 1 the buffer is frozen between refreshes).  ``eta`` is the step size
+    the half step used.  For ``qg_dsgdm`` this is the stacked recursion
 
         X_{t+1} = ( X_t - eta (beta M + G_t) ) W^T,
         M      <- mu M + (1 - mu) (X_t - X_{t+1}) / eta,
 
-    and ``G`` None drops the gradient, leaving pure buffered averaging.
+    where the M update sees the post-gossip X_{t+1}, folding communication
+    into the buffer; ``G`` None drops the gradient, leaving pure buffered
+    averaging.
     """
     X_new = mix(_half_step(kind, S, G, hp), W)
     if kind.startswith("qg_") and qg_multistep_gate(step_index, hp.tau):
-        S.M_hat = _qg_buffer(S.M_hat, S.X, X_new, hp.eta, hp.mu)
+        d = (S.X - X_new) / hp.eta
+        S.M_hat = hp.mu * S.M_hat + (1.0 - hp.mu) * d
     S.X = X_new
 
 
 def _qg_dadam(S: StackedState, G, W, hp: HyperParams) -> None:
+    """Adam-style local step with quasi-global first and second moments.
+
+    Per worker:  m = beta1 m_hat + (1 - beta1) g,
+                 v = beta2 v_hat + (1 - beta2) g*g,
+                 x_half = x - eta m / (sqrt(v) + eps),
+    then gossip, and both stored buffers are rebuilt from the normalized
+    synchronized movement  d = x_before - x_after  (no eta division):
+
+                 d_unit = d / ||d||_2     (zero when d = 0),
+                 m_hat <- beta1 m_hat + (1 - beta1) d_unit,
+                 v_hat <- beta2 v_hat + (1 - beta2) d_unit*d_unit.
+
+    No bias correction anywhere.
+    """
     b1, b2 = hp.beta1, hp.beta2
     m = b1 * S.M_hat + (1.0 - b1) * G
     v = b2 * S.V + (1.0 - b2) * G * G
@@ -325,16 +342,34 @@ def _qg_dadam(S: StackedState, G, W, hp: HyperParams) -> None:
     S.X = X_new
 
 
-def _dmsgd(S: StackedState, G, W, hp: HyperParams, option: str) -> None:
-    if option not in ("I", "II"):
-        raise ValueError(f"dmsgd option must be 'I' or 'II'; got {option!r}")
+def _dmsgd(S: StackedState, G, W, hp: HyperParams, kind: str) -> None:
+    """Double-averaging momentum step; the two kinds differ in where the
+    half step is anchored.
+
+    Both take the half step  base - eta (beta m_hat + g)  and gossip.
+    ``dmsgd_i`` anchors at the current synchronized model (base = x,
+    gradient evaluated there); ``dmsgd_ii`` anchors at the previous
+    pre-gossip half iterate (base = x_half_prev, gradient evaluated there,
+    which :func:`stacked_step` arranges).
+
+    The buffer blends the pre-gossip and post-gossip movements,
+
+        m_hat <- [ mu (x_half_prev - x_half) + (1 - mu)(x - x_new) ] / eta,
+
+    implemented via the algebraically identical per-kind closed forms
+      dmsgd_ii: m_hat <- mu (beta m_hat + g) + (1 - mu)(x - x_new)/eta
+      dmsgd_i:  m_hat <- mu (beta m_hat + g + (x_prev - x)/eta
+                             - beta m_hat_prev - g_prev)
+                         + (1 - mu)(x - x_new)/eta
+    with zero/identity bootstraps for the one step of history dmsgd_i needs.
+    """
     eta, beta, mu = hp.eta, hp.beta, hp.mu
     X = S.X
     update = beta * S.M_hat + G
-    half = (X if option == "I" else _dmsgd_anchor(S)) - eta * update
+    half = (_dmsgd_anchor(S) if kind == "dmsgd_ii" else X) - eta * update
     X_new = mix(half, W)
     drift = (X - X_new) / eta
-    if option == "II":
+    if kind == "dmsgd_ii":
         M_new = mu * update + (1.0 - mu) * drift
     else:
         X_prev = S.X_prev if S.X_prev is not None else X
@@ -351,14 +386,21 @@ def _dmsgd_anchor(S: StackedState) -> np.ndarray:
     return S.X_half_prev if S.X_half_prev is not None else S.X
 
 
-def _d2(S: StackedState, G, W, hp: HyperParams, variant: str) -> None:
-    if variant not in ("d2", "d2_plus"):
-        raise ValueError(f"variant must be 'd2' or 'd2_plus'; got {variant!r}")
+def _d2(S: StackedState, G, W, hp: HyperParams, kind: str) -> None:
+    """Bias-correcting update from previous iterates and gradients.
+
+        x <- gossip( x - eta [ (x_prev - x)/eta_div + g - g_prev ] )
+
+    where ``eta_div`` is this step's eta for ``d2`` and the *previous*
+    step's eta for ``d2_plus`` — the difference is exactly what makes the
+    plain variant fragile under step-size decay.  The first step has no
+    history and falls back to plain DSGD.
+    """
     eta = hp.eta
     if S.X_prev is None:
         half = S.X - eta * G
     else:
-        eta_div = eta if variant == "d2" else S.eta_prev
+        eta_div = eta if kind == "d2" else S.eta_prev
         correction = (S.X_prev - S.X) / eta_div
         half = S.X - eta * (correction + G - S.G_prev)
     S.X_prev, S.G_prev, S.eta_prev = S.X, G, eta
@@ -371,8 +413,20 @@ def stacked_gt_init(S: StackedState, grad_fn, step: int = 0) -> None:
 
 
 def _gt(S: StackedState, W, hp: HyperParams, grad_fn, step: int, with_momentum: bool) -> None:
+    """Gradient-tracking step (adapt-then-combine).
+
+        x <- gossip( x - eta u ),   u = y   (or the Nesterov composite
+                                             m_local <- beta m_local + y;
+                                             u = beta m_local + y),
+        y <- gossip(y) + g(x_new, step) - g_prev
+
+    The tracker telescopes gradient differences, so sum_i y_i = sum_i g_i
+    at every step and each worker's update direction estimates the *global*
+    gradient — which removes the heterogeneity bias DSGD suffers.  Requires
+    a state started by :func:`stacked_gt_init`.
+    """
     if S.Y is None:
-        raise ValueError("gradient tracking states must be initialized with gt_init")
+        raise ValueError("gradient tracking states must be initialized with stacked_gt_init")
     if with_momentum:
         S.M_local = m = hp.beta * S.M_local + S.Y
         half = S.X - hp.eta * (hp.beta * m + S.Y)
@@ -385,6 +439,10 @@ def _gt(S: StackedState, W, hp: HyperParams, grad_fn, step: int, with_momentum: 
 
 
 def _qhm(S: StackedState, G, hp: HyperParams) -> None:
+    """Single-worker quasi-hyperbolic momentum (:func:`qhm_core`) with the
+    substitution beta_hat = mu + (1 - mu) beta — the closed form of the
+    single-worker quasi-global heavy-ball method (mu = 0 gives SGDm
+    exactly).  No gossip."""
     beta_hat = hp.mu + (1.0 - hp.mu) * hp.beta
     S.X, S.M_hat = qhm_core(S.X, S.M_hat, G, hp.eta, beta_hat, hp.mu)
 
@@ -413,18 +471,32 @@ def stacked_step(kind: str, S: StackedState, W, hp: HyperParams, step: int, grad
     elif kind == "qg_dadam":
         _qg_dadam(S, G, W, hp)
     elif kind in ("dmsgd_i", "dmsgd_ii"):
-        _dmsgd(S, G, W, hp, "I" if kind == "dmsgd_i" else "II")
+        _dmsgd(S, G, W, hp, kind)
     elif kind in ("d2", "d2_plus"):
         _d2(S, G, W, hp, kind)
     else:
         _qhm(S, G, hp)
 
 
+# ---------------------------------------------------------------------------
+# round-structured methods: one round spans hp.tau steps
+# ---------------------------------------------------------------------------
+
 def stacked_slowmo_round(S: StackedState, W, hp: HyperParams, base_kind: str,
                          grad_fn, step0: int) -> None:
-    """One slow-momentum round on ``S`` (see :func:`slowmo_round`).  Inner
-    step ``k`` samples at step ``step0 + k`` and mixes with
-    ``W_{step0 + k}`` when ``W`` is a generator ``t -> matrix``."""
+    """One outer round: tau decentralized base steps, exact average, then a
+    slow momentum step applied from the round's starting point.
+
+        run tau steps of ``base_kind`` (with gossip); x_tau = mean_i x_i
+        slow_m <- slowmo_beta slow_m + (x_0 - x_tau) / gamma
+        x <- x_0 - slowmo_alpha gamma slow_m          (broadcast to all)
+
+    gamma is the base step size hp.eta and x_0 is worker 0's model.  Base
+    optimizer buffers persist across rounds; the round consumes steps
+    ``step0 .. step0 + tau - 1``.  Inner step ``k`` samples at step
+    ``step0 + k`` and mixes with ``W_{step0 + k}`` when ``W`` is a
+    generator ``t -> matrix``.
+    """
     x0 = S.X[:, 0].copy()
     slow_m = S.slow_m if S.slow_m is not None else np.zeros_like(x0)
 
@@ -444,269 +516,41 @@ def stacked_slowmo_round(S: StackedState, W, hp: HyperParams, base_kind: str,
     S.slow_x, S.slow_m = x0, slow_m
 
 
-def column_mean(X: np.ndarray) -> np.ndarray:
-    """Mean of the worker columns, summed worker by worker in order (the
-    reduction of an ``(n, dim)`` row stack, whose bits the metrics keep)."""
-    return np.ascontiguousarray(X.T).mean(axis=0)
-
-
-# ---------------------------------------------------------------------------
-# per-worker API: thin adapters that stack, run the core, and unstack
-# ---------------------------------------------------------------------------
-
-def gossip(states: list[WorkerState], W) -> list[WorkerState]:
-    """One communication round: x_i <- sum_j W[i, j] x_j.
-
-    Only the models move; every optimizer buffer stays local and untouched.
-    """
-    X_new = mix(np.stack([s.x for s in states], axis=1), W)
-    return [s.replace(x=X_new[:, i].copy()) for i, s in enumerate(states)]
-
-
-def local_half_step(kind: str, state: WorkerState, grad: np.ndarray, hp: HyperParams) -> WorkerState:
-    """Local parameter update of one worker, before gossip.
-
-    kinds:
-      dsgd       x <- x - eta g
-      dsgdm      m_local <- beta m_local + g;       x <- x - eta m_local
-      dsgdm_n    m_local <- beta m_local + g;       x <- x - eta (beta m_local + g)
-      qg_dsgdm   x <- x - eta (beta m_hat + g)
-      qg_dsgdm_n m_tmp = beta m_hat + g;            x <- x - eta (beta m_tmp + g)
-
-    The ``_n`` variants apply the buffer the way PyTorch's Nesterov flag
-    does: the freshly updated buffer is combined with the raw gradient once
-    more.  QG variants read the quasi-global buffer ``m_hat`` but never
-    write it — that happens after gossip in :func:`qg_buffer_update`.
-    """
-    S = StackedState.from_workers([state])
-    S.X = _half_step(kind, S, np.asarray(grad, dtype=float)[:, None], hp)
-    return S.to_workers()[0]
-
-
-def qg_buffer_update(
-    state: WorkerState,
-    x_before_half_step: np.ndarray,
-    x_after_gossip: np.ndarray,
-    eta: float,
-    mu: float,
-) -> WorkerState:
-    """Quasi-global buffer update from consecutive synchronized models.
-
-        d = (x_before - x_after) / eta,      m_hat <- mu m_hat + (1 - mu) d.
-
-    ``eta`` must be the step size the half step actually used this step.
-    """
-    if eta == 0:
-        raise ValueError("qg_buffer_update needs eta > 0: d divides by the step size")
-    return state.replace(
-        m_hat=_qg_buffer(state.m_hat, x_before_half_step, x_after_gossip, eta, mu))
-
-
-def qg_multistep_gate(step_index: int, tau: int) -> bool:
-    """Whether the quasi-global buffer updates at 1-based step ``step_index``.
-
-    The multi-step variant refreshes m_hat only every ``tau`` steps and
-    holds it in between; tau=1 updates every step.
-    """
-    if tau < 1:
-        raise ValueError(f"tau must be a positive integer; got {tau}")
-    return step_index % tau == 0
-
-
-def decentralized_step(
-    kind: str,
-    states: list[WorkerState],
-    grads: list[np.ndarray],
-    W,
-    hp: HyperParams,
-    step_index: int = 1,
-) -> list[WorkerState]:
-    """One full step of the dsgd/qg family: half steps, gossip, QG buffer.
-
-    ``step_index`` is 1-based and only consulted by the multi-step gate
-    (hp.tau > 1), which freezes the quasi-global buffer between refreshes.
-    """
-    S = StackedState.from_workers(states)
-    stacked_dsgd_step(kind, S, np.stack(grads, axis=1), W, hp, step_index)
-    return S.to_workers()
-
-
-def _stacked_call(states, grads, fn, *args) -> list[WorkerState]:
-    S = StackedState.from_workers(states)
-    fn(S, np.stack(grads, axis=1), *args)
-    return S.to_workers()
-
-
-def qg_dadam_step(
-    states: list[WorkerState],
-    grads: list[np.ndarray],
-    W,
-    hp: HyperParams,
-) -> list[WorkerState]:
-    """Adam-style local step with quasi-global first and second moments.
-
-    Per worker:  m = beta1 m_hat + (1 - beta1) g,
-                 v = beta2 v_hat + (1 - beta2) g*g,
-                 x_half = x - eta m / (sqrt(v) + eps),
-    then gossip, and both stored buffers are rebuilt from the normalized
-    synchronized movement  d = x_before - x_after  (no eta division):
-
-                 d_unit = d / ||d||_2     (zero when d = 0),
-                 m_hat <- beta1 m_hat + (1 - beta1) d_unit,
-                 v_hat <- beta2 v_hat + (1 - beta2) d_unit*d_unit.
-
-    No bias correction anywhere.
-    """
-    return _stacked_call(states, grads, _qg_dadam, W, hp)
-
-
-def dmsgd_step(
-    states: list[WorkerState],
-    grads: list[np.ndarray],
-    W,
-    hp: HyperParams,
-    option: str,
-) -> list[WorkerState]:
-    """Double-averaging momentum step; two variants of where the half step
-    is anchored.
-
-    Both options take the half step  base - eta (beta m_hat + g)  and gossip.
-    Option I anchors at the current synchronized model (base = x, gradient
-    evaluated there); option II anchors at the previous pre-gossip half
-    iterate (base = x_half_prev, gradient evaluated there — the caller must
-    supply grads at ``state.x_half_prev``).
-
-    The buffer blends the pre-gossip and post-gossip movements,
-
-        m_hat <- [ mu (x_half_prev - x_half) + (1 - mu)(x - x_new) ] / eta,
-
-    implemented via the algebraically identical per-option closed forms
-      option II: m_hat <- mu (beta m_hat + g) + (1 - mu)(x - x_new)/eta
-      option I:  m_hat <- mu (beta m_hat + g + (x_prev - x)/eta
-                             - beta m_hat_prev - g_prev)
-                          + (1 - mu)(x - x_new)/eta
-    with zero/identity bootstraps for the one step of history option I needs.
-    """
-    return _stacked_call(states, grads, _dmsgd, W, hp, option)
-
-
-def d2_step(
-    states: list[WorkerState],
-    grads: list[np.ndarray],
-    W,
-    hp: HyperParams,
-    variant: str = "d2",
-) -> list[WorkerState]:
-    """Bias-correcting update from previous iterates and gradients.
-
-        x <- gossip( x - eta [ (x_prev - x)/eta_div + g - g_prev ] )
-
-    where ``eta_div`` is this step's eta for the plain variant and the
-    *previous* step's eta for ``d2_plus`` — the difference is exactly what
-    makes the plain variant fragile under step-size decay.  The first step
-    has no history and falls back to plain DSGD.
-    """
-    return _stacked_call(states, grads, _d2, W, hp, variant)
-
-
-def gt_init(states: list[WorkerState], grad_fn, step: int = 0) -> list[WorkerState]:
-    """Start gradient tracking: y_i = g_i(x_i) at the initial point."""
-    S = StackedState.from_workers(states)
-    stacked_gt_init(S, grad_fn, step)
-    return S.to_workers()
-
-
-def gt_step(
-    states: list[WorkerState],
-    W,
-    hp: HyperParams,
-    grad_fn,
-    step: int,
-    with_momentum: bool = False,
-) -> list[WorkerState]:
-    """Gradient-tracking step (adapt-then-combine).
-
-        x <- gossip( x - eta u ),   u = y   (or the Nesterov composite
-                                             m_local <- beta m_local + y;
-                                             u = beta m_local + y),
-        y <- gossip(y) + g(x_new, step+1) - g(x_old_sample)
-
-    The tracker telescopes gradient differences, so sum_i y_i = sum_i g_i
-    at every step and each worker's update direction estimates the *global*
-    gradient — which removes the heterogeneity bias DSGD suffers.  Requires
-    states initialized by :func:`gt_init`.
-    """
-    S = StackedState.from_workers(states)
-    _gt(S, W, hp, grad_fn, step + 1, with_momentum)
-    return S.to_workers()
-
-
-# ---------------------------------------------------------------------------
-# round-structured methods
-# ---------------------------------------------------------------------------
-
-def slowmo_round(
-    states: list[WorkerState],
-    W,
-    hp: HyperParams,
-    base_kind: str,
-    grad_fn,
-    step0: int,
-) -> list[WorkerState]:
-    """One outer round: tau decentralized base steps, exact average, then a
-    slow momentum step applied from the round's starting point.
-
-        run tau steps of ``base_kind`` (with gossip); x_tau = mean_i x_i
-        slow_m <- slowmo_beta slow_m + (x_0 - x_tau) / gamma
-        x <- x_0 - slowmo_alpha gamma slow_m          (broadcast to all)
-
-    gamma is the base step size hp.eta.  Base optimizer buffers persist
-    across rounds; rounds consume steps ``step0 .. step0 + tau - 1``.
-    ``W`` is a fixed matrix or a generator ``t -> matrix``; inner step k
-    mixes with ``W(step0 + k)``.
-    """
-    S = StackedState.from_workers(states)
-    stacked_slowmo_round(S, W, hp, base_kind, grad_fn, step0)
-    return S.to_workers()
-
-
-def mimelite_round(
-    server_x: np.ndarray,
-    server_s: np.ndarray,
-    hp: HyperParams,
-    local_grad_fn,
-    full_grad_fn,
-    n_workers: int,
-    step0: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def stacked_mimelite_round(S: StackedState, hp: HyperParams, grad_fn, full_grad_fn,
+                           step0: int) -> None:
     """One server round of momentum-anchored local SGD (all clients
-    participate).
+    participate).  The server model x is worker 0's column of ``S.X``.
 
     Each client starts from the server model and runs tau local steps
 
         y <- y - eta ( (1 - beta) g(y) + beta s )
 
-    against the *frozen* server momentum s; the server then averages the
-    client models and refreshes s from full local gradients at the old
-    server point:
+    against the *frozen* server momentum s = ``S.server_s`` (zero before
+    the first round); the server then averages the client models and
+    refreshes s from full local gradients ``full_grad_fn(worker, x)`` at
+    the old server point:
 
-        x <- mean_i y_i,      s <- (1 - beta) mean_i grad f_i(x_old) + beta s.
+        x <- mean_i y_i,      s <- (1 - beta) mean_i grad f_i(x_old) + beta s,
+
+    and the new x is broadcast to every column.  Local step ``k`` samples
+    at step ``step0 + k``.
     """
-    full_grads = [full_grad_fn(i, server_x) for i in range(n_workers)]
-    ys = []
-    for i in range(n_workers):
-        y = server_x.copy()
-        for k in range(hp.tau):
-            g = local_grad_fn(i, y, step0 + k)
-            y = y - hp.eta * ((1.0 - hp.beta) * g + hp.beta * server_s)
-        ys.append(y)
-    new_x = np.mean(ys, axis=0)
-    new_s = (1.0 - hp.beta) * np.mean(full_grads, axis=0) + hp.beta * server_s
-    return new_x, new_s
+    n = S.X.shape[1]
+    x = S.X[:, 0].copy()
+    s = S.server_s if S.server_s is not None else np.zeros_like(x)
+    F = np.empty(S.X.shape)
+    for i in range(n):
+        F[:, i] = full_grad_fn(i, x)
+    Y = np.repeat(x[:, None], n, axis=1)
+    for k in range(hp.tau):
+        G = _sample_columns(grad_fn, Y, step0 + k)
+        Y = Y - hp.eta * ((1.0 - hp.beta) * G + hp.beta * s[:, None])
+    S.X = np.repeat(column_mean(Y)[:, None], n, axis=1)
+    S.server_s = (1.0 - hp.beta) * column_mean(F) + hp.beta * s
 
 
 # ---------------------------------------------------------------------------
-# single-worker closed forms and the matrix-form reference
+# single-worker closed form
 # ---------------------------------------------------------------------------
 
 def qhm_core(
@@ -729,39 +573,3 @@ def qhm_core(
     m_new = beta_hat * m_hat + grad
     mix = mu / beta_hat
     return x - eta * ((1.0 - mix) * m_new + mix * grad), m_new
-
-
-def qhm_step(state: WorkerState, grad: np.ndarray, hp: HyperParams) -> WorkerState:
-    """Single-worker quasi-hyperbolic momentum with the substitution
-    beta_hat = mu + (1 - mu) beta — the closed form of the single-worker
-    quasi-global heavy-ball method (mu = 0 gives SGDm exactly)."""
-    beta_hat = hp.mu + (1.0 - hp.mu) * hp.beta
-    x_new, m_new = qhm_core(state.x, state.m_hat, grad, hp.eta, beta_hat, hp.mu)
-    return state.replace(x=x_new, m_hat=m_new)
-
-
-def qg_matrix_form(
-    X0: np.ndarray,
-    W,
-    eta: float,
-    beta: float,
-    mu: float,
-    grads_seq,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The quasi-global heavy-ball method in matrix form.
-
-    With columns as workers (X is dim x n) the whole per-worker loop
-    collapses to two matrix recursions per step (:func:`stacked_dsgd_step`):
-
-        X_{t+1} = ( X_t - eta (beta M_{t-1} + G_t) ) W^T
-        M_t     = mu M_{t-1} + (1 - mu) (X_t - X_{t+1}) / eta
-
-    where the M update sees the post-gossip X_{t+1}, folding communication
-    into the buffer.  Returns final (X, M).  ``grads_seq[t]`` is the dim x n
-    gradient matrix of step t.
-    """
-    S = StackedState.from_matrix(X0)
-    hp = HyperParams(eta=eta, beta=beta, mu=mu)
-    for G in grads_seq:
-        stacked_dsgd_step("qg_dsgdm", S, G, W, hp)
-    return S.X, S.M_hat

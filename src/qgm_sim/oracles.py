@@ -90,7 +90,10 @@ def rosenbrock_gradient(x) -> GradientSample:
     """
     a, b = float(x[0]), float(x[1])
     valley = b - a * a
-    loss = valley * valley + 100.0 * (a - 1.0) ** 2
+    try:
+        loss = valley * valley + 100.0 * (a - 1.0) ** 2
+    except OverflowError:  # float ** raises past ~1.3e154 where * gives inf
+        loss = math.inf
     grad = np.array([-4.0 * a * valley + 200.0 * (a - 1.0), 2.0 * valley])
     return GradientSample(grad, loss)
 
@@ -106,7 +109,12 @@ def nonconvex_toy_gradient(x) -> GradientSample:
     grad = (tanh x + 10 tanh(u) (u - 8 e^x cos 8x),  10 tanh(u) e^x).
     """
     a, b = float(x[0]), float(x[1])
-    ea = math.exp(a)
+    if not math.isfinite(a):  # sin and cos have no value at +-inf
+        return GradientSample(np.full(2, math.nan), math.nan)
+    try:
+        ea = math.exp(a)
+    except OverflowError:  # a > ~709.78
+        ea = math.inf
     u = ea * (b - math.sin(8.0 * a))
     loss = float(np.logaddexp(a, -a) + 10.0 * np.logaddexp(u, -u))
     tu = math.tanh(u)

@@ -2,9 +2,10 @@
 
 These are the per-worker step rules as they stood before the optimizer moved
 to one stacked ``(dim, n)`` state: every worker's model and buffers live in
-its own :class:`WorkerState` and each step rebuilds the list.  They are kept
-unchanged, as the reference that ``test_stacked_core.py`` compares the
-stacked core with bit for bit.  Not collected by pytest (no ``test_`` prefix).
+its own :class:`WorkerState` and each step rebuilds the list; the server
+round works on per-worker Python lists.  They are kept unchanged, as the
+reference that ``test_stacked_core.py`` and acceptance criterion 4 compare
+the stacked core with.  Not collected by pytest (no ``test_`` prefix).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import dataclasses
 
 import numpy as np
 
-from qgm_sim.optim import HALF_STEP_KINDS, HyperParams, WorkerState, qg_multistep_gate
+from qgm_sim.optim import HALF_STEP_KINDS, HyperParams, WorkerState, qg_multistep_gate, qhm_core
 
 
 def sampling_point(kind: str, state: WorkerState) -> np.ndarray:
@@ -338,3 +339,47 @@ def slowmo_round(
     slow_m = hp.slowmo_beta * slow_m + (x0 - x_tau) / gamma
     x_new = x0 - hp.slowmo_alpha * gamma * slow_m
     return [s.replace(x=x_new.copy(), slow_x=x0.copy(), slow_m=slow_m.copy()) for s in states]
+
+
+def mimelite_round(
+    server_x: np.ndarray,
+    server_s: np.ndarray,
+    hp: HyperParams,
+    local_grad_fn,
+    full_grad_fn,
+    n_workers: int,
+    step0: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One server round of momentum-anchored local SGD (all clients
+    participate).
+
+    Each client starts from the server model and runs tau local steps
+
+        y <- y - eta ( (1 - beta) g(y) + beta s )
+
+    against the *frozen* server momentum s; the server then averages the
+    client models and refreshes s from full local gradients at the old
+    server point:
+
+        x <- mean_i y_i,      s <- (1 - beta) mean_i grad f_i(x_old) + beta s.
+    """
+    full_grads = [full_grad_fn(i, server_x) for i in range(n_workers)]
+    ys = []
+    for i in range(n_workers):
+        y = server_x.copy()
+        for k in range(hp.tau):
+            g = local_grad_fn(i, y, step0 + k)
+            y = y - hp.eta * ((1.0 - hp.beta) * g + hp.beta * server_s)
+        ys.append(y)
+    new_x = np.mean(ys, axis=0)
+    new_s = (1.0 - hp.beta) * np.mean(full_grads, axis=0) + hp.beta * server_s
+    return new_x, new_s
+
+
+def qhm_step(state: WorkerState, grad: np.ndarray, hp: HyperParams) -> WorkerState:
+    """Single-worker quasi-hyperbolic momentum with the substitution
+    beta_hat = mu + (1 - mu) beta — the closed form of the single-worker
+    quasi-global heavy-ball method (mu = 0 gives SGDm exactly)."""
+    beta_hat = hp.mu + (1.0 - hp.mu) * hp.beta
+    x_new, m_new = qhm_core(state.x, state.m_hat, grad, hp.eta, beta_hat, hp.mu)
+    return state.replace(x=x_new, m_hat=m_new)

@@ -21,16 +21,13 @@ from qgm_sim.consensus import (
     qg_consensus,
 )
 from qgm_sim.engine import RunConfig, heading_change_sum, metrics_csv_lines, run
+import reference_loops as ref
 from qgm_sim.optim import (
     HyperParams,
-    WorkerState,
-    d2_step,
-    decentralized_step,
-    gt_init,
-    gt_step,
-    init_worker_states,
-    qg_matrix_form,
-    qhm_step,
+    StackedState,
+    stacked_dsgd_step,
+    stacked_gt_init,
+    stacked_step,
 )
 from qgm_sim.oracles import (
     finite_difference_check,
@@ -65,7 +62,7 @@ def verdict(capfd):
     return _verdict
 
 
-def rosenbrock_grad(x):
+def rosenbrock_grad(i, x, t):
     return rosenbrock_gradient(x).grad
 
 
@@ -81,15 +78,12 @@ def test_criterion_01_single_worker_closed_form_identity(verdict):
     for beta in (0.9, 0.5):
         for mu in (0.0, 0.5, 0.9):
             hp = HyperParams(eta=1e-3, beta=beta, mu=mu)
-            a = init_worker_states(np.zeros(2), 1)
-            b = init_worker_states(np.zeros(2), 1)[0]
+            a = StackedState.init(np.zeros(2), 1)
+            b = StackedState.init(np.zeros(2), 1)
             for step in range(1, 1001):
-                ga = rosenbrock_grad(a[0].x)
-                gb = rosenbrock_grad(b.x)
-                a = decentralized_step("qg_dsgdm", a, [ga], W1, hp,
-                                       step_index=step)
-                b = qhm_step(b, gb, hp)
-                worst = max(worst, float(np.max(np.abs(a[0].x - b.x))))
+                stacked_step("qg_dsgdm", a, W1, hp, step, rosenbrock_grad)
+                stacked_step("qhm", b, W1, hp, step, rosenbrock_grad)
+                worst = max(worst, float(np.max(np.abs(a.X - b.X))))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-10 and elapsed < 1.0
     assert verdict(ok, 1, f"single-worker quasi-global == quasi-hyperbolic "
@@ -103,15 +97,13 @@ def test_criterion_02_special_case_collapses(verdict):
     # mu = 0: the quasi-global method degenerates to local heavy-ball
     hp_qg = HyperParams(eta=0.002, beta=0.9, mu=0.0)
     hp_hb = HyperParams(eta=0.002, beta=0.9)
-    qg = init_worker_states(np.zeros(2), 1)
-    hb = init_worker_states(np.zeros(2), 1)
+    qg = StackedState.init(np.zeros(2), 1)
+    hb = StackedState.init(np.zeros(2), 1)
     worst_mu = 0.0
     for step in range(1, 301):
-        qg = decentralized_step("qg_dsgdm", qg, [rosenbrock_grad(qg[0].x)],
-                                W1, hp_qg, step_index=step)
-        hb = decentralized_step("dsgdm", hb, [rosenbrock_grad(hb[0].x)],
-                                W1, hp_hb, step_index=step)
-        worst_mu = max(worst_mu, float(np.max(np.abs(qg[0].x - hb[0].x))))
+        stacked_step("qg_dsgdm", qg, W1, hp_qg, step, rosenbrock_grad)
+        stacked_step("dsgdm", hb, W1, hp_hb, step, rosenbrock_grad)
+        worst_mu = max(worst_mu, float(np.max(np.abs(qg.X - hb.X))))
     # beta = 0: the buffered averaging recursion degenerates to plain gossip
     Wm = mixing_matrix(build_graph("ring", 8))
     X0 = np.random.default_rng(0).standard_normal((4, 8))
@@ -129,18 +121,17 @@ def test_criterion_02_special_case_collapses(verdict):
 def test_criterion_03_nesterov_rescaling(verdict):
     eta, beta = 0.001, 0.9
     hp = HyperParams(eta=eta, beta=beta)
-    a = init_worker_states(np.zeros(2), 1)
+    a = StackedState.init(np.zeros(2), 1)
     x = np.zeros(2)
     m = np.zeros(2)
     r = eta / (1.0 - beta)
     worst = 0.0
     for step in range(1, 101):
-        ga = rosenbrock_grad(a[0].x)
-        gb = rosenbrock_grad(x)
-        a = decentralized_step("dsgdm_n", a, [ga], W1, hp, step_index=step)
+        gb = rosenbrock_grad(0, x, step)
+        stacked_step("dsgdm_n", a, W1, hp, step, rosenbrock_grad)
         m = beta * m + (1.0 - beta) * gb
         x = x - r * ((1.0 - beta) * gb + beta * m)
-        worst = max(worst, float(np.max(np.abs(a[0].x - x))))
+        worst = max(worst, float(np.max(np.abs(a.X[:, 0] - x))))
     ok = worst <= 1e-10
     assert verdict(ok, 3, f"Nesterov-style variant == weighted momentum form "
                           f"at step size eta/(1-beta); max deviation "
@@ -155,15 +146,19 @@ def test_criterion_04_matrix_form_equivalence(verdict):
     X0 = rng.standard_normal((d, n))
     grads_seq = [rng.standard_normal((d, n)) for _ in range(steps)]
 
-    states = [s.replace(x=X0[:, i].copy())
-              for i, s in enumerate(init_worker_states(np.zeros(d), n))]
+    # per-worker side: the reference loop, one WorkerState per worker
+    states = StackedState.from_matrix(X0).to_workers()
     for step, G in enumerate(grads_seq, start=1):
         grads = [G[:, i] for i in range(n)]
-        states = decentralized_step("qg_dsgdm", states, grads, Wm, hp,
-                                    step_index=step)
+        states = ref.decentralized_step("qg_dsgdm", states, grads, Wm, hp,
+                                        step_index=step)
     X_loop = np.column_stack([s.x for s in states])
     M_loop = np.column_stack([s.m_hat for s in states])
-    X_mat, M_mat = qg_matrix_form(X0, Wm, hp.eta, hp.beta, hp.mu, grads_seq)
+    # matrix side: the stacked core
+    S = StackedState.from_matrix(X0)
+    for step, G in enumerate(grads_seq, start=1):
+        stacked_dsgd_step("qg_dsgdm", S, G, Wm, hp, step_index=step)
+    X_mat, M_mat = S.X, S.M_hat
     dev = max(float(np.max(np.abs(X_loop - X_mat))),
               float(np.max(np.abs(M_loop - M_mat))))
     ok = dev <= 1e-12
@@ -270,18 +265,20 @@ def test_criterion_08_heterogeneity_corrections(verdict):
     # (a) after a 10x step-size decay the plain difference-correction method
     # divides history by the new step size, inflating the correction term by
     # exactly 10 relative to the decay-robust variant; scalar one-step check.
-    hist = dict(x_prev=np.array([1.0]), g_prev=np.array([0.3]), eta_prev=0.1)
     g = np.array([0.2])
-    mk = lambda: WorkerState(x=np.array([0.75]), m_hat=np.zeros(1),
-                             m_local=np.zeros(1), v=np.zeros(1), **hist)
-    hp_decayed = HyperParams(eta=0.01)
-    out_plain = d2_step([mk()], [g], W1, hp_decayed, "d2")
-    out_robust = d2_step([mk()], [g], W1, hp_decayed, "d2_plus")
+
+    def stepped(kind):
+        S = StackedState.init(np.array([0.75]), 1)
+        S.X_prev, S.G_prev, S.eta_prev = np.array([[1.0]]), np.array([[0.3]]), 0.1
+        stacked_step(kind, S, W1, HyperParams(eta=0.01), 1, lambda i, x, t: g)
+        return S.X[0, 0]
+
+    out_plain, out_robust = stepped("d2"), stepped("d2_plus")
     corr_plain = (1.0 - 0.75) / 0.01
     corr_robust = (1.0 - 0.75) / 0.1
     exact = (corr_plain / corr_robust == 10.0
-             and out_plain[0].x[0] == 0.75 - 0.01 * (corr_plain + (g[0] - 0.3))
-             and out_robust[0].x[0] == 0.75 - 0.01 * (corr_robust + (g[0] - 0.3)))
+             and out_plain == 0.75 - 0.01 * (corr_plain + (g[0] - 0.3))
+             and out_robust == 0.75 - 0.01 * (corr_robust + (g[0] - 0.3)))
 
     # (b) gradient tracking removes the heterogeneity bias that stalls plain
     # decentralized SGD on noise-free heterogeneous quadratics.
@@ -294,15 +291,14 @@ def test_criterion_08_heterogeneity_corrections(verdict):
     def grad_fn(i, x, t):
         return prob.sample_mean_part(i, x)
 
-    gt_states = gt_init(init_worker_states(np.zeros(8), 4), grad_fn)
-    sgd_states = init_worker_states(np.zeros(8), 4)
+    gt_state = StackedState.init(np.zeros(8), 4)
+    stacked_gt_init(gt_state, grad_fn)
+    sgd_state = StackedState.init(np.zeros(8), 4)
     for t in range(300):
-        gt_states = gt_step(gt_states, Wm, hp, grad_fn, step=t)
-        grads = [grad_fn(i, sgd_states[i].x, t) for i in range(4)]
-        sgd_states = decentralized_step("dsgd", sgd_states, grads, Wm, hp,
-                                        step_index=t + 1)
-    gt_err = max(float(np.linalg.norm(s.x - x_star)) for s in gt_states)
-    sgd_err = max(float(np.linalg.norm(s.x - x_star)) for s in sgd_states)
+        stacked_step("gt", gt_state, Wm, hp, t + 1, grad_fn)
+        stacked_step("dsgd", sgd_state, Wm, hp, t, grad_fn)
+    gt_err = max(float(np.linalg.norm(gt_state.X[:, i] - x_star)) for i in range(4))
+    sgd_err = max(float(np.linalg.norm(sgd_state.X[:, i] - x_star)) for i in range(4))
     ok = exact and gt_err <= 1e-6 and sgd_err > 1e-3
     assert verdict(ok, 8, f"correction term inflates exactly 10x under a 10x "
                           f"decay (exact={exact}); tracking reaches the "

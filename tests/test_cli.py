@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qgm_sim.cli import main
-from qgm_sim.engine import METRICS_HEADER, heading_change_sum
+from qgm_sim.engine import METRICS_HEADER, RunConfig, heading_change_sum, run
 
 DEMO_INI = """\
 [problem]
@@ -95,6 +95,19 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "non-finite" in err and "aborting" in err
 
+    @pytest.mark.parametrize("problem,init", [("rosenbrock", "0.5"),
+                                              ("nonconvex_toy", "800.0")])
+    def test_oracle_overflow_exits_2(self, demo_config, tmp_path, capsys, problem, init):
+        # the oracles compute on Python floats, whose ** and math.exp raise
+        # OverflowError where numpy would give inf
+        code = quiet_main([
+            "run", "--config", demo_config, "--out", str(tmp_path / "m.csv"),
+            "--problem.kind", problem, "--problem.dim", "2",
+            "--problem.sigma", "0", "--problem.zeta", "0", "--problem.init", init,
+            "--topology.n", "2", "--optim.kind", "gt", "--optim.eta", "0.1"])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
     def test_repeat_and_thread_count_byte_identical(self, demo_config, tmp_path):
         outs = []
         for name, extra in [("a.csv", []), ("b.csv", []),
@@ -124,6 +137,13 @@ class TestValidateCommand:
         assert main(["validate", "--config", demo_config,
                      "--optim.beta", "0.001"]) == 0
         assert "satisfied" in capsys.readouterr().out
+
+    def test_suggested_eta_matches_run_report(self, demo_config, capsys):
+        assert main(["validate", "--config", demo_config]) == 0
+        printed = capsys.readouterr().out.split("suggested_eta=")[1].split()[0]
+        with pytest.warns(UserWarning, match="momentum bound"):
+            report = run(RunConfig.from_ini(demo_config)).theorem_report
+        assert float(printed) == report.suggested_eta
 
     def test_time_varying_topology(self, demo_config, capsys):
         assert main(["validate", "--config", demo_config,

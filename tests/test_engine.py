@@ -23,7 +23,7 @@ from qgm_sim.engine import (
     validate_theorem_conditions,
     write_metrics_csv,
 )
-from qgm_sim.optim import HyperParams, decentralized_step, init_worker_states
+from qgm_sim.optim import HyperParams, StackedState, column_mean, stacked_step
 from qgm_sim.topology import build_graph, mixing_matrix, one_peer_exponential_matrix
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
@@ -344,20 +344,17 @@ class TestRun:
 
         hp = cfg.hyper_params()
         inner = dataclasses.replace(hp, tau=1)
-        states = init_worker_states(np.zeros(cfg.dim), 4)
+        S = StackedState.init(np.zeros(cfg.dim), 4)
         slow_m = np.zeros(cfg.dim)
         for step0 in (0, 2):
-            x0 = states[0].x.copy()
+            x0 = S.X[:, 0].copy()
             for t in (step0, step0 + 1):
-                grads = [grad_fn(i, s.x, t) for i, s in enumerate(states)]
-                states = decentralized_step("dsgdm", states, grads,
-                                            one_peer_exponential_matrix(4, t), inner,
-                                            step_index=t + 1)
-            x_tau = np.mean([s.x for s in states], axis=0)
+                stacked_step("dsgdm", S, one_peer_exponential_matrix(4, t), inner, t, grad_fn)
+            x_tau = column_mean(S.X)
             slow_m = hp.slowmo_beta * slow_m + (x0 - x_tau) / hp.eta
             x_new = x0 - hp.slowmo_alpha * hp.eta * slow_m
-            states = [s.replace(x=x_new.copy()) for s in states]
-        for got, want in zip(res.final_states, states):
+            S.X = np.repeat(x_new[:, None], 4, axis=1)
+        for got, want in zip(res.final_states, S.to_workers()):
             np.testing.assert_array_equal(got.x, want.x)
             np.testing.assert_array_equal(got.m_local, want.m_local)
 

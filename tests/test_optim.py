@@ -4,7 +4,8 @@ Independent references used here:
   * hand-substituted one-step arithmetic for every half-step kind,
   * a geometric-form re-implementation of the double-averaging method,
   * scalar closed forms for the slow-momentum and server-round methods,
-  * the stacked matrix recursion as a cross-check of the per-worker loop.
+  * the per-worker reference loop as a cross-check of the stacked matrix
+    recursion.
 """
 
 import dataclasses
@@ -14,27 +15,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_loops as ref
 from qgm_sim.oracles import quadratic_family, rosenbrock_gradient
 from qgm_sim.optim import (
     HALF_STEP_KINDS,
     HyperParams,
-    WorkerState,
-    d2_step,
-    decentralized_step,
-    dmsgd_step,
-    gossip,
-    gt_init,
-    gt_step,
-    init_worker_states,
-    local_half_step,
-    mimelite_round,
-    qg_buffer_update,
-    qg_dadam_step,
-    qg_matrix_form,
+    StackedState,
+    _half_step,
+    column_mean,
+    mix,
     qg_multistep_gate,
     qhm_core,
-    qhm_step,
-    slowmo_round,
+    stacked_dsgd_step,
+    stacked_gt_init,
+    stacked_mimelite_round,
+    stacked_slowmo_round,
+    stacked_step,
 )
 from qgm_sim.topology import build_graph, mixing_matrix
 
@@ -51,7 +47,11 @@ W1 = np.array([[1.0]])
 
 
 def single(x0):
-    return init_worker_states(np.asarray(x0, dtype=float), 1)
+    return StackedState.init(np.asarray(x0, dtype=float), 1)
+
+
+def rosenbrock_fn(i, x, t):
+    return rosenbrock_gradient(x).grad
 
 
 # ---------------------------------------------------------------------------
@@ -92,43 +92,43 @@ class TestHyperParams:
 class TestLocalHalfStep:
     def setup_method(self):
         self.hp = HyperParams(eta=0.1, beta=0.9)
-        self.state = single([1.0])[0]
-        self.g = np.array([0.5])
+        self.S = single([1.0])
+        self.g = np.array([[0.5]])
 
     def test_plain_descent_substitution(self):
-        out = local_half_step("dsgd", self.state, self.g, self.hp)
-        assert out.x[0] == pytest.approx(0.95, abs=1e-15)
+        X = _half_step("dsgd", self.S, self.g, self.hp)
+        assert X[0, 0] == pytest.approx(0.95, abs=1e-15)
 
     def test_heavy_ball_first_step_equals_descent(self):
-        out = local_half_step("dsgdm", self.state, self.g, self.hp)
-        assert out.m_local[0] == pytest.approx(0.5, abs=1e-15)
-        assert out.x[0] == pytest.approx(0.95, abs=1e-15)
+        X = _half_step("dsgdm", self.S, self.g, self.hp)
+        assert self.S.M_local[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert X[0, 0] == pytest.approx(0.95, abs=1e-15)
 
     def test_nesterov_first_step_applies_buffer_twice(self):
-        out = local_half_step("dsgdm_n", self.state, self.g, self.hp)
+        X = _half_step("dsgdm_n", self.S, self.g, self.hp)
         # m = g, then x - eta (beta m + g) = x - eta (1 + beta) g
-        assert out.m_local[0] == pytest.approx(0.5, abs=1e-15)
-        assert out.x[0] == pytest.approx(1.0 - 0.1 * 1.9 * 0.5, abs=1e-15)
+        assert self.S.M_local[0, 0] == pytest.approx(0.5, abs=1e-15)
+        assert X[0, 0] == pytest.approx(1.0 - 0.1 * 1.9 * 0.5, abs=1e-15)
 
     def test_quasi_global_first_step_equals_descent(self):
-        out = local_half_step("qg_dsgdm", self.state, self.g, self.hp)
-        assert out.x[0] == pytest.approx(0.95, abs=1e-15)
+        X = _half_step("qg_dsgdm", self.S, self.g, self.hp)
+        assert X[0, 0] == pytest.approx(0.95, abs=1e-15)
         # the buffer is read, never written, by the half step
-        assert out.m_hat[0] == 0.0
+        assert self.S.M_hat[0, 0] == 0.0
 
     def test_quasi_global_nesterov_first_step(self):
-        out = local_half_step("qg_dsgdm_n", self.state, self.g, self.hp)
-        assert out.x[0] == pytest.approx(1.0 - 0.1 * 1.9 * 0.5, abs=1e-15)
+        X = _half_step("qg_dsgdm_n", self.S, self.g, self.hp)
+        assert X[0, 0] == pytest.approx(1.0 - 0.1 * 1.9 * 0.5, abs=1e-15)
 
     def test_quasi_global_reads_buffer(self):
-        st_ = self.state.replace(m_hat=np.array([2.0]))
-        out = local_half_step("qg_dsgdm", st_, self.g, self.hp)
-        assert out.x[0] == pytest.approx(1.0 - 0.1 * (0.9 * 2.0 + 0.5), abs=1e-15)
-        assert np.array_equal(out.m_hat, st_.m_hat)
+        self.S.M_hat = m_hat = np.array([[2.0]])
+        X = _half_step("qg_dsgdm", self.S, self.g, self.hp)
+        assert X[0, 0] == pytest.approx(1.0 - 0.1 * (0.9 * 2.0 + 0.5), abs=1e-15)
+        assert np.array_equal(self.S.M_hat, m_hat)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown half-step kind"):
-            local_half_step("adamw", self.state, self.g, self.hp)
+            stacked_dsgd_step("adamw", self.S, self.g, W1, self.hp)
 
     def test_kind_catalogue(self):
         assert HALF_STEP_KINDS == ("dsgd", "dsgdm", "dsgdm_n", "qg_dsgdm", "qg_dsgdm_n")
@@ -141,30 +141,26 @@ class TestLocalHalfStep:
 class TestGossip:
     def test_three_node_ring_averages_everything(self):
         # a 3-ring's Metropolis weights are all 1/3, so one round averages
-        states = init_worker_states(np.zeros(1), 3)
-        states = [s.replace(x=np.array([float(i + 1)])) for i, s in enumerate(states)]
-        out = gossip(states, ring(3))
-        for s in out:
-            assert s.x[0] == pytest.approx(2.0, abs=1e-12)
+        out = mix(np.array([[1.0, 2.0, 3.0]]), ring(3))
+        for x in out[0]:
+            assert x == pytest.approx(2.0, abs=1e-12)
 
     def test_identity_matrix_is_noop(self):
-        states = [WorkerState(x=np.array([3.0, -1.0]), m_hat=np.zeros(2),
-                              m_local=np.zeros(2), v=np.zeros(2))]
-        out = gossip(states, np.eye(1))
-        assert np.array_equal(out[0].x, states[0].x)
+        X = np.array([[3.0], [-1.0]])
+        assert np.array_equal(mix(X, np.eye(1)), X)
 
     def test_buffers_stay_local(self):
-        states = init_worker_states(np.arange(3.0), 4)
-        states = [s.replace(m_hat=np.full(3, float(i)), m_local=np.full(3, 2.0 * i))
-                  for i, s in enumerate(states)]
-        out = gossip(states, ring(4))
-        for before, after in zip(states, out):
-            assert np.array_equal(before.m_hat, after.m_hat)
-            assert np.array_equal(before.m_local, after.m_local)
+        # a zero-gradient plain step is one gossip round and nothing else
+        S = StackedState.init(np.arange(3.0), 4)
+        S.M_hat = m_hat = np.stack([np.full(3, float(i)) for i in range(4)], axis=1)
+        S.M_local = m_local = np.stack([np.full(3, 2.0 * i) for i in range(4)], axis=1)
+        stacked_dsgd_step("dsgd", S, np.zeros((3, 4)), ring(4), HyperParams(eta=0.1))
+        assert np.array_equal(S.M_hat, m_hat)
+        assert np.array_equal(S.M_local, m_local)
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
-            gossip(init_worker_states(np.zeros(2), 3), ring(4))
+            mix(np.zeros((2, 3)), ring(4))
 
     @given(n=st.integers(min_value=2, max_value=6),
            dim=st.integers(min_value=1, max_value=5),
@@ -172,11 +168,9 @@ class TestGossip:
     @settings(max_examples=60, deadline=None)
     def test_average_is_preserved(self, n, dim, seed):
         rng = np.random.default_rng(seed)
-        states = [WorkerState(x=rng.standard_normal(dim), m_hat=np.zeros(dim),
-                              m_local=np.zeros(dim), v=np.zeros(dim))
-                  for _ in range(n)]
-        before = np.mean([s.x for s in states], axis=0)
-        after = np.mean([s.x for s in gossip(states, ring(n))], axis=0)
+        X = np.stack([rng.standard_normal(dim) for _ in range(n)], axis=1)
+        before = column_mean(X)
+        after = column_mean(mix(X, ring(n)))
         np.testing.assert_allclose(after, before, rtol=1e-10, atol=1e-12)
 
 
@@ -186,19 +180,19 @@ class TestGossip:
 
 class TestQgBuffer:
     def test_two_update_unroll(self):
-        # starting from zero, two updates give mu(1-mu) d1 + (1-mu) d2
+        # starting from zero, two updates give mu(1-mu) d1 + (1-mu) d2; with
+        # beta = 0 a single worker moves from eta d to 0 under gradient d
         mu, eta = 0.9, 0.1
         d1, d2 = 2.0, -1.0
-        s = single([0.0])[0]
-        s = qg_buffer_update(s, np.array([eta * d1]), np.array([0.0]), eta, mu)
-        assert s.m_hat[0] == pytest.approx((1 - mu) * d1, rel=1e-14)
-        s = qg_buffer_update(s, np.array([eta * d2]), np.array([0.0]), eta, mu)
-        assert s.m_hat[0] == pytest.approx(mu * (1 - mu) * d1 + (1 - mu) * d2, rel=1e-13)
-
-    def test_zero_step_size_rejected(self):
-        s = single([0.0])[0]
-        with pytest.raises(ValueError, match="eta > 0"):
-            qg_buffer_update(s, np.zeros(1), np.zeros(1), 0.0, 0.9)
+        hp = HyperParams(eta=eta, beta=0.0, mu=mu)
+        S = single([eta * d1])
+        stacked_dsgd_step("qg_dsgdm", S, np.array([[d1]]), W1, hp)
+        assert S.X[0, 0] == 0.0
+        assert S.M_hat[0, 0] == pytest.approx((1 - mu) * d1, rel=1e-14)
+        S.X = np.array([[eta * d2]])
+        stacked_dsgd_step("qg_dsgdm", S, np.array([[d2]]), W1, hp)
+        assert S.X[0, 0] == 0.0
+        assert S.M_hat[0, 0] == pytest.approx(mu * (1 - mu) * d1 + (1 - mu) * d2, rel=1e-13)
 
     def test_gate_every_fourth_step(self):
         assert [qg_multistep_gate(k, 4) for k in range(1, 9)] == [
@@ -225,74 +219,67 @@ class TestDecentralizedStep:
     def test_beta_zero_reduces_to_plain_descent(self):
         # with beta = 0 the buffer is never read, so models match bitwise
         prob = quadratic_family(dim=4, n_workers=4, zeta_c=1.0)
+        grad_fn = lambda i, x, t: prob.sample(i, x, t).grad
         W = ring(4)
         hp_qg = HyperParams(eta=0.05, beta=0.0, mu=0.9)
         hp_plain = HyperParams(eta=0.05, beta=0.0)
-        a = init_worker_states(np.zeros(4), 4)
-        b = init_worker_states(np.zeros(4), 4)
+        a = StackedState.init(np.zeros(4), 4)
+        b = StackedState.init(np.zeros(4), 4)
         for t in range(20):
-            ga = [prob.sample(i, s.x, t).grad for i, s in enumerate(a)]
-            gb = [prob.sample(i, s.x, t).grad for i, s in enumerate(b)]
-            a = decentralized_step("qg_dsgdm", a, ga, W, hp_qg)
-            b = decentralized_step("dsgd", b, gb, W, hp_plain)
-            for sa, sb in zip(a, b):
-                assert np.array_equal(sa.x, sb.x)
+            stacked_step("qg_dsgdm", a, W, hp_qg, t, grad_fn)
+            stacked_step("dsgd", b, W, hp_plain, t, grad_fn)
+            assert np.array_equal(a.X, b.X)
 
     def test_mu_zero_single_worker_equals_heavy_ball(self):
         hp_qg = HyperParams(eta=0.001, beta=0.9, mu=0.0)
         hp_hb = HyperParams(eta=0.001, beta=0.9)
         a = single([0.0, 0.0])
         b = single([0.0, 0.0])
-        for _ in range(100):
-            ga = rosenbrock_gradient(a[0].x).grad
-            gb = rosenbrock_gradient(b[0].x).grad
-            a = decentralized_step("qg_dsgdm", a, [ga], W1, hp_qg)
-            b = decentralized_step("dsgdm", b, [gb], W1, hp_hb)
-        np.testing.assert_allclose(a[0].x, b[0].x, atol=1e-12)
+        for t in range(100):
+            stacked_step("qg_dsgdm", a, W1, hp_qg, t, rosenbrock_fn)
+            stacked_step("dsgdm", b, W1, hp_hb, t, rosenbrock_fn)
+        np.testing.assert_allclose(a.X[:, 0], b.X[:, 0], atol=1e-12)
 
     def test_mu_zero_complete_graph_matches_heavy_ball_models(self):
         # a complete graph synchronizes every step, so the mu = 0 buffer
         # equals the mean heavy-ball buffer and the models coincide
         prob = quadratic_family(dim=4, n_workers=4, zeta_c=1.0, sigma_c=0.3)
+        grad_fn = lambda i, x, t: prob.sample(i, x, t).grad
         W = complete(4)
-        a = init_worker_states(np.zeros(4), 4)
-        b = init_worker_states(np.zeros(4), 4)
+        a = StackedState.init(np.zeros(4), 4)
+        b = StackedState.init(np.zeros(4), 4)
         hp_qg = HyperParams(eta=0.05, beta=0.9, mu=0.0)
         hp_hb = HyperParams(eta=0.05, beta=0.9)
         for t in range(50):
-            ga = [prob.sample(i, s.x, t).grad for i, s in enumerate(a)]
-            gb = [prob.sample(i, s.x, t).grad for i, s in enumerate(b)]
-            a = decentralized_step("qg_dsgdm", a, ga, W, hp_qg)
-            b = decentralized_step("dsgdm", b, gb, W, hp_hb)
-        for sa, sb in zip(a, b):
-            np.testing.assert_allclose(sa.x, sb.x, atol=1e-12)
+            stacked_step("qg_dsgdm", a, W, hp_qg, t, grad_fn)
+            stacked_step("dsgdm", b, W, hp_hb, t, grad_fn)
+        np.testing.assert_allclose(a.X, b.X, atol=1e-12)
 
     def test_homogeneous_workers_collapse_to_single_worker(self):
         # identical data + identical start: any doubly stochastic mixing
         # leaves the run indistinguishable from one worker
         prob = quadratic_family(dim=4, n_workers=4, zeta_c=0.0)
+        grad_fn = lambda i, x, t: prob.sample(i, x, t).grad
         W = ring(4)
         hp = HyperParams(eta=0.05, beta=0.9, mu=0.5)
-        multi = init_worker_states(np.ones(4), 4)
-        solo = init_worker_states(np.ones(4), 1)
+        multi = StackedState.init(np.ones(4), 4)
+        solo = StackedState.init(np.ones(4), 1)
         for t in range(50):
-            gm = [prob.sample(i, s.x, t).grad for i, s in enumerate(multi)]
-            gs = [prob.sample(0, solo[0].x, t).grad]
-            multi = decentralized_step("qg_dsgdm", multi, gm, W, hp)
-            solo = decentralized_step("qg_dsgdm", solo, gs, W1, hp)
-            for s in multi:
-                np.testing.assert_allclose(s.x, solo[0].x, atol=1e-12)
+            stacked_step("qg_dsgdm", multi, W, hp, t, grad_fn)
+            stacked_step("qg_dsgdm", solo, W1, hp, t, grad_fn)
+            for i in range(4):
+                np.testing.assert_allclose(multi.X[:, i], solo.X[:, 0], atol=1e-12)
 
     def test_minimum_is_a_fixed_point(self):
         # zero gradient, zero buffer: the state never moves, bit for bit
-        states = single([1.0, 1.0])
+        S = single([1.0, 1.0])
         hp = HyperParams(eta=0.1, beta=0.9, mu=0.9)
         for _ in range(5):
-            g = rosenbrock_gradient(states[0].x).grad
+            g = rosenbrock_gradient(S.X[:, 0]).grad
             assert np.array_equal(g, np.zeros(2))
-            states = decentralized_step("qg_dsgdm", states, [g], W1, hp)
-            assert np.array_equal(states[0].x, np.array([1.0, 1.0]))
-            assert np.array_equal(states[0].m_hat, np.zeros(2))
+            stacked_dsgd_step("qg_dsgdm", S, g[:, None], W1, hp)
+            assert np.array_equal(S.X[:, 0], np.array([1.0, 1.0]))
+            assert np.array_equal(S.M_hat[:, 0], np.zeros(2))
 
     def test_averaged_iterate_follows_centralized_recursion(self):
         # mean model moves by eta (beta mean-buffer + mean-gradient): mixing
@@ -300,14 +287,14 @@ class TestDecentralizedStep:
         prob = quadratic_family(dim=5, n_workers=4, zeta_c=1.0, sigma_c=0.3)
         W = ring(4)
         hp = HyperParams(eta=0.05, beta=0.9, mu=0.9)
-        states = init_worker_states(np.zeros(5), 4)
+        S = StackedState.init(np.zeros(5), 4)
         for t in range(30):
-            grads = [prob.sample(i, s.x, t).grad for i, s in enumerate(states)]
-            x_bar = np.mean([s.x for s in states], axis=0)
-            m_bar = np.mean([s.m_hat for s in states], axis=0)
-            g_bar = np.mean(grads, axis=0)
-            states = decentralized_step("qg_dsgdm", states, grads, W, hp)
-            x_bar_next = np.mean([s.x for s in states], axis=0)
+            G = np.stack([prob.sample(i, S.X[:, i], t).grad for i in range(4)], axis=1)
+            x_bar = column_mean(S.X)
+            m_bar = column_mean(S.M_hat)
+            g_bar = column_mean(G)
+            stacked_dsgd_step("qg_dsgdm", S, G, W, hp)
+            x_bar_next = column_mean(S.X)
             np.testing.assert_allclose(
                 x_bar_next, x_bar - hp.eta * (hp.beta * m_bar + g_bar), atol=1e-12)
 
@@ -316,7 +303,7 @@ class TestDecentralizedStep:
         W = ring(3)
         eta, beta, mu, tau = 0.05, 0.9, 0.7, 2
         hp = HyperParams(eta=eta, beta=beta, mu=mu, tau=tau)
-        states = init_worker_states(np.zeros(3), 3)
+        S = StackedState.init(np.zeros(3), 3)
 
         # independent reference: same loop, buffer refreshed only when
         # the 1-based step index is a multiple of tau
@@ -324,8 +311,7 @@ class TestDecentralizedStep:
         ms = [np.zeros(3) for _ in range(3)]
         Wm = W.weights
         for t in range(1, 9):
-            grads = [prob.sample(i, s.x, t).grad for i, s in enumerate(states)]
-            states = decentralized_step("qg_dsgdm", states, grads, W, hp, step_index=t)
+            stacked_step("qg_dsgdm", S, W, hp, t, lambda i, x, t: prob.sample(i, x, t).grad)
 
             ref_grads = [prob.sample(i, xs[i], t).grad for i in range(3)]
             halves = [xs[i] - eta * (beta * ms[i] + ref_grads[i]) for i in range(3)]
@@ -335,9 +321,9 @@ class TestDecentralizedStep:
                 ms = [mu * ms[i] + (1 - mu) * (xs[i] - new_xs[i]) / eta for i in range(3)]
             xs = new_xs
 
-            for s, x_ref, m_ref in zip(states, xs, ms):
-                np.testing.assert_allclose(s.x, x_ref, atol=1e-13)
-                np.testing.assert_allclose(s.m_hat, m_ref, atol=1e-13)
+            for i, (x_ref, m_ref) in enumerate(zip(xs, ms)):
+                np.testing.assert_allclose(S.X[:, i], x_ref, atol=1e-13)
+                np.testing.assert_allclose(S.M_hat[:, i], m_ref, atol=1e-13)
 
     def test_matrix_recursion_matches_per_worker_loop(self):
         n, dim, steps = 5, 8, 200
@@ -346,16 +332,18 @@ class TestDecentralizedStep:
         rng = np.random.default_rng(12345)
         grads_seq = [rng.standard_normal((dim, n)) for _ in range(steps)]
 
-        states = init_worker_states(np.zeros(dim), n)
+        states = StackedState.init(np.zeros(dim), n).to_workers()
         hp = HyperParams(eta=eta, beta=beta, mu=mu)
         for G in grads_seq:
-            states = decentralized_step(
+            states = ref.decentralized_step(
                 "qg_dsgdm", states, [G[:, i] for i in range(n)], W, hp)
 
-        X, M = qg_matrix_form(np.zeros((dim, n)), W, eta, beta, mu, grads_seq)
+        S = StackedState.from_matrix(np.zeros((dim, n)))
+        for G in grads_seq:
+            stacked_dsgd_step("qg_dsgdm", S, G, W, hp)
         for i, s in enumerate(states):
-            np.testing.assert_allclose(s.x, X[:, i], atol=1e-12)
-            np.testing.assert_allclose(s.m_hat, M[:, i], atol=1e-12)
+            np.testing.assert_allclose(s.x, S.X[:, i], atol=1e-12)
+            np.testing.assert_allclose(s.m_hat, S.M_hat[:, i], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -365,14 +353,12 @@ class TestDecentralizedStep:
 class TestClosedForms:
     def test_quasi_hyperbolic_mu_zero_is_heavy_ball(self):
         hp = HyperParams(eta=0.001, beta=0.9, mu=0.0)
-        a = single([0.0, 0.0])[0]
-        b = single([0.0, 0.0])[0]
-        for _ in range(100):
-            ga = rosenbrock_gradient(a.x).grad
-            gb = rosenbrock_gradient(b.x).grad
-            a = qhm_step(a, ga, hp)
-            b = local_half_step("dsgdm", b, gb, hp)
-        np.testing.assert_allclose(a.x, b.x, atol=1e-12)
+        a = single([0.0, 0.0])
+        b = single([0.0, 0.0])
+        for t in range(100):
+            stacked_step("qhm", a, W1, hp, t, rosenbrock_fn)
+            stacked_step("dsgdm", b, W1, hp, t, rosenbrock_fn)
+        np.testing.assert_allclose(a.X[:, 0], b.X[:, 0], atol=1e-12)
 
     def test_zero_decay_core_is_plain_descent(self):
         x, m = np.array([1.0]), np.array([5.0])
@@ -386,13 +372,11 @@ class TestClosedForms:
         for beta, mu in [(0.9, 0.5), (0.5, 0.9), (0.9, 0.9)]:
             hp = HyperParams(eta=0.001, beta=beta, mu=mu)
             a = single([0.0, 0.0])
-            b = single([0.0, 0.0])[0]
-            for _ in range(200):
-                ga = rosenbrock_gradient(a[0].x).grad
-                gb = rosenbrock_gradient(b.x).grad
-                a = decentralized_step("qg_dsgdm", a, [ga], W1, hp)
-                b = qhm_step(b, gb, hp)
-            np.testing.assert_allclose(a[0].x, b.x, atol=1e-10)
+            b = single([0.0, 0.0])
+            for t in range(200):
+                stacked_step("qg_dsgdm", a, W1, hp, t, rosenbrock_fn)
+                stacked_step("qhm", b, W1, hp, t, rosenbrock_fn)
+            np.testing.assert_allclose(a.X[:, 0], b.X[:, 0], atol=1e-10)
 
     def test_single_worker_nesterov_variant_closed_form(self):
         # the double-application variant matches the quasi-hyperbolic core
@@ -403,29 +387,27 @@ class TestClosedForms:
         x = np.zeros(2)
         m = np.zeros(2)
         beta_hat = mu + (1 - mu) * beta * beta
-        for _ in range(100):
-            ga = rosenbrock_gradient(a[0].x).grad
+        for t in range(100):
             gb = rosenbrock_gradient(x).grad
-            a = decentralized_step("qg_dsgdm_n", a, [ga], W1, hp)
+            stacked_step("qg_dsgdm_n", a, W1, hp, t, rosenbrock_fn)
             x, m = qhm_core(x, m, gb, eta * (1 + beta), beta_hat, mu)
-        np.testing.assert_allclose(a[0].x, x, atol=1e-10)
+        np.testing.assert_allclose(a.X[:, 0], x, atol=1e-10)
 
     def test_nesterov_variant_rescales_to_weighted_form(self):
         # m <- beta m + (1-beta) g; x <- x - r ((1-beta) g + beta m) with
         # r = eta / (1-beta) retraces the double-application update exactly
         eta, beta = 0.001, 0.9
         hp = HyperParams(eta=eta, beta=beta)
-        a = single([0.0, 0.0])[0]
+        a = single([0.0, 0.0])
         x = np.zeros(2)
         m = np.zeros(2)
         r = eta / (1 - beta)
-        for _ in range(100):
-            ga = rosenbrock_gradient(a.x).grad
+        for t in range(100):
             gb = rosenbrock_gradient(x).grad
-            a = local_half_step("dsgdm_n", a, ga, hp)
+            stacked_step("dsgdm_n", a, W1, hp, t, rosenbrock_fn)
             m = beta * m + (1 - beta) * gb
             x = x - r * ((1 - beta) * gb + beta * m)
-        np.testing.assert_allclose(a.x, x, atol=1e-10)
+        np.testing.assert_allclose(a.X[:, 0], x, atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -436,45 +418,43 @@ class TestQgDadam:
     def test_first_step_moment_arithmetic(self):
         hp = HyperParams(eta=0.1, beta1=0.9, beta2=0.99, epsilon=1e-8)
         g = np.array([2.0, -1.0])
-        states = single([1.0, 1.0])
-        out = qg_dadam_step(states, [g], W1, hp)
+        S = single([1.0, 1.0])
+        stacked_step("qg_dadam", S, W1, hp, 1, lambda i, x, t: g)
         m = 0.1 * g
         v = 0.01 * g * g
         x_expected = np.array([1.0, 1.0]) - 0.1 * m / (np.sqrt(v) + 1e-8)
-        np.testing.assert_allclose(out[0].x, x_expected, atol=1e-15)
+        np.testing.assert_allclose(S.X[:, 0], x_expected, atol=1e-15)
         # buffers rebuild from the unit synchronized movement
-        d = np.array([1.0, 1.0]) - out[0].x
+        d = np.array([1.0, 1.0]) - S.X[:, 0]
         d_unit = d / np.linalg.norm(d)
-        np.testing.assert_allclose(out[0].m_hat, 0.1 * d_unit, atol=1e-15)
-        np.testing.assert_allclose(out[0].v, 0.01 * d_unit * d_unit, atol=1e-15)
+        np.testing.assert_allclose(S.M_hat[:, 0], 0.1 * d_unit, atol=1e-15)
+        np.testing.assert_allclose(S.V[:, 0], 0.01 * d_unit * d_unit, atol=1e-15)
 
     def test_movement_is_normalized_or_zero(self):
         W = ring(2)
         hp = HyperParams(eta=0.01)
-        states = init_worker_states(np.zeros(2), 2)
-        states = [states[0].replace(x=np.array([0.0, 0.0])),
-                  states[1].replace(x=np.array([2.0, 1.0]))]
-        for _ in range(10):
-            before = [s.x.copy() for s in states]
-            grads = [rosenbrock_gradient(s.x).grad for s in states]
-            states = qg_dadam_step(states, grads, W, hp)
-            for b, s in zip(before, states):
-                norm = np.linalg.norm(b - s.x)
+        S = StackedState.from_matrix(np.array([[0.0, 2.0], [0.0, 1.0]]))
+        for t in range(10):
+            before = S.X.copy()
+            stacked_step("qg_dadam", S, W, hp, t, rosenbrock_fn)
+            for i in range(2):
+                norm = np.linalg.norm(before[:, i] - S.X[:, i])
                 if norm > 0:
                     # buffers absorb a unit vector, so they stay bounded
-                    assert np.linalg.norm(s.m_hat) <= 1.0 + 1e-12
-                assert np.all(s.v >= 0.0)
-                assert np.all(s.v <= 1.0 + 1e-12)
+                    assert np.linalg.norm(S.M_hat[:, i]) <= 1.0 + 1e-12
+                assert np.all(S.V[:, i] >= 0.0)
+                assert np.all(S.V[:, i] <= 1.0 + 1e-12)
 
     def test_no_movement_decays_buffers(self):
         hp = HyperParams(eta=0.1, beta2=0.99)
-        s = single([3.0])[0].replace(v=np.array([0.16]))
-        out = qg_dadam_step([s], [np.zeros(1)], W1, hp)
+        S = single([3.0])
+        S.V = np.array([[0.16]])
+        stacked_step("qg_dadam", S, W1, hp, 1, lambda i, x, t: np.zeros(1))
         # zero gradient and zero first moment: the model cannot move, the
         # unit movement is zero, and the stored buffers shrink geometrically
-        assert np.array_equal(out[0].x, s.x)
-        assert np.array_equal(out[0].m_hat, np.zeros(1))
-        assert out[0].v[0] == pytest.approx(0.99 * 0.16, rel=1e-15)
+        assert np.array_equal(S.X[:, 0], np.array([3.0]))
+        assert np.array_equal(S.M_hat[:, 0], np.zeros(1))
+        assert S.V[0, 0] == pytest.approx(0.99 * 0.16, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -513,19 +493,16 @@ class TestDmsgd:
         W = complete(2)
         eta, beta, mu = 0.1, 0.8, 0.6
         hp = HyperParams(eta=eta, beta=beta, mu=mu)
-        states = init_worker_states(np.array([0.5]), 2)
-        for _ in range(5):
-            grads = []
-            for i, s in enumerate(states):
-                anchor = s.x if option == "I" else (
-                    s.x_half_prev if s.x_half_prev is not None else s.x)
-                grads.append(anchor - cs[i])
-            states = dmsgd_step(states, grads, W, hp, option)
+        S = StackedState.init(np.array([0.5]), 2)
+        # stacked_step samples at x (option I) or at x_half_prev (option II)
+        for t in range(5):
+            stacked_step({"I": "dmsgd_i", "II": "dmsgd_ii"}[option], S, W, hp, t,
+                         lambda i, anchor, t: anchor - cs[i])
         x_ref, m_ref = _dmsgd_geometric(np.array([0.5]), cs, W, eta, beta, mu,
                                         option, 5)
-        for s, xr, mr in zip(states, x_ref, m_ref):
-            np.testing.assert_allclose(s.x, xr, atol=1e-13)
-            np.testing.assert_allclose(s.m_hat, mr, atol=1e-13)
+        for i, (xr, mr) in enumerate(zip(x_ref, m_ref)):
+            np.testing.assert_allclose(S.X[:, i], xr, atol=1e-13)
+            np.testing.assert_allclose(S.M_hat[:, i], mr, atol=1e-13)
 
     def test_mu_one_anchored_option_is_local_heavy_ball(self):
         # mu = 1 with the half-anchored option never consults the gossip
@@ -533,26 +510,25 @@ class TestDmsgd:
         hp = HyperParams(eta=0.05, beta=0.8, mu=0.999999999)
         hp = dataclasses.replace(hp, mu=1.0 - 1e-12)  # mu must stay < 1
         a = single([2.0])
-        b = single([2.0])[0]
-        for _ in range(30):
-            g = a[0].x_half_prev if a[0].x_half_prev is not None else a[0].x
-            a = dmsgd_step(a, [g - 0.0], W1, hp, "II")
-            b = local_half_step("dsgdm", b, b.x - 0.0, hp)
-        np.testing.assert_allclose(a[0].x, b.x, atol=1e-8)
+        b = single([2.0])
+        for t in range(30):
+            stacked_step("dmsgd_ii", a, W1, hp, t, lambda i, x, t: x - 0.0)
+            stacked_step("dsgdm", b, W1, hp, t, lambda i, x, t: x - 0.0)
+        np.testing.assert_allclose(a.X[:, 0], b.X[:, 0], atol=1e-8)
 
     def test_mu_zero_buffer_is_synchronized_drift(self):
         hp = HyperParams(eta=0.1, beta=0.8, mu=0.0)
-        states = init_worker_states(np.array([0.5]), 2)
-        grads = [states[i].x - np.array([c]) for i, c in enumerate([1.0, -2.0])]
-        x0 = [s.x.copy() for s in states]
-        out = dmsgd_step(states, grads, complete(2), hp, "II")
-        for s0, s in zip(x0, out):
-            np.testing.assert_allclose(s.m_hat, (s0 - s.x) / 0.1, atol=1e-14)
+        S = StackedState.init(np.array([0.5]), 2)
+        cs = [1.0, -2.0]
+        X0 = S.X.copy()
+        stacked_step("dmsgd_ii", S, complete(2), hp, 1, lambda i, x, t: x - np.array([cs[i]]))
+        for i in range(2):
+            np.testing.assert_allclose(S.M_hat[:, i], (X0[:, i] - S.X[:, i]) / 0.1, atol=1e-14)
 
     def test_bad_option_rejected(self):
-        with pytest.raises(ValueError, match="option"):
-            dmsgd_step(single([0.0]), [np.zeros(1)], W1,
-                       HyperParams(eta=0.1), "III")
+        with pytest.raises(ValueError, match="dmsgd_iii"):
+            stacked_step("dmsgd_iii", single([0.0]), W1, HyperParams(eta=0.1), 1,
+                         lambda i, x, t: np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -562,95 +538,97 @@ class TestDmsgd:
 class TestD2:
     def test_variants_agree_under_constant_step_size(self):
         prob = quadratic_family(dim=3, n_workers=3, zeta_c=1.0)
+        grad_fn = lambda i, x, t: prob.sample(i, x, t).grad
         W = ring(3)
         hp = HyperParams(eta=0.1)
-        a = init_worker_states(np.zeros(3), 3)
-        b = init_worker_states(np.zeros(3), 3)
+        a = StackedState.init(np.zeros(3), 3)
+        b = StackedState.init(np.zeros(3), 3)
         for t in range(5):
-            ga = [prob.sample(i, s.x, t).grad for i, s in enumerate(a)]
-            gb = [prob.sample(i, s.x, t).grad for i, s in enumerate(b)]
-            a = d2_step(a, ga, W, hp, "d2")
-            b = d2_step(b, gb, W, hp, "d2_plus")
-            for sa, sb in zip(a, b):
-                assert np.array_equal(sa.x, sb.x)
+            stacked_step("d2", a, W, hp, t, grad_fn)
+            stacked_step("d2_plus", b, W, hp, t, grad_fn)
+            assert np.array_equal(a.X, b.X)
 
     def test_homogeneous_equals_plain_descent(self):
         # identical local objectives: the correction telescopes away
         prob = quadratic_family(dim=3, n_workers=3, zeta_c=0.0)
+        grad_fn = lambda i, x, t: prob.sample(i, x, t).grad
         W = complete(3)
         hp = HyperParams(eta=0.3)
-        a = init_worker_states(np.ones(3), 3)
-        b = init_worker_states(np.ones(3), 3)
+        a = StackedState.init(np.ones(3), 3)
+        b = StackedState.init(np.ones(3), 3)
         for t in range(50):
-            ga = [prob.sample(i, s.x, t).grad for i, s in enumerate(a)]
-            gb = [prob.sample(i, s.x, t).grad for i, s in enumerate(b)]
-            a = d2_step(a, ga, W, hp, "d2")
-            b = decentralized_step("dsgd", b, gb, W, hp)
-        for sa, sb in zip(a, b):
-            np.testing.assert_allclose(sa.x, sb.x, atol=1e-13)
+            stacked_step("d2", a, W, hp, t, grad_fn)
+            stacked_step("dsgd", b, W, hp, t, grad_fn)
+        np.testing.assert_allclose(a.X, b.X, atol=1e-13)
 
     def test_step_size_decay_inflates_plain_correction_tenfold(self):
         # after a 10x decay the plain variant divides history by the *new*
         # step size, blowing the correction term up by exactly 10
-        hist = dict(x_prev=np.array([1.0]), g_prev=np.array([0.3]), eta_prev=0.1)
         g = np.array([0.2])
-        mk = lambda: WorkerState(x=np.array([0.75]), m_hat=np.zeros(1),
-                                 m_local=np.zeros(1), v=np.zeros(1), **hist)
+
+        def with_history():
+            S = single([0.75])
+            S.X_prev, S.G_prev, S.eta_prev = np.array([[1.0]]), np.array([[0.3]]), 0.1
+            return S
+
         hp = HyperParams(eta=0.01)
-        out_plain = d2_step([mk()], [g], W1, hp, "d2")
-        out_plus = d2_step([mk()], [g], W1, hp, "d2_plus")
+        out_plain, out_plus = with_history(), with_history()
+        stacked_step("d2", out_plain, W1, hp, 1, lambda i, x, t: g)
+        stacked_step("d2_plus", out_plus, W1, hp, 1, lambda i, x, t: g)
         # the history term is divided by the new step size (plain) or the
         # old one (plus): exactly a factor-10 inflation of the correction
         corr_plain = (1.0 - 0.75) / 0.01
         corr_plus = (1.0 - 0.75) / 0.1
         assert corr_plain / corr_plus == 10.0
-        assert out_plain[0].x[0] == 0.75 - 0.01 * (corr_plain + (g[0] - 0.3))
-        assert out_plus[0].x[0] == 0.75 - 0.01 * (corr_plus + (g[0] - 0.3))
+        assert out_plain.X[0, 0] == 0.75 - 0.01 * (corr_plain + (g[0] - 0.3))
+        assert out_plus.X[0, 0] == 0.75 - 0.01 * (corr_plus + (g[0] - 0.3))
 
     def test_first_step_is_plain_descent(self):
         hp = HyperParams(eta=0.1)
-        out = d2_step(single([1.0]), [np.array([0.5])], W1, hp)
-        assert out[0].x[0] == pytest.approx(0.95, abs=1e-15)
-        assert out[0].eta_prev == 0.1
-        assert out[0].x_prev[0] == 1.0
+        S = single([1.0])
+        stacked_step("d2", S, W1, hp, 1, lambda i, x, t: np.array([0.5]))
+        assert S.X[0, 0] == pytest.approx(0.95, abs=1e-15)
+        assert S.eta_prev == 0.1
+        assert S.X_prev[0, 0] == 1.0
 
     def test_bad_variant_rejected(self):
-        with pytest.raises(ValueError, match="variant"):
-            d2_step(single([0.0]), [np.zeros(1)], W1, HyperParams(eta=0.1), "d3")
+        with pytest.raises(ValueError, match="d3"):
+            stacked_step("d3", single([0.0]), W1, HyperParams(eta=0.1), 1,
+                         lambda i, x, t: np.zeros(1))
 
 
 class TestGradientTracking:
     def test_single_worker_is_plain_descent(self):
-        grad_fn = lambda i, x, s: rosenbrock_gradient(x).grad
         hp = HyperParams(eta=0.001, beta=0.0)
-        a = gt_init(single([0.0, 0.0]), grad_fn)
+        a = single([0.0, 0.0])
+        stacked_gt_init(a, rosenbrock_fn)
         x = np.zeros(2)
-        for t in range(50):
-            a = gt_step(a, W1, hp, grad_fn, t)
+        for t in range(1, 51):
+            stacked_step("gt", a, W1, hp, t, rosenbrock_fn)
             x = x - hp.eta * rosenbrock_gradient(x).grad
-            np.testing.assert_allclose(a[0].x, x, atol=1e-12)
+            np.testing.assert_allclose(a.X[:, 0], x, atol=1e-12)
 
     def test_single_worker_momentum_matches_double_application(self):
-        grad_fn = lambda i, x, s: rosenbrock_gradient(x).grad
         hp = HyperParams(eta=0.001, beta=0.9)
-        a = gt_init(single([0.0, 0.0]), grad_fn)
-        b = single([0.0, 0.0])[0]
-        for t in range(50):
-            a = gt_step(a, W1, hp, grad_fn, t, with_momentum=True)
-            b = local_half_step("dsgdm_n", b, rosenbrock_gradient(b.x).grad, hp)
-            np.testing.assert_allclose(a[0].x, b.x, atol=1e-12)
+        a = single([0.0, 0.0])
+        stacked_gt_init(a, rosenbrock_fn)
+        b = single([0.0, 0.0])
+        for t in range(1, 51):
+            stacked_step("gt_momentum", a, W1, hp, t, rosenbrock_fn)
+            stacked_step("dsgdm_n", b, W1, hp, t, rosenbrock_fn)
+            np.testing.assert_allclose(a.X[:, 0], b.X[:, 0], atol=1e-12)
 
     def test_tracker_sum_equals_gradient_sum(self):
         prob = quadratic_family(dim=4, n_workers=4, zeta_c=1.5)
         grad_fn = lambda i, x, s: prob.sample(i, x, s).grad
         W = ring(4)
         hp = HyperParams(eta=0.1, beta=0.0)
-        states = gt_init(init_worker_states(np.zeros(4), 4), grad_fn)
-        for t in range(30):
-            states = gt_step(states, W, hp, grad_fn, t)
-            y_sum = np.sum([s.y_tracker for s in states], axis=0)
-            g_sum = np.sum([prob.sample_mean_part(i, s.x)
-                            for i, s in enumerate(states)], axis=0)
+        S = StackedState.init(np.zeros(4), 4)
+        stacked_gt_init(S, grad_fn)
+        for t in range(1, 31):
+            stacked_step("gt", S, W, hp, t, grad_fn)
+            y_sum = S.Y.sum(axis=1)
+            g_sum = np.sum([prob.sample_mean_part(i, S.X[:, i]) for i in range(4)], axis=0)
             np.testing.assert_allclose(y_sum, g_sum, atol=1e-10)
 
     def test_removes_heterogeneity_bias(self):
@@ -661,22 +639,22 @@ class TestGradientTracking:
         W = ring(4)
         hp = HyperParams(eta=0.2, beta=0.0)
 
-        tracked = gt_init(init_worker_states(np.zeros(8), 4), grad_fn)
-        plain = init_worker_states(np.zeros(8), 4)
+        tracked = StackedState.init(np.zeros(8), 4)
+        stacked_gt_init(tracked, grad_fn)
+        plain = StackedState.init(np.zeros(8), 4)
         for t in range(300):
-            tracked = gt_step(tracked, W, hp, grad_fn, t)
-            plain = decentralized_step(
-                "dsgd", plain, [grad_fn(i, s.x, t) for i, s in enumerate(plain)], W, hp)
+            stacked_step("gt", tracked, W, hp, t + 1, grad_fn)
+            stacked_step("dsgd", plain, W, hp, t, grad_fn)
 
-        err_tracked = max(np.linalg.norm(s.x - prob.x_star) for s in tracked)
-        err_plain = max(np.linalg.norm(s.x - prob.x_star) for s in plain)
+        err_tracked = max(np.linalg.norm(tracked.X[:, i] - prob.x_star) for i in range(4))
+        err_plain = max(np.linalg.norm(plain.X[:, i] - prob.x_star) for i in range(4))
         assert err_tracked <= 1e-6
         assert err_plain > 1e-3
 
     def test_requires_initialization(self):
         with pytest.raises(ValueError, match="gt_init"):
-            gt_step(single([0.0]), W1, HyperParams(eta=0.1),
-                    lambda i, x, s: np.zeros(1), 0)
+            stacked_step("gt", single([0.0]), W1, HyperParams(eta=0.1), 1,
+                         lambda i, x, s: np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -690,20 +668,18 @@ class TestSlowmo:
         W = ring(4)
         hp = HyperParams(eta=0.05, beta=0.9, tau=3,
                          slowmo_alpha=1.0, slowmo_beta=0.0)
-        states = init_worker_states(np.zeros(4), 4)
-        out = slowmo_round(states, W, hp, "dsgdm", grad_fn, step0=0)
+        S = StackedState.init(np.zeros(4), 4)
+        stacked_slowmo_round(S, W, hp, "dsgdm", grad_fn, step0=0)
 
         # reference: replay the inner steps and average
-        ref = init_worker_states(np.zeros(4), 4)
+        R = StackedState.init(np.zeros(4), 4)
         inner_hp = dataclasses.replace(hp, tau=1)
         for k in range(3):
-            grads = [grad_fn(i, s.x, k) for i, s in enumerate(ref)]
-            ref = decentralized_step("dsgdm", ref, grads, W, inner_hp,
-                                     step_index=k + 1)
-        x_tau = np.mean([s.x for s in ref], axis=0)
-        for s in out:
-            np.testing.assert_allclose(s.x, x_tau, atol=1e-12)
-            np.testing.assert_allclose(s.slow_x, np.zeros(4), atol=0)
+            stacked_step("dsgdm", R, W, inner_hp, k, grad_fn)
+        x_tau = column_mean(R.X)
+        for i in range(4):
+            np.testing.assert_allclose(S.X[:, i], x_tau, atol=1e-12)
+        np.testing.assert_allclose(S.slow_x, np.zeros(4), atol=0)
 
     def test_single_worker_single_step_rescales_to_descent(self):
         # tau = 1, one worker, no slow momentum: each round is one descent
@@ -711,12 +687,12 @@ class TestSlowmo:
         grad_fn = lambda i, x, s: x - np.array([4.0])
         hp = HyperParams(eta=0.05, beta=0.0, tau=1,
                          slowmo_alpha=2.0, slowmo_beta=0.0)
-        states = single([0.0])
+        S = single([0.0])
         x = np.array([0.0])
         for r in range(10):
-            states = slowmo_round(states, W1, hp, "dsgd", grad_fn, step0=r)
+            stacked_slowmo_round(S, W1, hp, "dsgd", grad_fn, step0=r)
             x = x - 2.0 * 0.05 * (x - 4.0)
-            np.testing.assert_allclose(states[0].x, x, atol=1e-12)
+            np.testing.assert_allclose(S.X[:, 0], x, atol=1e-12)
 
     def test_round_losses_decrease_monotonically(self):
         # small inner step keeps the two-term slow recursion overdamped
@@ -726,28 +702,26 @@ class TestSlowmo:
         W = ring(4)
         hp = HyperParams(eta=0.002, beta=0.9, tau=12,
                          slowmo_alpha=1.0, slowmo_beta=0.7)
-        states = init_worker_states(np.zeros(6), 4)
+        S = StackedState.init(np.zeros(6), 4)
         losses = []
         step = 0
         for _ in range(12):
-            states = slowmo_round(states, W, hp, "dsgd", grad_fn, step0=step)
+            stacked_slowmo_round(S, W, hp, "dsgd", grad_fn, step0=step)
             step += hp.tau
-            x_bar = np.mean([s.x for s in states], axis=0)
-            losses.append(prob.mean_loss(x_bar))
+            losses.append(prob.mean_loss(column_mean(S.X)))
         assert all(b < a for a, b in zip(losses[1:], losses[2:]))
 
     def test_slow_momentum_accumulates(self):
         grad_fn = lambda i, x, s: x - 1.0
         hp = HyperParams(eta=0.25, beta=0.0, tau=1,
                          slowmo_alpha=1.0, slowmo_beta=0.5)
-        states = single([0.0])
-        states = slowmo_round(states, W1, hp, "dsgd", grad_fn, step0=0)
-        m1 = states[0].slow_m.copy()
-        states = slowmo_round(states, W1, hp, "dsgd", grad_fn, step0=1)
+        S = single([0.0])
+        stacked_slowmo_round(S, W1, hp, "dsgd", grad_fn, step0=0)
+        m1 = S.slow_m.copy()
+        stacked_slowmo_round(S, W1, hp, "dsgd", grad_fn, step0=1)
         # second round's buffer blends the decayed first with the new drift
-        drift2 = (states[0].slow_x - (states[0].slow_x
-                                      - 0.25 * (states[0].slow_x - 1.0))) / 0.25
-        np.testing.assert_allclose(states[0].slow_m, 0.5 * m1 + drift2, atol=1e-12)
+        drift2 = (S.slow_x - (S.slow_x - 0.25 * (S.slow_x - 1.0))) / 0.25
+        np.testing.assert_allclose(S.slow_m, 0.5 * m1 + drift2, atol=1e-12)
 
 
 class TestMimelite:
@@ -757,12 +731,14 @@ class TestMimelite:
         x0 = np.ones(4)
         local = lambda i, y, s: prob.sample(i, y, s).grad
         full = lambda i, x: prob.sample_mean_part(i, x)
-        new_x, new_s = mimelite_round(x0, np.zeros(4), hp, local, full, 3, step0=0)
+        S = StackedState.init(x0, 3)
+        stacked_mimelite_round(S, hp, local, full, step0=0)
         grads = [prob.sample(i, x0, 0).grad for i in range(3)]
-        np.testing.assert_allclose(new_x, x0 - 0.1 * np.mean(grads, axis=0),
-                                   atol=1e-14)
-        np.testing.assert_allclose(new_s, np.mean([full(i, x0) for i in range(3)],
-                                                  axis=0), atol=1e-14)
+        for i in range(3):
+            np.testing.assert_allclose(S.X[:, i], x0 - 0.1 * np.mean(grads, axis=0),
+                                       atol=1e-14)
+        np.testing.assert_allclose(S.server_s, np.mean([full(i, x0) for i in range(3)],
+                                                       axis=0), atol=1e-14)
 
     def test_first_round_server_momentum(self):
         prob = quadratic_family(dim=4, n_workers=3, zeta_c=1.0)
@@ -770,20 +746,20 @@ class TestMimelite:
         x0 = np.ones(4)
         local = lambda i, y, s: prob.sample(i, y, s).grad
         full = lambda i, x: prob.sample_mean_part(i, x)
-        _, new_s = mimelite_round(x0, np.zeros(4), hp, local, full, 3, step0=0)
+        S = StackedState.init(x0, 3)
+        stacked_mimelite_round(S, hp, local, full, step0=0)
         expected = 0.1 * np.mean([full(i, x0) for i in range(3)], axis=0)
-        np.testing.assert_allclose(new_s, expected, rtol=1e-14)
+        np.testing.assert_allclose(S.server_s, expected, rtol=1e-14)
 
     def test_rounds_drive_loss_down(self):
         prob = quadratic_family(dim=6, n_workers=4, zeta_c=1.0, b_scale=1.5)
         hp = HyperParams(eta=0.1, beta=0.9, tau=5)
         local = lambda i, y, s: prob.sample(i, y, s).grad
         full = lambda i, x: prob.sample_mean_part(i, x)
-        x = np.zeros(6)
-        s = np.zeros(6)
-        first = prob.mean_loss(x)
+        S = StackedState.init(np.zeros(6), 4)
+        first = prob.mean_loss(S.X[:, 0])
         step = 0
         for _ in range(20):
-            x, s = mimelite_round(x, s, hp, local, full, 4, step0=step)
+            stacked_mimelite_round(S, hp, local, full, step0=step)
             step += hp.tau
-        assert first / prob.mean_loss(x) >= 10.0
+        assert first / prob.mean_loss(S.X[:, 0]) >= 10.0
