@@ -10,7 +10,8 @@ top level as well:
 * :mod:`qgm_sim.heterogeneity` — Dirichlet label partitioning across
   workers and per-worker class-count statistics.
 * :mod:`qgm_sim.oracles` — deterministic test functions and seeded
-  stochastic gradient oracles (counter-based per worker and step), plus a
+  stochastic gradient oracles (counter-based per worker and step), with
+  every worker sampled in one call (``sample_all``), plus a
   finite-difference gradient checker.
 * :mod:`qgm_sim.optim` — one stacked ``(dim, n)`` state and the update
   rules over it, the only optimizer API: decentralized SGD with and
@@ -67,6 +68,7 @@ from .oracles import (
     quadratic_family,
     quadratic_gradient,
     rosenbrock_gradient,
+    sample_all,
     toy2d_gradient,
     worker_rng,
 )
@@ -115,6 +117,7 @@ __all__ = [
     "quadratic_gradient",
     "rosenbrock_gradient",
     "run",
+    "sample_all",
     "spectral_gap",
     "stacked_mimelite_round",
     "stacked_slowmo_round",

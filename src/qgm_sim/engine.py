@@ -4,13 +4,14 @@ validation, the training loop, and per-step telemetry.
 A run is described by a flat sectioned config (``[problem]``, ``[topology]``,
 ``[optim]``, ``[schedule]``, ``[run]``) loaded into a :class:`RunConfig`.
 The loop holds the whole run as one :class:`~qgm_sim.optim.StackedState`
-(every buffer a ``(dim, n)`` array, one column per worker), samples each
-worker's gradient in worker order (deterministically keyed by
-(worker, step)), applies the configured step rule to the stacked state, and
-records metrics evaluated at the averaged model.  Nothing depends on
-evaluation order, so metrics are byte-identical across reruns.  The
-``run.threads`` key is accepted and ignored: the loop is single-threaded,
-because a thread pool around the per-worker oracle calls made runs slower.
+(every buffer a ``(dim, n)`` array, one column per worker), samples every
+worker's gradient in one :func:`~qgm_sim.oracles.sample_all` call per
+evaluation (noise deterministically keyed by (worker, step)), applies the
+configured step rule to the stacked state, and records metrics evaluated at
+the averaged model.  Nothing depends on evaluation order, so metrics are
+byte-identical across reruns.  The ``run.threads`` key is accepted and
+ignored: the loop is single-threaded, because a thread pool around the
+per-worker oracle calls made runs slower.
 
 Divergence aborts: any non-finite entry in any array the state holds raises
 :class:`NumericalDivergence` naming the step, the buffer and the worker (the
@@ -22,13 +23,14 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .consensus import consensus_distance
-from .oracles import ProblemSpec, quadratic_family
+from .oracles import ProblemSpec, quadratic_family, sample_all
 from .optim import (
     HALF_STEP_KINDS,
     HyperParams,
@@ -397,6 +399,8 @@ class RunConfig:
         for name in ("steps", "steps_per_epoch", "metrics_every", "threads", "n"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1; got {getattr(self, name)}")
+        if self.seed < 0:  # SeedSequence takes non-negative entropy only
+            raise ConfigError(f"run.seed must be >= 0; got {self.seed}")
         if self.optim_kind == "qhm" and self.n != 1:
             raise ConfigError("optim.kind qhm is the single-worker closed form; "
                               f"requires topology.n = 1, got {self.n}")
@@ -631,9 +635,7 @@ def run(config: RunConfig) -> RunResult:
     if report is not None and not report.momentum_ok:
         warnings.warn(report.message)
 
-    def grad_fn(i, x, t):
-        return problem.sample(i, x, t).grad
-
+    grad_fn = functools.partial(sample_all, problem)
     S = StackedState.init(_initial_point(config, problem.dim), n)
     if kind in ("gt", "gt_momentum"):
         stacked_gt_init(S, grad_fn, step=0)
@@ -648,7 +650,7 @@ def run(config: RunConfig) -> RunResult:
         if kind == "slowmo":
             stacked_slowmo_round(S, mixing, hp, config.slowmo_base, grad_fn, step0)
         elif kind == "mimelite":
-            stacked_mimelite_round(S, hp, grad_fn, problem.sample_mean_part, step0)
+            stacked_mimelite_round(S, hp, grad_fn, problem.local_gradients, step0)
         else:
             stacked_step(kind, S, mixing_weights(mixing, step0), hp, end, grad_fn)
         _check_finite(S, end, kind)

@@ -27,10 +27,13 @@ computes it.  :class:`WorkerState` is the per-worker view of a state
 (:meth:`StackedState.to_workers`), which runs return as their final states.
 
 The step functions update the :class:`StackedState` they are given by
-rebinding its fields to fresh arrays.  Buffers start at zero.  ``grad_fn``
-arguments have signature ``grad_fn(worker, x, step) -> ndarray``, are
-called once per worker in worker order, and must be pure in
-``(worker, x, step)``.
+rebinding its fields to fresh arrays.  Buffers start at zero.  Gradients
+come from matrix oracles: ``grad_fn(P, step)`` returns a fresh ``(dim, n)``
+array whose column ``i`` is worker ``i``'s stochastic gradient at
+``P[:, i]`` (the engine passes :func:`qgm_sim.oracles.sample_all`), and
+mimelite's ``full_grad_fn(P)`` returns the noise-free local gradients the
+same way.  Both must be pure in their arguments; states keep the returned
+arrays as history.
 """
 
 from __future__ import annotations
@@ -224,15 +227,6 @@ def mix(X: np.ndarray, W) -> np.ndarray:
     return X @ Wm.T
 
 
-def _sample_columns(grad_fn, P: np.ndarray, step: int) -> np.ndarray:
-    """``G[:, i] = grad_fn(i, P[:, i], step)``, one oracle call per worker in
-    worker order.  A fresh array each call: states keep G as history."""
-    G = np.empty(P.shape)
-    for i in range(P.shape[1]):
-        G[:, i] = grad_fn(i, P[:, i], step)
-    return G
-
-
 def column_mean(X: np.ndarray) -> np.ndarray:
     """Mean of the worker columns, summed worker by worker in order (the
     reduction of an ``(n, dim)`` row stack, whose bits the metrics keep)."""
@@ -409,7 +403,7 @@ def _d2(S: StackedState, G, W, hp: HyperParams, kind: str) -> None:
 
 def stacked_gt_init(S: StackedState, grad_fn, step: int = 0) -> None:
     """Start gradient tracking on ``S``: Y = G_prev = g(X, step)."""
-    S.Y = S.G_prev = _sample_columns(grad_fn, S.X, step)
+    S.Y = S.G_prev = grad_fn(S.X, step)
 
 
 def _gt(S: StackedState, W, hp: HyperParams, grad_fn, step: int, with_momentum: bool) -> None:
@@ -433,7 +427,7 @@ def _gt(S: StackedState, W, hp: HyperParams, grad_fn, step: int, with_momentum: 
     else:
         half = S.X - hp.eta * S.Y
     S.X = mix(half, W)
-    G = _sample_columns(grad_fn, S.X, step)
+    G = grad_fn(S.X, step)
     S.Y = mix(S.Y, W) + G - S.G_prev
     S.G_prev = G
 
@@ -454,9 +448,9 @@ STEP_KINDS = HALF_STEP_KINDS + (
 def stacked_step(kind: str, S: StackedState, W, hp: HyperParams, step: int, grad_fn) -> None:
     """Step ``step`` (1-based) of per-step method ``kind``, updating ``S``.
 
-    Gradients come from ``grad_fn(worker, x, step)``, one call per worker:
-    at the current models, at the previous half iterates for ``dmsgd_ii``,
-    and at the post-gossip models for the tracking kinds, whose state
+    Gradients come from one ``grad_fn(P, step)`` call: at the current
+    models, at the previous half iterates for ``dmsgd_ii``, and at the
+    post-gossip models for the tracking kinds, whose state
     :func:`stacked_gt_init` must have started.  ``W`` is this step's
     mixing matrix; ``hp.eta`` this step's step size.
     """
@@ -465,7 +459,7 @@ def stacked_step(kind: str, S: StackedState, W, hp: HyperParams, step: int, grad
         return
     if kind not in STEP_KINDS:
         raise ValueError(f"unknown per-step kind {kind!r}; expected one of {STEP_KINDS}")
-    G = _sample_columns(grad_fn, _dmsgd_anchor(S) if kind == "dmsgd_ii" else S.X, step)
+    G = grad_fn(_dmsgd_anchor(S) if kind == "dmsgd_ii" else S.X, step)
     if kind in HALF_STEP_KINDS:
         stacked_dsgd_step(kind, S, G, W, hp, step)
     elif kind == "qg_dadam":
@@ -505,7 +499,7 @@ def stacked_slowmo_round(S: StackedState, W, hp: HyperParams, base_kind: str,
     inner_hp = dataclasses.replace(hp, tau=1)
     for k in range(hp.tau):
         t = step0 + k
-        G = _sample_columns(grad_fn, S.X, t)
+        G = grad_fn(S.X, t)
         stacked_dsgd_step(base_kind, S, G, mixing_weights(W, t), inner_hp, step_index=t + 1)
 
     x_tau = column_mean(S.X)
@@ -527,8 +521,8 @@ def stacked_mimelite_round(S: StackedState, hp: HyperParams, grad_fn, full_grad_
 
     against the *frozen* server momentum s = ``S.server_s`` (zero before
     the first round); the server then averages the client models and
-    refreshes s from full local gradients ``full_grad_fn(worker, x)`` at
-    the old server point:
+    refreshes s from the full local gradients ``full_grad_fn(P)`` at the
+    old server point (every column of ``P``):
 
         x <- mean_i y_i,      s <- (1 - beta) mean_i grad f_i(x_old) + beta s,
 
@@ -538,12 +532,10 @@ def stacked_mimelite_round(S: StackedState, hp: HyperParams, grad_fn, full_grad_
     n = S.X.shape[1]
     x = S.X[:, 0].copy()
     s = S.server_s if S.server_s is not None else np.zeros_like(x)
-    F = np.empty(S.X.shape)
-    for i in range(n):
-        F[:, i] = full_grad_fn(i, x)
     Y = np.repeat(x[:, None], n, axis=1)
+    F = full_grad_fn(Y)
     for k in range(hp.tau):
-        G = _sample_columns(grad_fn, Y, step0 + k)
+        G = grad_fn(Y, step0 + k)
         Y = Y - hp.eta * ((1.0 - hp.beta) * G + hp.beta * s[:, None])
     S.X = np.repeat(column_mean(Y)[:, None], n, axis=1)
     S.server_s = (1.0 - hp.beta) * column_mean(F) + hp.beta * s

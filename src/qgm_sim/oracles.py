@@ -18,7 +18,14 @@ Four problem families, each exposing loss and analytic gradient:
 Stochastic draws use numpy's counter-based Philox generator keyed by
 ``SeedSequence(entropy=master_seed, spawn_key=(worker, step))``, so every
 (worker, step) pair owns an independent, platform-stable stream and results
-do not depend on evaluation order or thread count.
+do not depend on evaluation order.  :func:`worker_rng` builds that stream
+for one pair.  :func:`sample_all` samples every worker at once: it derives
+the Philox keys of all ``n`` workers of a step in one vectorised pass of
+``SeedSequence``'s uint32 hash mix, then draws each worker's noise from one
+reused Philox generator re-keyed through its ``state`` (counter 0, empty
+buffer), which yields the bits of a freshly seeded stream.  For the
+quadratic family the rest is one whole-matrix expression; the other
+families are noise-free and loop over workers.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ __all__ = [
     "rosenbrock_gradient",
     "nonconvex_toy_gradient",
     "quadratic_gradient",
+    "sample_all",
     "finite_difference_check",
     "worker_rng",
 ]
@@ -60,6 +68,111 @@ def worker_rng(master_seed: int, worker: int, step: int) -> np.random.Generator:
     """Independent Philox stream for one (worker, step) pair."""
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(worker, step))
     return np.random.Generator(np.random.Philox(seq))
+
+
+# SeedSequence's hash-mix constants (numpy.random.bit_generator)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+
+
+def _uint32_words(value: int) -> list[int]:
+    """``value`` as little-endian 32-bit words, the way SeedSequence reads
+    an int (0 is one word)."""
+    if value < 0:
+        raise ValueError(f"expected non-negative integer; got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two uint32 words (Python ints or uint32 arrays)."""
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _philox_keys(master_seed: int, n: int, step: int) -> np.ndarray:
+    """Philox keys of workers ``0 .. n-1`` at ``step`` as an ``(n, 2)``
+    uint64 array: row ``w`` is
+    ``SeedSequence(entropy=master_seed, spawn_key=(w, step)).generate_state(2, np.uint64)``,
+    the key :func:`worker_rng` seeds its generator with.
+
+    SeedSequence hashes its entropy words (the seed's, zero-padded to the
+    pool size, then the worker's and the step's) into a pool of four uint32
+    words, then hashes the pool into the output.  The seed words leave the
+    same pool for every worker, so they are mixed once with Python ints;
+    the worker and step words are mixed into all ``n`` pools at once, as a
+    ``(4, n)`` uint32 array whose products wrap modulo 2**32 as the C code's
+    do.  The hash constant advances with every word whatever its value.
+    """
+    seed_words = _uint32_words(master_seed)
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    consts = [_INIT_A]
+
+    def next_pair():  # the hash constant before and after one hashmix
+        consts.append(consts[-1] * _MULT_A & _MASK32)
+        return consts[-2], consts[-1]
+
+    def hashmix(value):
+        xor, mult = next_pair()
+        value = (value ^ xor) * mult & _MASK32
+        return value ^ (value >> 16)
+
+    pool = [hashmix(word) for word in seed_words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in seed_words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+
+    pools = np.repeat(np.array(pool, dtype=np.uint32)[:, None], n, axis=1)
+    for word in [np.arange(n, dtype=np.uint32)] + _uint32_words(step):
+        # the four hashmix calls of this word, one per pool word, at once
+        pairs = [next_pair() for _ in range(_POOL_SIZE)]
+        xor, mult = np.array(pairs, dtype=np.uint32).T[:, :, None]
+        hashed = (word ^ xor) * mult
+        hashed ^= hashed >> 16
+        pools = _mix(pools, hashed)
+
+    # generate_state: one more hash of each pool word, with its own chain
+    # of constants, then pairs of words as little-endian uint64
+    out_consts = [_INIT_B]
+    for _ in range(_POOL_SIZE):
+        out_consts.append(out_consts[-1] * _MULT_B & _MASK32)
+    xor = np.array(out_consts[:-1], dtype=np.uint32)[:, None]
+    mult = np.array(out_consts[1:], dtype=np.uint32)[:, None]
+    out = (pools ^ xor) * mult
+    out ^= out >> 16
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
+def _standard_normals(master_seed: int, n: int, step: int, dim: int) -> np.ndarray:
+    """``(n, dim)`` array whose row ``w`` is
+    ``worker_rng(master_seed, w, step).standard_normal(dim)``, bit for bit.
+
+    One Philox generator serves every row: it is re-keyed through its
+    ``state`` with counter 0 and an empty buffer, which is the state a
+    generator freshly seeded with that key starts in.
+    """
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+             # buffer_pos 4: all four buffered words used, the buffer empty
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    Z = np.empty((n, dim))
+    for w, key in enumerate(_philox_keys(master_seed, n, step).tolist()):
+        state["state"]["key"] = key
+        bitgen.state = state
+        gen.standard_normal(out=Z[w])
+    return Z
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +346,36 @@ class ProblemSpec:
             return GradientSample(s.grad, s.loss, worker=worker)
         return quadratic_gradient(self, worker, x, step)
 
+    def local_gradients(self, P: np.ndarray) -> np.ndarray:
+        """Noise-free local gradients as a fresh ``(dim, n)`` array: column
+        ``i`` is worker ``i``'s gradient at ``P[:, i]``, equal bit for bit
+        to ``sample_mean_part(i, P[:, i])``."""
+        if self.kind == "quadratic_family":
+            return self.a_diag[:, None] * self._residuals(P)
+        G = np.empty(P.shape)
+        for i in range(P.shape[1]):
+            G[:, i] = self.sample(i, P[:, i], step=0).grad
+        return G
+
+    def _residuals(self, P: np.ndarray) -> np.ndarray:
+        """``a * P[:, i] - b_i`` for every worker ``i``, as ``(dim, n)``;
+        the ``b_i`` are stacked only when they differ (``zeta_c != 0``)."""
+        B = self.b_base[:, None]
+        if self.zeta_c != 0.0:
+            B = np.repeat(B, self.n_workers, axis=1)
+            w = np.arange(self.n_workers)
+            B[w, w] += self.zeta_c
+        return self.a_diag[:, None] * P - B
+
+    def _at_every_worker(self, x) -> np.ndarray:
+        """``x`` as every column of a read-only ``(dim, n)`` view."""
+        return np.broadcast_to(np.asarray(x, dtype=float)[:, None], (self.dim, self.n_workers))
+
     def mean_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Deterministic gradient of the averaged objective f = mean_i f_i."""
-        grads = [self.sample_mean_part(w, x) for w in range(self.n_workers)]
-        return np.mean(grads, axis=0)
+        """Deterministic gradient of the averaged objective f = mean_i f_i,
+        averaged over an ``(n, dim)`` row stack, worker by worker."""
+        G = self.local_gradients(self._at_every_worker(x))
+        return np.ascontiguousarray(G.T).mean(axis=0)
 
     def sample_mean_part(self, worker: int, x: np.ndarray) -> np.ndarray:
         """Noise-free gradient of worker ``worker``'s local objective."""
@@ -245,12 +384,12 @@ class ProblemSpec:
         return self.sample(worker, x, step=0).grad
 
     def mean_loss(self, x: np.ndarray) -> float:
-        """Averaged objective value f(x) = (1/n) sum_i f_i(x)."""
+        """Averaged objective value f(x) = (1/n) sum_i f_i(x); for the
+        quadratic family each worker's sum runs over a row of a C-contiguous
+        ``(n, dim)`` residual, the order of a one-worker sum."""
         if self.kind == "quadratic_family":
-            return float(np.mean([
-                0.5 * np.sum((self.a_diag * x - self.worker_b(w)) ** 2)
-                for w in range(self.n_workers)
-            ]))
+            R = np.ascontiguousarray(self._residuals(self._at_every_worker(x)).T)
+            return float(np.mean(0.5 * np.sum(R**2, axis=1)))
         return float(np.mean([
             self.sample(w, x, step=0).loss for w in range(self.n_workers)
         ]))
@@ -280,6 +419,23 @@ def quadratic_family(
         sigma_c=sigma_c,
         master_seed=master_seed,
     )
+
+
+def sample_all(problem: ProblemSpec, P: np.ndarray, step: int) -> np.ndarray:
+    """Every worker's stochastic gradient at ``step`` as a fresh ``(dim, n)``
+    array: column ``i`` equals ``problem.sample(i, P[:, i], step).grad``
+    bit for bit.
+
+    For the quadratic family this is ``a (a P - B) + sigma_c Z``, ``B`` the
+    stacked ``b_i`` and row ``i`` of ``Z`` worker ``i``'s Philox draw.  The
+    other families are noise-free (``step`` does not enter): each worker's
+    oracle is called in turn.
+    """
+    G = problem.local_gradients(P)
+    if problem.kind == "quadratic_family" and problem.sigma_c != 0.0:
+        G += problem.sigma_c * _standard_normals(
+            problem.master_seed, P.shape[1], step, problem.dim).T
+    return G
 
 
 def quadratic_gradient(spec: ProblemSpec, worker: int, x, step: int) -> GradientSample:

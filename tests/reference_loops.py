@@ -1,11 +1,15 @@
-"""Per-worker reference loops for the stacked optimizer core.
+"""Per-worker reference loops for the stacked optimizer core and the oracles.
 
 These are the per-worker step rules as they stood before the optimizer moved
 to one stacked ``(dim, n)`` state: every worker's model and buffers live in
 its own :class:`WorkerState` and each step rebuilds the list; the server
 round works on per-worker Python lists.  They are kept unchanged, as the
 reference that ``test_stacked_core.py`` and acceptance criterion 4 compare
-the stacked core with.  Not collected by pytest (no ``test_`` prefix).
+the stacked core with.  The mean evaluations at the end are
+``ProblemSpec``'s worker-by-worker loops as they stood before they became
+whole-array expressions, the reference of ``test_oracles.py``.
+:func:`per_worker` lifts a per-worker oracle to the matrix contract of
+``qgm_sim.optim``.  Not collected by pytest (no ``test_`` prefix).
 """
 
 from __future__ import annotations
@@ -15,6 +19,19 @@ import dataclasses
 import numpy as np
 
 from qgm_sim.optim import HALF_STEP_KINDS, HyperParams, WorkerState, qg_multistep_gate, qhm_core
+
+
+def per_worker(fn):
+    """Lift a per-worker oracle ``fn(i, x, *args)`` to the matrix contract
+    ``F(P, *args)``: column ``i`` of a fresh ``(dim, n)`` array is
+    ``fn(i, P[:, i], *args)``, one call per worker in worker order."""
+    def lifted(P, *args):
+        G = np.empty(P.shape)
+        for i in range(P.shape[1]):
+            G[:, i] = fn(i, P[:, i], *args)
+        return G
+
+    return lifted
 
 
 def sampling_point(kind: str, state: WorkerState) -> np.ndarray:
@@ -383,3 +400,32 @@ def qhm_step(state: WorkerState, grad: np.ndarray, hp: HyperParams) -> WorkerSta
     beta_hat = hp.mu + (1.0 - hp.mu) * hp.beta
     x_new, m_new = qhm_core(state.x, state.m_hat, grad, hp.eta, beta_hat, hp.mu)
     return state.replace(x=x_new, m_hat=m_new)
+
+
+# ---------------------------------------------------------------------------
+# ProblemSpec's mean evaluations, one worker at a time
+# ---------------------------------------------------------------------------
+
+def sample_mean_part(spec, worker: int, x: np.ndarray) -> np.ndarray:
+    """Noise-free gradient of worker ``worker``'s local objective."""
+    if spec.kind == "quadratic_family":
+        return spec.a_diag * (spec.a_diag * x - spec.worker_b(worker))
+    return spec.sample(worker, x, step=0).grad
+
+
+def mean_gradient(spec, x: np.ndarray) -> np.ndarray:
+    """Deterministic gradient of the averaged objective f = mean_i f_i."""
+    grads = [sample_mean_part(spec, w, x) for w in range(spec.n_workers)]
+    return np.mean(grads, axis=0)
+
+
+def mean_loss(spec, x: np.ndarray) -> float:
+    """Averaged objective value f(x) = (1/n) sum_i f_i(x)."""
+    if spec.kind == "quadratic_family":
+        return float(np.mean([
+            0.5 * np.sum((spec.a_diag * x - spec.worker_b(w)) ** 2)
+            for w in range(spec.n_workers)
+        ]))
+    return float(np.mean([
+        spec.sample(w, x, step=0).loss for w in range(spec.n_workers)
+    ]))

@@ -81,8 +81,8 @@ def test_criterion_01_single_worker_closed_form_identity(verdict):
             a = StackedState.init(np.zeros(2), 1)
             b = StackedState.init(np.zeros(2), 1)
             for step in range(1, 1001):
-                stacked_step("qg_dsgdm", a, W1, hp, step, rosenbrock_grad)
-                stacked_step("qhm", b, W1, hp, step, rosenbrock_grad)
+                stacked_step("qg_dsgdm", a, W1, hp, step, ref.per_worker(rosenbrock_grad))
+                stacked_step("qhm", b, W1, hp, step, ref.per_worker(rosenbrock_grad))
                 worst = max(worst, float(np.max(np.abs(a.X - b.X))))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-10 and elapsed < 1.0
@@ -101,8 +101,8 @@ def test_criterion_02_special_case_collapses(verdict):
     hb = StackedState.init(np.zeros(2), 1)
     worst_mu = 0.0
     for step in range(1, 301):
-        stacked_step("qg_dsgdm", qg, W1, hp_qg, step, rosenbrock_grad)
-        stacked_step("dsgdm", hb, W1, hp_hb, step, rosenbrock_grad)
+        stacked_step("qg_dsgdm", qg, W1, hp_qg, step, ref.per_worker(rosenbrock_grad))
+        stacked_step("dsgdm", hb, W1, hp_hb, step, ref.per_worker(rosenbrock_grad))
         worst_mu = max(worst_mu, float(np.max(np.abs(qg.X - hb.X))))
     # beta = 0: the buffered averaging recursion degenerates to plain gossip
     Wm = mixing_matrix(build_graph("ring", 8))
@@ -128,7 +128,7 @@ def test_criterion_03_nesterov_rescaling(verdict):
     worst = 0.0
     for step in range(1, 101):
         gb = rosenbrock_grad(0, x, step)
-        stacked_step("dsgdm_n", a, W1, hp, step, rosenbrock_grad)
+        stacked_step("dsgdm_n", a, W1, hp, step, ref.per_worker(rosenbrock_grad))
         m = beta * m + (1.0 - beta) * gb
         x = x - r * ((1.0 - beta) * gb + beta * m)
         worst = max(worst, float(np.max(np.abs(a.X[:, 0] - x))))
@@ -270,7 +270,7 @@ def test_criterion_08_heterogeneity_corrections(verdict):
     def stepped(kind):
         S = StackedState.init(np.array([0.75]), 1)
         S.X_prev, S.G_prev, S.eta_prev = np.array([[1.0]]), np.array([[0.3]]), 0.1
-        stacked_step(kind, S, W1, HyperParams(eta=0.01), 1, lambda i, x, t: g)
+        stacked_step(kind, S, W1, HyperParams(eta=0.01), 1, ref.per_worker(lambda i, x, t: g))
         return S.X[0, 0]
 
     out_plain, out_robust = stepped("d2"), stepped("d2_plus")
@@ -288,6 +288,7 @@ def test_criterion_08_heterogeneity_corrections(verdict):
     hp = HyperParams(eta=0.2, beta=0.0)
     x_star = prob.x_star
 
+    @ref.per_worker
     def grad_fn(i, x, t):
         return prob.sample_mean_part(i, x)
 
@@ -345,8 +346,9 @@ def test_criterion_10_byte_identical_metrics(verdict, pytestconfig):
         if not (blobs[0] == blobs[1] == blobs[2]):
             mismatched.append(os.path.basename(path))
     ok = not mismatched
-    assert verdict(ok, 10, f"metrics streams byte-identical across repeated "
-                           f"runs and 1 vs 4 worker threads for all "
+    assert verdict(ok, 10, f"metrics streams byte-identical across three "
+                           f"repeated runs, the third with the ignored "
+                           f"run.threads = 4 key, for all "
                            f"{len(paths)} shipped configs"
                            + (f"; mismatched: {mismatched}" if mismatched
                               else ""))

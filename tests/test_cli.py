@@ -78,6 +78,12 @@ class TestRunCommand:
         assert main(["run", "--config", demo_config, "--optim.lr", "0.1"]) == 1
         assert "optim.lr" in capsys.readouterr().err
 
+    def test_negative_seed_exits_1_naming_key(self, demo_config, capsys):
+        # the demo problem is noisy: unchecked, the seed would fail at the
+        # first noise draw with a message that does not name the key
+        assert quiet_main(["run", "--config", demo_config, "--run.seed", "-1"]) == 1
+        assert "run.seed" in capsys.readouterr().err
+
     def test_eta_override_reflected_in_lr_column(self, demo_config, tmp_path):
         out = tmp_path / "m.csv"
         assert quiet_main(["run", "--config", demo_config, "--out", str(out),
@@ -108,7 +114,8 @@ class TestRunCommand:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
-    def test_repeat_and_thread_count_byte_identical(self, demo_config, tmp_path):
+    def test_repeat_and_ignored_threads_flag_byte_identical(self, demo_config, tmp_path):
+        # --threads is accepted and ignored: the third run is a repeat too
         outs = []
         for name, extra in [("a.csv", []), ("b.csv", []),
                             ("c.csv", ["--threads", "4"])]:

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import reference_loops as ref
 from qgm_sim.engine import (
     METRICS_HEADER,
     ConfigError,
@@ -189,6 +190,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="qhm"):
             make_config(**{"optim.kind": "qhm"})
 
+    @pytest.mark.parametrize("sigma", ["0.0", "0.5"])
+    def test_negative_seed_rejected_by_name(self, sigma):
+        # SeedSequence takes no negative entropy: unchecked, a noisy run
+        # fails at its first draw without naming the key and a noise-free
+        # one runs
+        with pytest.raises(ConfigError, match=r"run\.seed"):
+            make_config(**{"problem.sigma": sigma, "run.seed": "-1"})
+
     def test_round_methods_need_divisible_steps(self):
         with pytest.raises(ConfigError, match="multiple"):
             make_config(**{"optim.kind": "slowmo", "optim.tau": "7",
@@ -290,7 +299,8 @@ class TestRun:
         assert metrics_csv_lines(a.records) == metrics_csv_lines(b.records)
 
     @pytest.mark.parametrize("kind", ["qg_dsgdm", "dmsgd_ii", "qg_dadam"])
-    def test_thread_count_does_not_change_bytes(self, kind):
+    def test_ignored_threads_key_does_not_change_bytes(self, kind):
+        # run.threads is accepted and ignored: the loop is single-threaded
         base = {"optim.kind": kind, "problem.sigma": "0.3", "run.steps": "30"}
         a = quiet_run(make_config(**base, **{"run.threads": "1"}))
         b = quiet_run(make_config(**base, **{"run.threads": "4"}))
@@ -339,6 +349,7 @@ class TestRun:
         assert not np.array_equal(one_peer_exponential_matrix(4, 0).weights,
                                   one_peer_exponential_matrix(4, 1).weights)
 
+        @ref.per_worker
         def grad_fn(i, x, t):
             return res.problem.sample(i, x, t).grad
 

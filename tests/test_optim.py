@@ -50,6 +50,7 @@ def single(x0):
     return StackedState.init(np.asarray(x0, dtype=float), 1)
 
 
+@ref.per_worker
 def rosenbrock_fn(i, x, t):
     return rosenbrock_gradient(x).grad
 
@@ -219,7 +220,7 @@ class TestDecentralizedStep:
     def test_beta_zero_reduces_to_plain_descent(self):
         # with beta = 0 the buffer is never read, so models match bitwise
         prob = quadratic_family(dim=4, n_workers=4, zeta_c=1.0)
-        grad_fn = lambda i, x, t: prob.sample(i, x, t).grad
+        grad_fn = ref.per_worker(lambda i, x, t: prob.sample(i, x, t).grad)
         W = ring(4)
         hp_qg = HyperParams(eta=0.05, beta=0.0, mu=0.9)
         hp_plain = HyperParams(eta=0.05, beta=0.0)
@@ -244,7 +245,7 @@ class TestDecentralizedStep:
         # a complete graph synchronizes every step, so the mu = 0 buffer
         # equals the mean heavy-ball buffer and the models coincide
         prob = quadratic_family(dim=4, n_workers=4, zeta_c=1.0, sigma_c=0.3)
-        grad_fn = lambda i, x, t: prob.sample(i, x, t).grad
+        grad_fn = ref.per_worker(lambda i, x, t: prob.sample(i, x, t).grad)
         W = complete(4)
         a = StackedState.init(np.zeros(4), 4)
         b = StackedState.init(np.zeros(4), 4)
@@ -259,7 +260,7 @@ class TestDecentralizedStep:
         # identical data + identical start: any doubly stochastic mixing
         # leaves the run indistinguishable from one worker
         prob = quadratic_family(dim=4, n_workers=4, zeta_c=0.0)
-        grad_fn = lambda i, x, t: prob.sample(i, x, t).grad
+        grad_fn = ref.per_worker(lambda i, x, t: prob.sample(i, x, t).grad)
         W = ring(4)
         hp = HyperParams(eta=0.05, beta=0.9, mu=0.5)
         multi = StackedState.init(np.ones(4), 4)
@@ -311,7 +312,8 @@ class TestDecentralizedStep:
         ms = [np.zeros(3) for _ in range(3)]
         Wm = W.weights
         for t in range(1, 9):
-            stacked_step("qg_dsgdm", S, W, hp, t, lambda i, x, t: prob.sample(i, x, t).grad)
+            stacked_step("qg_dsgdm", S, W, hp, t,
+                         ref.per_worker(lambda i, x, t: prob.sample(i, x, t).grad))
 
             ref_grads = [prob.sample(i, xs[i], t).grad for i in range(3)]
             halves = [xs[i] - eta * (beta * ms[i] + ref_grads[i]) for i in range(3)]
@@ -419,7 +421,7 @@ class TestQgDadam:
         hp = HyperParams(eta=0.1, beta1=0.9, beta2=0.99, epsilon=1e-8)
         g = np.array([2.0, -1.0])
         S = single([1.0, 1.0])
-        stacked_step("qg_dadam", S, W1, hp, 1, lambda i, x, t: g)
+        stacked_step("qg_dadam", S, W1, hp, 1, ref.per_worker(lambda i, x, t: g))
         m = 0.1 * g
         v = 0.01 * g * g
         x_expected = np.array([1.0, 1.0]) - 0.1 * m / (np.sqrt(v) + 1e-8)
@@ -449,7 +451,7 @@ class TestQgDadam:
         hp = HyperParams(eta=0.1, beta2=0.99)
         S = single([3.0])
         S.V = np.array([[0.16]])
-        stacked_step("qg_dadam", S, W1, hp, 1, lambda i, x, t: np.zeros(1))
+        stacked_step("qg_dadam", S, W1, hp, 1, ref.per_worker(lambda i, x, t: np.zeros(1)))
         # zero gradient and zero first moment: the model cannot move, the
         # unit movement is zero, and the stored buffers shrink geometrically
         assert np.array_equal(S.X[:, 0], np.array([3.0]))
@@ -497,7 +499,7 @@ class TestDmsgd:
         # stacked_step samples at x (option I) or at x_half_prev (option II)
         for t in range(5):
             stacked_step({"I": "dmsgd_i", "II": "dmsgd_ii"}[option], S, W, hp, t,
-                         lambda i, anchor, t: anchor - cs[i])
+                         ref.per_worker(lambda i, anchor, t: anchor - cs[i]))
         x_ref, m_ref = _dmsgd_geometric(np.array([0.5]), cs, W, eta, beta, mu,
                                         option, 5)
         for i, (xr, mr) in enumerate(zip(x_ref, m_ref)):
@@ -512,8 +514,8 @@ class TestDmsgd:
         a = single([2.0])
         b = single([2.0])
         for t in range(30):
-            stacked_step("dmsgd_ii", a, W1, hp, t, lambda i, x, t: x - 0.0)
-            stacked_step("dsgdm", b, W1, hp, t, lambda i, x, t: x - 0.0)
+            stacked_step("dmsgd_ii", a, W1, hp, t, ref.per_worker(lambda i, x, t: x - 0.0))
+            stacked_step("dsgdm", b, W1, hp, t, ref.per_worker(lambda i, x, t: x - 0.0))
         np.testing.assert_allclose(a.X[:, 0], b.X[:, 0], atol=1e-8)
 
     def test_mu_zero_buffer_is_synchronized_drift(self):
@@ -521,14 +523,15 @@ class TestDmsgd:
         S = StackedState.init(np.array([0.5]), 2)
         cs = [1.0, -2.0]
         X0 = S.X.copy()
-        stacked_step("dmsgd_ii", S, complete(2), hp, 1, lambda i, x, t: x - np.array([cs[i]]))
+        stacked_step("dmsgd_ii", S, complete(2), hp, 1,
+                     ref.per_worker(lambda i, x, t: x - np.array([cs[i]])))
         for i in range(2):
             np.testing.assert_allclose(S.M_hat[:, i], (X0[:, i] - S.X[:, i]) / 0.1, atol=1e-14)
 
     def test_bad_option_rejected(self):
         with pytest.raises(ValueError, match="dmsgd_iii"):
             stacked_step("dmsgd_iii", single([0.0]), W1, HyperParams(eta=0.1), 1,
-                         lambda i, x, t: np.zeros(1))
+                         ref.per_worker(lambda i, x, t: np.zeros(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +541,7 @@ class TestDmsgd:
 class TestD2:
     def test_variants_agree_under_constant_step_size(self):
         prob = quadratic_family(dim=3, n_workers=3, zeta_c=1.0)
-        grad_fn = lambda i, x, t: prob.sample(i, x, t).grad
+        grad_fn = ref.per_worker(lambda i, x, t: prob.sample(i, x, t).grad)
         W = ring(3)
         hp = HyperParams(eta=0.1)
         a = StackedState.init(np.zeros(3), 3)
@@ -551,7 +554,7 @@ class TestD2:
     def test_homogeneous_equals_plain_descent(self):
         # identical local objectives: the correction telescopes away
         prob = quadratic_family(dim=3, n_workers=3, zeta_c=0.0)
-        grad_fn = lambda i, x, t: prob.sample(i, x, t).grad
+        grad_fn = ref.per_worker(lambda i, x, t: prob.sample(i, x, t).grad)
         W = complete(3)
         hp = HyperParams(eta=0.3)
         a = StackedState.init(np.ones(3), 3)
@@ -573,8 +576,8 @@ class TestD2:
 
         hp = HyperParams(eta=0.01)
         out_plain, out_plus = with_history(), with_history()
-        stacked_step("d2", out_plain, W1, hp, 1, lambda i, x, t: g)
-        stacked_step("d2_plus", out_plus, W1, hp, 1, lambda i, x, t: g)
+        stacked_step("d2", out_plain, W1, hp, 1, ref.per_worker(lambda i, x, t: g))
+        stacked_step("d2_plus", out_plus, W1, hp, 1, ref.per_worker(lambda i, x, t: g))
         # the history term is divided by the new step size (plain) or the
         # old one (plus): exactly a factor-10 inflation of the correction
         corr_plain = (1.0 - 0.75) / 0.01
@@ -586,7 +589,7 @@ class TestD2:
     def test_first_step_is_plain_descent(self):
         hp = HyperParams(eta=0.1)
         S = single([1.0])
-        stacked_step("d2", S, W1, hp, 1, lambda i, x, t: np.array([0.5]))
+        stacked_step("d2", S, W1, hp, 1, ref.per_worker(lambda i, x, t: np.array([0.5])))
         assert S.X[0, 0] == pytest.approx(0.95, abs=1e-15)
         assert S.eta_prev == 0.1
         assert S.X_prev[0, 0] == 1.0
@@ -594,7 +597,7 @@ class TestD2:
     def test_bad_variant_rejected(self):
         with pytest.raises(ValueError, match="d3"):
             stacked_step("d3", single([0.0]), W1, HyperParams(eta=0.1), 1,
-                         lambda i, x, t: np.zeros(1))
+                         ref.per_worker(lambda i, x, t: np.zeros(1)))
 
 
 class TestGradientTracking:
@@ -620,7 +623,7 @@ class TestGradientTracking:
 
     def test_tracker_sum_equals_gradient_sum(self):
         prob = quadratic_family(dim=4, n_workers=4, zeta_c=1.5)
-        grad_fn = lambda i, x, s: prob.sample(i, x, s).grad
+        grad_fn = ref.per_worker(lambda i, x, s: prob.sample(i, x, s).grad)
         W = ring(4)
         hp = HyperParams(eta=0.1, beta=0.0)
         S = StackedState.init(np.zeros(4), 4)
@@ -635,7 +638,7 @@ class TestGradientTracking:
         # plain decentralized descent stalls at a spread fixed point under
         # strong heterogeneity; tracking drives every worker to the optimum
         prob = quadratic_family(dim=8, n_workers=4, zeta_c=2.0)
-        grad_fn = lambda i, x, s: prob.sample(i, x, s).grad
+        grad_fn = ref.per_worker(lambda i, x, s: prob.sample(i, x, s).grad)
         W = ring(4)
         hp = HyperParams(eta=0.2, beta=0.0)
 
@@ -654,7 +657,7 @@ class TestGradientTracking:
     def test_requires_initialization(self):
         with pytest.raises(ValueError, match="gt_init"):
             stacked_step("gt", single([0.0]), W1, HyperParams(eta=0.1), 1,
-                         lambda i, x, s: np.zeros(1))
+                         ref.per_worker(lambda i, x, s: np.zeros(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +667,7 @@ class TestGradientTracking:
 class TestSlowmo:
     def test_zero_slow_momentum_unit_alpha_recovers_round_average(self):
         prob = quadratic_family(dim=4, n_workers=4, zeta_c=1.0)
-        grad_fn = lambda i, x, s: prob.sample(i, x, s).grad
+        grad_fn = ref.per_worker(lambda i, x, s: prob.sample(i, x, s).grad)
         W = ring(4)
         hp = HyperParams(eta=0.05, beta=0.9, tau=3,
                          slowmo_alpha=1.0, slowmo_beta=0.0)
@@ -684,7 +687,7 @@ class TestSlowmo:
     def test_single_worker_single_step_rescales_to_descent(self):
         # tau = 1, one worker, no slow momentum: each round is one descent
         # step with effective step size alpha * eta
-        grad_fn = lambda i, x, s: x - np.array([4.0])
+        grad_fn = ref.per_worker(lambda i, x, s: x - np.array([4.0]))
         hp = HyperParams(eta=0.05, beta=0.0, tau=1,
                          slowmo_alpha=2.0, slowmo_beta=0.0)
         S = single([0.0])
@@ -698,7 +701,7 @@ class TestSlowmo:
         # small inner step keeps the two-term slow recursion overdamped
         # (real eigenvalues), so the averaged loss decays without ringing
         prob = quadratic_family(dim=6, n_workers=4, zeta_c=1.0, b_scale=1.5)
-        grad_fn = lambda i, x, s: prob.sample(i, x, s).grad
+        grad_fn = ref.per_worker(lambda i, x, s: prob.sample(i, x, s).grad)
         W = ring(4)
         hp = HyperParams(eta=0.002, beta=0.9, tau=12,
                          slowmo_alpha=1.0, slowmo_beta=0.7)
@@ -712,7 +715,7 @@ class TestSlowmo:
         assert all(b < a for a, b in zip(losses[1:], losses[2:]))
 
     def test_slow_momentum_accumulates(self):
-        grad_fn = lambda i, x, s: x - 1.0
+        grad_fn = ref.per_worker(lambda i, x, s: x - 1.0)
         hp = HyperParams(eta=0.25, beta=0.0, tau=1,
                          slowmo_alpha=1.0, slowmo_beta=0.5)
         S = single([0.0])
@@ -729,10 +732,10 @@ class TestMimelite:
         prob = quadratic_family(dim=4, n_workers=3, zeta_c=1.0)
         hp = HyperParams(eta=0.1, beta=0.0, tau=1)
         x0 = np.ones(4)
-        local = lambda i, y, s: prob.sample(i, y, s).grad
+        local = ref.per_worker(lambda i, y, s: prob.sample(i, y, s).grad)
         full = lambda i, x: prob.sample_mean_part(i, x)
         S = StackedState.init(x0, 3)
-        stacked_mimelite_round(S, hp, local, full, step0=0)
+        stacked_mimelite_round(S, hp, local, ref.per_worker(full), step0=0)
         grads = [prob.sample(i, x0, 0).grad for i in range(3)]
         for i in range(3):
             np.testing.assert_allclose(S.X[:, i], x0 - 0.1 * np.mean(grads, axis=0),
@@ -744,22 +747,22 @@ class TestMimelite:
         prob = quadratic_family(dim=4, n_workers=3, zeta_c=1.0)
         hp = HyperParams(eta=0.1, beta=0.9, tau=2)
         x0 = np.ones(4)
-        local = lambda i, y, s: prob.sample(i, y, s).grad
+        local = ref.per_worker(lambda i, y, s: prob.sample(i, y, s).grad)
         full = lambda i, x: prob.sample_mean_part(i, x)
         S = StackedState.init(x0, 3)
-        stacked_mimelite_round(S, hp, local, full, step0=0)
+        stacked_mimelite_round(S, hp, local, ref.per_worker(full), step0=0)
         expected = 0.1 * np.mean([full(i, x0) for i in range(3)], axis=0)
         np.testing.assert_allclose(S.server_s, expected, rtol=1e-14)
 
     def test_rounds_drive_loss_down(self):
         prob = quadratic_family(dim=6, n_workers=4, zeta_c=1.0, b_scale=1.5)
         hp = HyperParams(eta=0.1, beta=0.9, tau=5)
-        local = lambda i, y, s: prob.sample(i, y, s).grad
+        local = ref.per_worker(lambda i, y, s: prob.sample(i, y, s).grad)
         full = lambda i, x: prob.sample_mean_part(i, x)
         S = StackedState.init(np.zeros(6), 4)
         first = prob.mean_loss(S.X[:, 0])
         step = 0
         for _ in range(20):
-            stacked_mimelite_round(S, hp, local, full, step0=step)
+            stacked_mimelite_round(S, hp, local, ref.per_worker(full), step0=step)
             step += hp.tau
         assert first / prob.mean_loss(S.X[:, 0]) >= 10.0

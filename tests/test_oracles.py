@@ -2,14 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_loops as ref
 from qgm_sim.oracles import (
     ProblemSpec,
+    _philox_keys,
+    _standard_normals,
     finite_difference_check,
     nonconvex_toy_gradient,
     quadratic_family,
     quadratic_gradient,
     rosenbrock_gradient,
+    sample_all,
     toy2d_gradient,
     worker_rng,
 )
@@ -174,3 +180,116 @@ class TestRngStreams:
         s1 = spec.sample(1, x, step=7)
         s2 = spec.sample(1, x, step=7)
         assert np.array_equal(s1.grad, s2.grad)
+
+
+# seeds of one, two, three and five 32-bit words, and steps of one and two
+# words, so every branch of SeedSequence's entropy assembly is crossed
+SEEDS = [0, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 12345]
+STEPS = [0, 1, 2**32 - 1, 2**32, 2**33 + 7]
+N_MAX = 70
+
+
+def bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("step", STEPS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_keys_match_seed_sequence(self, seed, step):
+        keys = _philox_keys(seed, N_MAX, step)
+        assert keys.shape == (N_MAX, 2) and keys.dtype == np.uint64
+        for w in range(N_MAX):
+            seq = np.random.SeedSequence(entropy=seed, spawn_key=(w, step))
+            want = np.random.Philox(seq).state["state"]["key"]
+            assert keys[w].tobytes() == want.tobytes(), w
+
+    @pytest.mark.parametrize("step", STEPS)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rekeyed_draws_match_fresh_streams(self, seed, step):
+        Z = _standard_normals(seed, N_MAX, step, 5)
+        for w in range(N_MAX):
+            assert bits(Z[w]) == bits(worker_rng(seed, w, step).standard_normal(5)), w
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            _philox_keys(-1, 2, 0)
+
+    @given(seed=st.sampled_from(SEEDS), step=st.sampled_from(STEPS),
+           n=st.integers(1, N_MAX), extra_dim=st.integers(0, 5),
+           zeta=st.sampled_from([0.0, 0.7]), sigma=st.sampled_from([0.0, 0.3]),
+           cond=st.sampled_from([1.0, 4.0]), data=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_quadratic_columns_match_per_worker_oracle(self, seed, step, n, extra_dim,
+                                                        zeta, sigma, cond, data):
+        dim = n + extra_dim  # heterogeneity needs dim >= n
+        spec = quadratic_family(dim=dim, n_workers=n, zeta_c=zeta, sigma_c=sigma,
+                                cond=cond, master_seed=seed)
+        P = np.random.default_rng(data).standard_normal((dim, n))
+        G = sample_all(spec, P, step)
+        assert G.shape == (dim, n)
+        # the engine's gossip multiplies what the step builds from G, and a
+        # matmul's bits can depend on its operands' layout
+        assert G.flags.c_contiguous
+        for i in range(n):
+            assert bits(G[:, i]) == bits(quadratic_gradient(spec, i, P[:, i], step).grad), i
+
+    @pytest.mark.parametrize("kind,n", [("toy2d_hetero", 2), ("rosenbrock", 3),
+                                        ("nonconvex_toy", 5)])
+    def test_noise_free_families_match_per_worker_oracle(self, kind, n):
+        spec = ProblemSpec(kind=kind, dim=2, n_workers=n)
+        P = np.random.default_rng(4).uniform(-2, 2, size=(2, n))
+        G = sample_all(spec, P, 11)
+        for i in range(n):
+            assert bits(G[:, i]) == bits(spec.sample(i, P[:, i], 11).grad), i
+
+    def test_reused_generator_leaks_no_state_between_calls(self):
+        spec = quadratic_family(dim=9, n_workers=9, zeta_c=1.0, sigma_c=0.5, master_seed=3)
+        P = np.ones((9, 9))
+        first = sample_all(spec, P, 5)
+        sample_all(spec, P, 6)
+        assert bits(sample_all(spec, P, 5)) == bits(first)
+
+
+@st.composite
+def mean_cases(draw):
+    """A problem of any family with a point to evaluate at; quadratic cases
+    reach n = 70 and dim = 300, past numpy's pairwise-sum blocks of 8 and
+    128 in both directions."""
+    kind = draw(st.sampled_from(["quadratic_family"] * 4
+                                + ["toy2d_hetero", "rosenbrock", "nonconvex_toy"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind != "quadratic_family":
+        n = draw(st.integers(1, 2 if kind == "toy2d_hetero" else 12))
+        return ProblemSpec(kind=kind, dim=2, n_workers=n), rng.uniform(-2, 2, size=2)
+    n = draw(st.integers(1, N_MAX))
+    zeta = draw(st.sampled_from([0.0, 1.3]))
+    dim = draw(st.integers(n if zeta else 1, 300))
+    spec = quadratic_family(dim=dim, n_workers=n, zeta_c=zeta,
+                            cond=draw(st.sampled_from([1.0, 9.0])),
+                            b_scale=draw(st.floats(-2.0, 2.0)))
+    return spec, rng.standard_normal(dim)
+
+
+class TestBatchedMeans:
+    @given(case=mean_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_mean_loss_matches_per_worker_loop(self, case):
+        spec, x = case
+        assert bits(spec.mean_loss(x)) == bits(ref.mean_loss(spec, x))
+
+    @given(case=mean_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_mean_gradient_matches_per_worker_loop(self, case):
+        spec, x = case
+        assert bits(spec.mean_gradient(x)) == bits(ref.mean_gradient(spec, x))
+
+    @given(case=mean_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_local_gradients_match_per_worker_parts(self, case):
+        spec, x = case
+        P = x[:, None] + np.arange(spec.n_workers) / 7.0
+        G = spec.local_gradients(P)
+        for i in range(spec.n_workers):
+            assert bits(G[:, i]) == bits(ref.sample_mean_part(spec, i, P[:, i])), i
+            assert bits(G[:, i]) == bits(spec.sample_mean_part(i, P[:, i])), i

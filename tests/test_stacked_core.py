@@ -1,7 +1,8 @@
 """The stacked (dim x n) optimizer core against the per-worker reference.
 
 ``reference_loops`` keeps the per-worker step rules as they were before the
-core existed.  For every per-step kind and for both round-structured
+core existed; the core gets the same per-worker oracles through
+``reference_loops.per_worker``.  For every per-step kind and for both round-structured
 methods, on random small cases, the core as the engine drives it
 (``stacked_step``, ``stacked_slowmo_round``, ``stacked_mimelite_round``)
 must reproduce the reference bit for bit, step after step.
@@ -105,13 +106,13 @@ def test_stacked_core_matches_per_worker_reference(kind, case):
     want = S.to_workers()
     if kind in ("gt", "gt_momentum"):
         want = ref.gt_init(want, grad_fn, 0)
-        stacked_gt_init(S, grad_fn, 0)
+        stacked_gt_init(S, ref.per_worker(grad_fn), 0)
         assert_same_bits(S.to_workers(), want)
     for t in range(1, STEPS + 1):
         hp_t = dataclasses.replace(hp, eta=float(etas[t - 1]))
         W = mats[t - 1]
         want = per_worker_step(kind, want, W, hp_t, t, grad_fn)
-        stacked_step(kind, S, W, hp_t, t, grad_fn)
+        stacked_step(kind, S, W, hp_t, t, ref.per_worker(grad_fn))
         assert_same_bits(S.to_workers(), want)
 
 
@@ -129,7 +130,7 @@ def test_stacked_slowmo_matches_per_worker_reference(base_kind, case):
     for r in range(2):
         hp_r = dataclasses.replace(hp, eta=float(etas[r]))
         want = ref.slowmo_round(want, W, hp_r, base_kind, grad_fn, step0=2 * r)
-        stacked_slowmo_round(S, W, hp_r, base_kind, grad_fn, step0=2 * r)
+        stacked_slowmo_round(S, W, hp_r, base_kind, ref.per_worker(grad_fn), step0=2 * r)
         assert_same_bits(S.to_workers(), want)
 
 
@@ -145,7 +146,8 @@ def test_stacked_mimelite_matches_per_worker_reference(case):
     for r in range(STEPS // hp.tau):
         hp_r = dataclasses.replace(hp, eta=float(etas[r]))
         x, s = ref.mimelite_round(x, s, hp_r, grad_fn, full_grad_fn, n, step0=r * hp.tau)
-        stacked_mimelite_round(S, hp_r, grad_fn, full_grad_fn, step0=r * hp.tau)
+        stacked_mimelite_round(S, hp_r, ref.per_worker(grad_fn), ref.per_worker(full_grad_fn),
+                               step0=r * hp.tau)
         for i in range(n):
             assert S.X[:, i].tobytes() == x.tobytes(), (r, i)
         assert S.server_s.tobytes() == s.tobytes(), r
@@ -154,4 +156,4 @@ def test_stacked_mimelite_matches_per_worker_reference(case):
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="per-step kind"):
         stacked_step("slowmo", StackedState.init(np.zeros(1), 1), np.eye(1),
-                     HyperParams(eta=0.1), 1, lambda i, x, t: x)
+                     HyperParams(eta=0.1), 1, ref.per_worker(lambda i, x, t: x))
