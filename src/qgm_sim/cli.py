@@ -8,7 +8,7 @@ consensus   Gradient-free averaging experiment: gossip vs the buffered recursion
 toy2d       Two-worker heterogeneous 2-D study with per-step uniform averaging.
 trajectory  Single-worker 2-D optimizer traces on deterministic test functions.
 partition   Dirichlet label partition; per-client class-count table.
-topo        Print a mixing matrix and its spectral-gap value.
+topo        Print a static mixing matrix and its spectral-gap value.
 
 Config-style flags (``--section.key value``) override file values one-to-one;
 unknown flags are rejected. Exit codes: 0 success, 1 configuration error,
@@ -33,6 +33,7 @@ from .engine import (
     build_theorem_report,
     heading_change_sum,
     run,
+    topology_mixing,
     write_metrics_csv,
 )
 from .heterogeneity import dirichlet_partition, partition_stats
@@ -151,7 +152,7 @@ def cmd_validate(config_path, overrides):
 
 def cmd_consensus(topology, n, beta, mu, T, seed, out, scheme="metropolis_hastings",
                   dim=8, plot_script=False):
-    Wm = mixing_matrix(build_graph(topology, n), scheme=scheme)
+    Wm = topology_mixing(topology, n, scheme)
     X0 = np.random.default_rng(seed).standard_normal((dim, n))
     plain = gossip_consensus(X0, Wm, T)
     buffered = qg_consensus(X0, Wm, beta, mu, T)
@@ -241,8 +242,9 @@ def cmd_toy2d(eta, beta, mu, steps, seed, out, plot_script=False):
 
 
 def cmd_partition(samples, classes, n, alpha, seed, out):
-    if classes < 1 or samples < 1:
-        raise ConfigError("samples and classes must be positive")
+    if not 1 <= classes <= samples:
+        raise ConfigError("partition needs 1 <= classes <= samples; got "
+                          f"classes ({classes}), samples ({samples})")
     labels = np.arange(samples) % classes
     part = dirichlet_partition(labels, n, alpha, seed)
     counts = partition_stats(part, labels)
@@ -257,6 +259,9 @@ def cmd_partition(samples, classes, n, alpha, seed, out):
 
 def cmd_topo(kind, n, scheme, rows=None, out=None):
     graph = build_graph(kind, n, **({"rows": rows} if rows is not None else {}))
+    if graph.time_varying:
+        raise ConfigError(f"topo prints static matrices only; {kind} pairs workers "
+                          "anew at every step (use it with run or consensus)")
     Wm = mixing_matrix(graph, scheme=scheme)
     lines = [",".join(_fmt(v) for v in row) for row in Wm.weights]
     if out:

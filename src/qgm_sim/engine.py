@@ -35,7 +35,6 @@ from .optim import (
     HALF_STEP_KINDS,
     HyperParams,
     StackedState,
-    column_mean,
     mixing_weights,
     stacked_gt_init,
     stacked_mimelite_round,
@@ -464,17 +463,20 @@ def build_problem(config: RunConfig) -> ProblemSpec:
 
 
 def build_mixing(config: RunConfig):
+    """The mixing of a run's ``[topology]`` section (:func:`topology_mixing`)."""
+    return topology_mixing(config.topology_kind, config.n, config.scheme, config.rows)
+
+
+def topology_mixing(kind: str, n: int, scheme: str = "metropolis_hastings",
+                    rows: int | None = None):
     """MixingMatrix for static topologies, or a ``t -> MixingMatrix``
     generator for the time-varying pairing scheme."""
     try:
-        if config.topology_kind == "one_peer_exponential":
-            build_graph("one_peer_exponential", config.n)  # validates n
-            return lambda t: one_peer_exponential_matrix(config.n, t)
-        params = {}
-        if config.topology_kind == "torus" and config.rows is not None:
-            params["rows"] = config.rows
-        graph = build_graph(config.topology_kind, config.n, **params)
-        return mixing_matrix(graph, scheme=config.scheme)
+        if kind == "one_peer_exponential":
+            build_graph(kind, n)  # validates n
+            return functools.partial(one_peer_exponential_matrix, n)
+        params = {"rows": rows} if kind == "torus" and rows is not None else {}
+        return mixing_matrix(build_graph(kind, n, **params), scheme=scheme)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -513,9 +515,8 @@ class MetricsRecord:
     eff_stepsize: float
 
 
-def _make_record(problem: ProblemSpec, X: np.ndarray, step: int, lr: float,
-                 steps_per_epoch: int) -> MetricsRecord:
-    x_bar = X.mean(axis=1)
+def _make_record(problem: ProblemSpec, X: np.ndarray, x_bar: np.ndarray, step: int,
+                 lr: float, steps_per_epoch: int) -> MetricsRecord:
     weight_norm = float(np.linalg.norm(x_bar))
     eff = lr / weight_norm**2 if weight_norm > 0.0 else float("inf")
     return MetricsRecord(
@@ -583,8 +584,12 @@ def heading_change_sum(points) -> float:
 
 @dataclass(frozen=True)
 class RunResult:
+    """A run's metrics rows, its final stacked state, the averaged model
+    ``X.mean(axis=1)`` after every span (row 0 is the start; a metrics row
+    reports the same vector), the problem and the theorem report."""
+
     records: tuple
-    final_states: tuple
+    final_state: StackedState
     xbar_trace: np.ndarray
     problem: ProblemSpec
     theorem_report: TheoremReport | None
@@ -641,7 +646,7 @@ def run(config: RunConfig) -> RunResult:
         stacked_gt_init(S, grad_fn, step=0)
 
     records: list[MetricsRecord] = []
-    xbar_trace = [column_mean(S.X)]
+    xbar_trace = [S.X.mean(axis=1)]
     span = config.tau if kind in ("slowmo", "mimelite") else 1
     for step0 in range(0, config.steps, span):
         end = step0 + span
@@ -654,13 +659,14 @@ def run(config: RunConfig) -> RunResult:
         else:
             stacked_step(kind, S, mixing_weights(mixing, step0), hp, end, grad_fn)
         _check_finite(S, end, kind)
-        xbar_trace.append(column_mean(S.X))
+        x_bar = S.X.mean(axis=1)
+        xbar_trace.append(x_bar)
         if end % config.metrics_every == 0 or end == config.steps:
-            records.append(_make_record(problem, S.X, end, lr, config.steps_per_epoch))
+            records.append(_make_record(problem, S.X, x_bar, end, lr, config.steps_per_epoch))
 
     return RunResult(
         records=tuple(records),
-        final_states=tuple(S.to_workers()),
+        final_state=S,
         xbar_trace=np.stack(xbar_trace, axis=0),
         problem=problem,
         theorem_report=report,

@@ -23,8 +23,7 @@ the consensus experiments drive this core directly: :func:`stacked_step`
 for the per-step kinds, :func:`stacked_slowmo_round` and
 :func:`stacked_mimelite_round` for the round-structured ones.  Each
 method's recursion is written out in the docstring of the function that
-computes it.  :class:`WorkerState` is the per-worker view of a state
-(:meth:`StackedState.to_workers`), which runs return as their final states.
+computes it.
 
 The step functions update the :class:`StackedState` they are given by
 rebinding its fields to fresh arrays.  Buffers start at zero.  Gradients
@@ -179,18 +178,6 @@ class StackedState:
         """Workers start at the columns of ``X0`` with zero buffers."""
         X = np.array(X0, dtype=float, order="C")
         return cls(X=X, M_hat=np.zeros_like(X), M_local=np.zeros_like(X), V=np.zeros_like(X))
-
-    def to_workers(self) -> list[WorkerState]:
-        """Per-worker states holding copies of each worker's columns."""
-        out = []
-        for i in range(self.X.shape[1]):
-            fields = {name: None if getattr(self, attr) is None
-                      else getattr(self, attr)[:, i].copy() for attr, name in _FIELDS}
-            out.append(WorkerState(
-                **fields, eta_prev=self.eta_prev,
-                slow_x=None if self.slow_x is None else self.slow_x.copy(),
-                slow_m=None if self.slow_m is None else self.slow_m.copy()))
-        return out
 
     def named_arrays(self):
         """``(field name, array)`` for every array held: per-worker arrays

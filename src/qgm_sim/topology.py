@@ -265,6 +265,9 @@ def one_peer_exponential_matrix(n: int, t: int) -> MixingMatrix:
     cyclic-shift permutation by ``2^k``.  Each ``W_t`` is doubly stochastic
     but directed (asymmetric), and one full sweep multiplies out to the
     exact averaging matrix:  ``W_0 W_1 ... W_{log2(n)-1} = (1/n) 1 1^T``.
+    ``rho`` is the spectral gap in closed form: ``W_t`` is circulant, so
+    offset 1 has ``sigma_2 = cos(pi/n)``, and larger offsets leave the
+    residue classes mod the offset unmixed (``rho = 0``).
     """
     if n < 1 or (n & (n - 1)):
         raise ValueError(f"one_peer_exponential requires n to be a power of two; got n={n}")
@@ -275,12 +278,7 @@ def one_peer_exponential_matrix(n: int, t: int) -> MixingMatrix:
     W = 0.5 * np.eye(n)
     W[np.arange(n), (np.arange(n) + offset) % n] += 0.5
     _validate_doubly_stochastic(W, f"one_peer_exponential(t={t})")
-    # A single pairing matrix with offset >= 2 leaves the residue classes
-    # mod offset unmixed, so its per-step rho is legitimately 0; only the
-    # full log2(n)-step sweep averages.  Suppress the disconnected warning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rho = spectral_gap(W)
+    rho = math.sin(math.pi / n) ** 2 if offset == 1 else 0.0
     return MixingMatrix(n=n, weights=W, rho=rho, scheme="one_peer_exponential")
 
 

@@ -8,6 +8,7 @@ reference that ``test_stacked_core.py`` and acceptance criterion 4 compare
 the stacked core with.  The mean evaluations at the end are
 ``ProblemSpec``'s worker-by-worker loops as they stood before they became
 whole-array expressions, the reference of ``test_oracles.py``.
+:func:`to_workers` splits a stacked state into per-worker states and
 :func:`per_worker` lifts a per-worker oracle to the matrix contract of
 ``qgm_sim.optim``.  Not collected by pytest (no ``test_`` prefix).
 """
@@ -32,6 +33,18 @@ def per_worker(fn):
         return G
 
     return lifted
+
+
+def to_workers(S) -> list[WorkerState]:
+    """Per-worker states holding copies of each worker's columns of the
+    stacked state ``S`` (its shared arrays copied into every worker; a
+    :class:`WorkerState` has no field for mimelite's ``server_s``)."""
+    return [
+        WorkerState(**{name: arr[:, i].copy() if arr.ndim == 2 else arr.copy()
+                       for name, arr in S.named_arrays() if name != "server_s"},
+                    eta_prev=S.eta_prev)
+        for i in range(S.X.shape[1])
+    ]
 
 
 def sampling_point(kind: str, state: WorkerState) -> np.ndarray:

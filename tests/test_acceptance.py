@@ -147,7 +147,7 @@ def test_criterion_04_matrix_form_equivalence(verdict):
     grads_seq = [rng.standard_normal((d, n)) for _ in range(steps)]
 
     # per-worker side: the reference loop, one WorkerState per worker
-    states = StackedState.from_matrix(X0).to_workers()
+    states = ref.to_workers(StackedState.from_matrix(X0))
     for step, G in enumerate(grads_seq, start=1):
         grads = [G[:, i] for i in range(n)]
         states = ref.decentralized_step("qg_dsgdm", states, grads, Wm, hp,

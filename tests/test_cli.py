@@ -1,12 +1,15 @@
 """End-to-end tests for every CLI subcommand: exit codes, CSV schemas,
 flag overrides, and seed determinism."""
 
+import os
+import re
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import qgm_sim
 from qgm_sim.cli import main
 from qgm_sim.engine import METRICS_HEADER, RunConfig, heading_change_sum, run
 
@@ -184,6 +187,14 @@ class TestConsensusCommand:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_time_varying_topology(self, tmp_path):
+        # one sweep of log2(8) = 3 one-peer rounds averages exactly
+        out = tmp_path / "c.csv"
+        assert main(["consensus", "--topology", "one_peer_exponential", "--n", "8",
+                     "--T", "6", "--out", str(out)]) == 0
+        _, rows = read_csv(out)
+        assert float(rows[3][1]) <= 1e-14
+
     def test_unknown_scheme_exits_1(self, tmp_path, capsys):
         assert main(["consensus", "--scheme", "magic",
                      "--out", str(tmp_path / "c.csv")]) == 1
@@ -278,6 +289,13 @@ class TestPartitionCommand:
             blobs.append(path.read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_fewer_samples_than_classes_exits_1(self, tmp_path, capsys):
+        assert main(["partition", "--samples", "5",
+                     "--out", str(tmp_path / "p.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "samples (5)" in err[0] and "classes (10)" in err[0]
+
 
 class TestTopoCommand:
     def test_complete_four_prints_quarter_matrix(self, capsys):
@@ -304,6 +322,12 @@ class TestTopoCommand:
         assert main(["topo", "--kind", "hypercube", "--n", "8"]) == 1
         assert "hypercube" in capsys.readouterr().err
 
+    def test_time_varying_kind_exits_1_in_cli_terms(self, capsys):
+        assert main(["topo", "--kind", "one_peer_exponential", "--n", "8"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "one_peer_exponential" in err
+        assert not re.search(r"\w\(", err)  # names no Python function
+
     def test_unknown_scheme_exits_1(self, capsys):
         assert main(["topo", "--kind", "ring", "--n", "4",
                      "--scheme", "magic"]) == 1
@@ -323,9 +347,13 @@ class TestParserBehavior:
         assert "--config" in capsys.readouterr().out
 
     def test_module_invocation_subprocess(self, tmp_path):
+        # the child imports the package this process imported, installed or not
+        src = os.path.dirname(os.path.dirname(qgm_sim.__file__))
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "qgm_sim.cli", "topo",
              "--kind", "complete", "--n", "2"],
-            capture_output=True, text=True, timeout=60)
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path})
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "0.5,0.5"

@@ -334,7 +334,7 @@ class TestDecentralizedStep:
         rng = np.random.default_rng(12345)
         grads_seq = [rng.standard_normal((dim, n)) for _ in range(steps)]
 
-        states = StackedState.init(np.zeros(dim), n).to_workers()
+        states = ref.to_workers(StackedState.init(np.zeros(dim), n))
         hp = HyperParams(eta=eta, beta=beta, mu=mu)
         for G in grads_seq:
             states = ref.decentralized_step(

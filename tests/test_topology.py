@@ -267,6 +267,18 @@ class TestOnePeerExponential:
             W = one_peer_exponential_matrix(8, t).weights
             assert W[0, offset] == 0.5
 
+    def test_closed_form_rho_matches_spectral_gap(self):
+        # offset 1: sigma_2 = cos(pi/n); larger offsets do not mix (rho 0)
+        for m in range(10):
+            n = 1 << m
+            for t in range(max(m, 1)):
+                W = one_peer_exponential_matrix(n, t)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    svd_rho = spectral_gap(W.weights)
+                assert abs(W.rho - svd_rho) <= 1e-14, (n, t)
+                assert (W.rho == 0.0) == (svd_rho == 0.0), (n, t)
+
     def test_single_node(self):
         W = one_peer_exponential_matrix(1, 0)
         assert np.array_equal(W.weights, np.ones((1, 1)))
