@@ -11,8 +11,8 @@ top level as well:
   workers and per-worker class-count statistics.
 * :mod:`qgm_sim.oracles` — deterministic test functions and seeded
   stochastic gradient oracles (counter-based per worker and step), with
-  every worker sampled in one call (``sample_all``), plus a
-  finite-difference gradient checker.
+  every worker sampled in one call (``sample_all``, the one source of a
+  quadratic's gradient), plus a finite-difference gradient checker.
 * :mod:`qgm_sim.optim` — one stacked ``(dim, n)`` state and the update
   rules over it, the only optimizer API: decentralized SGD with and
   without momentum, the quasi-global momentum family, double-averaging
@@ -23,8 +23,9 @@ top level as well:
   the momentum-buffered recursion, distance traces, hitting times.
 * :mod:`qgm_sim.engine` — config-driven deterministic runs with metrics
   (CSV byte-stable across reruns; the ``run.threads`` key is accepted and
-  ignored), learning-rate schedules, and a step-size/momentum condition
-  report.
+  ignored), a ``RunConfig`` holding the run's validated ``HyperParams``
+  and ``ScheduleSpec``, learning-rate schedules, and a step-size/momentum
+  condition report.
 * :mod:`qgm_sim.cli` — ``qgm-sim`` command-line front end over all of the
   above.
 """
@@ -66,11 +67,9 @@ from .oracles import (
     finite_difference_check,
     nonconvex_toy_gradient,
     quadratic_family,
-    quadratic_gradient,
     rosenbrock_gradient,
     sample_all,
     toy2d_gradient,
-    worker_rng,
 )
 from .topology import (
     Graph,
@@ -114,7 +113,6 @@ __all__ = [
     "partition_stats",
     "qg_consensus",
     "quadratic_family",
-    "quadratic_gradient",
     "rosenbrock_gradient",
     "run",
     "sample_all",
@@ -124,7 +122,6 @@ __all__ = [
     "stacked_step",
     "toy2d_gradient",
     "validate_theorem_conditions",
-    "worker_rng",
     "write_metrics_csv",
     "__version__",
 ]

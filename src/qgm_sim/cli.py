@@ -152,6 +152,8 @@ def cmd_validate(config_path, overrides):
 
 def cmd_consensus(topology, n, beta, mu, T, seed, out, scheme="metropolis_hastings",
                   dim=8, plot_script=False):
+    if dim < 1:
+        raise ConfigError(f"consensus --dim must be >= 1; got {dim}")
     Wm = topology_mixing(topology, n, scheme)
     X0 = np.random.default_rng(seed).standard_normal((dim, n))
     plain = gossip_consensus(X0, Wm, T)
@@ -194,6 +196,8 @@ def cmd_trajectory(problem, kinds, eta, beta, mu, steps, init, out,
     if problem not in TRAJECTORY_PROBLEMS:
         raise ConfigError(f"trajectory problem must be one of "
                           f"{TRAJECTORY_PROBLEMS}, got {problem!r}")
+    if not kinds:
+        raise ConfigError(f"trajectory needs at least one kind of {TRAJECTORY_KINDS}")
     for kind in kinds:
         if kind not in TRAJECTORY_KINDS:
             raise ConfigError(f"trajectory kind must be one of "

@@ -2,7 +2,9 @@
 validation, the training loop, and per-step telemetry.
 
 A run is described by a flat sectioned config (``[problem]``, ``[topology]``,
-``[optim]``, ``[schedule]``, ``[run]``) loaded into a :class:`RunConfig`.
+``[optim]``, ``[schedule]``, ``[run]``) loaded into a :class:`RunConfig`,
+which holds the run's :class:`~qgm_sim.optim.HyperParams` and
+:class:`ScheduleSpec`, each built and validated once.
 The loop holds the whole run as one :class:`~qgm_sim.optim.StackedState`
 (every buffer a ``(dim, n)`` array, one column per worker), samples every
 worker's gradient in one :func:`~qgm_sim.oracles.sample_all` call per
@@ -33,6 +35,8 @@ from .consensus import consensus_distance
 from .oracles import ProblemSpec, quadratic_family, sample_all
 from .optim import (
     HALF_STEP_KINDS,
+    ROUND_KINDS,
+    STEP_KINDS,
     HyperParams,
     StackedState,
     mixing_weights,
@@ -62,11 +66,7 @@ __all__ = [
 
 METRICS_HEADER = "step,epoch,lr,loss,grad_norm,consensus_dist,weight_norm,eff_stepsize"
 
-OPTIM_KINDS = (
-    "dsgd", "dsgdm", "dsgdm_n", "qg_dsgdm", "qg_dsgdm_n", "qg_dadam",
-    "dmsgd_i", "dmsgd_ii", "d2", "d2_plus", "gt", "gt_momentum",
-    "slowmo", "mimelite", "qhm",
-)
+OPTIM_KINDS = STEP_KINDS + ROUND_KINDS
 
 _PROBLEM_ALIASES = {
     "quadratic": "quadratic_family",
@@ -271,7 +271,11 @@ def _parse_value(section: str, key: str, raw: str):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run description; see ``_SCHEMA`` for keys/defaults."""
+    """Fully resolved run description; see ``_SCHEMA`` for keys/defaults.
+
+    ``hp`` holds the ``[optim]`` step parameters and ``schedule`` the
+    ``[schedule]`` section with ``optim.eta`` as its base step size.
+    """
 
     problem_kind: str
     dim: int
@@ -286,21 +290,9 @@ class RunConfig:
     scheme: str
     rows: int | None
     optim_kind: str
-    eta: float
-    beta: float
-    mu: float | None
-    beta1: float
-    beta2: float
-    epsilon: float
-    tau: int
-    slowmo_alpha: float
-    slowmo_beta: float
+    hp: HyperParams
     slowmo_base: str
-    schedule_kind: str
-    warmup_fraction: float
-    warmup_start_factor: float
-    milestones: tuple[float, ...]
-    decay_factor: float
+    schedule: ScheduleSpec
     steps: int
     seed: int
     steps_per_epoch: int
@@ -354,21 +346,27 @@ class RunConfig:
                     f"{section}.{key}: cannot parse {raw!r} as {parser.__name__}"
                 ) from None
 
+        try:  # constructing these validates their parameter ranges
+            schedule = ScheduleSpec(
+                kind=s["kind"], base_eta=o["eta"], warmup_fraction=s["warmup_fraction"],
+                warmup_start_factor=s["warmup_start_factor"],
+                milestones=_parse_milestones(s["milestones"]),
+                decay_factor=s["decay_factor"])
+            hp = HyperParams(
+                eta=o["eta"], beta=o["beta"], mu=_optional("optim", "mu", float),
+                beta1=o["beta1"], beta2=o["beta2"], epsilon=o["epsilon"],
+                tau=o["tau"], slowmo_alpha=o["slowmo_alpha"],
+                slowmo_beta=o["slowmo_beta"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         cfg = RunConfig(
             problem_kind=p["kind"], dim=p["dim"], zeta=p["zeta"], sigma=p["sigma"],
             cond=p["cond"], b_scale=p["b_scale"], scale=p["scale"],
             init=str(p["init"]),
             topology_kind=t["kind"], n=t["n"], scheme=t["scheme"],
             rows=_optional("topology", "rows", int),
-            optim_kind=o["kind"], eta=o["eta"], beta=o["beta"],
-            mu=_optional("optim", "mu", float),
-            beta1=o["beta1"], beta2=o["beta2"], epsilon=o["epsilon"],
-            tau=o["tau"], slowmo_alpha=o["slowmo_alpha"],
-            slowmo_beta=o["slowmo_beta"], slowmo_base=o["slowmo_base"],
-            schedule_kind=s["kind"], warmup_fraction=s["warmup_fraction"],
-            warmup_start_factor=s["warmup_start_factor"],
-            milestones=_parse_milestones(s["milestones"]),
-            decay_factor=s["decay_factor"],
+            optim_kind=o["kind"], hp=hp, slowmo_base=o["slowmo_base"],
+            schedule=schedule,
             steps=r["steps"], seed=r["seed"], steps_per_epoch=r["steps_per_epoch"],
             metrics_every=r["metrics_every"], threads=r["threads"],
         )
@@ -395,7 +393,7 @@ class RunConfig:
         if self.slowmo_base not in HALF_STEP_KINDS:
             raise ConfigError(
                 f"optim.slowmo_base must be a per-step kind; got {self.slowmo_base!r}")
-        for name in ("steps", "steps_per_epoch", "metrics_every", "threads", "n"):
+        for name in ("steps", "steps_per_epoch", "metrics_every", "threads", "n", "dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1; got {getattr(self, name)}")
         if self.seed < 0:  # SeedSequence takes non-negative entropy only
@@ -403,29 +401,10 @@ class RunConfig:
         if self.optim_kind == "qhm" and self.n != 1:
             raise ConfigError("optim.kind qhm is the single-worker closed form; "
                               f"requires topology.n = 1, got {self.n}")
-        if self.optim_kind in ("slowmo", "mimelite") and self.steps % self.tau != 0:
+        if self.optim_kind in ROUND_KINDS and self.steps % self.hp.tau != 0:
             raise ConfigError(
                 f"run.steps ({self.steps}) must be a multiple of optim.tau "
-                f"({self.tau}) for round-structured methods")
-        # constructing these validates their parameter ranges
-        self.schedule_spec()
-        self.hyper_params()
-
-    def schedule_spec(self) -> ScheduleSpec:
-        return ScheduleSpec(
-            kind=self.schedule_kind, base_eta=self.eta,
-            warmup_fraction=self.warmup_fraction,
-            warmup_start_factor=self.warmup_start_factor,
-            milestones=self.milestones, decay_factor=self.decay_factor)
-
-    def hyper_params(self) -> HyperParams:
-        try:
-            return HyperParams(
-                eta=self.eta, beta=self.beta, mu=self.mu, beta1=self.beta1,
-                beta2=self.beta2, epsilon=self.epsilon, tau=self.tau,
-                slowmo_alpha=self.slowmo_alpha, slowmo_beta=self.slowmo_beta)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+                f"({self.hp.tau}) for round-structured methods")
 
 
 def _parse_milestones(raw) -> tuple[float, ...]:
@@ -472,11 +451,10 @@ def topology_mixing(kind: str, n: int, scheme: str = "metropolis_hastings",
     """MixingMatrix for static topologies, or a ``t -> MixingMatrix``
     generator for the time-varying pairing scheme."""
     try:
-        if kind == "one_peer_exponential":
-            build_graph(kind, n)  # validates n
+        graph = build_graph(kind, n, **({} if rows is None else {"rows": rows}))
+        if graph.time_varying:
             return functools.partial(one_peer_exponential_matrix, n)
-        params = {"rows": rows} if kind == "torus" and rows is not None else {}
-        return mixing_matrix(build_graph(kind, n, **params), scheme=scheme)
+        return mixing_matrix(graph, scheme=scheme)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -614,7 +592,7 @@ def build_theorem_report(config: RunConfig, problem: ProblemSpec,
     if callable(mixing):
         return None
     return validate_theorem_conditions(
-        config.hyper_params(), mixing.rho, n_workers=config.n,
+        config.hp, mixing.rho, n_workers=config.n,
         sigma_sq=problem.noise_bound if problem.kind == "quadratic_family" else None,
         total_steps=config.steps)
 
@@ -631,8 +609,6 @@ def run(config: RunConfig) -> RunResult:
     """
     problem = build_problem(config)
     mixing = build_mixing(config)
-    hp0 = config.hyper_params()
-    schedule = config.schedule_spec()
     kind = config.optim_kind
     n = config.n
 
@@ -647,11 +623,11 @@ def run(config: RunConfig) -> RunResult:
 
     records: list[MetricsRecord] = []
     xbar_trace = [S.X.mean(axis=1)]
-    span = config.tau if kind in ("slowmo", "mimelite") else 1
+    span = config.hp.tau if kind in ROUND_KINDS else 1
     for step0 in range(0, config.steps, span):
         end = step0 + span
-        lr = lr_schedule(schedule, step0 + 1, config.steps)
-        hp = dataclasses.replace(hp0, eta=lr)
+        lr = lr_schedule(config.schedule, step0 + 1, config.steps)
+        hp = dataclasses.replace(config.hp, eta=lr)
         if kind == "slowmo":
             stacked_slowmo_round(S, mixing, hp, config.slowmo_base, grad_fn, step0)
         elif kind == "mimelite":

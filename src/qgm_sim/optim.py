@@ -58,6 +58,7 @@ __all__ = [
     "qhm_core",
     "HALF_STEP_KINDS",
     "STEP_KINDS",
+    "ROUND_KINDS",
 ]
 
 HALF_STEP_KINDS = ("dsgd", "dsgdm", "dsgdm_n", "qg_dsgdm", "qg_dsgdm_n")
@@ -462,6 +463,9 @@ def stacked_step(kind: str, S: StackedState, W, hp: HyperParams, step: int, grad
 # ---------------------------------------------------------------------------
 # round-structured methods: one round spans hp.tau steps
 # ---------------------------------------------------------------------------
+
+ROUND_KINDS = ("slowmo", "mimelite")
+
 
 def stacked_slowmo_round(S: StackedState, W, hp: HyperParams, base_kind: str,
                          grad_fn, step0: int) -> None:

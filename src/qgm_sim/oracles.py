@@ -18,13 +18,13 @@ Four problem families, each exposing loss and analytic gradient:
 Stochastic draws use numpy's counter-based Philox generator keyed by
 ``SeedSequence(entropy=master_seed, spawn_key=(worker, step))``, so every
 (worker, step) pair owns an independent, platform-stable stream and results
-do not depend on evaluation order.  :func:`worker_rng` builds that stream
-for one pair.  :func:`sample_all` samples every worker at once: it derives
-the Philox keys of all ``n`` workers of a step in one vectorised pass of
-``SeedSequence``'s uint32 hash mix, then draws each worker's noise from one
-reused Philox generator re-keyed through its ``state`` (counter 0, empty
-buffer), which yields the bits of a freshly seeded stream.  For the
-quadratic family the rest is one whole-matrix expression; the other
+do not depend on evaluation order.  :func:`sample_all` samples every worker
+at once: it derives the Philox keys of all ``n`` workers of a step in one
+vectorised pass of ``SeedSequence``'s uint32 hash mix, then draws each
+worker's noise from one reused Philox generator re-keyed through its
+``state`` (counter 0, empty buffer), which yields the bits of a freshly
+seeded stream.  For the quadratic family the rest is one whole-matrix
+expression, and :meth:`ProblemSpec.sample` is one column of it; the other
 families are noise-free and loop over workers.
 """
 
@@ -42,10 +42,8 @@ __all__ = [
     "toy2d_gradient",
     "rosenbrock_gradient",
     "nonconvex_toy_gradient",
-    "quadratic_gradient",
     "sample_all",
     "finite_difference_check",
-    "worker_rng",
 ]
 
 PROBLEM_KINDS = ("toy2d_hetero", "rosenbrock", "nonconvex_toy", "quadratic_family")
@@ -55,19 +53,11 @@ DEFAULT_TOY2D_TARGETS: tuple[tuple[float, float], ...] = ((0.0, 5.0), (4.0, 0.0)
 
 @dataclass(frozen=True)
 class GradientSample:
-    """One oracle evaluation: gradient, loss, and where it came from."""
+    """One oracle evaluation: gradient and loss."""
 
     grad: np.ndarray
     loss: float
-    worker: int = 0
-    step_seed: int | None = None
     converged: bool = False
-
-
-def worker_rng(master_seed: int, worker: int, step: int) -> np.random.Generator:
-    """Independent Philox stream for one (worker, step) pair."""
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(worker, step))
-    return np.random.Generator(np.random.Philox(seq))
 
 
 # SeedSequence's hash-mix constants (numpy.random.bit_generator)
@@ -99,7 +89,7 @@ def _philox_keys(master_seed: int, n: int, step: int) -> np.ndarray:
     """Philox keys of workers ``0 .. n-1`` at ``step`` as an ``(n, 2)``
     uint64 array: row ``w`` is
     ``SeedSequence(entropy=master_seed, spawn_key=(w, step)).generate_state(2, np.uint64)``,
-    the key :func:`worker_rng` seeds its generator with.
+    the key of a Philox generator seeded with that SeedSequence.
 
     SeedSequence hashes its entropy words (the seed's, zero-padded to the
     pool size, then the worker's and the step's) into a pool of four uint32
@@ -153,8 +143,9 @@ def _philox_keys(master_seed: int, n: int, step: int) -> np.ndarray:
 
 
 def _standard_normals(master_seed: int, n: int, step: int, dim: int) -> np.ndarray:
-    """``(n, dim)`` array whose row ``w`` is
-    ``worker_rng(master_seed, w, step).standard_normal(dim)``, bit for bit.
+    """``(n, dim)`` array whose row ``w`` is, bit for bit, the first ``dim``
+    standard normals of ``Generator(Philox(SeedSequence(entropy=master_seed,
+    spawn_key=(w, step))))``.
 
     One Philox generator serves every row: it is re-keyed through its
     ``state`` with counter 0 and an empty buffer, which is the state a
@@ -192,8 +183,8 @@ def toy2d_gradient(worker: int, x, targets=DEFAULT_TOY2D_TARGETS, scale: float =
     diff = x - target
     dist = float(np.linalg.norm(diff))
     if dist == 0.0:
-        return GradientSample(np.zeros_like(x), 0.0, worker=worker, converged=True)
-    return GradientSample(scale * diff / dist, dist, worker=worker)
+        return GradientSample(np.zeros_like(x), 0.0, converged=True)
+    return GradientSample(scale * diff / dist, dist)
 
 
 def rosenbrock_gradient(x) -> GradientSample:
@@ -299,13 +290,7 @@ class ProblemSpec:
             self.a_diag.setflags(write=False)
             self.b_base.setflags(write=False)
 
-    # -- quadratic family helpers ------------------------------------------
-
-    def worker_b(self, worker: int) -> np.ndarray:
-        b = self.b_base.copy()
-        if self.zeta_c != 0.0:
-            b[worker] += self.zeta_c
-        return b
+    # -- quadratic family constants -----------------------------------------
 
     @property
     def smoothness(self) -> float:
@@ -335,21 +320,26 @@ class ProblemSpec:
     # -- evaluation ---------------------------------------------------------
 
     def sample(self, worker: int, x: np.ndarray, step: int) -> GradientSample:
-        """Stochastic gradient for one worker at one step (pure function)."""
+        """Stochastic gradient for one worker at one step (pure function).
+
+        For the quadratic family the gradient is column ``worker`` of
+        :func:`sample_all` with ``x`` at every worker, and the loss the
+        noise-free local objective ``0.5 ||a x - b_worker||^2``.
+        """
         if self.kind == "toy2d_hetero":
             return toy2d_gradient(worker, x, self.targets, self.grad_scale)
         if self.kind == "rosenbrock":
-            s = rosenbrock_gradient(x)
-            return GradientSample(s.grad, s.loss, worker=worker)
+            return rosenbrock_gradient(x)
         if self.kind == "nonconvex_toy":
-            s = nonconvex_toy_gradient(x)
-            return GradientSample(s.grad, s.loss, worker=worker)
-        return quadratic_gradient(self, worker, x, step)
+            return nonconvex_toy_gradient(x)
+        X = self._at_every_worker(x)
+        r = np.ascontiguousarray(self._residuals(X)[:, worker])
+        return GradientSample(sample_all(self, X, step)[:, worker].copy(), 0.5 * float(r @ r))
 
     def local_gradients(self, P: np.ndarray) -> np.ndarray:
         """Noise-free local gradients as a fresh ``(dim, n)`` array: column
-        ``i`` is worker ``i``'s gradient at ``P[:, i]``, equal bit for bit
-        to ``sample_mean_part(i, P[:, i])``."""
+        ``i`` is the gradient of worker ``i``'s local objective at
+        ``P[:, i]``."""
         if self.kind == "quadratic_family":
             return self.a_diag[:, None] * self._residuals(P)
         G = np.empty(P.shape)
@@ -378,10 +368,10 @@ class ProblemSpec:
         return np.ascontiguousarray(G.T).mean(axis=0)
 
     def sample_mean_part(self, worker: int, x: np.ndarray) -> np.ndarray:
-        """Noise-free gradient of worker ``worker``'s local objective."""
-        if self.kind == "quadratic_family":
-            return self.a_diag * (self.a_diag * x - self.worker_b(worker))
-        return self.sample(worker, x, step=0).grad
+        """Noise-free gradient of worker ``worker``'s local objective at
+        ``x``: column ``worker`` of :meth:`local_gradients` with ``x`` at
+        every worker."""
+        return self.local_gradients(self._at_every_worker(x))[:, worker].copy()
 
     def mean_loss(self, x: np.ndarray) -> float:
         """Averaged objective value f(x) = (1/n) sum_i f_i(x); for the
@@ -423,8 +413,7 @@ def quadratic_family(
 
 def sample_all(problem: ProblemSpec, P: np.ndarray, step: int) -> np.ndarray:
     """Every worker's stochastic gradient at ``step`` as a fresh ``(dim, n)``
-    array: column ``i`` equals ``problem.sample(i, P[:, i], step).grad``
-    bit for bit.
+    array: column ``i`` is worker ``i``'s gradient at ``P[:, i]``.
 
     For the quadratic family this is ``a (a P - B) + sigma_c Z``, ``B`` the
     stacked ``b_i`` and row ``i`` of ``Z`` worker ``i``'s Philox draw.  The
@@ -436,21 +425,6 @@ def sample_all(problem: ProblemSpec, P: np.ndarray, step: int) -> np.ndarray:
         G += problem.sigma_c * _standard_normals(
             problem.master_seed, P.shape[1], step, problem.dim).T
     return G
-
-
-def quadratic_gradient(spec: ProblemSpec, worker: int, x, step: int) -> GradientSample:
-    """grad = A^T (A x - b_w) + sigma_c * z with z ~ N(0, I_dim) drawn from
-    the (worker, step) Philox stream; the loss reported is the noise-free
-    local objective value."""
-    x = np.asarray(x, dtype=float)
-    b = spec.worker_b(worker)
-    residual = spec.a_diag * x - b
-    grad = spec.a_diag * residual
-    if spec.sigma_c != 0.0:
-        z = worker_rng(spec.master_seed, worker, step).standard_normal(spec.dim)
-        grad = grad + spec.sigma_c * z
-    return GradientSample(grad, 0.5 * float(residual @ residual),
-                          worker=worker, step_seed=step)
 
 
 # ---------------------------------------------------------------------------

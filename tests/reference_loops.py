@@ -7,7 +7,10 @@ round works on per-worker Python lists.  They are kept unchanged, as the
 reference that ``test_stacked_core.py`` and acceptance criterion 4 compare
 the stacked core with.  The mean evaluations at the end are
 ``ProblemSpec``'s worker-by-worker loops as they stood before they became
-whole-array expressions, the reference of ``test_oracles.py``.
+whole-array expressions, and :func:`worker_rng`, :func:`worker_b` and
+:func:`quadratic_gradient` the per-worker quadratic oracle as it stood before
+``ProblemSpec.sample`` became a column of ``sample_all``: the reference of
+``test_oracles.py``.
 :func:`to_workers` splits a stacked state into per-worker states and
 :func:`per_worker` lifts a per-worker oracle to the matrix contract of
 ``qgm_sim.optim``.  Not collected by pytest (no ``test_`` prefix).
@@ -20,6 +23,7 @@ import dataclasses
 import numpy as np
 
 from qgm_sim.optim import HALF_STEP_KINDS, HyperParams, WorkerState, qg_multistep_gate, qhm_core
+from qgm_sim.oracles import GradientSample
 
 
 def per_worker(fn):
@@ -416,13 +420,41 @@ def qhm_step(state: WorkerState, grad: np.ndarray, hp: HyperParams) -> WorkerSta
 
 
 # ---------------------------------------------------------------------------
-# ProblemSpec's mean evaluations, one worker at a time
+# the quadratic family's oracle and ProblemSpec's mean evaluations, one
+# worker at a time
 # ---------------------------------------------------------------------------
+
+def worker_rng(master_seed: int, worker: int, step: int) -> np.random.Generator:
+    """Independent Philox stream for one (worker, step) pair."""
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(worker, step))
+    return np.random.Generator(np.random.Philox(seq))
+
+
+def worker_b(spec, worker: int) -> np.ndarray:
+    b = spec.b_base.copy()
+    if spec.zeta_c != 0.0:
+        b[worker] += spec.zeta_c
+    return b
+
+
+def quadratic_gradient(spec, worker: int, x, step: int) -> GradientSample:
+    """grad = A^T (A x - b_w) + sigma_c * z with z ~ N(0, I_dim) drawn from
+    the (worker, step) Philox stream; the loss reported is the noise-free
+    local objective value."""
+    x = np.asarray(x, dtype=float)
+    b = worker_b(spec, worker)
+    residual = spec.a_diag * x - b
+    grad = spec.a_diag * residual
+    if spec.sigma_c != 0.0:
+        z = worker_rng(spec.master_seed, worker, step).standard_normal(spec.dim)
+        grad = grad + spec.sigma_c * z
+    return GradientSample(grad, 0.5 * float(residual @ residual))
+
 
 def sample_mean_part(spec, worker: int, x: np.ndarray) -> np.ndarray:
     """Noise-free gradient of worker ``worker``'s local objective."""
     if spec.kind == "quadratic_family":
-        return spec.a_diag * (spec.a_diag * x - spec.worker_b(worker))
+        return spec.a_diag * (spec.a_diag * x - worker_b(spec, worker))
     return spec.sample(worker, x, step=0).grad
 
 
@@ -436,7 +468,7 @@ def mean_loss(spec, x: np.ndarray) -> float:
     """Averaged objective value f(x) = (1/n) sum_i f_i(x)."""
     if spec.kind == "quadratic_family":
         return float(np.mean([
-            0.5 * np.sum((spec.a_diag * x - spec.worker_b(w)) ** 2)
+            0.5 * np.sum((spec.a_diag * x - worker_b(spec, w)) ** 2)
             for w in range(spec.n_workers)
         ]))
     return float(np.mean([

@@ -33,7 +33,6 @@ from qgm_sim.oracles import (
     finite_difference_check,
     nonconvex_toy_gradient,
     quadratic_family,
-    quadratic_gradient,
     rosenbrock_gradient,
     toy2d_gradient,
 )
@@ -315,7 +314,7 @@ def test_criterion_09_gradient_oracles_finite_difference(verdict):
         ("rosenbrock", rosenbrock_gradient, 2, 1e-5),
         ("nonconvex_toy", nonconvex_toy_gradient, 2, 1e-4),
         ("two_target_pull", lambda x: toy2d_gradient(0, x), 2, 1e-5),
-        ("quadratic_family", lambda x: quadratic_gradient(quad, 1, x, 0),
+        ("quadratic_family", lambda x: quad.sample(1, x, 0),
          6, 1e-7),
     ]
     worst = {}

@@ -13,6 +13,7 @@ import qgm_sim
 from qgm_sim.cli import main
 from qgm_sim.engine import METRICS_HEADER, RunConfig, heading_change_sum, run
 
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 DEMO_INI = """\
 [problem]
 kind = quadratic
@@ -117,6 +118,44 @@ class TestRunCommand:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
+    def test_rows_on_a_ring_exits_1_as_topo_does(self, tmp_path, capsys):
+        message = "unexpected parameters ['rows'] for graph kind 'ring'"
+        assert main(["topo", "--kind", "ring", "--n", "4", "--rows", "2"]) == 1
+        assert message in capsys.readouterr().err
+        assert main(["run", "--config", os.path.join(CONFIG_DIR, "quadratic_ring16_qg.ini"),
+                     "--out", str(tmp_path / "m.csv"), "--topology.rows", "2"]) == 1
+        assert message in capsys.readouterr().err
+
+    def test_torus_rows_pick_the_grid(self, tmp_path):
+        blobs = []
+        for rows in ("2", "4"):
+            out = tmp_path / f"m{rows}.csv"
+            assert quiet_main(["run", "--config",
+                               os.path.join(CONFIG_DIR, "quadratic_ring16_qg.ini"),
+                               "--out", str(out), "--topology.kind", "torus",
+                               "--topology.rows", rows]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] != blobs[1]  # a 2 x 8 and a 4 x 4 torus mix differently
+
+    def test_zero_dimension_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert main(["run", "--config", os.path.join(CONFIG_DIR, "quadratic_ring16_qg.ini"),
+                     "--out", str(out), "--problem.dim", "0", "--problem.zeta", "0.0"]) == 1
+        assert "dim must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("kind", ["slowmo", "mimelite"])
+    def test_round_methods_reject_tau_zero_in_one_line(self, tmp_path, capsys, command, kind):
+        # tau = 0 once reached steps % tau and escaped as ZeroDivisionError
+        argv = [command, "--config", os.path.join(CONFIG_DIR, "slowmo_quadratic.ini"),
+                "--optim.kind", kind, "--optim.tau", "0"]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "m.csv")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:") and "tau" in err[0]
+
     def test_repeat_and_ignored_threads_flag_byte_identical(self, demo_config, tmp_path):
         # --threads is accepted and ignored: the third run is a repeat too
         outs = []
@@ -195,6 +234,13 @@ class TestConsensusCommand:
         _, rows = read_csv(out)
         assert float(rows[3][1]) <= 1e-14
 
+    def test_zero_dimension_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        assert main(["consensus", "--dim", "0", "--n", "4", "--T", "3",
+                     "--out", str(out)]) == 1
+        assert "--dim must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_scheme_exits_1(self, tmp_path, capsys):
         assert main(["consensus", "--scheme", "magic",
                      "--out", str(tmp_path / "c.csv")]) == 1
@@ -260,6 +306,13 @@ class TestTrajectoryCommand:
         assert main(["trajectory", "--kinds", "adam",
                      "--out", str(tmp_path / "x.csv")]) == 1
         assert "adam" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kinds", ["", ","])
+    def test_empty_kind_list_exits_1(self, tmp_path, capsys, kinds):
+        out = tmp_path / "x.csv"
+        assert main(["trajectory", "--kinds", kinds, "--out", str(out)]) == 1
+        assert "at least one kind" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_problem_exits_1(self, tmp_path, capsys):
         assert main(["trajectory", "--problem", "quadratic",

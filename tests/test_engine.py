@@ -153,8 +153,8 @@ class TestRunConfig:
         assert cfg.topology_kind == "ring"
         assert cfg.n == 4
         assert cfg.steps == 100
-        assert cfg.mu is None
-        assert cfg.hyper_params().mu == cfg.beta
+        assert cfg.hp.beta == 0.9
+        assert cfg.hp.mu == cfg.hp.beta  # mu left unset defaults to beta
 
     def test_missing_optimizer_kind_named(self):
         with pytest.raises(ConfigError, match=r"optim\.kind"):
@@ -176,7 +176,8 @@ class TestRunConfig:
     def test_overrides_win(self):
         cfg = RunConfig.from_mapping({"optim": {"kind": "dsgd", "eta": "0.1"}},
                                      overrides={"optim.eta": "0.05"})
-        assert cfg.eta == 0.05
+        assert cfg.hp.eta == 0.05
+        assert cfg.schedule.base_eta == 0.05
 
     def test_bad_override_key_rejected(self):
         with pytest.raises(ConfigError, match=r"optim\.lr"):
@@ -356,7 +357,7 @@ class TestRun:
         def grad_fn(i, x, t):
             return res.problem.sample(i, x, t).grad
 
-        hp = cfg.hyper_params()
+        hp = cfg.hp
         inner = dataclasses.replace(hp, tau=1)
         S = StackedState.init(np.zeros(cfg.dim), 4)
         slow_m = np.zeros(cfg.dim)

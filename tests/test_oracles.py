@@ -13,11 +13,9 @@ from qgm_sim.oracles import (
     finite_difference_check,
     nonconvex_toy_gradient,
     quadratic_family,
-    quadratic_gradient,
     rosenbrock_gradient,
     sample_all,
     toy2d_gradient,
-    worker_rng,
 )
 
 
@@ -98,15 +96,15 @@ class TestNonconvexToy:
 class TestQuadraticFamily:
     def test_zero_gradient_at_local_minimizer(self):
         spec = quadratic_family(dim=4, n_workers=3, zeta_c=0.7, cond=4.0)
-        x_w = spec.worker_b(1) / spec.a_diag  # argmin of f_1
-        s = quadratic_gradient(spec, 1, x_w, step=0)
+        x_w = ref.worker_b(spec, 1) / spec.a_diag  # argmin of f_1
+        s = spec.sample(1, x_w, step=0)
         np.testing.assert_allclose(s.grad, np.zeros(4), atol=1e-14)
         assert s.loss == pytest.approx(0.0, abs=1e-28)
 
     def test_homogeneous_when_zeta_zero(self):
         spec = quadratic_family(dim=4, n_workers=3, zeta_c=0.0)
         x = np.array([0.3, -1.0, 2.0, 0.0])
-        grads = [quadratic_gradient(spec, w, x, 0).grad for w in range(3)]
+        grads = [spec.sample(w, x, 0).grad for w in range(3)]
         assert all(np.array_equal(g, grads[0]) for g in grads)
         mean = np.mean(grads, axis=0)
         measured = np.mean([np.sum((g - mean) ** 2) for g in grads])
@@ -138,7 +136,7 @@ class TestQuadraticFamily:
         n_draws = 10**5
         acc = np.zeros(4)
         for step in range(n_draws):
-            acc += quadratic_gradient(spec, 0, x, step).grad
+            acc += ref.quadratic_gradient(spec, 0, x, step).grad
         tol = 3 * (0.1 / np.sqrt(n_draws)) * np.sqrt(4)
         np.testing.assert_allclose(acc / n_draws, exact, atol=tol)
 
@@ -154,7 +152,7 @@ class TestQuadraticFamily:
         rng = np.random.default_rng(8)
         for _ in range(5):
             x = rng.normal(size=3)
-            err = finite_difference_check(lambda p: quadratic_gradient(spec, 2, p, 0), x)
+            err = finite_difference_check(lambda p: spec.sample(2, p, 0), x)
             assert err <= 1e-7
 
     def test_heterogeneity_requires_enough_dimensions(self):
@@ -164,15 +162,15 @@ class TestQuadraticFamily:
 
 class TestRngStreams:
     def test_same_key_same_stream(self):
-        a = worker_rng(123, worker=4, step=9).standard_normal(6)
-        b = worker_rng(123, worker=4, step=9).standard_normal(6)
+        a = ref.worker_rng(123, worker=4, step=9).standard_normal(6)
+        b = ref.worker_rng(123, worker=4, step=9).standard_normal(6)
         assert np.array_equal(a, b)
 
     def test_distinct_keys_distinct_streams(self):
-        base = worker_rng(123, 4, 9).standard_normal(6)
-        assert not np.array_equal(base, worker_rng(123, 5, 9).standard_normal(6))
-        assert not np.array_equal(base, worker_rng(123, 4, 10).standard_normal(6))
-        assert not np.array_equal(base, worker_rng(124, 4, 9).standard_normal(6))
+        base = ref.worker_rng(123, 4, 9).standard_normal(6)
+        assert not np.array_equal(base, ref.worker_rng(123, 5, 9).standard_normal(6))
+        assert not np.array_equal(base, ref.worker_rng(123, 4, 10).standard_normal(6))
+        assert not np.array_equal(base, ref.worker_rng(124, 4, 9).standard_normal(6))
 
     def test_noisy_sample_is_pure(self):
         spec = quadratic_family(dim=4, n_workers=2, sigma_c=0.5)
@@ -209,7 +207,7 @@ class TestBatchedDraws:
     def test_rekeyed_draws_match_fresh_streams(self, seed, step):
         Z = _standard_normals(seed, N_MAX, step, 5)
         for w in range(N_MAX):
-            assert bits(Z[w]) == bits(worker_rng(seed, w, step).standard_normal(5)), w
+            assert bits(Z[w]) == bits(ref.worker_rng(seed, w, step).standard_normal(5)), w
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -232,7 +230,24 @@ class TestBatchedDraws:
         # matmul's bits can depend on its operands' layout
         assert G.flags.c_contiguous
         for i in range(n):
-            assert bits(G[:, i]) == bits(quadratic_gradient(spec, i, P[:, i], step).grad), i
+            assert bits(G[:, i]) == bits(ref.quadratic_gradient(spec, i, P[:, i], step).grad), i
+
+    @given(seed=st.sampled_from(SEEDS), step=st.sampled_from(STEPS),
+           n=st.integers(1, N_MAX), extra_dim=st.integers(0, 5),
+           zeta=st.sampled_from([0.0, 0.7]), sigma=st.sampled_from([0.0, 0.3]),
+           cond=st.sampled_from([1.0, 4.0]), data=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_quadratic_sample_matches_per_worker_oracle(self, seed, step, n, extra_dim,
+                                                         zeta, sigma, cond, data):
+        dim = n + extra_dim  # heterogeneity needs dim >= n
+        spec = quadratic_family(dim=dim, n_workers=n, zeta_c=zeta, sigma_c=sigma,
+                                cond=cond, master_seed=seed)
+        x = np.random.default_rng(data).standard_normal(dim)
+        for w in range(n):
+            got, want = spec.sample(w, x, step), ref.quadratic_gradient(spec, w, x, step)
+            assert bits(got.grad) == bits(want.grad), w
+            assert bits(got.loss) == bits(want.loss), w
+            assert bits(spec.sample_mean_part(w, x)) == bits(ref.sample_mean_part(spec, w, x)), w
 
     @pytest.mark.parametrize("kind,n", [("toy2d_hetero", 2), ("rosenbrock", 3),
                                         ("nonconvex_toy", 5)])
