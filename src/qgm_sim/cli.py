@@ -140,10 +140,6 @@ def cmd_run(config_path, overrides, out="metrics.csv", plot_script=False):
 def cmd_validate(config_path, overrides):
     config = RunConfig.from_ini(config_path, overrides=overrides)
     report = build_theorem_report(config, build_problem(config), build_mixing(config))
-    if report is None:
-        print("time-varying topology: spectral gap undefined; "
-              "momentum bound not checked")
-        return 0
     print(report.message)
     if report.suggested_eta is not None:
         print(f"suggested_eta={_fmt(report.suggested_eta)}")

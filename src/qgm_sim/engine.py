@@ -26,6 +26,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import functools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -45,7 +46,12 @@ from .optim import (
     stacked_slowmo_round,
     stacked_step,
 )
-from .topology import build_graph, mixing_matrix, one_peer_exponential_matrix
+from .topology import (
+    MIXING_SCHEMES,
+    build_graph,
+    mixing_matrix,
+    one_peer_exponential_matrix,
+)
 
 __all__ = [
     "ConfigError",
@@ -140,6 +146,15 @@ class ScheduleSpec:
                 f"milestones must be strictly increasing fractions in (0, 1); got {ms}")
         if not self.decay_factor > 0:
             raise ConfigError(f"decay_factor must be > 0; got {self.decay_factor}")
+        try:  # the step size after the last milestone, as lr_schedule computes it
+            last = self.base_eta / self.decay_factor**len(ms)
+        except (OverflowError, ZeroDivisionError):
+            last = math.nan
+        if not 0.0 < last < math.inf:
+            raise ConfigError(
+                f"schedule.decay_factor {self.decay_factor} over {len(ms)} milestones "
+                f"leaves the last stage without a finite step size > 0 "
+                f"(base_eta {self.base_eta})")
         object.__setattr__(self, "milestones", ms)
 
 
@@ -332,6 +347,12 @@ class RunConfig:
                         raise ConfigError(f"missing required field {section}.{key}")
                     values[section][key] = default
 
+        for section, keys in _SCHEMA.items():
+            for key, (parser, _default) in keys.items():
+                if parser is float and not math.isfinite(values[section][key]):
+                    raise ConfigError(
+                        f"{section}.{key} must be finite; got {values[section][key]}")
+
         p, t, o, s, r = (values["problem"], values["topology"], values["optim"],
                          values["schedule"], values["run"])
 
@@ -452,6 +473,9 @@ def topology_mixing(kind: str, n: int, scheme: str = "metropolis_hastings",
     generator for the time-varying pairing scheme."""
     try:
         graph = build_graph(kind, n, **({} if rows is None else {"rows": rows}))
+        if scheme not in MIXING_SCHEMES:  # one-peer builds no weights from it
+            raise ValueError(
+                f"unknown mixing scheme {scheme!r}; expected one of {MIXING_SCHEMES}")
         if graph.time_varying:
             return functools.partial(one_peer_exponential_matrix, n)
         return mixing_matrix(graph, scheme=scheme)
@@ -570,7 +594,7 @@ class RunResult:
     final_state: StackedState
     xbar_trace: np.ndarray
     problem: ProblemSpec
-    theorem_report: TheoremReport | None
+    theorem_report: TheoremReport
 
 
 def _check_finite(S: StackedState, step: int, method: str) -> None:
@@ -584,17 +608,23 @@ def _check_finite(S: StackedState, step: int, method: str) -> None:
 
 
 def build_theorem_report(config: RunConfig, problem: ProblemSpec,
-                         mixing) -> TheoremReport | None:
-    """The theorem-condition report of a run, or None for a time-varying
-    topology, whose spectral gap is undefined.  The noise level is the
+                         mixing) -> TheoremReport:
+    """The theorem-condition report of a run.  A static topology is checked
+    at its matrix's ``rho``.  A time-varying one-peer topology is checked at
+    ``rho = 1``: the product of one sweep of its ``log2(n)`` matrices is
+    exactly the averaging matrix ``(1/n) 1 1^T``.  The noise level is the
     quadratic family's ``noise_bound`` (E||noise||^2 = dim sigma^2); other
     problems are noise-free and get no step-size suggestion."""
-    if callable(mixing):
-        return None
-    return validate_theorem_conditions(
-        config.hp, mixing.rho, n_workers=config.n,
+    report = validate_theorem_conditions(
+        config.hp, 1.0 if callable(mixing) else mixing.rho, n_workers=config.n,
         sigma_sq=problem.noise_bound if problem.kind == "quadratic_family" else None,
         total_steps=config.steps)
+    if not callable(mixing):
+        return report
+    sweep = max(1, config.n.bit_length() - 1)
+    return dataclasses.replace(report, message=(
+        f"time-varying topology: one sweep of {sweep} one-peer steps multiplies "
+        f"out to exact averaging, so rho = 1 over a sweep; {report.message}"))
 
 
 def run(config: RunConfig) -> RunResult:
@@ -613,7 +643,7 @@ def run(config: RunConfig) -> RunResult:
     n = config.n
 
     report = build_theorem_report(config, problem, mixing)
-    if report is not None and not report.momentum_ok:
+    if not report.momentum_ok:
         warnings.warn(report.message)
 
     grad_fn = functools.partial(sample_all, problem)

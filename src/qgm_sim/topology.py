@@ -12,7 +12,13 @@ where ``sigma_2`` is the largest singular value of ``W - (1/n) 1 1^T``.  One
 gossip round contracts the consensus residual by exactly ``sigma_2^2`` in
 squared Frobenius norm, so ``rho = 1`` means one-shot averaging (complete
 graph) and ``rho = 0`` means no mixing at all (disconnected graph or ``W =
-I``).
+I``).  Every static ``W`` built here is exactly symmetric, so ``sigma_2`` is
+the largest absolute eigenvalue of ``W - (1/n) 1 1^T``, which
+:func:`spectral_gap` takes from the symmetric eigensolver
+``np.linalg.eigvalsh`` and refuses to compute for a matrix that is not
+symmetric.  The last bits of ``rho`` depend on the LAPACK build and the BLAS
+thread count.  The directed one-peer matrices get their ``rho`` in closed
+form.
 
 Convention used everywhere in this package: ``W[i, j]`` is the weight worker
 ``i`` places on worker ``j``'s model, i.e. one gossip round maps the stacked
@@ -287,7 +293,8 @@ def one_peer_exponential_matrix(n: int, t: int) -> MixingMatrix:
 # ---------------------------------------------------------------------------
 
 def spectral_gap(W: np.ndarray) -> float:
-    """Spectral gap ``rho = 1 - sigma_2(W)^2`` of a doubly stochastic matrix.
+    """Spectral gap ``rho = 1 - sigma_2(W)^2`` of a symmetric doubly
+    stochastic matrix.
 
     ``sigma_2`` is the largest singular value of ``W - (1/n) 1 1^T``, i.e.
     of ``W`` restricted to the subspace orthogonal to consensus.  A gossip
@@ -295,15 +302,28 @@ def spectral_gap(W: np.ndarray) -> float:
 
         || Z W - Zbar ||_F^2 <= (1 - rho) || Z - Zbar ||_F^2 ,
 
-    with equality attained in the worst case over ``Z``.  ``rho == 0``
-    (sigma_2 == 1) means the matrix does not mix at all -- the underlying
-    graph is disconnected, or ``W = I`` -- and a warning is emitted since
-    consensus will never be reached.
+    with equality attained in the worst case over ``Z``.  For symmetric
+    ``W`` the singular values are the absolute eigenvalues, so ``sigma_2``
+    is the larger of ``-ev[0]`` and ``ev[-1]`` for the ascending
+    eigenvalues ``ev`` of ``W - (1/n) 1 1^T`` (``np.linalg.eigvalsh``).
+    ``W`` must therefore equal its transpose exactly; every static matrix
+    :func:`mixing_matrix` builds does, and anything else (such as a directed
+    one-peer matrix) raises ``ValueError``.  The last bits of ``rho`` depend
+    on the LAPACK build and the BLAS thread count.
+
+    ``rho == 0`` (sigma_2 == 1) means the matrix does not mix at all -- the
+    underlying graph is disconnected, or ``W = I`` -- and a warning is
+    emitted since consensus will never be reached.
     """
     W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or not np.array_equal(W, W.T):
+        raise ValueError("spectral_gap needs a square matrix exactly equal to its "
+                         f"transpose; got one of shape {W.shape} that is not")
     n = W.shape[0]
-    resid = W - np.full((n, n), 1.0 / n)
-    sigma2 = float(np.linalg.svd(resid, compute_uv=False)[0]) if n > 1 else 0.0
+    sigma2 = 0.0
+    if n > 1:
+        ev = np.linalg.eigvalsh(W - np.full((n, n), 1.0 / n))
+        sigma2 = float(max(-ev[0], ev[-1]))
     rho = max(0.0, 1.0 - sigma2 * sigma2)
     if n > 1 and rho <= 1e-12:
         warnings.warn(

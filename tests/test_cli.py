@@ -156,6 +156,44 @@ class TestRunCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:") and "tau" in err[0]
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    def test_scheme_is_checked_on_one_peer_as_on_a_ring(self, tmp_path, capsys, command):
+        # one-peer builds no weights from the scheme, which once let any
+        # value through
+        message = "unknown mixing scheme 'bogus'"
+        for kind in ("ring", "one_peer_exponential"):
+            argv = [command, "--config", os.path.join(CONFIG_DIR, "quadratic_ring16_qg.ini"),
+                    "--topology.kind", kind, "--topology.scheme", "bogus"]
+            if command == "run":
+                argv += ["--out", str(tmp_path / "m.csv")]
+            assert quiet_main(argv) == 1, kind
+            assert message in capsys.readouterr().err, kind
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["problem.cond", "problem.zeta", "problem.sigma",
+                                     "problem.b_scale", "problem.scale", "optim.eta"])
+    def test_non_finite_value_exits_1_naming_key(self, tmp_path, capsys, key, value):
+        out = tmp_path / "m.csv"
+        assert quiet_main(["run", "--config",
+                           os.path.join(CONFIG_DIR, "quadratic_ring16_qg.ini"),
+                           "--out", str(out), f"--{key}", value]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: {key} must be finite; got {float(value)}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("factor", ["inf", "1e200", "1e-200"])
+    def test_decay_factor_without_a_finite_last_stage_exits_1(self, tmp_path, capsys,
+                                                              command, factor):
+        # two milestones: eta / factor**2 is 0, overflows, or divides by 0
+        argv = [command, "--config", os.path.join(CONFIG_DIR, "quadratic_ring16_qg.ini"),
+                "--schedule.decay_factor", factor]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "m.csv")]
+        assert quiet_main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: schedule.decay_factor")
+
     def test_repeat_and_ignored_threads_flag_byte_identical(self, demo_config, tmp_path):
         # --threads is accepted and ignored: the third run is a repeat too
         outs = []
@@ -195,10 +233,16 @@ class TestValidateCommand:
         assert float(printed) == report.suggested_eta
 
     def test_time_varying_topology(self, demo_config, capsys):
-        assert main(["validate", "--config", demo_config,
-                     "--topology.kind", "one_peer_exponential",
-                     "--topology.n", "8"]) == 0
-        assert "time-varying" in capsys.readouterr().out
+        # checked at rho = 1: one sweep of log2(8) = 3 steps averages exactly
+        argv = ["validate", "--config", demo_config,
+                "--topology.kind", "one_peer_exponential", "--topology.n", "8"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        assert "time-varying" in stdout and "one sweep of 3 one-peer steps" in stdout
+        assert "momentum bound violated" in stdout and "rho/21 = 0.047619" in stdout
+        assert "suggested_eta=" in stdout
+        assert main(argv + ["--optim.beta", "0.04"]) == 0
+        assert "momentum bound satisfied" in capsys.readouterr().out
 
 
 class TestConsensusCommand:

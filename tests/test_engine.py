@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import math
 import os
 import warnings
 
@@ -104,6 +105,16 @@ class TestSchedule:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="schedule kind"):
             ScheduleSpec(kind="cosine", base_eta=1.0)
+
+    @pytest.mark.parametrize("factor", [math.inf, 1e200, 1e-200])
+    def test_last_stage_must_be_a_finite_positive_step(self, factor):
+        # 1 / factor**2 is 0, overflows, or divides by zero
+        with pytest.raises(ConfigError, match="decay_factor"):
+            ScheduleSpec(kind="warmup_stage", base_eta=1.0, milestones=(0.5, 0.75),
+                         decay_factor=factor)
+        ok = ScheduleSpec(kind="warmup_stage", base_eta=1.0, milestones=(0.5,),
+                          decay_factor=factor if factor < math.inf else 1e300)
+        assert 0.0 < lr_schedule(ok, 100, 100) < math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +232,14 @@ class TestRunConfig:
     def test_from_ini_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             RunConfig.from_ini("/nonexistent/run.ini")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["problem.cond", "problem.zeta", "problem.sigma",
+                                     "problem.b_scale", "problem.scale", "optim.eta",
+                                     "schedule.decay_factor"])
+    def test_non_finite_values_rejected_by_name(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^{key} must be finite"):
+            make_config(**{key: value})
 
     def test_hyperparameter_range_error_is_config_error(self):
         with pytest.raises(ConfigError, match="beta"):
@@ -373,7 +392,7 @@ class TestRun:
         np.testing.assert_array_equal(res.final_state.M_local, S.M_local)
 
     @pytest.mark.parametrize("kind,calls", [("one_peer_exponential", 0), ("ring", 1)])
-    def test_only_a_static_matrix_runs_an_svd(self, monkeypatch, kind, calls):
+    def test_only_a_static_matrix_computes_a_spectral_gap(self, monkeypatch, kind, calls):
         # a one-peer step's rho is closed form (and no run reads it); a
         # static matrix's gap is computed once, for the theorem report
         real, seen = topology.spectral_gap, []
@@ -435,10 +454,14 @@ class TestRun:
         assert res.xbar_trace.shape[0] == 5  # initial + one per round
 
     def test_time_varying_topology_runs(self):
-        res = quiet_run(make_config(**{"topology.kind": "one_peer_exponential",
-                                       "topology.n": "8", "problem.dim": "8",
-                                       "run.steps": "30"}))
-        assert res.theorem_report is None  # gap undefined for varying mixing
+        # checked at rho = 1: one sweep of log2(8) = 3 steps averages exactly
+        with pytest.warns(UserWarning, match="time-varying.*momentum bound violated"):
+            res = run(make_config(**{"topology.kind": "one_peer_exponential",
+                                     "topology.n": "8", "problem.dim": "8",
+                                     "run.steps": "30"}))
+        report = res.theorem_report
+        assert report.bound == 1.0 / 21.0 and not report.momentum_ok
+        assert "one sweep of 3 one-peer steps" in report.message
         assert res.records[-1].loss < res.records[0].loss
         assert all(np.isfinite(r.consensus_dist) for r in res.records)
 
