@@ -23,9 +23,9 @@ top level as well:
   the momentum-buffered recursion, distance traces, hitting times.
 * :mod:`qgm_sim.engine` — config-driven deterministic runs with metrics
   (CSV byte-stable across reruns; the ``run.threads`` key is accepted and
-  ignored), a ``RunConfig`` holding the run's validated ``HyperParams``
-  and ``ScheduleSpec``, learning-rate schedules, and a step-size/momentum
-  condition report.
+  ignored), a ``RunConfig`` holding the run built once at load (problem,
+  start point, mixing, ``HyperParams``, ``ScheduleSpec``), learning-rate
+  schedules, and a step-size/momentum condition report.
 * :mod:`qgm_sim.cli` — ``qgm-sim`` command-line front end over all of the
   above.
 """

@@ -28,8 +28,6 @@ from .engine import (
     ConfigError,
     NumericalDivergence,
     RunConfig,
-    build_mixing,
-    build_problem,
     build_theorem_report,
     heading_change_sum,
     run,
@@ -37,7 +35,6 @@ from .engine import (
     write_metrics_csv,
 )
 from .heterogeneity import dirichlet_partition, partition_stats
-from .topology import build_graph, mixing_matrix
 
 TRAJECTORY_KINDS = ("sgdm", "s_qg_dsgdm", "sgdm_n", "qhm")
 TRAJECTORY_PROBLEMS = ("rosenbrock", "nonconvex_toy")
@@ -73,6 +70,22 @@ def _fmt(value) -> str:
 def _write_lines(path, lines):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _write_traces(path, traces):
+    """Write ``{kind: (T, 2) trace}`` as one ``kind_x,kind_y`` column pair per
+    kind and one row per step."""
+    lines = ["step," + ",".join(f"{k}_x,{k}_y" for k in traces)]
+    for t, points in enumerate(zip(*traces.values())):
+        lines.append(",".join([str(t)] + [_fmt(v) for point in points for v in point]))
+    _write_lines(path, lines)
+
+
+def _scheme(name):
+    scheme = _SCHEME_ALIASES.get(name)
+    if scheme is None:
+        raise ConfigError(f"unknown scheme {name!r}")
+    return scheme
 
 
 def _emit_plot_script(csv_path):
@@ -139,7 +152,7 @@ def cmd_run(config_path, overrides, out="metrics.csv", plot_script=False):
 
 def cmd_validate(config_path, overrides):
     config = RunConfig.from_ini(config_path, overrides=overrides)
-    report = build_theorem_report(config, build_problem(config), build_mixing(config))
+    report = build_theorem_report(config)
     print(report.message)
     if report.suggested_eta is not None:
         print(f"suggested_eta={_fmt(report.suggested_eta)}")
@@ -200,14 +213,7 @@ def cmd_trajectory(problem, kinds, eta, beta, mu, steps, init, out,
                               f"{TRAJECTORY_KINDS}, got {kind!r}")
     traces = {k: _trace_via_engine(problem, _TRAJECTORY_MAP[k], eta, beta, mu,
                                    steps, init) for k in kinds}
-    header = "step," + ",".join(f"{k}_x,{k}_y" for k in kinds)
-    lines = [header]
-    for t in range(steps + 1):
-        cells = [str(t)]
-        for k in kinds:
-            cells += [_fmt(traces[k][t, 0]), _fmt(traces[k][t, 1])]
-        lines.append(",".join(cells))
-    _write_lines(out, lines)
+    _write_traces(out, traces)
     print(f"trajectories written to {out}")
     for k in kinds:
         end = traces[k][-1]
@@ -219,19 +225,10 @@ def cmd_trajectory(problem, kinds, eta, beta, mu, steps, init, out,
 
 
 def cmd_toy2d(eta, beta, mu, steps, seed, out, plot_script=False):
-    traces = {}
-    for kind in TOY2D_KINDS:
-        traces[kind] = _trace_via_engine(
-            "toy2d", kind, eta, beta, mu, steps, init="0.0",
-            n=2, topology="complete", seed=seed)
-    header = "step," + ",".join(f"{k}_x,{k}_y" for k in TOY2D_KINDS)
-    lines = [header]
-    for t in range(steps + 1):
-        cells = [str(t)]
-        for kind in TOY2D_KINDS:
-            cells += [_fmt(traces[kind][t, 0]), _fmt(traces[kind][t, 1])]
-        lines.append(",".join(cells))
-    _write_lines(out, lines)
+    traces = {kind: _trace_via_engine("toy2d", kind, eta, beta, mu, steps, init="0.0",
+                                      n=2, topology="complete", seed=seed)
+              for kind in TOY2D_KINDS}
+    _write_traces(out, traces)
     print(f"averaged-model traces written to {out}")
     for kind in TOY2D_KINDS:
         print(f"kind={kind} heading_sum="
@@ -258,11 +255,10 @@ def cmd_partition(samples, classes, n, alpha, seed, out):
 
 
 def cmd_topo(kind, n, scheme, rows=None, out=None):
-    graph = build_graph(kind, n, **({"rows": rows} if rows is not None else {}))
-    if graph.time_varying:
+    Wm = topology_mixing(kind, n, scheme, rows)
+    if callable(Wm):
         raise ConfigError(f"topo prints static matrices only; {kind} pairs workers "
                           "anew at every step (use it with run or consensus)")
-    Wm = mixing_matrix(graph, scheme=scheme)
     lines = [",".join(_fmt(v) for v in row) for row in Wm.weights]
     if out:
         _write_lines(out, lines)
@@ -365,11 +361,8 @@ def _dispatch(args, rest):
         raise ConfigError(f"unknown flag {rest[0]!r}")
 
     if args.command == "consensus":
-        scheme = _SCHEME_ALIASES.get(args.scheme)
-        if scheme is None:
-            raise ConfigError(f"unknown scheme {args.scheme!r}")
         return cmd_consensus(args.topology, args.n, args.beta, args.mu,
-                             args.T, args.seed, args.out, scheme=scheme,
+                             args.T, args.seed, args.out, scheme=_scheme(args.scheme),
                              dim=args.dim, plot_script=args.plot_script)
     if args.command == "toy2d":
         return cmd_toy2d(args.eta, args.beta, args.mu, args.steps,
@@ -383,10 +376,8 @@ def _dispatch(args, rest):
         return cmd_partition(args.samples, args.classes, args.n,
                              args.alpha, args.seed, args.out)
     if args.command == "topo":
-        scheme = _SCHEME_ALIASES.get(args.scheme)
-        if scheme is None:
-            raise ConfigError(f"unknown scheme {args.scheme!r}")
-        return cmd_topo(args.kind, args.n, scheme, rows=args.rows, out=args.out)
+        return cmd_topo(args.kind, args.n, _scheme(args.scheme), rows=args.rows,
+                        out=args.out)
     raise ConfigError(f"unknown command {args.command!r}")
 
 
@@ -400,6 +391,10 @@ def main(argv=None):
         return 2
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output file that cannot be written
+        print(f"config error: cannot write {exc.filename!r}: {exc.strerror}",
+              file=sys.stderr)
         return 1
 
 

@@ -2,9 +2,11 @@
 validation, the training loop, and per-step telemetry.
 
 A run is described by a flat sectioned config (``[problem]``, ``[topology]``,
-``[optim]``, ``[schedule]``, ``[run]``) loaded into a :class:`RunConfig`,
-which holds the run's :class:`~qgm_sim.optim.HyperParams` and
-:class:`ScheduleSpec`, each built and validated once.
+``[optim]``, ``[schedule]``, ``[run]``) loaded into a :class:`RunConfig`.
+Loading builds and validates, once, everything a run reads: the problem, the
+read-only start point, the mixing (a matrix, or the one-peer ``t -> matrix``),
+the :class:`~qgm_sim.optim.HyperParams` and the :class:`ScheduleSpec`.  A
+config that loads is a run that can start, and :func:`run` builds nothing.
 The loop holds the whole run as one :class:`~qgm_sim.optim.StackedState`
 (every buffer a ``(dim, n)`` array, one column per worker), samples every
 worker's gradient in one :func:`~qgm_sim.oracles.sample_all` call per
@@ -28,6 +30,7 @@ import dataclasses
 import functools
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +51,7 @@ from .optim import (
 )
 from .topology import (
     MIXING_SCHEMES,
+    MixingMatrix,
     build_graph,
     mixing_matrix,
     one_peer_exponential_matrix,
@@ -81,6 +85,15 @@ _PROBLEM_ALIASES = {
     "toy2d_hetero": "toy2d_hetero",
     "rosenbrock": "rosenbrock",
     "nonconvex_toy": "nonconvex_toy",
+}
+# [problem] keys that one family alone reads: key -> (that family, why the
+# others ignore it); another family given a value off its default is an error
+_FAMILY_KEYS = {
+    "zeta": ("quadratic_family", "fixed heterogeneity"),
+    "sigma": ("quadratic_family", "noise-free"),
+    "cond": ("quadratic_family", "fixed curvature"),
+    "b_scale": ("quadratic_family", "fixed minimizers"),
+    "scale": ("toy2d_hetero", "unscaled gradient"),
 }
 
 
@@ -286,30 +299,23 @@ def _parse_value(section: str, key: str, raw: str):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved run description; see ``_SCHEMA`` for keys/defaults.
+    """A loaded run, built and validated once; see ``_SCHEMA`` for keys.
 
-    ``hp`` holds the ``[optim]`` step parameters and ``schedule`` the
+    ``problem`` is the run's ProblemSpec, ``x0`` its read-only start point,
+    ``mixing`` its MixingMatrix (the one-peer topology's ``t -> MixingMatrix``),
+    ``hp`` the ``[optim]`` step parameters and ``schedule`` the
     ``[schedule]`` section with ``optim.eta`` as its base step size.
     """
 
-    problem_kind: str
-    dim: int
-    zeta: float
-    sigma: float
-    cond: float
-    b_scale: float
-    scale: float
-    init: str
-    topology_kind: str
+    problem: ProblemSpec
+    x0: np.ndarray
+    mixing: MixingMatrix | Callable[[int], MixingMatrix]
     n: int
-    scheme: str
-    rows: int | None
     optim_kind: str
     hp: HyperParams
     slowmo_base: str
     schedule: ScheduleSpec
     steps: int
-    seed: int
     steps_per_epoch: int
     metrics_every: int
     threads: int
@@ -319,27 +325,27 @@ class RunConfig:
         """Build from {section: {key: str-or-value}} plus dotted overrides.
 
         Unknown sections/keys are rejected by name; ``optim.kind`` is the
-        one required field.
+        one required field.  The problem, start point and mixing are built
+        here, so a config that loads is a run that can start.
         """
         values: dict[str, dict] = {s: {} for s in _SCHEMA}
+
+        def _set(section, key, raw):
+            if key not in _SCHEMA.get(section, ()):
+                raise ConfigError(f"unknown config key {section}.{key}")
+            values[section][key] = (
+                _parse_value(section, key, raw) if isinstance(raw, str) else raw)
+
         for section, entries in mapping.items():
             if section not in _SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")
             for key, raw in dict(entries).items():
-                if key not in _SCHEMA[section]:
-                    raise ConfigError(f"unknown config key {section}.{key}")
-                values[section][key] = (
-                    _parse_value(section, key, raw) if isinstance(raw, str)
-                    else raw)
+                _set(section, key, raw)
         for dotted, raw in (overrides or {}).items():
             if "." not in dotted:
                 raise ConfigError(
                     f"override {dotted!r} must use section.key form")
-            section, key = dotted.split(".", 1)
-            if section not in _SCHEMA or key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown config key {section}.{key}")
-            values[section][key] = (
-                _parse_value(section, key, raw) if isinstance(raw, str) else raw)
+            _set(*dotted.split(".", 1), raw)
         for section, keys in _SCHEMA.items():
             for key, (_parser, default) in keys.items():
                 if key not in values[section]:
@@ -380,19 +386,54 @@ class RunConfig:
                 slowmo_beta=o["slowmo_beta"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        cfg = RunConfig(
-            problem_kind=p["kind"], dim=p["dim"], zeta=p["zeta"], sigma=p["sigma"],
-            cond=p["cond"], b_scale=p["b_scale"], scale=p["scale"],
-            init=str(p["init"]),
-            topology_kind=t["kind"], n=t["n"], scheme=t["scheme"],
-            rows=_optional("topology", "rows", int),
+        rows = _optional("topology", "rows", int)
+
+        kind = _PROBLEM_ALIASES.get(p["kind"])
+        if kind is None:
+            raise ConfigError(
+                f"problem.kind must be one of {sorted(set(_PROBLEM_ALIASES))}; "
+                f"got {p['kind']!r}")
+        if o["kind"] not in OPTIM_KINDS:
+            raise ConfigError(
+                f"optim.kind must be one of {OPTIM_KINDS}; got {o['kind']!r}")
+        if o["slowmo_base"] not in HALF_STEP_KINDS:
+            raise ConfigError(
+                f"optim.slowmo_base must be a per-step kind; got {o['slowmo_base']!r}")
+        for name, value in (("steps", r["steps"]), ("steps_per_epoch", r["steps_per_epoch"]),
+                            ("metrics_every", r["metrics_every"]),
+                            ("threads", r["threads"]), ("n", t["n"]), ("dim", p["dim"])):
+            if value < 1:
+                raise ConfigError(f"{name} must be >= 1; got {value}")
+        if r["seed"] < 0:  # SeedSequence takes non-negative entropy only
+            raise ConfigError(f"run.seed must be >= 0; got {r['seed']}")
+        if o["kind"] == "qhm" and t["n"] != 1:
+            raise ConfigError("optim.kind qhm is the single-worker closed form; "
+                              f"requires topology.n = 1, got {t['n']}")
+        if o["kind"] in ROUND_KINDS and r["steps"] % hp.tau != 0:
+            raise ConfigError(
+                f"run.steps ({r['steps']}) must be a multiple of optim.tau "
+                f"({hp.tau}) for round-structured methods")
+        for key, (reader, why) in _FAMILY_KEYS.items():
+            if kind != reader and p[key] != _SCHEMA["problem"][key][1]:
+                raise ConfigError(
+                    f"problem.{key} is not read by {p['kind']} ({why}); got {p[key]}")
+
+        try:
+            problem = (quadratic_family(
+                dim=p["dim"], n_workers=t["n"], zeta_c=p["zeta"], sigma_c=p["sigma"],
+                cond=p["cond"], b_scale=p["b_scale"], master_seed=r["seed"])
+                if kind == "quadratic_family" else
+                ProblemSpec(kind=kind, dim=2, n_workers=t["n"], grad_scale=p["scale"]))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        mixing = topology_mixing(t["kind"], t["n"], t["scheme"], rows)
+        x0 = _initial_point(str(p["init"]), problem.dim)
+        x0.flags.writeable = False
+        return RunConfig(
+            problem=problem, x0=x0, mixing=mixing, n=t["n"],
             optim_kind=o["kind"], hp=hp, slowmo_base=o["slowmo_base"],
-            schedule=schedule,
-            steps=r["steps"], seed=r["seed"], steps_per_epoch=r["steps_per_epoch"],
-            metrics_every=r["metrics_every"], threads=r["threads"],
-        )
-        cfg.validate()
-        return cfg
+            schedule=schedule, steps=r["steps"], steps_per_epoch=r["steps_per_epoch"],
+            metrics_every=r["metrics_every"], threads=r["threads"])
 
     @staticmethod
     def from_ini(path: str, overrides: dict | None = None) -> "RunConfig":
@@ -402,30 +443,6 @@ class RunConfig:
             raise ConfigError(f"cannot read config file {path!r}")
         mapping = {section: dict(parser[section]) for section in parser.sections()}
         return RunConfig.from_mapping(mapping, overrides)
-
-    def validate(self):
-        if self.problem_kind not in _PROBLEM_ALIASES:
-            raise ConfigError(
-                f"problem.kind must be one of {sorted(set(_PROBLEM_ALIASES))}; "
-                f"got {self.problem_kind!r}")
-        if self.optim_kind not in OPTIM_KINDS:
-            raise ConfigError(
-                f"optim.kind must be one of {OPTIM_KINDS}; got {self.optim_kind!r}")
-        if self.slowmo_base not in HALF_STEP_KINDS:
-            raise ConfigError(
-                f"optim.slowmo_base must be a per-step kind; got {self.slowmo_base!r}")
-        for name in ("steps", "steps_per_epoch", "metrics_every", "threads", "n", "dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1; got {getattr(self, name)}")
-        if self.seed < 0:  # SeedSequence takes non-negative entropy only
-            raise ConfigError(f"run.seed must be >= 0; got {self.seed}")
-        if self.optim_kind == "qhm" and self.n != 1:
-            raise ConfigError("optim.kind qhm is the single-worker closed form; "
-                              f"requires topology.n = 1, got {self.n}")
-        if self.optim_kind in ROUND_KINDS and self.steps % self.hp.tau != 0:
-            raise ConfigError(
-                f"run.steps ({self.steps}) must be a multiple of optim.tau "
-                f"({self.hp.tau}) for round-structured methods")
 
 
 def _parse_milestones(raw) -> tuple[float, ...]:
@@ -447,24 +464,13 @@ def _parse_milestones(raw) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 def build_problem(config: RunConfig) -> ProblemSpec:
-    kind = _PROBLEM_ALIASES[config.problem_kind]
-    try:
-        if kind == "quadratic_family":
-            return quadratic_family(
-                dim=config.dim, n_workers=config.n, zeta_c=config.zeta,
-                sigma_c=config.sigma, cond=config.cond, b_scale=config.b_scale,
-                master_seed=config.seed)
-        if kind == "toy2d_hetero":
-            return ProblemSpec(kind=kind, dim=2, n_workers=config.n,
-                               grad_scale=config.scale)
-        return ProblemSpec(kind=kind, dim=2, n_workers=config.n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    """The run's problem, built when the config loaded (``config.problem``)."""
+    return config.problem
 
 
 def build_mixing(config: RunConfig):
-    """The mixing of a run's ``[topology]`` section (:func:`topology_mixing`)."""
-    return topology_mixing(config.topology_kind, config.n, config.scheme, config.rows)
+    """The run's mixing, built when the config loaded (``config.mixing``)."""
+    return config.mixing
 
 
 def topology_mixing(kind: str, n: int, scheme: str = "metropolis_hastings",
@@ -477,19 +483,21 @@ def topology_mixing(kind: str, n: int, scheme: str = "metropolis_hastings",
             raise ValueError(
                 f"unknown mixing scheme {scheme!r}; expected one of {MIXING_SCHEMES}")
         if graph.time_varying:
-            return functools.partial(one_peer_exponential_matrix, n)
+            # the name is looked up at each step, so a wrapper put on it after
+            # the config loaded (the benchmark's tracer) still sees every call
+            return lambda t: one_peer_exponential_matrix(n, t)
         return mixing_matrix(graph, scheme=scheme)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _initial_point(config: RunConfig, dim: int) -> np.ndarray:
-    parts = [p for p in config.init.split(",") if p.strip()]
+def _initial_point(init: str, dim: int) -> np.ndarray:
+    parts = [p for p in init.split(",") if p.strip()]
     try:
         vals = [float(p) for p in parts] if parts else [0.0]
     except ValueError:
         raise ConfigError(
-            f"problem.init: cannot parse {config.init!r} as floats") from None
+            f"problem.init: cannot parse {init!r} as floats") from None
     if len(vals) == 1:
         return np.full(dim, vals[0])
     if len(vals) != dim:
@@ -588,12 +596,11 @@ def heading_change_sum(points) -> float:
 class RunResult:
     """A run's metrics rows, its final stacked state, the averaged model
     ``X.mean(axis=1)`` after every span (row 0 is the start; a metrics row
-    reports the same vector), the problem and the theorem report."""
+    reports the same vector) and the theorem report."""
 
     records: tuple
     final_state: StackedState
     xbar_trace: np.ndarray
-    problem: ProblemSpec
     theorem_report: TheoremReport
 
 
@@ -607,14 +614,14 @@ def _check_finite(S: StackedState, step: int, method: str) -> None:
             raise NumericalDivergence(step, method, field, worker)
 
 
-def build_theorem_report(config: RunConfig, problem: ProblemSpec,
-                         mixing) -> TheoremReport:
+def build_theorem_report(config: RunConfig) -> TheoremReport:
     """The theorem-condition report of a run.  A static topology is checked
     at its matrix's ``rho``.  A time-varying one-peer topology is checked at
     ``rho = 1``: the product of one sweep of its ``log2(n)`` matrices is
     exactly the averaging matrix ``(1/n) 1 1^T``.  The noise level is the
     quadratic family's ``noise_bound`` (E||noise||^2 = dim sigma^2); other
     problems are noise-free and get no step-size suggestion."""
+    problem, mixing = config.problem, config.mixing
     report = validate_theorem_conditions(
         config.hp, 1.0 if callable(mixing) else mixing.rho, n_workers=config.n,
         sigma_sq=problem.noise_bound if problem.kind == "quadratic_family" else None,
@@ -637,17 +644,14 @@ def run(config: RunConfig) -> RunResult:
     divergence, the averaged model is traced, and a metrics row is recorded
     when ``end`` is a multiple of ``metrics_every`` or the last step.
     """
-    problem = build_problem(config)
-    mixing = build_mixing(config)
-    kind = config.optim_kind
-    n = config.n
+    problem, mixing, kind = config.problem, config.mixing, config.optim_kind
 
-    report = build_theorem_report(config, problem, mixing)
+    report = build_theorem_report(config)
     if not report.momentum_ok:
         warnings.warn(report.message)
 
     grad_fn = functools.partial(sample_all, problem)
-    S = StackedState.init(_initial_point(config, problem.dim), n)
+    S = StackedState.init(config.x0, config.n)
     if kind in ("gt", "gt_momentum"):
         stacked_gt_init(S, grad_fn, step=0)
 
@@ -674,6 +678,5 @@ def run(config: RunConfig) -> RunResult:
         records=tuple(records),
         final_state=S,
         xbar_trace=np.stack(xbar_trace, axis=0),
-        problem=problem,
         theorem_report=report,
     )

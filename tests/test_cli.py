@@ -213,6 +213,56 @@ class TestRunCommand:
         compile(script, "plot.py", "exec")
 
 
+class TestIgnoredProblemKeys:
+    """A [problem] key the configured kind does not read is an error."""
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("kind,key", [
+        (kind, key) for kind in ("toy2d", "rosenbrock", "nonconvex_toy")
+        for key in ("zeta", "sigma", "cond", "b_scale", "scale")
+        if (kind, key) != ("toy2d", "scale")] + [("quadratic", "scale")])
+    def test_key_off_its_default_exits_1_naming_key_and_kind(self, tmp_path, capsys,
+                                                             command, kind, key):
+        # once accepted and ignored: the metrics were byte-identical to the
+        # plain run's
+        out = tmp_path / "m.csv"
+        argv = [command, "--config", os.path.join(CONFIG_DIR, "toy2d_dsgdm.ini"),
+                "--problem.kind", kind, f"--problem.{key}", "2.5"]
+        if command == "run":
+            argv += ["--out", str(out)]
+        assert quiet_main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: problem.{key} is not read by {kind} (")
+        assert err[0].endswith("; got 2.5")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,key,value", [
+        ("toy2d", "scale", "2.5"), ("quadratic", "sigma", "2.5"),
+        ("rosenbrock", "sigma", "0"), ("nonconvex_toy", "cond", "1")])
+    def test_a_read_key_or_a_default_value_loads(self, kind, key, value):
+        assert quiet_main(["validate", "--config", os.path.join(CONFIG_DIR, "toy2d_dsgdm.ini"),
+                           "--problem.kind", kind, f"--problem.{key}", value]) == 0
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", os.path.join(CONFIG_DIR, "toy2d_dsgdm.ini")],
+        ["consensus", "--T", "5"],
+        ["toy2d", "--steps", "3"],
+        ["trajectory", "--steps", "3"],
+        ["partition", "--samples", "20", "--classes", "2", "--n", "2"],
+        ["topo", "--n", "4"],
+    ], ids=lambda argv: argv[0])
+    def test_exits_1_in_one_line(self, tmp_path, capsys, argv):
+        out = str(tmp_path / "missing" / "x.csv")
+        assert quiet_main(argv + ["--out", out]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines() == [
+            f"config error: cannot write {out!r}: No such file or directory"]
+
+
 class TestValidateCommand:
     def test_reports_violated_bound(self, demo_config, capsys):
         assert main(["validate", "--config", demo_config]) == 0

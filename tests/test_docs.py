@@ -20,7 +20,7 @@ def test_readme_config_example_loads(tmp_path):
     path = tmp_path / "readme.ini"
     path.write_text(readme_ini_block())
     cfg = RunConfig.from_ini(str(path))
-    assert (cfg.optim_kind, cfg.dim, cfg.n, cfg.hp.mu) == ("qg_dsgdm", 16, 16, 0.9)
+    assert (cfg.optim_kind, cfg.problem.dim, cfg.n, cfg.hp.mu) == ("qg_dsgdm", 16, 16, 0.9)
 
 
 def test_readme_config_example_sets_every_key():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reference_loops as ref
-from qgm_sim import topology
+from qgm_sim import engine, topology
 from qgm_sim.engine import (
     METRICS_HEADER,
     ConfigError,
@@ -27,7 +27,12 @@ from qgm_sim.engine import (
     write_metrics_csv,
 )
 from qgm_sim.optim import HyperParams, StackedState, column_mean, stacked_step
-from qgm_sim.topology import build_graph, mixing_matrix, one_peer_exponential_matrix
+from qgm_sim.topology import (
+    MixingMatrix,
+    build_graph,
+    mixing_matrix,
+    one_peer_exponential_matrix,
+)
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -160,8 +165,10 @@ class TestTheoremValidator:
 class TestRunConfig:
     def test_defaults_fill_in(self):
         cfg = RunConfig.from_mapping({"optim": {"kind": "dsgd"}})
-        assert cfg.problem_kind == "quadratic"
-        assert cfg.topology_kind == "ring"
+        assert cfg.problem.kind == "quadratic_family"
+        assert isinstance(cfg.mixing, MixingMatrix)
+        np.testing.assert_array_equal(cfg.mixing.weights,
+                                      mixing_matrix(build_graph("ring", 4)).weights)
         assert cfg.n == 4
         assert cfg.steps == 100
         assert cfg.hp.beta == 0.9
@@ -225,9 +232,42 @@ class TestRunConfig:
             "[run]\nsteps = 20\nseed = 3\n")
         cfg = RunConfig.from_ini(str(path))
         assert cfg.optim_kind == "qg_dsgdm"
-        assert cfg.dim == 8
+        assert cfg.problem.dim == 8
         cfg2 = RunConfig.from_ini(str(path), overrides={"run.seed": "4"})
-        assert cfg2.seed == 4
+        assert cfg2.problem.master_seed == 4
+
+    @pytest.mark.parametrize("tweaks,message", [
+        ({"topology.kind": "torus", "topology.n": "7"},
+         "torus requires n = rows x cols with rows >= 2 and cols >= 2; "
+         "n=7 has no such factorization"),
+        ({"topology.kind": "social", "topology.n": "16", "problem.zeta": "0"},
+         "the social graph is fixed at 32 nodes; got n=16"),
+        ({"topology.kind": "star", "topology.scheme": "uniform_neighbor"},
+         "uniform_neighbor weights require a regular graph (all degrees equal); "
+         "graph kind 'star' has degrees in [1, 3] -- use metropolis_hastings instead"),
+        ({"topology.kind": "one_peer_exponential", "topology.n": "12", "problem.dim": "12"},
+         "one_peer_exponential requires n to be a power of two; got n=12"),
+        ({"problem.kind": "toy2d", "problem.zeta": "0", "problem.sigma": "0",
+          "topology.n": "3"},
+         "toy2d_hetero needs one target per worker: 3 workers but 2 targets"),
+        ({"problem.init": "1,2,3"},
+         "problem.init has 3 components but the problem dimension is 8"),
+    ])
+    def test_unbuildable_run_fails_at_load(self, tweaks, message):
+        # each of these once loaded and failed only when run
+        with pytest.raises(ConfigError) as exc:
+            make_config(**tweaks)
+        assert str(exc.value) == message
+
+    def test_loading_builds_the_problem_start_point_and_mixing(self):
+        cfg = make_config(**{"problem.init": "0.5", "topology.kind": "one_peer_exponential"})
+        assert (cfg.problem.kind, cfg.problem.dim, cfg.problem.n_workers) == (
+            "quadratic_family", 8, 4)
+        assert cfg.problem.master_seed == 3
+        np.testing.assert_array_equal(cfg.x0, np.full(8, 0.5))
+        assert not cfg.x0.flags.writeable
+        np.testing.assert_array_equal(cfg.mixing(1).weights,
+                                      one_peer_exponential_matrix(4, 1).weights)
 
     def test_from_ini_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -269,12 +309,13 @@ class TestMetrics:
     def test_effective_stepsize_matches_hand_computation(self):
         # n = 16 > 8, where a pairwise and a worker-by-worker mean differ:
         # the row and the trace must hold the same averaged model
-        res = quiet_run(make_config(**{"topology.n": "16", "problem.dim": "16"}))
+        cfg = make_config(**{"topology.n": "16", "problem.dim": "16"})
+        res = quiet_run(cfg)
         for rec, x_bar in zip(res.records, res.xbar_trace[1:]):
             wn = float(np.linalg.norm(x_bar))
             assert rec.weight_norm == wn
             assert rec.eff_stepsize == pytest.approx(rec.lr / wn**2, rel=1e-12)
-            g = res.problem.mean_gradient(x_bar)
+            g = cfg.problem.mean_gradient(x_bar)
             assert rec.grad_norm == pytest.approx(float(np.linalg.norm(g)), rel=1e-12)
 
     def test_cadence_and_final_row(self):
@@ -348,6 +389,7 @@ class TestRun:
         # non-finite at step 5 while the models built from it follow only
         # at step 6; the models are checked first, so the tracker is named
         cfg = make_config(**{"problem.kind": "rosenbrock", "problem.dim": "2",
+                             "problem.zeta": "0", "problem.sigma": "0",
                              "topology.n": "4", "optim.kind": "gt",
                              "optim.eta": "0.2", "optim.beta": "0.0",
                              "run.steps": "20"})
@@ -374,12 +416,12 @@ class TestRun:
 
         @ref.per_worker
         def grad_fn(i, x, t):
-            return res.problem.sample(i, x, t).grad
+            return cfg.problem.sample(i, x, t).grad
 
         hp = cfg.hp
         inner = dataclasses.replace(hp, tau=1)
-        S = StackedState.init(np.zeros(cfg.dim), 4)
-        slow_m = np.zeros(cfg.dim)
+        S = StackedState.init(np.zeros(cfg.problem.dim), 4)
+        slow_m = np.zeros(cfg.problem.dim)
         for step0 in (0, 2):
             x0 = S.X[:, 0].copy()
             for t in (step0, step0 + 1):
@@ -404,6 +446,25 @@ class TestRun:
         monkeypatch.setattr(topology, "spectral_gap", counting)
         quiet_run(make_config(**{"topology.kind": kind, "run.steps": "6"}))
         assert len(seen) == calls
+
+    def test_a_second_run_of_one_config_builds_no_mixing(self, monkeypatch):
+        # the mixing is built when the config loads, and only then
+        cfg = make_config(**{"run.steps": "6"})
+        first = quiet_run(cfg)
+        calls = []
+        for name in ("mixing_matrix", "spectral_gap"):
+            real = getattr(topology, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            for module in (topology, engine):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counting)
+        second = quiet_run(cfg)
+        assert calls == []
+        assert metrics_csv_lines(second.records) == metrics_csv_lines(first.records)
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_METRICS_SHA256))
     def test_shipped_config_metrics_bytes_frozen(self, name):
@@ -476,6 +537,7 @@ class TestRun:
 
     def test_explicit_init_vector(self):
         res = quiet_run(make_config(**{"problem.kind": "rosenbrock",
+                                       "problem.zeta": "0", "problem.sigma": "0",
                                        "topology.n": "2", "problem.init": "0.5,0.25",
                                        "run.steps": "1"}))
         np.testing.assert_allclose(res.xbar_trace[0], [0.5, 0.25])
