@@ -6,7 +6,8 @@ top level as well:
 
 * :mod:`qgm_sim.topology` — communication graphs and doubly stochastic
   mixing matrices (ring, torus, star, complete, a fixed 32-node social
-  graph, time-varying one-peer exponential), spectral gaps.
+  graph), the time-varying one-peer exponential schedule (which holds no
+  matrix), spectral gaps.
 * :mod:`qgm_sim.heterogeneity` — Dirichlet label partitioning across
   workers and per-worker class-count statistics.
 * :mod:`qgm_sim.oracles` — deterministic test functions and seeded
@@ -74,6 +75,7 @@ from .oracles import (
 from .topology import (
     Graph,
     MixingMatrix,
+    OnePeerExponential,
     build_graph,
     mixing_matrix,
     one_peer_exponential_matrix,
@@ -91,6 +93,7 @@ __all__ = [
     "MetricsRecord",
     "MixingMatrix",
     "NumericalDivergence",
+    "OnePeerExponential",
     "ProblemSpec",
     "RunConfig",
     "RunResult",

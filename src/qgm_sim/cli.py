@@ -18,6 +18,7 @@ unknown flags are rejected. Exit codes: 0 success, 1 configuration error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 
@@ -35,6 +36,7 @@ from .engine import (
     write_metrics_csv,
 )
 from .heterogeneity import dirichlet_partition, partition_stats
+from .topology import OnePeerExponential
 
 TRAJECTORY_KINDS = ("sgdm", "s_qg_dsgdm", "sgdm_n", "qhm")
 TRAJECTORY_PROBLEMS = ("rosenbrock", "nonconvex_toy")
@@ -137,8 +139,19 @@ def _collect_overrides(rest):
 # subcommand implementations
 # ---------------------------------------------------------------------------
 
+def _check_writable(path):
+    """Raise the ``OSError`` that writing ``path`` would, before a long run
+    is spent on it; leaves no file that was not there before."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def cmd_run(config_path, overrides, out="metrics.csv", plot_script=False):
     config = RunConfig.from_ini(config_path, overrides=overrides)
+    _check_writable(out)
     result = run(config)
     write_metrics_csv(result.records, out)
     last = result.records[-1]
@@ -256,7 +269,7 @@ def cmd_partition(samples, classes, n, alpha, seed, out):
 
 def cmd_topo(kind, n, scheme, rows=None, out=None):
     Wm = topology_mixing(kind, n, scheme, rows)
-    if callable(Wm):
+    if isinstance(Wm, OnePeerExponential):
         raise ConfigError(f"topo prints static matrices only; {kind} pairs workers "
                           "anew at every step (use it with run or consensus)")
     lines = [",".join(_fmt(v) for v in row) for row in Wm.weights]

@@ -9,7 +9,8 @@ iterations on sparse topologies.
 Conventions (repo-wide): workers are columns of X (d x n), one communication
 round right-multiplies by W^T where W[i, j] is the weight worker i places on
 worker j — identical to W X for the symmetric matrices built in
-:mod:`qgm_sim.topology`.  The buffered recursion per iteration is
+:mod:`qgm_sim.topology` (a one-peer step computes the same product without a
+matrix, see :func:`qgm_sim.optim.mix`).  The buffered recursion per iteration is
 
     X_next = (X - beta M) W^T,        M <- mu M + (1 - mu) (X - X_next),
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optim import HyperParams, StackedState, mixing_weights, stacked_dsgd_step
+from .optim import HyperParams, StackedState, mixing_at, stacked_dsgd_step
 
 __all__ = [
     "ConsensusRun",
@@ -89,7 +90,7 @@ def _run(X0, W, beta: float, mu: float, T: int) -> ConsensusRun:
     trace = [consensus_distance(S.X)]
     drift = [0.0]
     for t in range(T):
-        stacked_dsgd_step("qg_dsgdm", S, None, mixing_weights(W, t), hp)
+        stacked_dsgd_step("qg_dsgdm", S, None, mixing_at(W, t), hp)
         trace.append(consensus_distance(S.X))
         drift.append(float(np.linalg.norm(S.X.mean(axis=1) - mean0)))
     return ConsensusRun(
@@ -107,10 +108,10 @@ def _run(X0, W, beta: float, mu: float, T: int) -> ConsensusRun:
 def gossip_consensus(X0, W, T: int) -> ConsensusRun:
     """Plain gossip averaging for T iterations: X <- X W^T each round.
 
-    ``W`` may be a MixingMatrix, a raw doubly stochastic array, or a callable
-    ``t -> matrix`` for time-varying schemes.  The distance trace contracts
-    at the second singular value of W and the column mean stays put (up to
-    rounding).
+    ``W`` may be a MixingMatrix, a raw doubly stochastic array, or the
+    time-varying :class:`~qgm_sim.topology.OnePeerExponential` schedule.
+    The distance trace contracts at the second singular value of W and the
+    column mean stays put (up to rounding).
     """
     return _run(X0, W, beta=0.0, mu=0.0, T=T)
 

@@ -4,7 +4,7 @@ validation, the training loop, and per-step telemetry.
 A run is described by a flat sectioned config (``[problem]``, ``[topology]``,
 ``[optim]``, ``[schedule]``, ``[run]``) loaded into a :class:`RunConfig`.
 Loading builds and validates, once, everything a run reads: the problem, the
-read-only start point, the mixing (a matrix, or the one-peer ``t -> matrix``),
+read-only start point, the mixing (a matrix, or the one-peer schedule),
 the :class:`~qgm_sim.optim.HyperParams` and the :class:`ScheduleSpec`.  A
 config that loads is a run that can start, and :func:`run` builds nothing.
 The loop holds the whole run as one :class:`~qgm_sim.optim.StackedState`
@@ -30,7 +30,6 @@ import dataclasses
 import functools
 import math
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +42,7 @@ from .optim import (
     STEP_KINDS,
     HyperParams,
     StackedState,
-    mixing_weights,
+    mixing_at,
     stacked_gt_init,
     stacked_mimelite_round,
     stacked_slowmo_round,
@@ -52,9 +51,9 @@ from .optim import (
 from .topology import (
     MIXING_SCHEMES,
     MixingMatrix,
+    OnePeerExponential,
     build_graph,
     mixing_matrix,
-    one_peer_exponential_matrix,
 )
 
 __all__ = [
@@ -297,19 +296,21 @@ def _parse_value(section: str, key: str, raw: str):
             f"{section}.{key}: cannot parse {raw!r} as {parser.__name__}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
     """A loaded run, built and validated once; see ``_SCHEMA`` for keys.
 
     ``problem`` is the run's ProblemSpec, ``x0`` its read-only start point,
-    ``mixing`` its MixingMatrix (the one-peer topology's ``t -> MixingMatrix``),
-    ``hp`` the ``[optim]`` step parameters and ``schedule`` the
-    ``[schedule]`` section with ``optim.eta`` as its base step size.
+    ``mixing`` its MixingMatrix (for the one-peer topology the
+    :class:`~qgm_sim.topology.OnePeerExponential` schedule, which holds no
+    matrix), ``hp`` the ``[optim]`` step parameters and ``schedule`` the
+    ``[schedule]`` section with ``optim.eta`` as its base step size.  ``==``
+    is identity: the problem and start point hold arrays.
     """
 
     problem: ProblemSpec
     x0: np.ndarray
-    mixing: MixingMatrix | Callable[[int], MixingMatrix]
+    mixing: MixingMatrix | OnePeerExponential
     n: int
     optim_kind: str
     hp: HyperParams
@@ -475,17 +476,15 @@ def build_mixing(config: RunConfig):
 
 def topology_mixing(kind: str, n: int, scheme: str = "metropolis_hastings",
                     rows: int | None = None):
-    """MixingMatrix for static topologies, or a ``t -> MixingMatrix``
-    generator for the time-varying pairing scheme."""
+    """MixingMatrix for static topologies, or the OnePeerExponential
+    schedule for the time-varying pairing scheme."""
     try:
         graph = build_graph(kind, n, **({} if rows is None else {"rows": rows}))
         if scheme not in MIXING_SCHEMES:  # one-peer builds no weights from it
             raise ValueError(
                 f"unknown mixing scheme {scheme!r}; expected one of {MIXING_SCHEMES}")
         if graph.time_varying:
-            # the name is looked up at each step, so a wrapper put on it after
-            # the config loaded (the benchmark's tracer) still sees every call
-            return lambda t: one_peer_exponential_matrix(n, t)
+            return OnePeerExponential(n)
         return mixing_matrix(graph, scheme=scheme)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -604,14 +603,24 @@ class RunResult:
     theorem_report: TheoremReport
 
 
-def _check_finite(S: StackedState, step: int, method: str) -> None:
+def _check_finite(S: StackedState, step: int, method: str, verified: dict) -> None:
     """Raise on the first array (in ``S.named_arrays()`` order) that holds a
-    non-finite entry."""
+    non-finite entry.
+
+    ``verified`` maps each field to the array last found finite there, and
+    is updated in place.  An array that is still that same object is
+    skipped: the step functions never write into an array.  The map holds
+    the arrays themselves, so a skipped one cannot be a new array at a
+    reused address.
+    """
     for field, arr in S.named_arrays():
+        if verified.get(field) is arr:
+            continue
         finite = np.isfinite(arr)
         if not finite.all():
             worker = int(np.argmin(finite.all(axis=0))) if arr.ndim == 2 else None
             raise NumericalDivergence(step, method, field, worker)
+        verified[field] = arr
 
 
 def build_theorem_report(config: RunConfig) -> TheoremReport:
@@ -622,15 +631,15 @@ def build_theorem_report(config: RunConfig) -> TheoremReport:
     quadratic family's ``noise_bound`` (E||noise||^2 = dim sigma^2); other
     problems are noise-free and get no step-size suggestion."""
     problem, mixing = config.problem, config.mixing
+    one_peer = isinstance(mixing, OnePeerExponential)
     report = validate_theorem_conditions(
-        config.hp, 1.0 if callable(mixing) else mixing.rho, n_workers=config.n,
+        config.hp, 1.0 if one_peer else mixing.rho, n_workers=config.n,
         sigma_sq=problem.noise_bound if problem.kind == "quadratic_family" else None,
         total_steps=config.steps)
-    if not callable(mixing):
+    if not one_peer:
         return report
-    sweep = max(1, config.n.bit_length() - 1)
     return dataclasses.replace(report, message=(
-        f"time-varying topology: one sweep of {sweep} one-peer steps multiplies "
+        f"time-varying topology: one sweep of {mixing.sweep} one-peer steps multiplies "
         f"out to exact averaging, so rho = 1 over a sweep; {report.message}"))
 
 
@@ -657,18 +666,21 @@ def run(config: RunConfig) -> RunResult:
 
     records: list[MetricsRecord] = []
     xbar_trace = [S.X.mean(axis=1)]
-    span = config.hp.tau if kind in ROUND_KINDS else 1
+    verified: dict = {}  # field -> the array last found finite there
+    hp = config.hp
+    span = hp.tau if kind in ROUND_KINDS else 1
     for step0 in range(0, config.steps, span):
         end = step0 + span
         lr = lr_schedule(config.schedule, step0 + 1, config.steps)
-        hp = dataclasses.replace(config.hp, eta=lr)
+        if lr != hp.eta:  # a new stage of the schedule
+            hp = dataclasses.replace(config.hp, eta=lr)
         if kind == "slowmo":
             stacked_slowmo_round(S, mixing, hp, config.slowmo_base, grad_fn, step0)
         elif kind == "mimelite":
             stacked_mimelite_round(S, hp, grad_fn, problem.local_gradients, step0)
         else:
-            stacked_step(kind, S, mixing_weights(mixing, step0), hp, end, grad_fn)
-        _check_finite(S, end, kind)
+            stacked_step(kind, S, mixing_at(mixing, step0), hp, end, grad_fn)
+        _check_finite(S, end, kind, verified)
         x_bar = S.X.mean(axis=1)
         xbar_trace.append(x_bar)
         if end % config.metrics_every == 0 or end == config.steps:

@@ -18,7 +18,11 @@ precisely when workers' data disagree.
 
 Every method is written once, over a :class:`StackedState` that holds each
 buffer as a ``(dim, n)`` array with one column per worker, so a step is a
-few whole-array expressions and one ``X W^T`` per gossip.  The engine and
+few whole-array expressions and one gossip, :func:`mix`: the dense product
+``X W^T`` for a static matrix, and for a step of the one-peer schedule
+(:class:`~qgm_sim.topology.OnePeerExponential`) the halfway average of
+each column with its one peer's, two entries per row and no matrix.
+:func:`mixing_at` gives step ``t``'s mixing of either.  The engine and
 the consensus experiments drive this core directly: :func:`stacked_step`
 for the per-step kinds, :func:`stacked_slowmo_round` and
 :func:`stacked_mimelite_round` for the round-structured ones.  Each
@@ -42,12 +46,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .topology import OnePeerExponential, OnePeerStep
+
 __all__ = [
     "HyperParams",
     "WorkerState",
     "StackedState",
     "mix",
-    "mixing_weights",
+    "mixing_at",
     "column_mean",
     "stacked_step",
     "stacked_dsgd_step",
@@ -193,26 +199,42 @@ class StackedState:
                 yield name, arr
 
 
-def _weights(W) -> np.ndarray:
-    return W.weights if hasattr(W, "weights") else np.asarray(W, dtype=float)
-
-
-def mixing_weights(W, t: int) -> np.ndarray:
-    """Weights of a static matrix, a MixingMatrix, or a time-varying
-    generator ``t -> matrix`` evaluated at step ``t``."""
-    if callable(W):
-        W = W(t)
-    return _weights(W)
+def mixing_at(mixing, t: int):
+    """Step ``t``'s mixing: the one-peer schedule's step ``t``, or a static
+    matrix itself."""
+    return mixing.at(t) if isinstance(mixing, OnePeerExponential) else mixing
 
 
 def mix(X: np.ndarray, W) -> np.ndarray:
-    """One communication round on stacked models: ``X W^T``, so worker i
-    receives sum_j W[i, j] x_j.  Only models move; buffers stay local."""
-    Wm = _weights(W)
-    if X.shape[1] != Wm.shape[0]:
-        raise ValueError(
-            f"state count {X.shape[1]} does not match mixing matrix size {Wm.shape[0]}")
-    return X @ Wm.T
+    """One communication round on stacked models, into a fresh array:
+    ``X W^T`` for a static matrix (a MixingMatrix or an array), so worker i
+    receives sum_j W[i, j] x_j; for a :class:`~qgm_sim.topology.OnePeerStep`
+    with offset k, column i becomes ``0.5 x_i + 0.5 x_{(i + k) mod n}``.
+    Only models move; buffers stay local.
+
+    The one-peer average has the bits of the dense product with that
+    step's matrix on every finite input outside the subnormal range, where
+    halving is exact and the zero weights add nothing.  It differs where the
+    dense product multiplies a zero weight by an ``inf`` (``0 * inf`` is NaN
+    in every column; here the ``inf`` reaches one reader), in the sign of an
+    exact zero (``-0.0`` stays ``-0.0``), and in the last bits of subnormal
+    entries.
+    """
+    dense = None if isinstance(W, OnePeerStep) else np.asarray(
+        getattr(W, "weights", W), dtype=float)
+    n = W.n if dense is None else dense.shape[0]
+    if X.shape[1] != n:
+        raise ValueError(f"state count {X.shape[1]} does not match mixing matrix size {n}")
+    if dense is not None:
+        return X @ dense.T
+    if n == 1:
+        return X.copy()
+    k = W.offset
+    H = 0.5 * X
+    out = np.empty_like(H)
+    np.add(H[:, :n - k], H[:, k:], out=out[:, :n - k])
+    np.add(H[:, n - k:], H[:, :k], out=out[:, n - k:])
+    return out
 
 
 def column_mean(X: np.ndarray) -> np.ndarray:
@@ -479,8 +501,7 @@ def stacked_slowmo_round(S: StackedState, W, hp: HyperParams, base_kind: str,
     gamma is the base step size hp.eta and x_0 is worker 0's model.  Base
     optimizer buffers persist across rounds; the round consumes steps
     ``step0 .. step0 + tau - 1``.  Inner step ``k`` samples at step
-    ``step0 + k`` and mixes with ``W_{step0 + k}`` when ``W`` is a
-    generator ``t -> matrix``.
+    ``step0 + k`` and mixes with ``mixing_at(W, step0 + k)``.
     """
     x0 = S.X[:, 0].copy()
     slow_m = S.slow_m if S.slow_m is not None else np.zeros_like(x0)
@@ -491,7 +512,7 @@ def stacked_slowmo_round(S: StackedState, W, hp: HyperParams, base_kind: str,
     for k in range(hp.tau):
         t = step0 + k
         G = grad_fn(S.X, t)
-        stacked_dsgd_step(base_kind, S, G, mixing_weights(W, t), inner_hp, step_index=t + 1)
+        stacked_dsgd_step(base_kind, S, G, mixing_at(W, t), inner_hp, step_index=t + 1)
 
     x_tau = column_mean(S.X)
     gamma = hp.eta

@@ -233,7 +233,7 @@ def nonconvex_toy_gradient(x) -> GradientSample:
 # problem family container
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """A fully-specified problem instance shared by all workers.
 
@@ -248,6 +248,9 @@ class ProblemSpec:
       L      = lambda_max(A^T A) = max(a_diag)^2
       sigma2 = dim * sigma_c^2              (E||sigma_c z||^2)
       zeta2  = zeta_c^2 * L * (1 - 1/n)     (upper bound; tight when A = cI)
+
+    ``==`` is identity: ``a_diag`` and ``b_base`` are arrays, which have no
+    one truth value.
     """
 
     kind: str

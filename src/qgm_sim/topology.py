@@ -1,8 +1,8 @@
 """Communication topologies and doubly stochastic gossip matrices.
 
 Workers in a decentralized run communicate over an undirected graph (or, for
-the time-varying one-peer scheme, a step-indexed sequence of directed pairing
-matrices).  This module builds those graphs, turns them into doubly
+the time-varying one-peer scheme, a step-indexed sequence of directed
+pairings).  This module builds those graphs, turns them into doubly
 stochastic mixing matrices ``W``, and measures how fast repeated mixing
 contracts disagreement:
 
@@ -17,8 +17,14 @@ the largest absolute eigenvalue of ``W - (1/n) 1 1^T``, which
 :func:`spectral_gap` takes from the symmetric eigensolver
 ``np.linalg.eigvalsh`` and refuses to compute for a matrix that is not
 symmetric.  The last bits of ``rho`` depend on the LAPACK build and the BLAS
-thread count.  The directed one-peer matrices get their ``rho`` in closed
-form.
+thread count.
+
+The one-peer scheme is :class:`OnePeerExponential`, a schedule that holds no
+array: it names each step's peer offset, and the optimizer averages each
+worker with that one peer directly (:func:`qgm_sim.optim.mix`).
+:func:`one_peer_exponential_matrix` builds the same step as a dense matrix,
+with its ``rho`` in closed form; it is the reference the tests check the
+matrix-free gossip against, and no run builds it.
 
 Convention used everywhere in this package: ``W[i, j]`` is the weight worker
 ``i`` places on worker ``j``'s model, i.e. one gossip round maps the stacked
@@ -38,6 +44,8 @@ import numpy as np
 __all__ = [
     "Graph",
     "MixingMatrix",
+    "OnePeerExponential",
+    "OnePeerStep",
     "build_graph",
     "mixing_matrix",
     "spectral_gap",
@@ -85,8 +93,8 @@ class Graph:
     ``edges`` holds each undirected pair once as ``(u, v)`` with ``u < v``
     and never contains self-loops.  For the time-varying
     ``one_peer_exponential`` kind the pairing changes every step, so
-    ``edges`` is empty and ``time_varying`` is set; use
-    :func:`one_peer_exponential_matrix` to obtain the per-step matrices.
+    ``edges`` is empty and ``time_varying`` is set; its mixing is the
+    schedule :class:`OnePeerExponential`.
     """
 
     kind: str
@@ -188,13 +196,14 @@ def build_graph(kind: str, n: int, **params) -> Graph:
 # mixing matrices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingMatrix:
     """A doubly stochastic gossip matrix over ``n`` workers.
 
     ``weights[i, j]`` is the weight worker ``i`` places on worker ``j``;
     rows and columns each sum to one and every entry is nonnegative.
-    ``rho`` is the spectral gap ``1 - sigma_2(W)^2``.
+    ``rho`` is the spectral gap ``1 - sigma_2(W)^2``.  ``==`` is identity:
+    the weights are an array, which has no one truth value.
     """
 
     n: int
@@ -234,8 +243,9 @@ def mixing_matrix(graph: Graph, scheme: str = "metropolis_hastings") -> MixingMa
         raise ValueError(f"unknown mixing scheme {scheme!r}; expected one of {MIXING_SCHEMES}")
     if graph.time_varying:
         raise ValueError(
-            "one_peer_exponential is time-varying; use one_peer_exponential_matrix(n, t) "
-            "to obtain the per-step matrix instead of mixing_matrix()"
+            "one_peer_exponential is time-varying; use OnePeerExponential(n) "
+            "(or the dense reference one_peer_exponential_matrix(n, t)) "
+            "instead of mixing_matrix()"
         )
 
     n = graph.n
@@ -263,8 +273,51 @@ def mixing_matrix(graph: Graph, scheme: str = "metropolis_hastings") -> MixingMa
     return MixingMatrix(n=n, weights=W, rho=spectral_gap(W), scheme=scheme)
 
 
+@dataclass(frozen=True)
+class OnePeerStep:
+    """One step of the one-peer exponential scheme: worker ``i`` averages
+    halfway with worker ``(i + offset) mod n``."""
+
+    n: int
+    offset: int
+
+
+@dataclass(frozen=True)
+class OnePeerExponential:
+    """The time-varying one-peer exponential schedule over ``n = 2^m``
+    workers (Assran et al., 2019; Ying et al., 2021).
+
+    At step ``t`` worker ``i`` averages halfway with the single peer
+    ``(i + 2^k) mod n``, ``k = t mod m``, so a step touches two entries per
+    row.  One sweep of ``m`` steps multiplies out to exact averaging.  The
+    schedule holds no array; :func:`one_peer_exponential_matrix` is the
+    dense matrix of the same step.
+    """
+
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1 or (self.n & (self.n - 1)):
+            raise ValueError(
+                f"one_peer_exponential requires n to be a power of two; got n={self.n}")
+
+    @property
+    def sweep(self) -> int:
+        """Steps in one sweep: ``log2(n)``, and 1 for a single worker."""
+        return max(1, self.n.bit_length() - 1)
+
+    def offset(self, t: int) -> int:
+        """Peer offset ``2^(t mod log2 n)`` of step ``t`` (0 at ``n = 1``)."""
+        return (1 << (t % self.sweep)) % self.n
+
+    def at(self, t: int) -> OnePeerStep:
+        """Step ``t`` of the schedule."""
+        return OnePeerStep(self.n, self.offset(t))
+
+
 def one_peer_exponential_matrix(n: int, t: int) -> MixingMatrix:
-    """Step-``t`` matrix of the one-peer exponential scheme.
+    """Dense step-``t`` matrix of :class:`OnePeerExponential`, the reference
+    its matrix-free gossip is checked against.
 
     Worker ``i`` averages halfway with the single peer ``(i + 2^k) mod n``
     where ``k = t mod log2(n)``:  ``W_t = (I + P_k) / 2`` with ``P_k`` the
@@ -275,12 +328,9 @@ def one_peer_exponential_matrix(n: int, t: int) -> MixingMatrix:
     offset 1 has ``sigma_2 = cos(pi/n)``, and larger offsets leave the
     residue classes mod the offset unmixed (``rho = 0``).
     """
-    if n < 1 or (n & (n - 1)):
-        raise ValueError(f"one_peer_exponential requires n to be a power of two; got n={n}")
+    offset = OnePeerExponential(n).offset(t)
     if n == 1:
         return MixingMatrix(n=1, weights=np.ones((1, 1)), rho=1.0, scheme="one_peer_exponential")
-    k = t % (n.bit_length() - 1)  # n = 2^m  ->  m = bit_length - 1
-    offset = 1 << k
     W = 0.5 * np.eye(n)
     W[np.arange(n), (np.arange(n) + offset) % n] += 0.5
     _validate_doubly_stochastic(W, f"one_peer_exponential(t={t})")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import qgm_sim
+from qgm_sim import cli
 from qgm_sim.cli import main
 from qgm_sim.engine import METRICS_HEADER, RunConfig, heading_change_sum, run
 
@@ -261,6 +262,32 @@ class TestUnwritableOutput:
         assert "Traceback" not in err
         assert err.splitlines() == [
             f"config error: cannot write {out!r}: No such file or directory"]
+
+    def test_run_fails_before_it_runs(self, tmp_path, capsys, monkeypatch):
+        def forbidden(_config):
+            raise AssertionError("ran before checking its output")
+
+        monkeypatch.setattr(cli, "run", forbidden)
+        out = str(tmp_path / "missing" / "x.csv")
+        assert main(["run", "--config", os.path.join(CONFIG_DIR, "toy2d_dsgdm.ini"),
+                     "--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: cannot write {out!r}: No such file or directory"]
+
+    @pytest.mark.parametrize("existing", [None, "old\n"])
+    def test_diverging_run_leaves_its_output_as_it_was(self, demo_config, tmp_path, existing):
+        out = tmp_path / "m.csv"
+        if existing is not None:
+            out.write_text(existing)
+        assert quiet_main([
+            "run", "--config", demo_config, "--out", str(out),
+            "--problem.kind", "rosenbrock", "--problem.dim", "2",
+            "--problem.sigma", "0", "--problem.zeta", "0",
+            "--topology.n", "2", "--optim.eta", "30"]) == 2
+        if existing is None:
+            assert not out.exists()
+        else:
+            assert out.read_text() == existing
 
 
 class TestValidateCommand:

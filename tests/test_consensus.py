@@ -15,7 +15,7 @@ from qgm_sim.consensus import (
     iterations_to_threshold,
     qg_consensus,
 )
-from qgm_sim.topology import build_graph, mixing_matrix, one_peer_exponential_matrix
+from qgm_sim.topology import OnePeerExponential, build_graph, mixing_matrix
 
 
 def ring(n):
@@ -99,7 +99,7 @@ class TestGossipConsensus:
         # the exponential pairing sequence multiplies out to the exact
         # average after log2(n) rounds
         X0 = gaussian(3, 8, seed=11)
-        run = gossip_consensus(X0, lambda t: one_peer_exponential_matrix(8, t), T=3)
+        run = gossip_consensus(X0, OnePeerExponential(8), T=3)
         assert run.trace[3] <= 1e-14
         np.testing.assert_allclose(
             run.x_final, np.tile(X0.mean(axis=1, keepdims=True), (1, 8)), atol=1e-13)

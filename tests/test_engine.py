@@ -9,8 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
+import qgm_sim
 import reference_loops as ref
-from qgm_sim import engine, topology
+from qgm_sim import cli, consensus, engine, optim, topology
 from qgm_sim.engine import (
     METRICS_HEADER,
     ConfigError,
@@ -26,9 +27,10 @@ from qgm_sim.engine import (
     validate_theorem_conditions,
     write_metrics_csv,
 )
-from qgm_sim.optim import HyperParams, StackedState, column_mean, stacked_step
+from qgm_sim.optim import HyperParams, StackedState, column_mean, mix, mixing_at, stacked_step
 from qgm_sim.topology import (
     MixingMatrix,
+    OnePeerExponential,
     build_graph,
     mixing_matrix,
     one_peer_exponential_matrix,
@@ -266,8 +268,20 @@ class TestRunConfig:
         assert cfg.problem.master_seed == 3
         np.testing.assert_array_equal(cfg.x0, np.full(8, 0.5))
         assert not cfg.x0.flags.writeable
-        np.testing.assert_array_equal(cfg.mixing(1).weights,
-                                      one_peer_exponential_matrix(4, 1).weights)
+        # the one-peer schedule holds no matrix; its step 1 mixes as the
+        # dense reference does (gossip of the identity is W^T)
+        assert cfg.mixing == OnePeerExponential(4)
+        np.testing.assert_array_equal(mix(np.eye(4), mixing_at(cfg.mixing, 1)),
+                                      one_peer_exponential_matrix(4, 1).weights.T)
+
+    def test_equality_is_identity_and_never_raises(self):
+        # the generated == compared the problem's arrays and raised
+        a, b = make_config(), make_config()
+        assert (a == b) is False and (a == a) is True
+        assert (a.problem == b.problem) is False and (a.mixing == b.mixing) is False
+        one_peer = {"topology.kind": "one_peer_exponential"}
+        assert (make_config(**one_peer) == make_config(**one_peer)) is False
+        assert make_config(**one_peer).mixing == make_config(**one_peer).mixing
 
     def test_from_ini_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
@@ -465,6 +479,76 @@ class TestRun:
         second = quiet_run(cfg)
         assert calls == []
         assert metrics_csv_lines(second.records) == metrics_csv_lines(first.records)
+
+    def test_no_run_builds_a_dense_one_peer_matrix(self, monkeypatch):
+        # one-peer steps mix by a column shift; the dense matrix is a test
+        # reference only, and no MixingMatrix is built once configs load
+        configs = [make_config(**{"topology.kind": "one_peer_exponential",
+                                  "topology.n": "8", "optim.kind": kind,
+                                  "optim.tau": "2" if kind in ("slowmo", "mimelite") else "1",
+                                  "run.steps": "6"})
+                   for kind in OPTIM_KINDS if kind != "qhm"]
+        reference = topology.one_peer_exponential_matrix
+
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("a run built a dense mixing matrix")
+
+        for module in (qgm_sim, topology, engine, optim, consensus, cli):
+            for name, value in list(vars(module).items()):
+                if value is reference:
+                    monkeypatch.setattr(module, name, forbidden)
+        monkeypatch.setattr(topology.MixingMatrix, "__post_init__", forbidden)
+        for cfg in configs:
+            quiet_run(cfg)
+        X0 = np.random.default_rng(0).standard_normal((3, 8))
+        consensus.qg_consensus(X0, OnePeerExponential(8), 0.9, 0.9, T=5)
+
+    def test_a_constant_schedule_builds_no_step_parameters(self, monkeypatch):
+        built = self._count_hyperparams(monkeypatch)
+        cfg = make_config(**{"run.steps": "12"})
+        built.clear()  # loading builds the config's own
+        quiet_run(cfg)
+        assert built == []
+
+    def test_a_stage_schedule_builds_step_parameters_once_per_stage_change(self, monkeypatch):
+        built = self._count_hyperparams(monkeypatch)
+        cfg = make_config(**{"schedule.kind": "warmup_stage",
+                             "schedule.warmup_fraction": "0.0",
+                             "schedule.milestones": "0.5,0.75", "run.steps": "12"})
+        built.clear()
+        res = quiet_run(cfg)
+        stages = [0.05, 0.05 / 10.0, 0.05 / 10.0**2]
+        assert built == stages[1:]
+        assert [r.lr for r in res.records] == [stages[0]] * 5 + [stages[1]] * 3 + [stages[2]] * 4
+
+    @staticmethod
+    def _count_hyperparams(monkeypatch):
+        built, real = [], HyperParams.__post_init__
+
+        def counting(hp):
+            built.append(hp.eta)
+            real(hp)
+
+        monkeypatch.setattr(HyperParams, "__post_init__", counting)
+        return built
+
+    def test_finite_check_skips_nothing_that_changed(self):
+        # arrays that stay the same object are skipped; a buffer rebound to
+        # a non-finite array after several finite steps is still named with
+        # its worker and step
+        S = StackedState.init(np.zeros(3), 4)
+        verified = {}
+        for step in range(1, 5):
+            S.X = S.X + 1.0
+            S.V = S.V + 0.5
+            engine._check_finite(S, step, "dsgd", verified)
+        assert verified["x"] is S.X and verified["m_local"] is S.M_local
+        V = S.V.copy()
+        V[2, 2] = np.inf
+        S.V = V
+        with pytest.raises(NumericalDivergence) as exc:
+            engine._check_finite(S, 5, "dsgd", verified)
+        assert str(exc.value) == "non-finite v of worker 2 at step 5 (method dsgd); aborting"
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_METRICS_SHA256))
     def test_shipped_config_metrics_bytes_frozen(self, name):

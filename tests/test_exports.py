@@ -8,7 +8,8 @@ it measures anything.  These checks keep that failure in the ordinary test
 suite, as does a run of the first op of each benchmark workload through
 ``perfbench/workloads.py``, which drives the engine by name
 (``RunConfig.from_mapping``/``from_ini``, ``build_problem``,
-``build_mixing``, ``cfg.n``, ``cfg.steps``, ``run``, ``metrics_csv_lines``).
+``build_mixing``, ``cfg.n``, ``cfg.steps``, ``run``, ``metrics_csv_lines``)
+and must reproduce its golden byte for byte.
 """
 
 import importlib
@@ -67,5 +68,5 @@ def test_first_op_of_each_benchmark_workload_matches_its_golden(workload, tmp_pa
         warnings.simplefilter("ignore")  # the engine's advisory momentum-bound warning
         prepared.call(0)
     golden = goldens.load(os.path.join(PERFBENCH, "goldens.json.gz"))["workloads"][workload]
-    ok, _identical, detail = goldens.compare(golden[prepared.ops[0].name], prepared.output(0))
-    assert ok, detail
+    ok, identical, detail = goldens.compare(golden[prepared.ops[0].name], prepared.output(0))
+    assert ok and identical, detail

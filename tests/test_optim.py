@@ -24,6 +24,7 @@ from qgm_sim.optim import (
     _half_step,
     column_mean,
     mix,
+    mixing_at,
     qg_multistep_gate,
     qhm_core,
     stacked_dsgd_step,
@@ -32,7 +33,12 @@ from qgm_sim.optim import (
     stacked_slowmo_round,
     stacked_step,
 )
-from qgm_sim.topology import build_graph, mixing_matrix
+from qgm_sim.topology import (
+    OnePeerExponential,
+    build_graph,
+    mixing_matrix,
+    one_peer_exponential_matrix,
+)
 
 
 def ring(n):
@@ -173,6 +179,63 @@ class TestGossip:
         before = column_mean(X)
         after = column_mean(mix(X, ring(n)))
         np.testing.assert_allclose(after, before, rtol=1e-10, atol=1e-12)
+
+
+class TestOnePeerGossip:
+    """The one-peer schedule mixes without a matrix: each column averages
+    halfway with its one peer's."""
+
+    @given(m=st.integers(min_value=0, max_value=10),
+           dim=st.integers(min_value=1, max_value=6),
+           t_frac=st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+           seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_bit_equal_to_the_dense_product(self, m, dim, t_frac, seed):
+        # n from 1 to 1024, t over two sweeps, magnitudes from 1e-300 to
+        # 1e300 of both signs: halving is exact there, so the two agree in
+        # every bit
+        n = 1 << m
+        schedule = OnePeerExponential(n)
+        t = int(t_frac * 2 * schedule.sweep)
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(1.0, 2.0, (dim, n)) * rng.choice([-1.0, 1.0], (dim, n)) \
+            * 10.0 ** rng.integers(-300, 301, (dim, n))
+        want = X @ one_peer_exponential_matrix(n, t).weights.T
+        got = mix(X, mixing_at(schedule, t))
+        assert got.tobytes() == want.tobytes()
+
+    def test_offsets_and_sweep(self):
+        schedule = OnePeerExponential(8)
+        assert schedule.sweep == 3
+        assert [schedule.offset(t) for t in range(7)] == [1, 2, 4, 1, 2, 4, 1]
+        assert (OnePeerExponential(1).sweep, OnePeerExponential(1).offset(5)) == (1, 0)
+        with pytest.raises(ValueError, match="power of two"):
+            OnePeerExponential(12)
+
+    def test_one_worker_gets_a_fresh_copy(self):
+        X = np.array([[3.0], [-1.0]])
+        out = mix(X, mixing_at(OnePeerExponential(1), 4))
+        assert out is not X and np.array_equal(out, X)
+
+    @pytest.mark.parametrize("t", range(3))
+    def test_an_inf_reaches_only_its_reader(self, t):
+        # the dense product multiplies the zero weights by inf and spreads
+        # NaN to every worker; the one-peer average reaches worker 3's one
+        # reader, the worker whose peer is 3
+        X = np.random.default_rng(t).standard_normal((4, 8))
+        X[1, 3] = np.inf
+        out = mix(X, mixing_at(OnePeerExponential(8), t))
+        reader = (3 - OnePeerExponential(8).offset(t)) % 8
+        bad = set(np.flatnonzero(~np.isfinite(out).all(axis=0)).tolist())
+        assert bad == {3, reader}
+
+    def test_count_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="does not match"):
+            mix(np.zeros((2, 3)), mixing_at(OnePeerExponential(4), 0))
+
+    def test_a_static_matrix_is_its_own_mixing_at_every_step(self):
+        W = ring(4)
+        assert mixing_at(W, 0) is W and mixing_at(W, 7) is W
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,13 @@ from qgm_sim.optim import (
     HyperParams,
     StackedState,
     WorkerState,
+    mixing_at,
     stacked_gt_init,
     stacked_mimelite_round,
     stacked_slowmo_round,
     stacked_step,
 )
-from qgm_sim.topology import one_peer_exponential_matrix
+from qgm_sim.topology import OnePeerExponential, one_peer_exponential_matrix
 
 STEPS = 4
 
@@ -64,22 +65,30 @@ def per_worker_step(kind, states, W, hp, t, grad_fn):
     return ref.decentralized_step(kind, states, grads, W, hp, step_index=t)
 
 
+def dense_at(mixing, t):
+    """The reference's step-``t`` matrix: the one-peer schedule's dense
+    matrix, or the static matrix itself."""
+    if isinstance(mixing, OnePeerExponential):
+        return one_peer_exponential_matrix(mixing.n, t)
+    return mixing
+
+
 @st.composite
 def cases(draw, max_n=6):
-    """A small problem: worker count, dimension, per-step mixing matrices,
-    per-step step sizes, hyperparameters and a pure quadratic-plus-noise
-    oracle.  Mixing is a random doubly stochastic matrix (a convex mix of
-    permutations) or the time-varying one-peer scheme."""
+    """A small problem: worker count, dimension, mixing, per-step step
+    sizes, hyperparameters and a pure quadratic-plus-noise oracle.  Mixing
+    is a random doubly stochastic matrix (a convex mix of permutations) or
+    the time-varying one-peer schedule, which the core mixes without a
+    matrix and the reference with :func:`dense_at`."""
     one_peer = draw(st.booleans())
     n = draw(st.sampled_from([1, 2, 4])) if one_peer else draw(st.integers(1, max_n))
     dim = draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if one_peer:
-        mats = [one_peer_exponential_matrix(n, t) for t in range(STEPS)]
+        mixing = OnePeerExponential(n)
     else:
         weights = rng.dirichlet(np.ones(3))
-        W = sum(w * np.eye(n)[rng.permutation(n)] for w in weights)
-        mats = [W] * STEPS
+        mixing = sum(w * np.eye(n)[rng.permutation(n)] for w in weights)
     etas = rng.uniform(0.01, 0.3, size=STEPS)
     hp = HyperParams(eta=float(etas[0]), beta=draw(st.floats(0.0, 0.95)),
                      mu=draw(st.floats(0.0, 0.95)), tau=draw(st.integers(1, 3)))
@@ -94,14 +103,14 @@ def cases(draw, max_n=6):
     def full_grad_fn(i, x):
         return a[:, i] * (a[:, i] * x - b[:, i])
 
-    return n, x0, mats, etas, hp, grad_fn, full_grad_fn
+    return n, x0, mixing, etas, hp, grad_fn, full_grad_fn
 
 
 @pytest.mark.parametrize("kind", STEP_KINDS)
 @given(case=cases())
 @settings(max_examples=40, deadline=None)
 def test_stacked_core_matches_per_worker_reference(kind, case):
-    n, x0, mats, etas, hp, grad_fn, _ = case
+    n, x0, mixing, etas, hp, grad_fn, _ = case
     S = StackedState.init(x0, n)
     want = ref.to_workers(S)
     if kind in ("gt", "gt_momentum"):
@@ -110,9 +119,8 @@ def test_stacked_core_matches_per_worker_reference(kind, case):
         assert_same_bits(ref.to_workers(S), want)
     for t in range(1, STEPS + 1):
         hp_t = dataclasses.replace(hp, eta=float(etas[t - 1]))
-        W = mats[t - 1]
-        want = per_worker_step(kind, want, W, hp_t, t, grad_fn)
-        stacked_step(kind, S, W, hp_t, t, ref.per_worker(grad_fn))
+        want = per_worker_step(kind, want, dense_at(mixing, t - 1), hp_t, t, grad_fn)
+        stacked_step(kind, S, mixing_at(mixing, t - 1), hp_t, t, ref.per_worker(grad_fn))
         assert_same_bits(ref.to_workers(S), want)
 
 
@@ -122,8 +130,8 @@ def test_stacked_core_matches_per_worker_reference(kind, case):
 def test_stacked_slowmo_matches_per_worker_reference(base_kind, case):
     # the reference mixes every inner step with one matrix, so only static
     # mixing is compared here; time-varying rounds are tested in test_engine
-    n, x0, mats, etas, hp, grad_fn, _ = case
-    W = mats[0]
+    n, x0, mixing, etas, hp, grad_fn, _ = case
+    W = dense_at(mixing, 0)
     hp = dataclasses.replace(hp, tau=2, slowmo_beta=0.5)
     S = StackedState.init(x0, n)
     want = ref.to_workers(S)
@@ -140,7 +148,7 @@ def test_stacked_mimelite_matches_per_worker_reference(case):
     # rounds of hp.tau local steps, as many as the case's noise covers; more
     # than 8 workers, where a pairwise sum would stop matching the
     # reference's worker-by-worker means
-    n, x0, mats, etas, hp, grad_fn, full_grad_fn = case
+    n, x0, _mixing, etas, hp, grad_fn, full_grad_fn = case
     S = StackedState.init(x0, n)
     x, s = x0.copy(), np.zeros_like(x0)
     for r in range(STEPS // hp.tau):
