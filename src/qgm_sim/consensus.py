@@ -49,14 +49,14 @@ def consensus_distance(X) -> float:
     return float(np.linalg.norm(deviation) / np.sqrt(X.shape[1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConsensusRun:
     """Trace of one consensus experiment.
 
     ``trace`` has length T+1 with ``trace[0]`` the initial distance;
     ``mean_drift`` (same length) records how far the column mean moved from
     its initial value at each iteration.  ``x_final`` is the terminal d x n
-    matrix.
+    matrix.  ``==`` is identity: arrays have no one truth value.
     """
 
     x0: np.ndarray

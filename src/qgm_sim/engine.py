@@ -591,11 +591,12 @@ def heading_change_sum(points) -> float:
 # the run loop
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunResult:
     """A run's metrics rows, its final stacked state, the averaged model
     ``X.mean(axis=1)`` after every span (row 0 is the start; a metrics row
-    reports the same vector) and the theorem report."""
+    reports the same vector) and the theorem report.  ``==`` is identity:
+    the state and trace are arrays, which have no one truth value."""
 
     records: tuple
     final_state: StackedState
@@ -603,9 +604,11 @@ class RunResult:
     theorem_report: TheoremReport
 
 
-def _check_finite(S: StackedState, step: int, method: str, verified: dict) -> None:
-    """Raise on the first array (in ``S.named_arrays()`` order) that holds a
-    non-finite entry.
+def _check_finite(S: StackedState, step: int, method: str, fields: list,
+                  verified: dict) -> None:
+    """Raise on the first array that holds a non-finite entry, visiting the
+    ``(attribute, field name)`` pairs ``fields`` (``S.array_fields()``) in
+    order.
 
     ``verified`` maps each field to the array last found finite there, and
     is updated in place.  An array that is still that same object is
@@ -613,7 +616,8 @@ def _check_finite(S: StackedState, step: int, method: str, verified: dict) -> No
     the arrays themselves, so a skipped one cannot be a new array at a
     reused address.
     """
-    for field, arr in S.named_arrays():
+    for attr, field in fields:
+        arr = getattr(S, attr)
         if verified.get(field) is arr:
             continue
         finite = np.isfinite(arr)
@@ -667,6 +671,9 @@ def run(config: RunConfig) -> RunResult:
     records: list[MetricsRecord] = []
     xbar_trace = [S.X.mean(axis=1)]
     verified: dict = {}  # field -> the array last found finite there
+    # the arrays S holds: every method adds its history and round buffers
+    # in its first span and never drops one, so the set is fixed after it
+    fields = None
     hp = config.hp
     span = hp.tau if kind in ROUND_KINDS else 1
     for step0 in range(0, config.steps, span):
@@ -680,7 +687,9 @@ def run(config: RunConfig) -> RunResult:
             stacked_mimelite_round(S, hp, grad_fn, problem.local_gradients, step0)
         else:
             stacked_step(kind, S, mixing_at(mixing, step0), hp, end, grad_fn)
-        _check_finite(S, end, kind, verified)
+        if fields is None:
+            fields = S.array_fields()
+        _check_finite(S, end, kind, fields, verified)
         x_bar = S.X.mean(axis=1)
         xbar_trace.append(x_bar)
         if end % config.metrics_every == 0 or end == config.steps:

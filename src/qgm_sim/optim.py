@@ -134,16 +134,18 @@ class WorkerState:
         return dataclasses.replace(self, **kw)
 
 
-# stacked attribute -> WorkerState field, in the order divergence checks
-# visit them: the live model and buffers first, then the one-step history
+# stacked attribute -> field name, in the order divergence checks visit
+# them: the live model and buffers first, then the one-step history (all
+# per-worker, named as in WorkerState), then the arrays shared by all workers
 _FIELDS = (
     ("X", "x"), ("M_hat", "m_hat"), ("M_local", "m_local"), ("V", "v"),
     ("Y", "y_tracker"), ("G_prev", "g_prev"), ("X_prev", "x_prev"),
     ("X_half_prev", "x_half_prev"), ("M_hat_prev", "m_hat_prev"),
+    ("slow_x", "slow_x"), ("slow_m", "slow_m"), ("server_s", "server_s"),
 )
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class StackedState:
     """Every worker's model and buffers as C-contiguous ``(dim, n)`` arrays,
     column ``i`` belonging to worker ``i``.
@@ -158,7 +160,8 @@ class StackedState:
     has no :class:`WorkerState` field).
 
     The step functions below rebind fields to fresh arrays and never write
-    into an array in place, so arrays handed out stay valid.
+    into an array in place, so arrays handed out stay valid.  ``==`` is
+    identity: arrays have no one truth value.
     """
 
     X: np.ndarray
@@ -186,17 +189,16 @@ class StackedState:
         X = np.array(X0, dtype=float, order="C")
         return cls(X=X, M_hat=np.zeros_like(X), M_local=np.zeros_like(X), V=np.zeros_like(X))
 
+    def array_fields(self) -> list[tuple[str, str]]:
+        """``(attribute, field name)`` of every array held: per-worker
+        arrays by their :class:`WorkerState` name, then the shared ones."""
+        return [(attr, name) for attr, name in _FIELDS if getattr(self, attr) is not None]
+
     def named_arrays(self):
-        """``(field name, array)`` for every array held: per-worker arrays
-        by their :class:`WorkerState` name, then the shared ones."""
-        for attr, name in _FIELDS:
-            arr = getattr(self, attr)
-            if arr is not None:
-                yield name, arr
-        for name in ("slow_x", "slow_m", "server_s"):
-            arr = getattr(self, name)
-            if arr is not None:
-                yield name, arr
+        """``(field name, array)`` for every array held, in
+        :meth:`array_fields` order."""
+        for attr, name in self.array_fields():
+            yield name, getattr(self, attr)
 
 
 def mixing_at(mixing, t: int):
@@ -292,16 +294,17 @@ def qg_multistep_gate(step_index: int, tau: int) -> bool:
 
 
 def stacked_dsgd_step(kind: str, S: StackedState, G, W, hp: HyperParams,
-                      step_index: int = 1) -> None:
+                      step_index: int = 1, tau: int | None = None) -> None:
     """One step of the dsgd/qg family on ``S`` from the gradient matrix
     ``G``: half steps (:func:`_half_step`), gossip, and for the QG kinds the
     quasi-global buffer update from consecutive synchronized models,
 
         d = (x_before - x_after) / eta,      m_hat <- mu m_hat + (1 - mu) d,
 
-    when the multi-step gate fires at 1-based ``step_index`` (with hp.tau
-    > 1 the buffer is frozen between refreshes).  ``eta`` is the step size
-    the half step used.  For ``qg_dsgdm`` this is the stacked recursion
+    when the multi-step gate of period ``tau`` (``hp.tau`` unless given)
+    fires at 1-based ``step_index`` (with a period > 1 the buffer is frozen
+    between refreshes).  ``eta`` is the step size the half step used.  For
+    ``qg_dsgdm`` this is the stacked recursion
 
         X_{t+1} = ( X_t - eta (beta M + G_t) ) W^T,
         M      <- mu M + (1 - mu) (X_t - X_{t+1}) / eta,
@@ -311,7 +314,8 @@ def stacked_dsgd_step(kind: str, S: StackedState, G, W, hp: HyperParams,
     averaging.
     """
     X_new = mix(_half_step(kind, S, G, hp), W)
-    if kind.startswith("qg_") and qg_multistep_gate(step_index, hp.tau):
+    if kind.startswith("qg_") and qg_multistep_gate(
+            step_index, hp.tau if tau is None else tau):
         d = (S.X - X_new) / hp.eta
         S.M_hat = hp.mu * S.M_hat + (1.0 - hp.mu) * d
     S.X = X_new
@@ -507,12 +511,12 @@ def stacked_slowmo_round(S: StackedState, W, hp: HyperParams, base_kind: str,
     slow_m = S.slow_m if S.slow_m is not None else np.zeros_like(x0)
 
     # hp.tau counts this round's inner steps; the inner steps themselves
-    # always refresh their buffers (no multi-step gating inside a round)
-    inner_hp = dataclasses.replace(hp, tau=1)
+    # always refresh their buffers (gate period 1: no multi-step gating
+    # inside a round)
     for k in range(hp.tau):
         t = step0 + k
         G = grad_fn(S.X, t)
-        stacked_dsgd_step(base_kind, S, G, mixing_at(W, t), inner_hp, step_index=t + 1)
+        stacked_dsgd_step(base_kind, S, G, mixing_at(W, t), hp, tau=1)
 
     x_tau = column_mean(S.X)
     gamma = hp.eta

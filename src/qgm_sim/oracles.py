@@ -19,19 +19,28 @@ Stochastic draws use numpy's counter-based Philox generator keyed by
 ``SeedSequence(entropy=master_seed, spawn_key=(worker, step))``, so every
 (worker, step) pair owns an independent, platform-stable stream and results
 do not depend on evaluation order.  :func:`sample_all` samples every worker
-at once: it derives the Philox keys of all ``n`` workers of a step in one
-vectorised pass of ``SeedSequence``'s uint32 hash mix, then draws each
-worker's noise from one reused Philox generator re-keyed through its
-``state`` (counter 0, empty buffer), which yields the bits of a freshly
-seeded stream.  For the quadratic family the rest is one whole-matrix
-expression, and :meth:`ProblemSpec.sample` is one column of it; the other
-families are noise-free and loop over workers.
+at once, and splits the work by what changes:
+
+* per run, once, when a quadratic :class:`ProblemSpec` is built: its
+  stacked targets ``b_i`` and, if it is noisy, ``SeedSequence``'s uint32
+  hash of the seed words and of every worker's word (:func:`_seed_pools`);
+* per step: the hash of the step's one or two words and the output hash,
+  which give all ``n`` Philox keys (:func:`_step_keys`); then, for each
+  worker, re-keying this thread's one Philox generator through its
+  ``state`` (counter 0, empty buffer, as plain ints) and drawing, which
+  yields the bits of a freshly seeded stream.
+
+For the quadratic family the rest is one whole-matrix expression, and
+:meth:`ProblemSpec.sample` is one column of it; the other families are
+noise-free and loop over workers.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,6 +77,20 @@ _MASK32 = 0xFFFFFFFF
 _POOL_SIZE = 4
 
 
+def _hash_consts(init: int, mult: int, count: int) -> list[int]:
+    """The first ``count + 1`` values of a chain of hash constants."""
+    consts = [init]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return consts
+
+
+# generate_state's output hash: pool word i is hashed with constants i and i + 1
+_OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, _POOL_SIZE)
+_OUT_XOR = np.array(_OUT_CONSTS[:-1], dtype=np.uint32)[:, None]
+_OUT_MULT = np.array(_OUT_CONSTS[1:], dtype=np.uint32)[:, None]
+
+
 def _uint32_words(value: int) -> list[int]:
     """``value`` as little-endian 32-bit words, the way SeedSequence reads
     an int (0 is one word)."""
@@ -85,82 +108,138 @@ def _mix(x, y):
     return result ^ (result >> 16)
 
 
+def _hashmix(value: int, const: int) -> tuple[int, int]:
+    """SeedSequence's hashmix of one uint32 word at hash constant ``const``:
+    the hashed word and the constant the next hashmix starts from."""
+    mult = const * _MULT_A & _MASK32
+    value = (value ^ const) * mult & _MASK32
+    return value ^ (value >> 16), mult
+
+
+class _SeedPools(NamedTuple):
+    """SeedSequence's hash state for workers ``0 .. n-1`` of one run after
+    its seed and worker words, which is the same at every step."""
+
+    pools: np.ndarray  # (4, n) read-only uint32: column w is worker w's pool
+    const: int  # the hash constant the next entropy word starts from
+
+
+def _seed_pools(master_seed: int, n: int) -> _SeedPools:
+    """The per-run part of the key hash of :func:`_philox_keys`.
+
+    SeedSequence hashes its entropy words (the seed's, zero-padded to the
+    pool size, then the worker's and the step's) into a pool of four uint32
+    words.  The seed words leave the same pool for every worker, so they
+    are mixed once with Python ints; the worker words are then mixed into
+    all ``n`` pools at once, as a ``(4, n)`` uint32 array whose products
+    wrap modulo 2**32 as the C code's do.  The hash constant advances with
+    every word whatever its value, so its position after the worker word is
+    fixed too.
+    """
+    seed_words = _uint32_words(master_seed)
+    seed_words += [0] * (_POOL_SIZE - len(seed_words))
+    const = _INIT_A
+    pool = []
+    for word in seed_words[:_POOL_SIZE]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in seed_words[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            hashed, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], hashed)
+
+    # the four hashmix calls of the worker word, one per pool word, at once
+    consts = _hash_consts(const, _MULT_A, _POOL_SIZE)
+    xor = np.array(consts[:-1], dtype=np.uint32)[:, None]
+    mult = np.array(consts[1:], dtype=np.uint32)[:, None]
+    hashed = (np.arange(n, dtype=np.uint32) ^ xor) * mult
+    hashed ^= hashed >> 16
+    pools = _mix(np.array(pool, dtype=np.uint32)[:, None], hashed)
+    pools.setflags(write=False)
+    return _SeedPools(pools, consts[-1])
+
+
+def _step_keys(seed_pools: _SeedPools, step: int) -> np.ndarray:
+    """The per-step part of :func:`_philox_keys`: mix the step's one or two
+    words into the run's pools, then apply generate_state's output hash.
+
+    A step word is the same for every worker, so its four hashmix values
+    are Python ints and each word costs one ``(4, n)`` mix.
+    """
+    pools, const = seed_pools
+    for word in _uint32_words(step):
+        hashed = []
+        for _ in range(_POOL_SIZE):
+            value, const = _hashmix(word, const)
+            hashed.append(value)
+        pools = _mix(pools, np.array(hashed, dtype=np.uint32)[:, None])
+    # generate_state: one more hash of each pool word, then pairs of words
+    # as little-endian uint64
+    out = (pools ^ _OUT_XOR) * _OUT_MULT
+    out ^= out >> 16
+    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
+
+
 def _philox_keys(master_seed: int, n: int, step: int) -> np.ndarray:
     """Philox keys of workers ``0 .. n-1`` at ``step`` as an ``(n, 2)``
     uint64 array: row ``w`` is
     ``SeedSequence(entropy=master_seed, spawn_key=(w, step)).generate_state(2, np.uint64)``,
     the key of a Philox generator seeded with that SeedSequence.
 
-    SeedSequence hashes its entropy words (the seed's, zero-padded to the
-    pool size, then the worker's and the step's) into a pool of four uint32
-    words, then hashes the pool into the output.  The seed words leave the
-    same pool for every worker, so they are mixed once with Python ints;
-    the worker and step words are mixed into all ``n`` pools at once, as a
-    ``(4, n)`` uint32 array whose products wrap modulo 2**32 as the C code's
-    do.  The hash constant advances with every word whatever its value.
+    The hash runs in two parts: :func:`_seed_pools` mixes the seed and
+    worker words, which a run computes once (a noisy quadratic
+    :class:`ProblemSpec` holds them from construction), and
+    :func:`_step_keys` mixes the step words and hashes the output, which is
+    all each step computes.
     """
-    seed_words = _uint32_words(master_seed)
-    seed_words += [0] * (_POOL_SIZE - len(seed_words))
-    consts = [_INIT_A]
-
-    def next_pair():  # the hash constant before and after one hashmix
-        consts.append(consts[-1] * _MULT_A & _MASK32)
-        return consts[-2], consts[-1]
-
-    def hashmix(value):
-        xor, mult = next_pair()
-        value = (value ^ xor) * mult & _MASK32
-        return value ^ (value >> 16)
-
-    pool = [hashmix(word) for word in seed_words[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in seed_words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-
-    pools = np.repeat(np.array(pool, dtype=np.uint32)[:, None], n, axis=1)
-    for word in [np.arange(n, dtype=np.uint32)] + _uint32_words(step):
-        # the four hashmix calls of this word, one per pool word, at once
-        pairs = [next_pair() for _ in range(_POOL_SIZE)]
-        xor, mult = np.array(pairs, dtype=np.uint32).T[:, :, None]
-        hashed = (word ^ xor) * mult
-        hashed ^= hashed >> 16
-        pools = _mix(pools, hashed)
-
-    # generate_state: one more hash of each pool word, with its own chain
-    # of constants, then pairs of words as little-endian uint64
-    out_consts = [_INIT_B]
-    for _ in range(_POOL_SIZE):
-        out_consts.append(out_consts[-1] * _MULT_B & _MASK32)
-    xor = np.array(out_consts[:-1], dtype=np.uint32)[:, None]
-    mult = np.array(out_consts[1:], dtype=np.uint32)[:, None]
-    out = (pools ^ xor) * mult
-    out ^= out >> 16
-    return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
+    return _step_keys(_seed_pools(master_seed, n), step)
 
 
-def _standard_normals(master_seed: int, n: int, step: int, dim: int) -> np.ndarray:
+_thread = threading.local()
+
+
+def _thread_generator():
+    """This thread's Philox bit generator and its Generator, built on the
+    thread's first draw.
+
+    One pair per thread lets threads draw at once without sharing a state.
+    Nothing is built at import: numpy loads ``numpy.random`` lazily, and a
+    run without noise never loads it.
+    """
+    try:
+        return _thread.generator
+    except AttributeError:
+        bitgen = np.random.Philox(key=0)
+        _thread.generator = bitgen, np.random.Generator(bitgen)
+        return _thread.generator
+
+
+def _standard_normals(seed_pools: _SeedPools, step: int, dim: int) -> np.ndarray:
     """``(n, dim)`` array whose row ``w`` is, bit for bit, the first ``dim``
     standard normals of ``Generator(Philox(SeedSequence(entropy=master_seed,
-    spawn_key=(w, step))))``.
+    spawn_key=(w, step))))``, where ``seed_pools`` is
+    ``_seed_pools(master_seed, n)``.
 
-    One Philox generator serves every row: it is re-keyed through its
-    ``state`` with counter 0 and an empty buffer, which is the state a
-    generator freshly seeded with that key starts in.
+    Per step this computes the step's keys (:func:`_step_keys`) and, for
+    each worker, re-keys the thread's Philox generator through its
+    ``state`` (counter 0, an empty buffer: the state a generator freshly
+    seeded with that key starts in) and draws.  The state is given as plain
+    ints, which the setter reads faster than uint64 arrays.
     """
-    bitgen = np.random.Philox(key=0)
-    gen = np.random.Generator(bitgen)
-    state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+    bitgen, gen = _thread_generator()
+    keyed = {"counter": [0, 0, 0, 0], "key": None}
+    state = {"bit_generator": "Philox", "state": keyed,
              # buffer_pos 4: all four buffered words used, the buffer empty
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    Z = np.empty((n, dim))
-    for w, key in enumerate(_philox_keys(master_seed, n, step).tolist()):
-        state["state"]["key"] = key
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    keys = _step_keys(seed_pools, step).tolist()
+    Z = np.empty((len(keys), dim))
+    for w, key in enumerate(keys):
+        keyed["key"] = key
         bitgen.state = state
         gen.standard_normal(out=Z[w])
     return Z
@@ -251,6 +330,10 @@ class ProblemSpec:
 
     ``==`` is identity: ``a_diag`` and ``b_base`` are arrays, which have no
     one truth value.
+
+    Construction also builds, read-only, what every evaluation reads: the
+    quadratic family's stacked targets ``b_i`` and, when it is noisy, the
+    per-run part of its noise-key hash (:func:`_seed_pools`).
     """
 
     kind: str
@@ -263,6 +346,8 @@ class ProblemSpec:
     zeta_c: float = 0.0
     sigma_c: float = 0.0
     master_seed: int = 0
+    _B: np.ndarray | None = field(default=None, init=False, repr=False)
+    _pools: _SeedPools | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in PROBLEM_KINDS:
@@ -292,6 +377,17 @@ class ProblemSpec:
                 )
             self.a_diag.setflags(write=False)
             self.b_base.setflags(write=False)
+            # the b_i as columns, stacked only when they differ
+            B = self.b_base[:, None]
+            if self.zeta_c != 0.0:
+                B = np.repeat(B, self.n_workers, axis=1)
+                w = np.arange(self.n_workers)
+                B[w, w] += self.zeta_c
+                B.setflags(write=False)
+            object.__setattr__(self, "_B", B)
+            if self.sigma_c != 0.0:
+                object.__setattr__(self, "_pools",
+                                   _seed_pools(self.master_seed, self.n_workers))
 
     # -- quadratic family constants -----------------------------------------
 
@@ -351,14 +447,8 @@ class ProblemSpec:
         return G
 
     def _residuals(self, P: np.ndarray) -> np.ndarray:
-        """``a * P[:, i] - b_i`` for every worker ``i``, as ``(dim, n)``;
-        the ``b_i`` are stacked only when they differ (``zeta_c != 0``)."""
-        B = self.b_base[:, None]
-        if self.zeta_c != 0.0:
-            B = np.repeat(B, self.n_workers, axis=1)
-            w = np.arange(self.n_workers)
-            B[w, w] += self.zeta_c
-        return self.a_diag[:, None] * P - B
+        """``a * P[:, i] - b_i`` for every worker ``i``, as ``(dim, n)``."""
+        return self.a_diag[:, None] * P - self._B
 
     def _at_every_worker(self, x) -> np.ndarray:
         """``x`` as every column of a read-only ``(dim, n)`` view."""
@@ -416,17 +506,20 @@ def quadratic_family(
 
 def sample_all(problem: ProblemSpec, P: np.ndarray, step: int) -> np.ndarray:
     """Every worker's stochastic gradient at ``step`` as a fresh ``(dim, n)``
-    array: column ``i`` is worker ``i``'s gradient at ``P[:, i]``.
+    array: column ``i`` is worker ``i``'s gradient at ``P[:, i]``.  ``P``
+    has one column per worker of ``problem`` (``ValueError`` otherwise).
 
     For the quadratic family this is ``a (a P - B) + sigma_c Z``, ``B`` the
     stacked ``b_i`` and row ``i`` of ``Z`` worker ``i``'s Philox draw.  The
     other families are noise-free (``step`` does not enter): each worker's
     oracle is called in turn.
     """
+    if P.shape[1] != problem.n_workers:
+        raise ValueError(
+            f"P has {P.shape[1]} columns; the problem has {problem.n_workers} workers")
     G = problem.local_gradients(P)
-    if problem.kind == "quadratic_family" and problem.sigma_c != 0.0:
-        G += problem.sigma_c * _standard_normals(
-            problem.master_seed, P.shape[1], step, problem.dim).T
+    if problem._pools is not None:
+        G += problem.sigma_c * _standard_normals(problem._pools, step, problem.dim).T
     return G
 
 

@@ -384,6 +384,17 @@ class TestRun:
         b = quiet_run(make_config(**base, **{"run.threads": "4"}))
         assert metrics_csv_lines(a.records) == metrics_csv_lines(b.records)
 
+    def test_results_and_states_compare_by_identity(self):
+        # the generated == compared array fields and raised
+        a, b = quiet_run(make_config()), quiet_run(make_config())
+        assert (a == b) is False and (a == a) is True
+        assert (a.final_state == b.final_state) is False
+        assert (a.final_state == a.final_state) is True
+        X0 = np.random.default_rng(0).standard_normal((3, 4))
+        W = mixing_matrix(build_graph("ring", 4))
+        c, d = consensus.gossip_consensus(X0, W, 5), consensus.gossip_consensus(X0, W, 5)
+        assert (c == d) is False and (c == c) is True
+
     def test_divergence_aborts_with_step_and_method(self):
         cfg = make_config(**{"problem.kind": "rosenbrock", "problem.sigma": "0",
                              "problem.zeta": "0", "problem.dim": "2",
@@ -521,6 +532,16 @@ class TestRun:
         assert built == stages[1:]
         assert [r.lr for r in res.records] == [stages[0]] * 5 + [stages[1]] * 3 + [stages[2]] * 4
 
+    def test_a_constant_schedule_slowmo_run_builds_no_step_parameters(self, monkeypatch):
+        # a round's inner steps refresh every step by their own gate period,
+        # not by a tau=1 copy of the round's parameters
+        built = self._count_hyperparams(monkeypatch)
+        cfg = make_config(**{"optim.kind": "slowmo", "optim.tau": "2",
+                             "optim.slowmo_base": "qg_dsgdm", "run.steps": "12"})
+        built.clear()
+        quiet_run(cfg)
+        assert built == []
+
     @staticmethod
     def _count_hyperparams(monkeypatch):
         built, real = [], HyperParams.__post_init__
@@ -541,14 +562,57 @@ class TestRun:
         for step in range(1, 5):
             S.X = S.X + 1.0
             S.V = S.V + 0.5
-            engine._check_finite(S, step, "dsgd", verified)
+            engine._check_finite(S, step, "dsgd", S.array_fields(), verified)
         assert verified["x"] is S.X and verified["m_local"] is S.M_local
         V = S.V.copy()
         V[2, 2] = np.inf
         S.V = V
         with pytest.raises(NumericalDivergence) as exc:
-            engine._check_finite(S, 5, "dsgd", verified)
+            engine._check_finite(S, 5, "dsgd", S.array_fields(), verified)
         assert str(exc.value) == "non-finite v of worker 2 at step 5 (method dsgd); aborting"
+
+    @pytest.mark.parametrize("kind,attr,field,tau", [
+        ("dmsgd_i", "M_hat_prev", "m_hat_prev", "1"),
+        ("mimelite", "server_s", "server_s", "2")])
+    def test_finite_check_names_a_buffer_that_first_appears_after_step_1(
+            self, monkeypatch, kind, attr, field, tau):
+        # the check visits the buffers held after the first span; a buffer
+        # that span added, made non-finite later, is still named
+        step_fn = "stacked_mimelite_round" if kind == "mimelite" else "stacked_step"
+        real = getattr(engine, step_fn)
+
+        def poisoning(*args):
+            real(*args)
+            calls.append(None)
+            if len(calls) == 3:
+                S = next(a for a in args if isinstance(a, StackedState))
+                bad = getattr(S, attr).copy()
+                bad[(1, 2) if bad.ndim == 2 else 1] = np.nan
+                setattr(S, attr, bad)
+
+        calls = []
+        monkeypatch.setattr(engine, step_fn, poisoning)
+        cfg = make_config(**{"optim.kind": kind, "optim.tau": tau, "run.steps": "12"})
+        with pytest.raises(NumericalDivergence) as exc:
+            quiet_run(cfg)
+        step = 3 * int(tau)
+        worker = 2 if field == "m_hat_prev" else None
+        assert (exc.value.field, exc.value.worker, exc.value.step) == (field, worker, step)
+        owner = " of worker 2" if worker is not None else ""
+        assert str(exc.value) == (
+            f"non-finite {field}{owner} at step {step} (method {kind}); aborting")
+
+    @pytest.mark.parametrize("kind", OPTIM_KINDS)
+    def test_every_method_holds_its_arrays_from_the_first_span_on(self, kind):
+        # the finite check reads the list of arrays held once, after the
+        # first span, so no method may add or drop one later
+        span = 2 if kind in ("slowmo", "mimelite") else 1
+        tweaks = {"optim.kind": kind, "optim.tau": str(span)}
+        if kind == "qhm":
+            tweaks.update({"topology.kind": "complete", "topology.n": "1"})
+        first = quiet_run(make_config(**tweaks, **{"run.steps": str(span)}))
+        last = quiet_run(make_config(**tweaks, **{"run.steps": str(5 * span)}))
+        assert first.final_state.array_fields() == last.final_state.array_fields()
 
     @pytest.mark.parametrize("name", sorted(SHIPPED_METRICS_SHA256))
     def test_shipped_config_metrics_bytes_frozen(self, name):

@@ -1,5 +1,10 @@
 """Tests for the gradient oracles and their analytic constants."""
 
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +14,7 @@ import reference_loops as ref
 from qgm_sim.oracles import (
     ProblemSpec,
     _philox_keys,
+    _seed_pools,
     _standard_normals,
     finite_difference_check,
     nonconvex_toy_gradient,
@@ -205,7 +211,7 @@ class TestBatchedDraws:
     @pytest.mark.parametrize("step", STEPS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_rekeyed_draws_match_fresh_streams(self, seed, step):
-        Z = _standard_normals(seed, N_MAX, step, 5)
+        Z = _standard_normals(_seed_pools(seed, N_MAX), step, 5)
         for w in range(N_MAX):
             assert bits(Z[w]) == bits(ref.worker_rng(seed, w, step).standard_normal(5)), w
 
@@ -264,6 +270,72 @@ class TestBatchedDraws:
         first = sample_all(spec, P, 5)
         sample_all(spec, P, 6)
         assert bits(sample_all(spec, P, 5)) == bits(first)
+
+    def test_one_column_per_worker_required(self):
+        # the keys are hashed for the spec's workers once; a one-worker
+        # spec's noise would otherwise broadcast over every column
+        spec = quadratic_family(dim=4, n_workers=1, sigma_c=0.5)
+        with pytest.raises(ValueError, match="3 columns; the problem has 1 workers"):
+            sample_all(spec, np.ones((4, 3)), 0)
+
+    def test_interleaved_specs_draw_their_own_bits(self):
+        # each spec holds its own per-run hash; sampling one between the
+        # steps of another changes neither
+        specs = [quadratic_family(dim=12, n_workers=12, zeta_c=0.5, sigma_c=0.4,
+                                  master_seed=2**64 + 3),
+                 quadratic_family(dim=5, n_workers=5, sigma_c=1.5, master_seed=7)]
+        steps = [0, 1, 2**32, 3]
+        alone = [[bits(sample_all(sp, np.ones((sp.dim, sp.n_workers)), t)) for t in steps]
+                 for sp in specs]
+        interleaved = [[], []]
+        for t in steps:
+            for got, sp in zip(interleaved, specs):
+                got.append(bits(sample_all(sp, np.ones((sp.dim, sp.n_workers)), t)))
+        assert interleaved == alone
+        for sp, drawn in zip(specs, alone):
+            assert drawn[0] == bits(np.column_stack([
+                ref.quadratic_gradient(sp, w, np.ones(sp.dim), 0).grad
+                for w in range(sp.n_workers)]))
+
+    def test_threads_sampling_one_spec_draw_the_serial_bits(self):
+        spec = quadratic_family(dim=16, n_workers=16, zeta_c=0.3, sigma_c=0.7, master_seed=5)
+        P = np.ones((16, 16))
+        steps = range(150)
+        serial = [bits(sample_all(spec, P, t)) for t in steps]
+        results = [[] for _ in range(4)]
+        start = threading.Barrier(len(results), timeout=60)
+
+        def draw(out):
+            start.wait()
+            out.extend(bits(sample_all(spec, P, t)) for t in steps)
+
+        threads = [threading.Thread(target=draw, args=(out,)) for out in results]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert all(out == serial for out in results)
+
+    def test_import_and_config_load_leave_numpy_random_unloaded(self):
+        # the draws' generators are built on a thread's first draw, so
+        # loading a noisy config pays for none of numpy.random
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        config = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                              "quadratic_ring16_qg.ini")
+        code = ("import sys, qgm_sim\n"
+                f"cfg = qgm_sim.RunConfig.from_ini({config!r})\n"
+                "assert cfg.problem.sigma_c > 0\n"
+                "print('numpy.random' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        assert out.stdout.strip() == "False"
 
 
 @st.composite
