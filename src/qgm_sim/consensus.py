@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .optim import HyperParams, StackedState, mixing_at, stacked_dsgd_step
+from .optim import HyperParams, StackedState, stacked_dsgd_step
 
 __all__ = [
     "ConsensusRun",
@@ -82,6 +82,8 @@ def _run(X0, W, beta: float, mu: float, T: int) -> ConsensusRun:
     X = np.asarray(X0, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X0 must be a d x n matrix; got shape {X.shape}")
+    if X.shape[1] != W.n:
+        raise ValueError(f"state count {X.shape[1]} does not match mixing matrix size {W.n}")
     if T < 0:
         raise ValueError(f"iteration count must be >= 0; got {T}")
     hp = HyperParams(eta=1.0, beta=beta, mu=mu)
@@ -90,7 +92,7 @@ def _run(X0, W, beta: float, mu: float, T: int) -> ConsensusRun:
     trace = [consensus_distance(S.X)]
     drift = [0.0]
     for t in range(T):
-        stacked_dsgd_step("qg_dsgdm", S, None, mixing_at(W, t), hp)
+        stacked_dsgd_step("qg_dsgdm", S, None, W.at(t), hp)
         trace.append(consensus_distance(S.X))
         drift.append(float(np.linalg.norm(S.X.mean(axis=1) - mean0)))
     return ConsensusRun(
@@ -108,10 +110,11 @@ def _run(X0, W, beta: float, mu: float, T: int) -> ConsensusRun:
 def gossip_consensus(X0, W, T: int) -> ConsensusRun:
     """Plain gossip averaging for T iterations: X <- X W^T each round.
 
-    ``W`` may be a MixingMatrix, a raw doubly stochastic array, or the
-    time-varying :class:`~qgm_sim.topology.OnePeerExponential` schedule.
-    The distance trace contracts at the second singular value of W and the
-    column mean stays put (up to rounding).
+    ``W`` is any mixing that answers ``n`` and ``at(t)``: a MixingMatrix,
+    the time-varying :class:`~qgm_sim.topology.OnePeerExponential`
+    schedule, or another schedule of matrices.  The distance trace
+    contracts at the second singular value of W and the column mean stays
+    put (up to rounding).
     """
     return _run(X0, W, beta=0.0, mu=0.0, T=T)
 

@@ -42,7 +42,6 @@ from .optim import (
     STEP_KINDS,
     HyperParams,
     StackedState,
-    mixing_at,
     stacked_gt_init,
     stacked_mimelite_round,
     stacked_slowmo_round,
@@ -323,10 +322,12 @@ class RunConfig:
 
     @staticmethod
     def from_mapping(mapping: dict, overrides: dict | None = None) -> "RunConfig":
-        """Build from {section: {key: str-or-value}} plus dotted overrides.
+        """Build from {section: {key: value}} plus dotted overrides.
 
-        Unknown sections/keys are rejected by name; ``optim.kind`` is the
-        one required field.  The problem, start point and mixing are built
+        Every value is read as text (``str(value)``) by its key's parser, so
+        ``2.5`` for an int key fails as ``'2.5'`` would.  Unknown
+        sections/keys are rejected by name; ``optim.kind`` is the one
+        required field.  The problem, start point and mixing are built
         here, so a config that loads is a run that can start.
         """
         values: dict[str, dict] = {s: {} for s in _SCHEMA}
@@ -334,8 +335,7 @@ class RunConfig:
         def _set(section, key, raw):
             if key not in _SCHEMA.get(section, ()):
                 raise ConfigError(f"unknown config key {section}.{key}")
-            values[section][key] = (
-                _parse_value(section, key, raw) if isinstance(raw, str) else raw)
+            values[section][key] = _parse_value(section, key, str(raw))
 
         for section, entries in mapping.items():
             if section not in _SCHEMA:
@@ -364,7 +364,7 @@ class RunConfig:
                          values["schedule"], values["run"])
 
         def _optional(section, key, parser):
-            raw = str(values[section][key]).strip()
+            raw = values[section][key].strip()
             if not raw:
                 return None
             try:
@@ -428,7 +428,7 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         mixing = topology_mixing(t["kind"], t["n"], t["scheme"], rows)
-        x0 = _initial_point(str(p["init"]), problem.dim)
+        x0 = _initial_point(p["init"], problem.dim)
         x0.flags.writeable = False
         return RunConfig(
             problem=problem, x0=x0, mixing=mixing, n=t["n"],
@@ -446,10 +446,8 @@ class RunConfig:
         return RunConfig.from_mapping(mapping, overrides)
 
 
-def _parse_milestones(raw) -> tuple[float, ...]:
-    if isinstance(raw, tuple):
-        return raw
-    text = str(raw).strip()
+def _parse_milestones(raw: str) -> tuple[float, ...]:
+    text = raw.strip()
     if not text:
         return ()
     try:
@@ -628,19 +626,19 @@ def _check_finite(S: StackedState, step: int, method: str, fields: list,
 
 
 def build_theorem_report(config: RunConfig) -> TheoremReport:
-    """The theorem-condition report of a run.  A static topology is checked
-    at its matrix's ``rho``.  A time-varying one-peer topology is checked at
-    ``rho = 1``: the product of one sweep of its ``log2(n)`` matrices is
-    exactly the averaging matrix ``(1/n) 1 1^T``.  The noise level is the
-    quadratic family's ``noise_bound`` (E||noise||^2 = dim sigma^2); other
-    problems are noise-free and get no step-size suggestion."""
+    """The theorem-condition report of a run, checked at its mixing's
+    ``rho``: a static matrix's spectral gap, and 1 for the time-varying
+    one-peer topology, the product of one sweep of whose ``log2(n)``
+    matrices is exactly the averaging matrix ``(1/n) 1 1^T``.  The noise
+    level is the quadratic family's ``noise_bound`` (E||noise||^2 = dim
+    sigma^2); other problems are noise-free and get no step-size
+    suggestion."""
     problem, mixing = config.problem, config.mixing
-    one_peer = isinstance(mixing, OnePeerExponential)
     report = validate_theorem_conditions(
-        config.hp, 1.0 if one_peer else mixing.rho, n_workers=config.n,
+        config.hp, mixing.rho, n_workers=config.n,
         sigma_sq=problem.noise_bound if problem.kind == "quadratic_family" else None,
         total_steps=config.steps)
-    if not one_peer:
+    if not isinstance(mixing, OnePeerExponential):
         return report
     return dataclasses.replace(report, message=(
         f"time-varying topology: one sweep of {mixing.sweep} one-peer steps multiplies "
@@ -686,7 +684,7 @@ def run(config: RunConfig) -> RunResult:
         elif kind == "mimelite":
             stacked_mimelite_round(S, hp, grad_fn, problem.local_gradients, step0)
         else:
-            stacked_step(kind, S, mixing_at(mixing, step0), hp, end, grad_fn)
+            stacked_step(kind, S, mixing.at(step0), hp, end, grad_fn)
         if fields is None:
             fields = S.array_fields()
         _check_finite(S, end, kind, fields, verified)

@@ -18,11 +18,10 @@ precisely when workers' data disagree.
 
 Every method is written once, over a :class:`StackedState` that holds each
 buffer as a ``(dim, n)`` array with one column per worker, so a step is a
-few whole-array expressions and one gossip, :func:`mix`: the dense product
-``X W^T`` for a static matrix, and for a step of the one-peer schedule
-(:class:`~qgm_sim.topology.OnePeerExponential`) the halfway average of
-each column with its one peer's, two entries per row and no matrix.
-:func:`mixing_at` gives step ``t``'s mixing of either.  The engine and
+few whole-array expressions and one gossip, :func:`mix`, with the step's
+mixing ``W.at(t)``: the dense product ``X W^T`` for a static matrix, and
+for a step of the one-peer schedule the halfway average of each column
+with its one peer's, two entries per row and no matrix.  The engine and
 the consensus experiments drive this core directly: :func:`stacked_step`
 for the per-step kinds, :func:`stacked_slowmo_round` and
 :func:`stacked_mimelite_round` for the round-structured ones.  Each
@@ -46,14 +45,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import OnePeerExponential, OnePeerStep
+from .topology import OnePeerStep
 
 __all__ = [
     "HyperParams",
     "WorkerState",
     "StackedState",
     "mix",
-    "mixing_at",
     "column_mean",
     "stacked_step",
     "stacked_dsgd_step",
@@ -194,25 +192,14 @@ class StackedState:
         arrays by their :class:`WorkerState` name, then the shared ones."""
         return [(attr, name) for attr, name in _FIELDS if getattr(self, attr) is not None]
 
-    def named_arrays(self):
-        """``(field name, array)`` for every array held, in
-        :meth:`array_fields` order."""
-        for attr, name in self.array_fields():
-            yield name, getattr(self, attr)
-
-
-def mixing_at(mixing, t: int):
-    """Step ``t``'s mixing: the one-peer schedule's step ``t``, or a static
-    matrix itself."""
-    return mixing.at(t) if isinstance(mixing, OnePeerExponential) else mixing
-
 
 def mix(X: np.ndarray, W) -> np.ndarray:
-    """One communication round on stacked models, into a fresh array:
-    ``X W^T`` for a static matrix (a MixingMatrix or an array), so worker i
-    receives sum_j W[i, j] x_j; for a :class:`~qgm_sim.topology.OnePeerStep`
-    with offset k, column i becomes ``0.5 x_i + 0.5 x_{(i + k) mod n}``.
-    Only models move; buffers stay local.
+    """One communication round on stacked models, into a fresh array, with
+    one step's mixing ``W``: ``X W^T`` for a
+    :class:`~qgm_sim.topology.MixingMatrix`, so worker i receives
+    sum_j W[i, j] x_j; for a :class:`~qgm_sim.topology.OnePeerStep` with
+    offset k, column i becomes ``0.5 x_i + 0.5 x_{(i + k) mod n}``.  Only
+    models move; buffers stay local.
 
     The one-peer average has the bits of the dense product with that
     step's matrix on every finite input outside the subnormal range, where
@@ -222,13 +209,11 @@ def mix(X: np.ndarray, W) -> np.ndarray:
     exact zero (``-0.0`` stays ``-0.0``), and in the last bits of subnormal
     entries.
     """
-    dense = None if isinstance(W, OnePeerStep) else np.asarray(
-        getattr(W, "weights", W), dtype=float)
-    n = W.n if dense is None else dense.shape[0]
+    n = W.n
     if X.shape[1] != n:
         raise ValueError(f"state count {X.shape[1]} does not match mixing matrix size {n}")
-    if dense is not None:
-        return X @ dense.T
+    if not isinstance(W, OnePeerStep):
+        return X @ W.weights.T
     if n == 1:
         return X.copy()
     k = W.offset
@@ -505,7 +490,7 @@ def stacked_slowmo_round(S: StackedState, W, hp: HyperParams, base_kind: str,
     gamma is the base step size hp.eta and x_0 is worker 0's model.  Base
     optimizer buffers persist across rounds; the round consumes steps
     ``step0 .. step0 + tau - 1``.  Inner step ``k`` samples at step
-    ``step0 + k`` and mixes with ``mixing_at(W, step0 + k)``.
+    ``step0 + k`` and mixes with ``W.at(step0 + k)``.
     """
     x0 = S.X[:, 0].copy()
     slow_m = S.slow_m if S.slow_m is not None else np.zeros_like(x0)
@@ -516,7 +501,7 @@ def stacked_slowmo_round(S: StackedState, W, hp: HyperParams, base_kind: str,
     for k in range(hp.tau):
         t = step0 + k
         G = grad_fn(S.X, t)
-        stacked_dsgd_step(base_kind, S, G, mixing_at(W, t), hp, tau=1)
+        stacked_dsgd_step(base_kind, S, G, W.at(t), hp, tau=1)
 
     x_tau = column_mean(S.X)
     gamma = hp.eta

@@ -24,7 +24,9 @@ array: it names each step's peer offset, and the optimizer averages each
 worker with that one peer directly (:func:`qgm_sim.optim.mix`).
 :func:`one_peer_exponential_matrix` builds the same step as a dense matrix,
 with its ``rho`` in closed form; it is the reference the tests check the
-matrix-free gossip against, and no run builds it.
+matrix-free gossip against, and no run builds it.  Both kinds of mixing
+answer ``n``, ``rho`` and ``at(t)``, step ``t``'s mixing: a static matrix
+returns itself, the schedule its :class:`OnePeerStep`.
 
 Convention used everywhere in this package: ``W[i, j]`` is the weight worker
 ``i`` places on worker ``j``'s model, i.e. one gossip round maps the stacked
@@ -212,7 +214,14 @@ class MixingMatrix:
     scheme: str
 
     def __post_init__(self):
+        if self.weights.shape != (self.n, self.n):
+            raise ValueError(f"mixing matrix over n={self.n} workers needs weights of "
+                             f"shape ({self.n}, {self.n}); got {self.weights.shape}")
         self.weights.setflags(write=False)
+
+    def at(self, t: int) -> "MixingMatrix":
+        """Step ``t``'s mixing: the matrix itself."""
+        return self
 
 
 def _validate_doubly_stochastic(W: np.ndarray, context: str) -> None:
@@ -289,12 +298,14 @@ class OnePeerExponential:
 
     At step ``t`` worker ``i`` averages halfway with the single peer
     ``(i + 2^k) mod n``, ``k = t mod m``, so a step touches two entries per
-    row.  One sweep of ``m`` steps multiplies out to exact averaging.  The
-    schedule holds no array; :func:`one_peer_exponential_matrix` is the
-    dense matrix of the same step.
+    row.  One sweep of ``m`` steps multiplies out to exact averaging, so
+    ``rho``, the spectral gap of one sweep's product, is 1.  The schedule
+    holds no array; :func:`one_peer_exponential_matrix` is the dense matrix
+    of the same step.
     """
 
     n: int
+    rho = 1.0
 
     def __post_init__(self):
         if self.n < 1 or (self.n & (self.n - 1)):

@@ -43,9 +43,10 @@ def to_workers(S) -> list[WorkerState]:
     """Per-worker states holding copies of each worker's columns of the
     stacked state ``S`` (its shared arrays copied into every worker; a
     :class:`WorkerState` has no field for mimelite's ``server_s``)."""
+    arrays = [(name, getattr(S, attr)) for attr, name in S.array_fields()]
     return [
         WorkerState(**{name: arr[:, i].copy() if arr.ndim == 2 else arr.copy()
-                       for name, arr in S.named_arrays() if name != "server_s"},
+                       for name, arr in arrays if name != "server_s"},
                     eta_prev=S.eta_prev)
         for i in range(S.X.shape[1])
     ]

@@ -37,12 +37,13 @@ from qgm_sim.oracles import (
     toy2d_gradient,
 )
 from qgm_sim.topology import (
+    MixingMatrix,
     build_graph,
     mixing_matrix,
     one_peer_exponential_matrix,
 )
 
-W1 = np.ones((1, 1))
+W1 = MixingMatrix(1, np.ones((1, 1)), 1.0, "identity")
 
 
 @pytest.fixture

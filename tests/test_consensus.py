@@ -15,7 +15,7 @@ from qgm_sim.consensus import (
     iterations_to_threshold,
     qg_consensus,
 )
-from qgm_sim.topology import OnePeerExponential, build_graph, mixing_matrix
+from qgm_sim.topology import MixingMatrix, OnePeerExponential, build_graph, mixing_matrix
 
 
 def ring(n):
@@ -71,7 +71,7 @@ class TestGossipConsensus:
 
     def test_identity_matrix_keeps_distance_constant(self):
         X0 = gaussian(3, 6, seed=3)
-        run = gossip_consensus(X0, np.eye(6), T=10)
+        run = gossip_consensus(X0, MixingMatrix(6, np.eye(6), 0.0, "identity"), T=10)
         np.testing.assert_allclose(run.trace, run.trace[0], rtol=1e-15)
 
     def test_distance_non_increasing_and_vanishing(self):
@@ -94,6 +94,13 @@ class TestGossipConsensus:
     def test_mean_is_preserved(self):
         run = gossip_consensus(gaussian(4, 8, seed=5), ring(8), T=200)
         assert np.max(run.mean_drift) <= 1e-12
+
+    @pytest.mark.parametrize("mixing", [ring(4), OnePeerExponential(4)])
+    @pytest.mark.parametrize("T", [0, 3])
+    def test_column_count_must_match_the_mixing(self, mixing, T):
+        # checked before the first round, so T=0 raises as well
+        with pytest.raises(ValueError, match="state count 5 does not match mixing matrix size 4"):
+            gossip_consensus(np.ones((3, 5)), mixing, T=T)
 
     def test_time_varying_pairing_sequence_finishes_in_log_n(self):
         # the exponential pairing sequence multiplies out to the exact
@@ -160,7 +167,8 @@ class TestIterationsToThreshold:
         assert np.all(run.trace[:k] > 1e-2)
 
     def test_raises_when_never_reached(self):
-        run = gossip_consensus(gaussian(3, 6, seed=1), np.eye(6), T=10)
+        run = gossip_consensus(gaussian(3, 6, seed=1),
+                               MixingMatrix(6, np.eye(6), 0.0, "identity"), T=10)
         with pytest.raises(ValueError, match="never reached"):
             iterations_to_threshold(run, 1e-6)
 

@@ -27,7 +27,7 @@ from qgm_sim.engine import (
     validate_theorem_conditions,
     write_metrics_csv,
 )
-from qgm_sim.optim import HyperParams, StackedState, column_mean, mix, mixing_at, stacked_step
+from qgm_sim.optim import HyperParams, StackedState, column_mean, mix, stacked_step
 from qgm_sim.topology import (
     MixingMatrix,
     OnePeerExponential,
@@ -271,7 +271,7 @@ class TestRunConfig:
         # the one-peer schedule holds no matrix; its step 1 mixes as the
         # dense reference does (gossip of the identity is W^T)
         assert cfg.mixing == OnePeerExponential(4)
-        np.testing.assert_array_equal(mix(np.eye(4), mixing_at(cfg.mixing, 1)),
+        np.testing.assert_array_equal(mix(np.eye(4), cfg.mixing.at(1)),
                                       one_peer_exponential_matrix(4, 1).weights.T)
 
     def test_equality_is_identity_and_never_raises(self):
@@ -282,6 +282,24 @@ class TestRunConfig:
         one_peer = {"topology.kind": "one_peer_exponential"}
         assert (make_config(**one_peer) == make_config(**one_peer)) is False
         assert make_config(**one_peer).mixing == make_config(**one_peer).mixing
+
+    @pytest.mark.parametrize("key,value", [
+        ("run.steps", 2.5), ("topology.n", 4.0), ("run.metrics_every", 1.5),
+        ("optim.tau", 1.5), ("run.seed", 1.5),
+    ])
+    def test_a_value_that_is_not_text_goes_through_its_parser(self, key, value):
+        # every value is parsed from its text, so a float for an int key is
+        # refused by name, whether it comes in the mapping or as an override
+        with pytest.raises(ConfigError) as exc:
+            make_config(**{key: value, "problem.sigma": "0.5"})
+        assert str(exc.value) == f"{key}: cannot parse '{value}' as int"
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_mapping({"optim": {"kind": "dsgd"}}, overrides={key: value})
+        assert str(exc.value) == f"{key}: cannot parse '{value}' as int"
+
+    def test_a_value_that_is_not_text_loads_as_its_text_would(self):
+        typed = make_config(**{"topology.n": 8, "optim.eta": 0.05, "run.steps": 20})
+        assert (typed.n, typed.hp.eta, typed.steps) == (8, 0.05, 20)
 
     def test_from_ini_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -57,6 +57,32 @@ def test_every_method_the_tracer_patches_is_defined_on_its_class():
                 assert inspect.isfunction(vars(cls).get(name)), f"{layer}.{cls_name}.{name}"
 
 
+def test_traced_runs_record_spans_and_restore_every_patched_attribute():
+    # the tracer wraps every function in each __all__: a name dropped from
+    # one must leave a traced run working and every attribute restored
+    tracing = load_perfbench("tracing")
+    engine = importlib.import_module("qgm_sim.engine")
+    owners = [importlib.import_module(m) for m in MODULES] + [
+        getattr(importlib.import_module(f"qgm_sim.{layer}"), cls_name)
+        for layer, classes in tracing.METHODS.items() for cls_name in classes]
+    before = [dict(vars(owner)) for owner in owners]
+    tracer = tracing.Tracer()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the engine's advisory momentum-bound warning
+        with tracer.installed():
+            for topology in ("ring", "one_peer_exponential"):
+                tracer.run_id = topology
+                engine.run(engine.RunConfig.from_mapping({
+                    "topology": {"kind": topology, "n": "4"},
+                    "optim": {"kind": "qg_dsgdm"}, "run": {"steps": "3"}}))
+    for topology in ("ring", "one_peer_exponential"):
+        names = {tracer.names[s[2]] for s in tracer.spans if s[5] == topology}
+        assert {"engine.run", "optim.mix"} <= names, topology
+    for owner, attrs in zip(owners, before):
+        changed = [name for name, value in attrs.items() if vars(owner).get(name) is not value]
+        assert not changed, f"{owner.__name__}: {changed}"
+
+
 @pytest.mark.parametrize("workload", workloads.WORKLOADS)
 def test_first_op_of_each_benchmark_workload_matches_its_golden(workload, tmp_path,
                                                                 monkeypatch):

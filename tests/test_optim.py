@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
+from qgm_sim.consensus import consensus_distance, qg_consensus
 from qgm_sim.oracles import quadratic_family, rosenbrock_gradient
 from qgm_sim.optim import (
     HALF_STEP_KINDS,
@@ -24,7 +25,6 @@ from qgm_sim.optim import (
     _half_step,
     column_mean,
     mix,
-    mixing_at,
     qg_multistep_gate,
     qhm_core,
     stacked_dsgd_step,
@@ -34,6 +34,7 @@ from qgm_sim.optim import (
     stacked_step,
 )
 from qgm_sim.topology import (
+    MixingMatrix,
     OnePeerExponential,
     build_graph,
     mixing_matrix,
@@ -49,7 +50,7 @@ def complete(n):
     return mixing_matrix(build_graph("complete", n))
 
 
-W1 = np.array([[1.0]])
+W1 = MixingMatrix(1, np.array([[1.0]]), 1.0, "identity")
 
 
 def single(x0):
@@ -154,7 +155,7 @@ class TestGossip:
 
     def test_identity_matrix_is_noop(self):
         X = np.array([[3.0], [-1.0]])
-        assert np.array_equal(mix(X, np.eye(1)), X)
+        assert np.array_equal(mix(X, W1), X)
 
     def test_buffers_stay_local(self):
         # a zero-gradient plain step is one gossip round and nothing else
@@ -201,7 +202,7 @@ class TestOnePeerGossip:
         X = rng.uniform(1.0, 2.0, (dim, n)) * rng.choice([-1.0, 1.0], (dim, n)) \
             * 10.0 ** rng.integers(-300, 301, (dim, n))
         want = X @ one_peer_exponential_matrix(n, t).weights.T
-        got = mix(X, mixing_at(schedule, t))
+        got = mix(X, schedule.at(t))
         assert got.tobytes() == want.tobytes()
 
     def test_offsets_and_sweep(self):
@@ -214,7 +215,7 @@ class TestOnePeerGossip:
 
     def test_one_worker_gets_a_fresh_copy(self):
         X = np.array([[3.0], [-1.0]])
-        out = mix(X, mixing_at(OnePeerExponential(1), 4))
+        out = mix(X, OnePeerExponential(1).at(4))
         assert out is not X and np.array_equal(out, X)
 
     @pytest.mark.parametrize("t", range(3))
@@ -224,18 +225,18 @@ class TestOnePeerGossip:
         # reader, the worker whose peer is 3
         X = np.random.default_rng(t).standard_normal((4, 8))
         X[1, 3] = np.inf
-        out = mix(X, mixing_at(OnePeerExponential(8), t))
+        out = mix(X, OnePeerExponential(8).at(t))
         reader = (3 - OnePeerExponential(8).offset(t)) % 8
         bad = set(np.flatnonzero(~np.isfinite(out).all(axis=0)).tolist())
         assert bad == {3, reader}
 
     def test_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="does not match"):
-            mix(np.zeros((2, 3)), mixing_at(OnePeerExponential(4), 0))
+            mix(np.zeros((2, 3)), OnePeerExponential(4).at(0))
 
     def test_a_static_matrix_is_its_own_mixing_at_every_step(self):
         W = ring(4)
-        assert mixing_at(W, 0) is W and mixing_at(W, 7) is W
+        assert W.at(0) is W and W.at(7) is W
 
 
 # ---------------------------------------------------------------------------
@@ -788,6 +789,59 @@ class TestSlowmo:
         # second round's buffer blends the decayed first with the new drift
         drift2 = (S.slow_x - (S.slow_x - 0.25 * (S.slow_x - 1.0))) / 0.25
         np.testing.assert_allclose(S.slow_m, 0.5 * m1 + drift2, atol=1e-12)
+
+
+class AlternatingSchedule:
+    """A test-local time-varying mixing: ring-4 at even steps, complete-4 at
+    odd ones.  It answers only ``n`` and ``at(t)``."""
+
+    n = 4
+
+    def __init__(self):
+        self.steps = (ring(4), complete(4))
+
+    def at(self, t):
+        return self.steps[t % 2]
+
+
+class TestAnySchedule:
+    # any object with n and at(t) drives the core, with no dispatch on its
+    # type: each result is the hand-written sequence of stacked_dsgd_step
+    # calls on that step's matrices
+
+    def test_qg_consensus_mixes_with_each_steps_matrix(self):
+        schedule = AlternatingSchedule()
+        X0 = np.random.default_rng(5).standard_normal((3, 4))
+        got = qg_consensus(X0, schedule, beta=0.9, mu=0.8, T=5)
+
+        S = StackedState.from_matrix(X0)
+        hp = HyperParams(eta=1.0, beta=0.9, mu=0.8)
+        trace = [consensus_distance(S.X)]
+        for t in range(5):
+            stacked_dsgd_step("qg_dsgdm", S, None, schedule.steps[t % 2], hp)
+            trace.append(consensus_distance(S.X))
+        assert got.x_final.tobytes() == S.X.tobytes()
+        assert got.trace.tobytes() == np.array(trace).tobytes()
+
+    def test_slowmo_round_mixes_with_each_steps_matrix(self):
+        schedule = AlternatingSchedule()
+        rng = np.random.default_rng(6)
+        X0, B = rng.standard_normal((2, 3, 4))
+        grad_fn = lambda P, t: (1.0 + 0.25 * t) * P - B
+        hp = HyperParams(eta=0.1, beta=0.9, mu=0.7, tau=3, slowmo_beta=0.5)
+        S = StackedState.from_matrix(X0)
+        stacked_slowmo_round(S, schedule, hp, "qg_dsgdm", grad_fn, step0=1)
+
+        R = StackedState.from_matrix(X0)
+        x0 = R.X[:, 0].copy()
+        for t in range(1, 4):
+            stacked_dsgd_step("qg_dsgdm", R, grad_fn(R.X, t), schedule.steps[t % 2], hp,
+                              tau=1)
+        slow_m = hp.slowmo_beta * np.zeros_like(x0) + (x0 - column_mean(R.X)) / hp.eta
+        x_new = x0 - hp.slowmo_alpha * hp.eta * slow_m
+        assert S.slow_m.tobytes() == slow_m.tobytes()
+        assert S.M_hat.tobytes() == R.M_hat.tobytes()
+        assert S.X.tobytes() == np.repeat(x_new[:, None], 4, axis=1).tobytes()
 
 
 class TestMimelite:

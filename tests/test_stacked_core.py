@@ -22,13 +22,12 @@ from qgm_sim.optim import (
     HyperParams,
     StackedState,
     WorkerState,
-    mixing_at,
     stacked_gt_init,
     stacked_mimelite_round,
     stacked_slowmo_round,
     stacked_step,
 )
-from qgm_sim.topology import OnePeerExponential, one_peer_exponential_matrix
+from qgm_sim.topology import MixingMatrix, OnePeerExponential, one_peer_exponential_matrix
 
 STEPS = 4
 
@@ -88,7 +87,8 @@ def cases(draw, max_n=6):
         mixing = OnePeerExponential(n)
     else:
         weights = rng.dirichlet(np.ones(3))
-        mixing = sum(w * np.eye(n)[rng.permutation(n)] for w in weights)
+        mixing = MixingMatrix(n, sum(w * np.eye(n)[rng.permutation(n)] for w in weights),
+                              np.nan, "random")
     etas = rng.uniform(0.01, 0.3, size=STEPS)
     hp = HyperParams(eta=float(etas[0]), beta=draw(st.floats(0.0, 0.95)),
                      mu=draw(st.floats(0.0, 0.95)), tau=draw(st.integers(1, 3)))
@@ -120,7 +120,7 @@ def test_stacked_core_matches_per_worker_reference(kind, case):
     for t in range(1, STEPS + 1):
         hp_t = dataclasses.replace(hp, eta=float(etas[t - 1]))
         want = per_worker_step(kind, want, dense_at(mixing, t - 1), hp_t, t, grad_fn)
-        stacked_step(kind, S, mixing_at(mixing, t - 1), hp_t, t, ref.per_worker(grad_fn))
+        stacked_step(kind, S, mixing.at(t - 1), hp_t, t, ref.per_worker(grad_fn))
         assert_same_bits(ref.to_workers(S), want)
 
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from qgm_sim.topology import (
     DAVIS_SOUTHERN_WOMEN_EDGES,
     Graph,
+    MixingMatrix,
     build_graph,
     mixing_matrix,
     one_peer_exponential_matrix,
@@ -161,6 +162,17 @@ class TestMixingMatrix:
         np.testing.assert_allclose(W, W.T, atol=1e-15)
         off = {(i, j) for i in range(n) for j in range(i + 1, n) if W[i, j] != 0}
         assert off == set(g.edges)
+
+    @pytest.mark.parametrize("shape", [(6, 6), (4, 6), (4,), (1, 4, 4)])
+    def test_weights_must_be_n_by_n(self, shape):
+        # mix reads the worker count from n and trusts the weights to match
+        with pytest.raises(ValueError, match=r"n=4 workers needs weights of shape \(4, 4\)"):
+            MixingMatrix(4, np.full(shape, 0.25), 0.0, "x")
+
+    def test_weights_are_kept_not_copied(self):
+        weights = np.full((4, 4), 0.25)
+        W = MixingMatrix(4, weights, 1.0, "x")
+        assert W.weights is weights and W.at(3) is W
 
     def test_mixing_weights_are_read_only(self):
         W = mixing_matrix(build_graph("ring", 4))
