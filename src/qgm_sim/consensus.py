@@ -39,13 +39,18 @@ __all__ = [
 ]
 
 
-def consensus_distance(X) -> float:
+def consensus_distance(X, x_bar=None) -> float:
     """Root-mean-square distance of worker columns from their mean:
-    sqrt((1/n) sum_i ||x_i - x_bar||^2) = ||X - X_bar||_F / sqrt(n)."""
+    sqrt((1/n) sum_i ||x_i - x_bar||^2) = ||X - X_bar||_F / sqrt(n).
+
+    ``x_bar`` is the mean ``X.mean(axis=1)`` when the caller has already
+    computed it; left out, it is computed here."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X must be a d x n matrix; got shape {X.shape}")
-    deviation = X - X.mean(axis=1, keepdims=True)
+    if x_bar is None:
+        x_bar = X.mean(axis=1)
+    deviation = X - x_bar[:, None]
     return float(np.linalg.norm(deviation) / np.sqrt(X.shape[1]))
 
 
@@ -89,12 +94,14 @@ def _run(X0, W, beta: float, mu: float, T: int) -> ConsensusRun:
     hp = HyperParams(eta=1.0, beta=beta, mu=mu)
     S = StackedState.from_matrix(X)
     mean0 = S.X.mean(axis=1)
-    trace = [consensus_distance(S.X)]
+    trace = [consensus_distance(S.X, mean0)]
     drift = [0.0]
     for t in range(T):
         stacked_dsgd_step("qg_dsgdm", S, None, W.at(t), hp)
-        trace.append(consensus_distance(S.X))
-        drift.append(float(np.linalg.norm(S.X.mean(axis=1) - mean0)))
+        x_bar = S.X.mean(axis=1)
+        trace.append(consensus_distance(S.X, x_bar))
+        x_bar -= mean0
+        drift.append(float(np.linalg.norm(x_bar)))
     return ConsensusRun(
         x0=np.asarray(X0, dtype=float).copy(),
         mixing=W,

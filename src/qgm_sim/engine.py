@@ -532,7 +532,7 @@ def _make_record(problem: ProblemSpec, X: np.ndarray, x_bar: np.ndarray, step: i
         lr=float(lr),
         loss=problem.mean_loss(x_bar),
         grad_norm=float(np.linalg.norm(problem.mean_gradient(x_bar))),
-        consensus_dist=consensus_distance(X),
+        consensus_dist=consensus_distance(X, x_bar),
         weight_norm=weight_norm,
         eff_stepsize=float(eff),
     )

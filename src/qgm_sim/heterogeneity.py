@@ -16,6 +16,7 @@ Shards are fixed at construction and never reshuffled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,12 @@ def dirichlet_partition(labels, n: int, alpha: float, seed: int) -> Partition:
         raise ValueError("labels must be a non-empty 1-d array")
     if n < 1:
         raise ValueError(f"client count must satisfy n >= 1; got n={n}")
-    if not alpha > 0:
-        raise ValueError(f"Dirichlet concentration must satisfy alpha > 0; got alpha={alpha}")
+    # an infinite alpha makes the Dirichlet draw NaN, which the counts turn
+    # into overlapping shards
+    if not 0 < alpha < math.inf:
+        raise ValueError(
+            f"Dirichlet concentration alpha must be finite and satisfy alpha > 0; "
+            f"got alpha={alpha}")
 
     classes = np.unique(labels)
     per_client: list[list[np.ndarray]] = [[] for _ in range(n)]

@@ -36,11 +36,25 @@ array whose column ``i`` is worker ``i``'s stochastic gradient at
 mimelite's ``full_grad_fn(P)`` returns the noise-free local gradients the
 same way.  Both must be pure in their arguments; states keep the returned
 arrays as history.
+
+Ownership.  A step writes only into arrays it allocated itself in the same
+call: each result is built in one such buffer with in-place operators and
+``out=``, then bound to its field, and never written again.  It never
+writes into an array the state holds, an array ``grad_fn`` returned (the
+state may keep it as ``G_prev`` or ``Y``) or the start point; :func:`mix`
+never writes its input and always returns a fresh array.  A step's own
+scratch buffer that it passed to :func:`mix` and nothing else holds may
+take a later result once :func:`mix` has returned: the quasi-global
+movement ``d`` is written into the half-step buffer.  Each buffer keeps the
+IEEE operations of the whole-array expression it replaces, on the same
+operands in the same order (``a *= s`` for ``s * a`` swaps the operands of
+one product), so its bits do not depend on the buffering.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,8 +172,9 @@ class StackedState:
     has no :class:`WorkerState` field).
 
     The step functions below rebind fields to fresh arrays and never write
-    into an array in place, so arrays handed out stay valid.  ``==`` is
-    identity: arrays have no one truth value.
+    into an array once a field holds it, so arrays handed out stay valid
+    (the module docstring states the ownership rule).  ``==`` is identity:
+    arrays have no one truth value.
     """
 
     X: np.ndarray
@@ -252,19 +267,33 @@ def _half_step(kind: str, S: StackedState, G, hp: HyperParams) -> np.ndarray:
     """
     eta, beta = hp.eta, hp.beta
     if kind == "dsgd":
-        return S.X - eta * G
-    if kind == "dsgdm":
-        S.M_local = beta * S.M_local + G
-        return S.X - eta * S.M_local
-    if kind == "dsgdm_n":
-        S.M_local = m = beta * S.M_local + G
-        return S.X - eta * (beta * m + G)
-    if kind == "qg_dsgdm":
-        return S.X - eta * (beta * S.M_hat if G is None else beta * S.M_hat + G)
-    if kind == "qg_dsgdm_n":
-        m_tmp = beta * S.M_hat + G
-        return S.X - eta * (beta * m_tmp + G)
-    raise ValueError(f"unknown half-step kind {kind!r}; expected one of {HALF_STEP_KINDS}")
+        H = eta * G
+    elif kind == "dsgdm":
+        m = beta * S.M_local
+        m += G
+        S.M_local = m
+        H = eta * m
+    elif kind == "dsgdm_n":
+        m = beta * S.M_local
+        m += G
+        S.M_local = m
+        H = beta * m
+        H += G
+        H *= eta
+    elif kind == "qg_dsgdm":
+        H = beta * S.M_hat
+        if G is not None:
+            H += G
+        H *= eta
+    elif kind == "qg_dsgdm_n":
+        H = beta * S.M_hat  # m_tmp
+        H += G
+        H *= beta
+        H += G
+        H *= eta
+    else:
+        raise ValueError(f"unknown half-step kind {kind!r}; expected one of {HALF_STEP_KINDS}")
+    return np.subtract(S.X, H, out=H)
 
 
 def qg_multistep_gate(step_index: int, tau: int) -> bool:
@@ -298,11 +327,16 @@ def stacked_dsgd_step(kind: str, S: StackedState, G, W, hp: HyperParams,
     into the buffer; ``G`` None drops the gradient, leaving pure buffered
     averaging.
     """
-    X_new = mix(_half_step(kind, S, G, hp), W)
+    H = _half_step(kind, S, G, hp)
+    X_new = mix(H, W)
     if kind.startswith("qg_") and qg_multistep_gate(
             step_index, hp.tau if tau is None else tau):
-        d = (S.X - X_new) / hp.eta
-        S.M_hat = hp.mu * S.M_hat + (1.0 - hp.mu) * d
+        d = np.subtract(S.X, X_new, out=H)  # H is dead once mix returns
+        d /= hp.eta
+        d *= 1.0 - hp.mu
+        M = hp.mu * S.M_hat
+        M += d
+        S.M_hat = M
     S.X = X_new
 
 
@@ -322,17 +356,40 @@ def _qg_dadam(S: StackedState, G, W, hp: HyperParams) -> None:
     No bias correction anywhere.
     """
     b1, b2 = hp.beta1, hp.beta2
-    m = b1 * S.M_hat + (1.0 - b1) * G
-    v = b2 * S.V + (1.0 - b2) * G * G
-    X_new = mix(S.X - hp.eta * m / (np.sqrt(v) + hp.epsilon), W)
-    D = S.X - X_new
-    # a norm per column keeps each worker's own reduction order, which
-    # np.linalg.norm(D, axis=0) does not promise
-    norms = np.array([np.linalg.norm(D[:, i]) for i in range(D.shape[1])])
-    D_unit = np.divide(D, norms, out=np.zeros_like(D), where=norms > 0.0)
-    S.M_hat = b1 * S.M_hat + (1.0 - b1) * D_unit
-    S.V = b2 * S.V + (1.0 - b2) * D_unit * D_unit
-    S.X = X_new
+    m = b1 * S.M_hat
+    T = (1.0 - b1) * G
+    m += T
+    v = b2 * S.V
+    np.multiply(G, 1.0 - b2, out=T)
+    T *= G
+    v += T
+    np.sqrt(v, out=v)
+    v += hp.epsilon
+    m *= hp.eta
+    m /= v
+    X_new = mix(np.subtract(S.X, m, out=m), W)
+    D = np.subtract(S.X, X_new, out=v)
+    norms = _column_norms(D)
+    D_unit = m  # the half step is dead once mix returns
+    D_unit.fill(0.0)
+    np.divide(D, norms, out=D_unit, where=norms > 0.0)
+    M_hat = b1 * S.M_hat
+    np.multiply(D_unit, 1.0 - b1, out=D)
+    M_hat += D
+    V = b2 * S.V
+    np.multiply(D_unit, 1.0 - b2, out=D)
+    D *= D_unit
+    V += D
+    S.M_hat, S.V, S.X = M_hat, V, X_new
+
+
+def _column_norms(D: np.ndarray) -> np.ndarray:
+    """The 2-norm of each column of ``D``: ``sqrt`` of the ddot of the
+    column's contiguous copy with itself, the reduction of
+    ``np.linalg.norm(D[:, i])``, one worker's own order, which
+    ``np.linalg.norm(D, axis=0)`` does not promise.  One transposed copy
+    serves every column."""
+    return np.array([math.sqrt(r.dot(r)) for r in np.ascontiguousarray(D.T)])
 
 
 def _dmsgd(S: StackedState, G, W, hp: HyperParams, kind: str) -> None:
@@ -358,19 +415,26 @@ def _dmsgd(S: StackedState, G, W, hp: HyperParams, kind: str) -> None:
     """
     eta, beta, mu = hp.eta, hp.beta, hp.mu
     X = S.X
-    update = beta * S.M_hat + G
-    half = (_dmsgd_anchor(S) if kind == "dmsgd_ii" else X) - eta * update
-    X_new = mix(half, W)
-    drift = (X - X_new) / eta
-    if kind == "dmsgd_ii":
-        M_new = mu * update + (1.0 - mu) * drift
-    else:
+    M_new = beta * S.M_hat  # update = beta m_hat + g, the first term of both kinds
+    M_new += G
+    half = eta * M_new
+    np.subtract(_dmsgd_anchor(S) if kind == "dmsgd_ii" else X, half, out=half)
+    X_new = mix(half, W)  # half is kept as X_half_prev: never written again
+    drift = np.subtract(X, X_new)
+    drift /= eta
+    if kind == "dmsgd_i":
         X_prev = S.X_prev if S.X_prev is not None else X
         M_hat_prev = S.M_hat_prev if S.M_hat_prev is not None else np.zeros_like(X)
         G_prev = S.G_prev if S.G_prev is not None else np.zeros_like(X)
-        M_new = mu * (
-            beta * S.M_hat + G + (X_prev - X) / eta - beta * M_hat_prev - G_prev
-        ) + (1.0 - mu) * drift
+        T = np.subtract(X_prev, X)
+        T /= eta
+        M_new += T
+        np.multiply(M_hat_prev, beta, out=T)
+        M_new -= T
+        M_new -= G_prev
+    M_new *= mu
+    drift *= 1.0 - mu
+    M_new += drift
     S.M_hat_prev, S.G_prev, S.X_prev, S.X_half_prev = S.M_hat, G, X, half
     S.M_hat, S.X = M_new, X_new
 
@@ -391,11 +455,14 @@ def _d2(S: StackedState, G, W, hp: HyperParams, kind: str) -> None:
     """
     eta = hp.eta
     if S.X_prev is None:
-        half = S.X - eta * G
+        H = eta * G
     else:
-        eta_div = eta if kind == "d2" else S.eta_prev
-        correction = (S.X_prev - S.X) / eta_div
-        half = S.X - eta * (correction + G - S.G_prev)
+        H = np.subtract(S.X_prev, S.X)  # the correction
+        H /= eta if kind == "d2" else S.eta_prev
+        H += G
+        H -= S.G_prev
+        H *= eta
+    half = np.subtract(S.X, H, out=H)
     S.X_prev, S.G_prev, S.eta_prev = S.X, G, eta
     S.X = mix(half, W)
 
@@ -421,14 +488,20 @@ def _gt(S: StackedState, W, hp: HyperParams, grad_fn, step: int, with_momentum: 
     if S.Y is None:
         raise ValueError("gradient tracking states must be initialized with stacked_gt_init")
     if with_momentum:
-        S.M_local = m = hp.beta * S.M_local + S.Y
-        half = S.X - hp.eta * (hp.beta * m + S.Y)
+        m = hp.beta * S.M_local
+        m += S.Y
+        S.M_local = m
+        H = hp.beta * m
+        H += S.Y
+        H *= hp.eta
     else:
-        half = S.X - hp.eta * S.Y
-    S.X = mix(half, W)
+        H = hp.eta * S.Y
+    S.X = mix(np.subtract(S.X, H, out=H), W)
     G = grad_fn(S.X, step)
-    S.Y = mix(S.Y, W) + G - S.G_prev
-    S.G_prev = G
+    Y = mix(S.Y, W)
+    Y += G
+    Y -= S.G_prev
+    S.Y, S.G_prev = Y, G
 
 
 def _qhm(S: StackedState, G, hp: HyperParams) -> None:
@@ -535,9 +608,13 @@ def stacked_mimelite_round(S: StackedState, hp: HyperParams, grad_fn, full_grad_
     s = S.server_s if S.server_s is not None else np.zeros_like(x)
     Y = np.repeat(x[:, None], n, axis=1)
     F = full_grad_fn(Y)
+    pull = hp.beta * s[:, None]
     for k in range(hp.tau):
         G = grad_fn(Y, step0 + k)
-        Y = Y - hp.eta * ((1.0 - hp.beta) * G + hp.beta * s[:, None])
+        T = (1.0 - hp.beta) * G
+        T += pull
+        T *= hp.eta
+        Y = np.subtract(Y, T, out=T)
     S.X = np.repeat(column_mean(Y)[:, None], n, axis=1)
     S.server_s = (1.0 - hp.beta) * column_mean(F) + hp.beta * s
 

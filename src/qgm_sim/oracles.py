@@ -440,15 +440,27 @@ class ProblemSpec:
         ``i`` is the gradient of worker ``i``'s local objective at
         ``P[:, i]``."""
         if self.kind == "quadratic_family":
-            return self.a_diag[:, None] * self._residuals(P)
+            R = self._residuals(P)
+            R *= self.a_diag[:, None]
+            return R
         G = np.empty(P.shape)
         for i in range(P.shape[1]):
             G[:, i] = self.sample(i, P[:, i], step=0).grad
         return G
 
     def _residuals(self, P: np.ndarray) -> np.ndarray:
-        """``a * P[:, i] - b_i`` for every worker ``i``, as ``(dim, n)``."""
-        return self.a_diag[:, None] * P - self._B
+        """``a * P[:, i] - b_i`` for every worker ``i``, as a fresh
+        ``(dim, n)`` array."""
+        R = self.a_diag[:, None] * P
+        R -= self._B
+        return R
+
+    def _residual_rows(self, x) -> np.ndarray:
+        """``a * x - b_i`` for every worker ``i``, as the rows of a fresh
+        C-contiguous ``(n, dim)`` array: the rows a one-worker loop would
+        reduce, in the layout whose row sums keep its order."""
+        return np.subtract(self.a_diag * np.asarray(x, dtype=float), self._B.T,
+                           out=np.empty((self.n_workers, self.dim)))
 
     def _at_every_worker(self, x) -> np.ndarray:
         """``x`` as every column of a read-only ``(dim, n)`` view."""
@@ -457,8 +469,12 @@ class ProblemSpec:
     def mean_gradient(self, x: np.ndarray) -> np.ndarray:
         """Deterministic gradient of the averaged objective f = mean_i f_i,
         averaged over an ``(n, dim)`` row stack, worker by worker."""
-        G = self.local_gradients(self._at_every_worker(x))
-        return np.ascontiguousarray(G.T).mean(axis=0)
+        if self.kind == "quadratic_family":
+            G = self._residual_rows(x)
+            G *= self.a_diag
+        else:
+            G = np.array([self.sample(w, x, step=0).grad for w in range(self.n_workers)])
+        return G.mean(axis=0)
 
     def sample_mean_part(self, worker: int, x: np.ndarray) -> np.ndarray:
         """Noise-free gradient of worker ``worker``'s local objective at
@@ -471,8 +487,8 @@ class ProblemSpec:
         quadratic family each worker's sum runs over a row of a C-contiguous
         ``(n, dim)`` residual, the order of a one-worker sum."""
         if self.kind == "quadratic_family":
-            R = np.ascontiguousarray(self._residuals(self._at_every_worker(x)).T)
-            return float(np.mean(0.5 * np.sum(R**2, axis=1)))
+            R = self._residual_rows(x)
+            return float(np.mean(0.5 * np.sum(np.square(R, out=R), axis=1)))
         return float(np.mean([
             self.sample(w, x, step=0).loss for w in range(self.n_workers)
         ]))
@@ -519,7 +535,9 @@ def sample_all(problem: ProblemSpec, P: np.ndarray, step: int) -> np.ndarray:
             f"P has {P.shape[1]} columns; the problem has {problem.n_workers} workers")
     G = problem.local_gradients(P)
     if problem._pools is not None:
-        G += problem.sigma_c * _standard_normals(problem._pools, step, problem.dim).T
+        Z = _standard_normals(problem._pools, step, problem.dim)
+        Z *= problem.sigma_c
+        G += Z.T
     return G
 
 

@@ -7,7 +7,9 @@ round works on per-worker Python lists.  They are kept unchanged, as the
 reference that ``test_stacked_core.py`` and acceptance criterion 4 compare
 the stacked core with.  The mean evaluations at the end are
 ``ProblemSpec``'s worker-by-worker loops as they stood before they became
-whole-array expressions, and :func:`worker_rng`, :func:`worker_b` and
+whole-array expressions, then the whole-array versions as they stood before
+they built their ``(n, dim)`` rows directly (a broadcast ``(dim, n)`` view
+and a transposed copy), and :func:`worker_rng`, :func:`worker_b` and
 :func:`quadratic_gradient` the per-worker quadratic oracle as it stood before
 ``ProblemSpec.sample`` became a column of ``sample_all``: the reference of
 ``test_oracles.py``.
@@ -472,6 +474,32 @@ def mean_loss(spec, x: np.ndarray) -> float:
             0.5 * np.sum((spec.a_diag * x - worker_b(spec, w)) ** 2)
             for w in range(spec.n_workers)
         ]))
+    return float(np.mean([
+        spec.sample(w, x, step=0).loss for w in range(spec.n_workers)
+    ]))
+
+
+def broadcast_mean_gradient(spec, x: np.ndarray) -> np.ndarray:
+    """The averaged gradient from ``x`` broadcast to every worker column,
+    averaged over a C-contiguous transposed copy, worker by worker."""
+    P = np.broadcast_to(np.asarray(x, dtype=float)[:, None], (spec.dim, spec.n_workers))
+    if spec.kind == "quadratic_family":
+        G = spec.a_diag[:, None] * (spec.a_diag[:, None] * P - spec._B)
+    else:
+        G = np.empty(P.shape)
+        for i in range(P.shape[1]):
+            G[:, i] = spec.sample(i, P[:, i], step=0).grad
+    return np.ascontiguousarray(G.T).mean(axis=0)
+
+
+def broadcast_mean_loss(spec, x: np.ndarray) -> float:
+    """The averaged loss from the ``(dim, n)`` residual of ``x`` broadcast
+    to every worker column, each worker's sum over a row of its C-contiguous
+    transposed copy."""
+    if spec.kind == "quadratic_family":
+        P = np.broadcast_to(np.asarray(x, dtype=float)[:, None], (spec.dim, spec.n_workers))
+        R = np.ascontiguousarray((spec.a_diag[:, None] * P - spec._B).T)
+        return float(np.mean(0.5 * np.sum(R**2, axis=1)))
     return float(np.mean([
         spec.sample(w, x, step=0).loss for w in range(spec.n_workers)
     ]))

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -469,6 +470,17 @@ class TestPartitionCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert "samples (5)" in err[0] and "classes (10)" in err[0]
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    def test_non_finite_alpha_exits_1_naming_alpha(self, tmp_path, capsys, alpha):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way out
+            assert main(["partition", "--alpha", alpha,
+                         "--out", str(tmp_path / "p.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert "alpha must be finite" in err[0] and f"alpha={alpha}" in err[0]
+        assert not (tmp_path / "p.csv").exists()
 
 
 class TestTopoCommand:

@@ -7,6 +7,8 @@ of the time-varying pairing matrices.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgm_sim.consensus import (
     ConsensusRun,
@@ -177,3 +179,16 @@ class TestIterationsToThreshold:
         assert isinstance(run, ConsensusRun)
         with pytest.raises(ValueError):
             run.trace[0] = 99.0
+
+
+@given(d=st.integers(1, 40), n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+       scale=st.sampled_from([1.0, 1e160, 1e-170]))
+@settings(max_examples=80, deadline=None)
+def test_distance_from_a_given_mean_matches_the_distance_alone(d, n, seed, scale):
+    # an offset makes the mean's rounding show in the distance, so a mean
+    # summed in another order gives other bits in about one case in five
+    X = (gaussian(d, n, seed) + 3.0) * scale
+    x_bar = X.mean(axis=1)
+    with np.errstate(over="ignore"):  # squares past 1e308 are inf both ways
+        got, alone = consensus_distance(X, x_bar), consensus_distance(X)
+    assert np.float64(got).tobytes() == np.float64(alone).tobytes()

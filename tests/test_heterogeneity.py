@@ -75,6 +75,14 @@ class TestDirichletPartition:
         with pytest.raises(ValueError, match="non-empty"):
             dirichlet_partition(np.array([]), 2, 1.0, seed=0)
 
+    @pytest.mark.parametrize("alpha", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_alpha_by_name(self, alpha):
+        # an infinite alpha once made NaN proportions and shards holding
+        # 1560 indices for 1000 samples
+        labels = _balanced_labels(10, 1000)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            dirichlet_partition(labels, 16, alpha, seed=0)
+
     def test_shards_are_read_only(self):
         p = dirichlet_partition(_balanced_labels(3, 30), 4, 1.0, seed=0)
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ from qgm_sim.optim import (
     HALF_STEP_KINDS,
     HyperParams,
     StackedState,
+    _column_norms,
     _half_step,
     column_mean,
     mix,
@@ -521,6 +522,24 @@ class TestQgDadam:
         assert np.array_equal(S.X[:, 0], np.array([3.0]))
         assert np.array_equal(S.M_hat[:, 0], np.zeros(1))
         assert S.V[0, 0] == pytest.approx(0.99 * 0.16, rel=1e-15)
+
+    @given(dim=st.integers(1, 300), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1.0, 1e160, 1e-170]),
+           special=st.lists(st.sampled_from(["zero", "negative_zero", "subnormal"]),
+                            max_size=3))
+    @settings(max_examples=120, deadline=None)
+    def test_column_norms_match_a_norm_per_column(self, dim, n, seed, scale, special):
+        # one transposed copy and a ddot per row gives the bits of
+        # np.linalg.norm(D[:, i]), zero columns and underflowing ones included
+        D = np.random.default_rng(seed).standard_normal((dim, n)) * scale
+        for i, what in enumerate(special[:n]):
+            D[:, i] = {"zero": 0.0, "negative_zero": -0.0, "subnormal": 5e-324}[what]
+        with np.errstate(over="ignore"):  # squares past 1e308 are inf both ways
+            got = _column_norms(D)
+            want = np.array([np.linalg.norm(D[:, i]) for i in range(n)])
+        assert got.shape == (n,) and got.tobytes() == want.tobytes()
+        for i, what in enumerate(special[:n]):
+            assert got[i] == 0.0, what  # so the unit movement is zero there
 
 
 # ---------------------------------------------------------------------------

@@ -380,3 +380,51 @@ class TestBatchedMeans:
         for i in range(spec.n_workers):
             assert bits(G[:, i]) == bits(ref.sample_mean_part(spec, i, P[:, i])), i
             assert bits(G[:, i]) == bits(spec.sample_mean_part(i, P[:, i])), i
+
+
+@st.composite
+def row_layout_cases(draw):
+    """A quadratic problem and a point for the row-layout mean evaluations:
+    zeta 0 (one target column that every worker shares) or not, n and dim
+    down to 1, entries whose squares overflow or underflow, and a point
+    that is read-only or not."""
+    n = draw(st.one_of(st.just(1), st.integers(1, N_MAX)))
+    zeta = draw(st.sampled_from([0.0, 1.3]))
+    dim = draw(st.one_of(st.just(max(1, n if zeta else 1)), st.integers(n if zeta else 1, 300)))
+    spec = quadratic_family(dim=dim, n_workers=n, zeta_c=zeta,
+                            cond=draw(st.sampled_from([1.0, 9.0])),
+                            b_scale=draw(st.floats(-2.0, 2.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(dim) * draw(st.sampled_from([1.0, 1e160, 1e-170]))
+    if draw(st.booleans()):
+        x.setflags(write=False)
+    return spec, x
+
+
+class TestRowLayoutMeans:
+    """``mean_loss`` and ``mean_gradient`` build their ``(n, dim)`` rows
+    directly; the broadcast view and transposed copy they replaced are the
+    reference, bit for bit, on every family."""
+
+    @given(case=st.one_of(row_layout_cases(), mean_cases()))
+    @settings(max_examples=150, deadline=None)
+    def test_mean_loss_matches_the_broadcast_layout(self, case):
+        spec, x = case
+        with np.errstate(over="ignore"):  # squares past 1e308 are inf on both sides
+            assert bits(spec.mean_loss(x)) == bits(ref.broadcast_mean_loss(spec, x))
+
+    @given(case=st.one_of(row_layout_cases(), mean_cases()))
+    @settings(max_examples=150, deadline=None)
+    def test_mean_gradient_matches_the_broadcast_layout(self, case):
+        spec, x = case
+        got = spec.mean_gradient(x)
+        assert got.shape == (spec.dim,)
+        assert bits(got) == bits(ref.broadcast_mean_gradient(spec, x))
+
+    def test_zeta_zero_keeps_one_target_column(self):
+        spec = quadratic_family(dim=3, n_workers=5)
+        assert spec._B.shape == (3, 1)
+        x = np.array([0.5, -1.0, 2.0])
+        x.setflags(write=False)
+        assert bits(spec.mean_loss(x)) == bits(ref.broadcast_mean_loss(spec, x))
+        assert bits(spec.mean_gradient(x)) == bits(ref.broadcast_mean_gradient(spec, x))

@@ -16,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
+from qgm_sim import optim
 from qgm_sim.optim import (
     HALF_STEP_KINDS,
+    ROUND_KINDS,
     STEP_KINDS,
     HyperParams,
     StackedState,
@@ -27,6 +29,7 @@ from qgm_sim.optim import (
     stacked_slowmo_round,
     stacked_step,
 )
+from qgm_sim.oracles import quadratic_family, sample_all
 from qgm_sim.topology import MixingMatrix, OnePeerExponential, one_peer_exponential_matrix
 
 STEPS = 4
@@ -165,3 +168,94 @@ def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="per-step kind"):
         stacked_step("slowmo", StackedState.init(np.zeros(1), 1), np.eye(1),
                      HyperParams(eta=0.1), 1, ref.per_worker(lambda i, x, t: x))
+
+
+# ---------------------------------------------------------------------------
+# ownership: a step writes only into buffers it allocated itself
+# ---------------------------------------------------------------------------
+
+class _Kept:
+    """Bit copies of arrays the step functions must leave as they were."""
+
+    def __init__(self):
+        self.arrays = {}  # id -> (array, its bytes when first seen, where)
+
+    def keep(self, arr, where):
+        if id(arr) not in self.arrays:
+            self.arrays[id(arr)] = (arr, arr.tobytes(), where)
+
+    def changed(self):
+        return [where for arr, bits, where in self.arrays.values() if arr.tobytes() != bits]
+
+
+def _run_spans_keeping_every_array(kind, mixing, monkeypatch, spans=3):
+    """Run ``spans`` spans of ``kind`` (a round of tau = 2 steps for the
+    round kinds) through the optimizer functions the engine calls, with a
+    noisy heterogeneous quadratic.  Returns the arrays kept and every
+    ``mix`` input with its bits at the call and right after it."""
+    n, dim = mixing.n, 6
+    problem = quadratic_family(dim=dim, n_workers=n, zeta_c=0.7, sigma_c=0.3,
+                               cond=4.0, master_seed=5)
+    hp = HyperParams(eta=0.05, tau=2)
+    kept, mixed = _Kept(), []
+
+    def grad_fn(P, step):
+        G = sample_all(problem, P, step)
+        kept.keep(G, f"grad_fn at step {step}")
+        return G
+
+    def full_grad_fn(P):
+        F = problem.local_gradients(P)
+        kept.keep(F, "full_grad_fn")
+        return F
+
+    real_mix = optim.mix
+
+    def mix(X, W):
+        bits = X.tobytes()
+        out = real_mix(X, W)
+        assert not np.shares_memory(out, X)
+        mixed.append((X, bits, X.tobytes()))
+        return out
+
+    monkeypatch.setattr(optim, "mix", mix)
+    x0 = np.linspace(-1.0, 1.0, dim)
+    kept.keep(x0, "x0")
+    S = StackedState.init(x0, n)
+    if kind in ("gt", "gt_momentum"):
+        stacked_gt_init(S, grad_fn, 0)
+
+    def keep_state(span):
+        for attr, _ in S.array_fields():
+            kept.keep(getattr(S, attr), f"S.{attr} after span {span}")
+
+    keep_state(0)
+    for span in range(spans):
+        if kind == "slowmo":
+            stacked_slowmo_round(S, mixing, hp, "qg_dsgdm", grad_fn, 2 * span)
+        elif kind == "mimelite":
+            stacked_mimelite_round(S, hp, grad_fn, full_grad_fn, 2 * span)
+        else:
+            stacked_step(kind, S, mixing.at(span), hp, span + 1, grad_fn)
+        keep_state(span + 1)
+    return kept, mixed
+
+
+@pytest.mark.parametrize("mixing", [MixingMatrix(4, np.full((4, 4), 0.25), np.nan, "complete"),
+                                    OnePeerExponential(4)], ids=["dense", "one_peer"])
+@pytest.mark.parametrize("kind", STEP_KINDS + ROUND_KINDS)
+def test_steps_never_write_into_an_array_they_do_not_own(kind, mixing, monkeypatch):
+    # every array the state held, every array grad_fn returned and the start
+    # point keep their bits through three spans.  mix never writes its
+    # input, and an input that the state or an oracle also holds keeps the
+    # bits it had when it was mixed; only a step's own scratch half step,
+    # which nothing else holds, may take a later result once mix returns
+    kept, mixed = _run_spans_keeping_every_array(kind, mixing, monkeypatch)
+    assert not kept.changed()
+    assert all(during == before for _, before, during in mixed), "mix wrote its input"
+    held = [(X, before) for X, before, _ in mixed if id(X) in kept.arrays]
+    assert all(X.tobytes() == before for X, before in held)
+    if kind not in ("qhm", "mimelite"):
+        assert mixed, "the spans never gossiped"
+    if kind in ("dmsgd_i", "dmsgd_ii", "gt", "gt_momentum"):
+        assert held, "the state keeps a mixed array as history"
