@@ -23,10 +23,10 @@ top level as well:
 * :mod:`qgm_sim.consensus` — pure averaging experiments: plain gossip vs
   the momentum-buffered recursion, distance traces, hitting times.
 * :mod:`qgm_sim.engine` — config-driven deterministic runs with metrics
-  (CSV byte-stable across reruns; the ``run.threads`` key is accepted and
-  ignored), a ``RunConfig`` holding the run built once at load (problem,
-  start point, mixing, ``HyperParams``, ``ScheduleSpec``), learning-rate
-  schedules, and a step-size/momentum condition report.
+  (CSV byte-stable across reruns), a ``RunConfig`` holding the run built
+  once at load (problem, start point, mixing, ``HyperParams``,
+  ``ScheduleSpec``), learning-rate schedules, and a step-size/momentum
+  condition report.
 * :mod:`qgm_sim.cli` — ``qgm-sim`` command-line front end over all of the
   above.
 """

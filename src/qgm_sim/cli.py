@@ -296,9 +296,6 @@ def _build_parser():
                            help="execute a training run from a config file")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default="metrics.csv")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="shorthand for --run.threads; accepted and ignored "
-                            "(runs are single-threaded)")
     p_run.add_argument("--plot-script", action="store_true")
 
     p_val = sub.add_parser("validate", allow_abbrev=False,
@@ -364,8 +361,6 @@ def _dispatch(args, rest):
     if args.command in ("run", "validate"):
         overrides = _collect_overrides(rest)
         if args.command == "run":
-            if args.threads is not None:
-                overrides.setdefault("run.threads", str(args.threads))
             return cmd_run(args.config, overrides, out=args.out,
                            plot_script=args.plot_script)
         return cmd_validate(args.config, overrides)

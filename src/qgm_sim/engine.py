@@ -13,9 +13,7 @@ worker's gradient in one :func:`~qgm_sim.oracles.sample_all` call per
 evaluation (noise deterministically keyed by (worker, step)), applies the
 configured step rule to the stacked state, and records metrics evaluated at
 the averaged model.  Nothing depends on evaluation order, so metrics are
-byte-identical across reruns.  The ``run.threads`` key is accepted and
-ignored: the loop is single-threaded, because a thread pool around the
-per-worker oracle calls made runs slower.
+byte-identical across reruns.
 
 Divergence aborts: any non-finite entry in any array the state holds raises
 :class:`NumericalDivergence` naming the step, the buffer and the worker (the
@@ -238,61 +236,113 @@ def validate_theorem_conditions(
 # configuration
 # ---------------------------------------------------------------------------
 
-# section -> key -> (parser, default); None default marks a required key
-_SCHEMA = {
-    "problem": {
-        "kind": (str, "quadratic"),
-        "dim": (int, 16),
-        "zeta": (float, 0.0),
-        "sigma": (float, 0.0),
-        "cond": (float, 1.0),
-        "b_scale": (float, 1.0),
-        "scale": (float, 1.0),
-        "init": (str, "0.0"),
-    },
-    "topology": {
-        "kind": (str, "ring"),
-        "n": (int, 4),
-        "scheme": (str, "metropolis_hastings"),
-        "rows": (str, ""),
-    },
-    "optim": {
-        "kind": (str, None),
-        "eta": (float, 0.1),
-        "beta": (float, 0.9),
-        "mu": (str, ""),
-        "beta1": (float, 0.9),
-        "beta2": (float, 0.99),
-        "epsilon": (float, 1e-8),
-        "tau": (int, 1),
-        "slowmo_alpha": (float, 1.0),
-        "slowmo_beta": (float, 0.7),
-        "slowmo_base": (str, "dsgdm"),
-    },
-    "schedule": {
-        "kind": (str, "constant"),
-        "warmup_fraction": (float, 0.05),
-        "warmup_start_factor": (float, 0.1),
-        "milestones": (str, "0.5,0.75"),
-        "decay_factor": (float, 10.0),
-    },
-    "run": {
-        "steps": (int, 100),
-        "seed": (int, 0),
-        "steps_per_epoch": (int, 50),
-        "metrics_every": (int, 1),
-        "threads": (int, 1),
-    },
-}
+def _text(name: str, raw: str) -> str:
+    return raw
 
 
-def _parse_value(section: str, key: str, raw: str):
-    parser, _default = _SCHEMA[section][key]
+def _int(name: str, raw: str) -> int:
     try:
-        return parser(raw)
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{name}: cannot parse {raw!r} as int") from None
+
+
+def _count(name: str, raw: str) -> int:
+    if (value := _int(name, raw)) < 1:
+        raise ConfigError(f"{name.partition('.')[2]} must be >= 1; got {value}")
+    return value
+
+
+def _seed(name: str, raw: str) -> int:
+    if (value := _int(name, raw)) < 0:  # SeedSequence takes non-negative entropy only
+        raise ConfigError(f"{name} must be >= 0; got {value}")
+    return value
+
+
+def _require_finite(name: str, value: float) -> float:
+    if not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite; got {value}")
+    return value
+
+
+def _finite(name: str, raw: str) -> float:
+    try:
+        return _require_finite(name, float(raw))
+    except ValueError:
+        raise ConfigError(f"{name}: cannot parse {raw!r} as float") from None
+
+
+def _blank_or(parse):
+    """``parse`` of the stripped text, or None when it is blank."""
+    return lambda name, raw: parse(name, raw.strip()) if raw.strip() else None
+
+
+def _milestones(name: str, raw: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(part) for part in raw.split(",")) if raw.strip() else ()
     except ValueError:
         raise ConfigError(
-            f"{section}.{key}: cannot parse {raw!r} as {parser.__name__}") from None
+            f"{name}: cannot parse {raw!r} as comma-separated floats") from None
+
+
+def _init(name: str, raw: str) -> tuple[float, ...]:
+    """One component for every coordinate, or one per coordinate; blank
+    parts are skipped, and blank text is 0."""
+    parts = [part for part in raw.split(",") if part.strip()]
+    try:
+        values = tuple(float(part) for part in parts) if parts else (0.0,)
+    except ValueError:
+        raise ConfigError(f"{name}: cannot parse {raw!r} as floats") from None
+    return tuple(_require_finite(name, value) for value in values)
+
+
+# section -> key -> (parser, default text); None marks a required key.  A
+# parser reads one key's text, given or default, as parser(section.key, text)
+# and raises ConfigError naming the key if the text is not a valid value
+_SCHEMA = {
+    "problem": {
+        "kind": (_text, "quadratic"),
+        "dim": (_count, "16"),
+        "zeta": (_finite, "0.0"),
+        "sigma": (_finite, "0.0"),
+        "cond": (_finite, "1.0"),
+        "b_scale": (_finite, "1.0"),
+        "scale": (_finite, "1.0"),
+        "init": (_init, "0.0"),
+    },
+    "topology": {
+        "kind": (_text, "ring"),
+        "n": (_count, "4"),
+        "scheme": (_text, "metropolis_hastings"),
+        "rows": (_blank_or(_int), ""),
+    },
+    "optim": {
+        "kind": (_text, None),
+        "eta": (_finite, "0.1"),
+        "beta": (_finite, "0.9"),
+        "mu": (_blank_or(_finite), ""),
+        "beta1": (_finite, "0.9"),
+        "beta2": (_finite, "0.99"),
+        "epsilon": (_finite, "1e-8"),
+        "tau": (_int, "1"),
+        "slowmo_alpha": (_finite, "1.0"),
+        "slowmo_beta": (_finite, "0.7"),
+        "slowmo_base": (_text, "dsgdm"),
+    },
+    "schedule": {
+        "kind": (_text, "constant"),
+        "warmup_fraction": (_finite, "0.05"),
+        "warmup_start_factor": (_finite, "0.1"),
+        "milestones": (_milestones, "0.5,0.75"),
+        "decay_factor": (_finite, "10.0"),
+    },
+    "run": {
+        "steps": (_count, "100"),
+        "seed": (_seed, "0"),
+        "steps_per_epoch": (_count, "50"),
+        "metrics_every": (_count, "1"),
+    },
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,24 +368,24 @@ class RunConfig:
     steps: int
     steps_per_epoch: int
     metrics_every: int
-    threads: int
 
     @staticmethod
     def from_mapping(mapping: dict, overrides: dict | None = None) -> "RunConfig":
         """Build from {section: {key: value}} plus dotted overrides.
 
-        Every value is read as text (``str(value)``) by its key's parser, so
-        ``2.5`` for an int key fails as ``'2.5'`` would.  Unknown
-        sections/keys are rejected by name; ``optim.kind`` is the one
-        required field.  The problem, start point and mixing are built
-        here, so a config that loads is a run that can start.
+        Every value, given or default, is read as text (``str(value)``) by
+        its key's parser, so ``2.5`` for an int key fails as ``'2.5'``
+        would.  Unknown sections/keys are rejected by name; ``optim.kind``
+        is the one required field.  The problem, start point and mixing
+        are built here, so a config that loads is a run that can start.
         """
         values: dict[str, dict] = {s: {} for s in _SCHEMA}
 
         def _set(section, key, raw):
             if key not in _SCHEMA.get(section, ()):
                 raise ConfigError(f"unknown config key {section}.{key}")
-            values[section][key] = _parse_value(section, key, str(raw))
+            parse, _default = _SCHEMA[section][key]
+            values[section][key] = parse(f"{section}.{key}", str(raw))
 
         for section, entries in mapping.items():
             if section not in _SCHEMA:
@@ -352,42 +402,19 @@ class RunConfig:
                 if key not in values[section]:
                     if default is None:
                         raise ConfigError(f"missing required field {section}.{key}")
-                    values[section][key] = default
-
-        for section, keys in _SCHEMA.items():
-            for key, (parser, _default) in keys.items():
-                if parser is float and not math.isfinite(values[section][key]):
-                    raise ConfigError(
-                        f"{section}.{key} must be finite; got {values[section][key]}")
+                    _set(section, key, default)
 
         p, t, o, s, r = (values["problem"], values["topology"], values["optim"],
                          values["schedule"], values["run"])
-
-        def _optional(section, key, parser):
-            raw = values[section][key].strip()
-            if not raw:
-                return None
-            try:
-                return parser(raw)
-            except ValueError:
-                raise ConfigError(
-                    f"{section}.{key}: cannot parse {raw!r} as {parser.__name__}"
-                ) from None
-
         try:  # constructing these validates their parameter ranges
             schedule = ScheduleSpec(
                 kind=s["kind"], base_eta=o["eta"], warmup_fraction=s["warmup_fraction"],
                 warmup_start_factor=s["warmup_start_factor"],
-                milestones=_parse_milestones(s["milestones"]),
-                decay_factor=s["decay_factor"])
-            hp = HyperParams(
-                eta=o["eta"], beta=o["beta"], mu=_optional("optim", "mu", float),
-                beta1=o["beta1"], beta2=o["beta2"], epsilon=o["epsilon"],
-                tau=o["tau"], slowmo_alpha=o["slowmo_alpha"],
-                slowmo_beta=o["slowmo_beta"])
+                milestones=s["milestones"], decay_factor=s["decay_factor"])
+            hp = HyperParams(**{key: value for key, value in o.items()
+                                if key not in ("kind", "slowmo_base")})
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        rows = _optional("topology", "rows", int)
 
         kind = _PROBLEM_ALIASES.get(p["kind"])
         if kind is None:
@@ -400,13 +427,6 @@ class RunConfig:
         if o["slowmo_base"] not in HALF_STEP_KINDS:
             raise ConfigError(
                 f"optim.slowmo_base must be a per-step kind; got {o['slowmo_base']!r}")
-        for name, value in (("steps", r["steps"]), ("steps_per_epoch", r["steps_per_epoch"]),
-                            ("metrics_every", r["metrics_every"]),
-                            ("threads", r["threads"]), ("n", t["n"]), ("dim", p["dim"])):
-            if value < 1:
-                raise ConfigError(f"{name} must be >= 1; got {value}")
-        if r["seed"] < 0:  # SeedSequence takes non-negative entropy only
-            raise ConfigError(f"run.seed must be >= 0; got {r['seed']}")
         if o["kind"] == "qhm" and t["n"] != 1:
             raise ConfigError("optim.kind qhm is the single-worker closed form; "
                               f"requires topology.n = 1, got {t['n']}")
@@ -415,7 +435,8 @@ class RunConfig:
                 f"run.steps ({r['steps']}) must be a multiple of optim.tau "
                 f"({hp.tau}) for round-structured methods")
         for key, (reader, why) in _FAMILY_KEYS.items():
-            if kind != reader and p[key] != _SCHEMA["problem"][key][1]:
+            parse, default = _SCHEMA["problem"][key]
+            if kind != reader and p[key] != parse(f"problem.{key}", default):
                 raise ConfigError(
                     f"problem.{key} is not read by {p['kind']} ({why}); got {p[key]}")
 
@@ -427,14 +448,14 @@ class RunConfig:
                 ProblemSpec(kind=kind, dim=2, n_workers=t["n"], grad_scale=p["scale"]))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        mixing = topology_mixing(t["kind"], t["n"], t["scheme"], rows)
+        mixing = topology_mixing(t["kind"], t["n"], t["scheme"], t["rows"])
         x0 = _initial_point(p["init"], problem.dim)
         x0.flags.writeable = False
         return RunConfig(
             problem=problem, x0=x0, mixing=mixing, n=t["n"],
             optim_kind=o["kind"], hp=hp, slowmo_base=o["slowmo_base"],
             schedule=schedule, steps=r["steps"], steps_per_epoch=r["steps_per_epoch"],
-            metrics_every=r["metrics_every"], threads=r["threads"])
+            metrics_every=r["metrics_every"])
 
     @staticmethod
     def from_ini(path: str, overrides: dict | None = None) -> "RunConfig":
@@ -444,18 +465,6 @@ class RunConfig:
             raise ConfigError(f"cannot read config file {path!r}")
         mapping = {section: dict(parser[section]) for section in parser.sections()}
         return RunConfig.from_mapping(mapping, overrides)
-
-
-def _parse_milestones(raw: str) -> tuple[float, ...]:
-    text = raw.strip()
-    if not text:
-        return ()
-    try:
-        return tuple(float(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(
-            f"schedule.milestones: cannot parse {raw!r} as comma-separated floats"
-        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -488,20 +497,14 @@ def topology_mixing(kind: str, n: int, scheme: str = "metropolis_hastings",
         raise ConfigError(str(exc)) from None
 
 
-def _initial_point(init: str, dim: int) -> np.ndarray:
-    parts = [p for p in init.split(",") if p.strip()]
-    try:
-        vals = [float(p) for p in parts] if parts else [0.0]
-    except ValueError:
+def _initial_point(init: tuple[float, ...], dim: int) -> np.ndarray:
+    if len(init) == 1:
+        return np.full(dim, init[0])
+    if len(init) != dim:
         raise ConfigError(
-            f"problem.init: cannot parse {init!r} as floats") from None
-    if len(vals) == 1:
-        return np.full(dim, vals[0])
-    if len(vals) != dim:
-        raise ConfigError(
-            f"problem.init has {len(vals)} components but the problem dimension "
+            f"problem.init has {len(init)} components but the problem dimension "
             f"is {dim}")
-    return np.array(vals)
+    return np.array(init)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,12 @@ def dirichlet_partition(labels, n: int, alpha: float, seed: int) -> Partition:
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(pos,)))
         )
         proportions = rng.dirichlet(np.full(n, alpha)) if n > 1 else np.ones(1)
+        # a draw sums to 1 unless the gamma draws it normalizes overflowed,
+        # which leaves every proportion 0 and the counts short of the class
+        if not math.isclose(float(proportions.sum()), 1.0, rel_tol=1e-9):
+            raise ValueError(
+                f"Dirichlet concentration alpha={alpha} is too large for {n} clients: "
+                f"its gamma draws overflow")
         counts = _largest_remainder_counts(proportions, len(idx))
         for client, chunk in enumerate(np.split(idx, np.cumsum(counts)[:-1])):
             if len(chunk):

@@ -184,6 +184,20 @@ class TestRunCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("init,got", [("nan", "nan"), ("inf", "inf"), ("1e309", "inf"),
+                                          ("0,0,0,nan,0,0,0,0", "nan")])
+    def test_non_finite_init_exits_1_naming_key(self, demo_config, tmp_path, capsys,
+                                                command, init, got):
+        # run once diverged at step 1 (exit 2) and validate passed it (exit 0)
+        argv = [command, "--config", demo_config, "--problem.init", init]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "m.csv")]
+        assert quiet_main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: problem.init must be finite; got {got}"]
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("command", ["run", "validate"])
     @pytest.mark.parametrize("factor", ["inf", "1e200", "1e-200"])
     def test_decay_factor_without_a_finite_last_stage_exits_1(self, tmp_path, capsys,
                                                               command, factor):
@@ -196,16 +210,22 @@ class TestRunCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: schedule.decay_factor")
 
-    def test_repeat_and_ignored_threads_flag_byte_identical(self, demo_config, tmp_path):
-        # --threads is accepted and ignored: the third run is a repeat too
+    def test_repeated_runs_byte_identical(self, demo_config, tmp_path):
         outs = []
-        for name, extra in [("a.csv", []), ("b.csv", []),
-                            ("c.csv", ["--threads", "4"])]:
+        for name in ("a.csv", "b.csv", "c.csv"):
             path = tmp_path / name
-            assert quiet_main(["run", "--config", demo_config,
-                               "--out", str(path)] + extra) == 0
+            assert quiet_main(["run", "--config", demo_config, "--out", str(path)]) == 0
             outs.append(path.read_bytes())
         assert outs[0] == outs[1] == outs[2]
+
+    def test_threads_flag_is_unknown(self, demo_config, tmp_path, capsys):
+        # runs are single-threaded, and the flag that was read by nothing is gone
+        out = tmp_path / "m.csv"
+        assert main(["run", "--config", demo_config, "--out", str(out),
+                     "--threads", "4"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: unknown flag '--threads'"]
+        assert not out.exists()
 
     def test_plot_script_emitted(self, demo_config, tmp_path):
         out = tmp_path / "m.csv"
@@ -480,6 +500,16 @@ class TestPartitionCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error:")
         assert "alpha must be finite" in err[0] and f"alpha={alpha}" in err[0]
+        assert not (tmp_path / "p.csv").exists()
+
+
+    @pytest.mark.parametrize("alpha", ["1e308", "1.7e308"])
+    def test_alpha_whose_gamma_draws_overflow_exits_1(self, tmp_path, capsys, alpha):
+        # every proportion came out 0, and the last client took 850 of 1000 samples
+        assert main(["partition", "--alpha", alpha, "--out", str(tmp_path / "p.csv")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:")
+        assert f"alpha={float(alpha)} is too large" in err[0]
         assert not (tmp_path / "p.csv").exists()
 
 

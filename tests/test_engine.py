@@ -307,8 +307,8 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", ["problem.cond", "problem.zeta", "problem.sigma",
-                                     "problem.b_scale", "problem.scale", "optim.eta",
-                                     "schedule.decay_factor"])
+                                     "problem.b_scale", "problem.scale", "problem.init",
+                                     "optim.eta", "schedule.decay_factor"])
     def test_non_finite_values_rejected_by_name(self, key, value):
         with pytest.raises(ConfigError, match=rf"^{key} must be finite"):
             make_config(**{key: value})
@@ -316,6 +316,47 @@ class TestRunConfig:
     def test_hyperparameter_range_error_is_config_error(self):
         with pytest.raises(ConfigError, match="beta"):
             make_config(**{"optim.beta": "1.5"})
+
+    @pytest.mark.parametrize("init,got", [("1e309", "inf"), ("0,0,0,nan,0,0,0,0", "nan")])
+    def test_non_finite_init_rejected_at_load_by_name(self, init, got):
+        # a non-finite start point once loaded and diverged at step 1
+        with pytest.raises(ConfigError) as exc:
+            make_config(**{"problem.init": init})
+        assert str(exc.value) == f"problem.init must be finite; got {got}"
+
+    def test_threads_key_is_unknown(self, tmp_path):
+        # runs are single-threaded, and the key that was read by nothing is gone
+        path = tmp_path / "run.ini"
+        path.write_text("[optim]\nkind = dsgd\n[run]\nthreads = 2\n")
+        loads = [lambda: make_config(**{"run.threads": "1"}),
+                 lambda: RunConfig.from_ini(str(path)),
+                 lambda: RunConfig.from_mapping({"optim": {"kind": "dsgd"}},
+                                                overrides={"run.threads": "4"})]
+        for load in loads:
+            with pytest.raises(ConfigError) as exc:
+                load()
+            assert str(exc.value) == "unknown config key run.threads"
+
+    @pytest.mark.parametrize("kind", ["qg_dsgdm", "dsgdm", "qg_dadam", "slowmo", "gt"])
+    def test_defaults_read_as_their_text_load_the_same_run(self, kind):
+        # a default goes through its key's parser, as a value written out would
+        implicit = RunConfig.from_mapping({"optim": {"kind": kind}})
+        written = {section: {key: str(default) for key, (_parse, default) in keys.items()
+                             if default is not None}
+                   for section, keys in engine._SCHEMA.items()}
+        written["optim"]["kind"] = kind
+        explicit = RunConfig.from_mapping(written)
+        for name in ("hp", "schedule", "steps", "steps_per_epoch", "metrics_every", "n",
+                     "slowmo_base"):
+            assert getattr(explicit, name) == getattr(implicit, name), name
+        assert explicit.x0.tobytes() == implicit.x0.tobytes()
+        for field in dataclasses.fields(implicit.problem):
+            a = getattr(explicit.problem, field.name)
+            b = getattr(implicit.problem, field.name)
+            if isinstance(b, np.ndarray):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+            else:
+                assert a == b, field.name
 
 
 # ---------------------------------------------------------------------------
@@ -392,14 +433,6 @@ class TestRun:
     def test_repeated_runs_byte_identical(self):
         a = quiet_run(make_config())
         b = quiet_run(make_config())
-        assert metrics_csv_lines(a.records) == metrics_csv_lines(b.records)
-
-    @pytest.mark.parametrize("kind", ["qg_dsgdm", "dmsgd_ii", "qg_dadam"])
-    def test_ignored_threads_key_does_not_change_bytes(self, kind):
-        # run.threads is accepted and ignored: the loop is single-threaded
-        base = {"optim.kind": kind, "problem.sigma": "0.3", "run.steps": "30"}
-        a = quiet_run(make_config(**base, **{"run.threads": "1"}))
-        b = quiet_run(make_config(**base, **{"run.threads": "4"}))
         assert metrics_csv_lines(a.records) == metrics_csv_lines(b.records)
 
     def test_results_and_states_compare_by_identity(self):

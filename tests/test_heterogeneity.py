@@ -1,5 +1,7 @@
 """Tests for Dirichlet client partitioning."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +84,19 @@ class TestDirichletPartition:
         labels = _balanced_labels(10, 1000)
         with pytest.raises(ValueError, match="alpha must be finite"):
             dirichlet_partition(labels, 16, alpha, seed=0)
+
+    @pytest.mark.parametrize("alpha", [1e308, 1.7e308])
+    def test_rejects_alpha_whose_gamma_draws_overflow(self, alpha):
+        # the draws' sum overflowed, every proportion was 0, and the last
+        # client took 850 of 1000 samples
+        labels = _balanced_labels(10, 1000)
+        with pytest.raises(ValueError, match=re.escape(f"alpha={alpha} is too large")):
+            dirichlet_partition(labels, 16, alpha, seed=0)
+
+    def test_huge_finite_alpha_still_splits_evenly(self):
+        p = dirichlet_partition(_balanced_labels(10, 1000), 16, 1e300, seed=0)
+        assert p.sizes().sum() == 1000
+        assert 60 <= p.sizes().min() and p.sizes().max() <= 70
 
     def test_shards_are_read_only(self):
         p = dirichlet_partition(_balanced_labels(3, 30), 4, 1.0, seed=0)
