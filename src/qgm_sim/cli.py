@@ -38,7 +38,6 @@ from .engine import (
 from .heterogeneity import dirichlet_partition, partition_stats
 from .topology import OnePeerExponential
 
-TRAJECTORY_KINDS = ("sgdm", "s_qg_dsgdm", "sgdm_n", "qhm")
 TRAJECTORY_PROBLEMS = ("rosenbrock", "nonconvex_toy")
 TOY2D_KINDS = ("dsgd", "dsgdm", "qg_dsgdm")
 _SCHEME_ALIASES = {
@@ -54,6 +53,7 @@ _TRAJECTORY_MAP = {
     "sgdm_n": "dsgdm_n",
     "qhm": "qhm",
 }
+TRAJECTORY_KINDS = tuple(_TRAJECTORY_MAP)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,18 +69,19 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _write_lines(path, lines):
+def _write_lines(path, lines, what):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+    print(f"{what} written to {path}")
 
 
-def _write_traces(path, traces):
+def _write_traces(path, traces, what):
     """Write ``{kind: (T, 2) trace}`` as one ``kind_x,kind_y`` column pair per
     kind and one row per step."""
     lines = ["step," + ",".join(f"{k}_x,{k}_y" for k in traces)]
     for t, points in enumerate(zip(*traces.values())):
         lines.append(",".join([str(t)] + [_fmt(v) for point in points for v in point]))
-    _write_lines(path, lines)
+    _write_lines(path, lines, what)
 
 
 def _scheme(name):
@@ -149,138 +150,119 @@ def _check_writable(path):
         os.remove(path)
 
 
-def cmd_run(config_path, overrides, out="metrics.csv", plot_script=False):
-    config = RunConfig.from_ini(config_path, overrides=overrides)
-    _check_writable(out)
+def cmd_run(args, overrides):
+    config = RunConfig.from_ini(args.config, overrides=overrides)
+    _check_writable(args.out)
     result = run(config)
-    write_metrics_csv(result.records, out)
+    write_metrics_csv(result.records, args.out)
     last = result.records[-1]
-    print(f"metrics written to {out} ({len(result.records)} rows)")
+    print(f"metrics written to {args.out} ({len(result.records)} rows)")
     print(f"final_loss={_fmt(last.loss)} final_consensus_dist="
           f"{_fmt(last.consensus_dist)}")
-    if plot_script:
-        _emit_plot_script(out)
-    return 0
 
 
-def cmd_validate(config_path, overrides):
-    config = RunConfig.from_ini(config_path, overrides=overrides)
+def cmd_validate(args, overrides):
+    config = RunConfig.from_ini(args.config, overrides=overrides)
     report = build_theorem_report(config)
     print(report.message)
     if report.suggested_eta is not None:
         print(f"suggested_eta={_fmt(report.suggested_eta)}")
-    return 0
 
 
-def cmd_consensus(topology, n, beta, mu, T, seed, out, scheme="metropolis_hastings",
-                  dim=8, plot_script=False):
-    if dim < 1:
-        raise ConfigError(f"consensus --dim must be >= 1; got {dim}")
-    Wm = topology_mixing(topology, n, scheme)
-    X0 = np.random.default_rng(seed).standard_normal((dim, n))
-    plain = gossip_consensus(X0, Wm, T)
-    buffered = qg_consensus(X0, Wm, beta, mu, T)
+def cmd_consensus(args):
+    scheme = _scheme(args.scheme)
+    if args.dim < 1:
+        raise ConfigError(f"consensus --dim must be >= 1; got {args.dim}")
+    Wm = topology_mixing(args.topology, args.n, scheme)
+    X0 = np.random.default_rng(args.seed).standard_normal((args.dim, args.n))
+    plain = gossip_consensus(X0, Wm, args.T)
+    buffered = qg_consensus(X0, Wm, args.beta, args.mu, args.T)
     lines = ["iter,dist_gossip,dist_qg,mean_drift_qg"]
-    for t in range(T + 1):
+    for t in range(args.T + 1):
         lines.append(f"{t},{_fmt(plain.trace[t])},{_fmt(buffered.trace[t])},"
                      f"{_fmt(buffered.mean_drift[t])}")
-    _write_lines(out, lines)
-    print(f"consensus trace written to {out}")
+    _write_lines(args.out, lines, "consensus trace")
     for label, run_ in (("gossip", plain), ("qg", buffered)):
         try:
             hit = iterations_to_threshold(run_, 1e-2)
             print(f"iterations_to_1e-2_{label}={hit}")
         except ValueError:
             print(f"iterations_to_1e-2_{label}=not_reached")
-    if plot_script:
-        _emit_plot_script(out)
-    return 0
 
 
-def _trace_via_engine(problem, kind, eta, beta, mu, steps, init, n=1,
-                      topology="complete", seed=0):
+def _trace_via_engine(args, problem, kind, init, n, seed):
+    """The averaged-model trace of one ``args.steps``-step noise-free run of
+    ``kind`` at ``args.eta``, ``args.beta`` and ``args.mu`` on a complete graph."""
     mapping = {
         "problem": {"kind": problem, "dim": "2", "sigma": "0.0", "init": init},
-        "topology": {"kind": topology, "n": str(n)},
-        "optim": {"kind": kind, "eta": repr(float(eta)), "beta": repr(float(beta))},
-        "run": {"steps": str(steps), "seed": str(seed),
-                "metrics_every": str(max(steps, 1))},
+        "topology": {"kind": "complete", "n": str(n)},
+        "optim": {"kind": kind, "eta": repr(float(args.eta)),
+                  "beta": repr(float(args.beta))},
+        "run": {"steps": str(args.steps), "seed": str(seed),
+                "metrics_every": str(max(args.steps, 1))},
     }
-    if mu is not None:
-        mapping["optim"]["mu"] = repr(float(mu))
+    if args.mu is not None:
+        mapping["optim"]["mu"] = repr(float(args.mu))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return run(RunConfig.from_mapping(mapping)).xbar_trace
 
 
-def cmd_trajectory(problem, kinds, eta, beta, mu, steps, init, out,
-                   plot_script=False):
-    if problem not in TRAJECTORY_PROBLEMS:
+def cmd_trajectory(args):
+    kinds = tuple(k for k in args.kinds.split(",") if k)
+    if args.problem not in TRAJECTORY_PROBLEMS:
         raise ConfigError(f"trajectory problem must be one of "
-                          f"{TRAJECTORY_PROBLEMS}, got {problem!r}")
+                          f"{TRAJECTORY_PROBLEMS}, got {args.problem!r}")
     if not kinds:
         raise ConfigError(f"trajectory needs at least one kind of {TRAJECTORY_KINDS}")
     for kind in kinds:
         if kind not in TRAJECTORY_KINDS:
             raise ConfigError(f"trajectory kind must be one of "
                               f"{TRAJECTORY_KINDS}, got {kind!r}")
-    traces = {k: _trace_via_engine(problem, _TRAJECTORY_MAP[k], eta, beta, mu,
-                                   steps, init) for k in kinds}
-    _write_traces(out, traces)
-    print(f"trajectories written to {out}")
+    traces = {k: _trace_via_engine(args, args.problem, _TRAJECTORY_MAP[k], args.init,
+                                   n=1, seed=0) for k in kinds}
+    _write_traces(args.out, traces, "trajectories")
     for k in kinds:
         end = traces[k][-1]
         print(f"kind={k} final=({_fmt(end[0])},{_fmt(end[1])}) "
               f"heading_sum={_fmt(heading_change_sum(traces[k]))}")
-    if plot_script:
-        _emit_plot_script(out)
-    return 0
 
 
-def cmd_toy2d(eta, beta, mu, steps, seed, out, plot_script=False):
-    traces = {kind: _trace_via_engine("toy2d", kind, eta, beta, mu, steps, init="0.0",
-                                      n=2, topology="complete", seed=seed)
+def cmd_toy2d(args):
+    traces = {kind: _trace_via_engine(args, "toy2d", kind, "0.0", n=2, seed=args.seed)
               for kind in TOY2D_KINDS}
-    _write_traces(out, traces)
-    print(f"averaged-model traces written to {out}")
+    _write_traces(args.out, traces, "averaged-model traces")
     for kind in TOY2D_KINDS:
         print(f"kind={kind} heading_sum="
               f"{_fmt(heading_change_sum(traces[kind]))}")
-    if plot_script:
-        _emit_plot_script(out)
-    return 0
 
 
-def cmd_partition(samples, classes, n, alpha, seed, out):
-    if not 1 <= classes <= samples:
+def cmd_partition(args):
+    if not 1 <= args.classes <= args.samples:
         raise ConfigError("partition needs 1 <= classes <= samples; got "
-                          f"classes ({classes}), samples ({samples})")
-    labels = np.arange(samples) % classes
-    part = dirichlet_partition(labels, n, alpha, seed)
+                          f"classes ({args.classes}), samples ({args.samples})")
+    labels = np.arange(args.samples) % args.classes
+    part = dirichlet_partition(labels, args.n, args.alpha, args.seed)
     counts = partition_stats(part, labels)
     lines = ["client,class,count"]
-    for client in range(n):
-        for cls in range(classes):
+    for client in range(args.n):
+        for cls in range(args.classes):
             lines.append(f"{client},{cls},{int(counts[client, cls])}")
-    _write_lines(out, lines)
-    print(f"partition table written to {out}")
-    return 0
+    _write_lines(args.out, lines, "partition table")
 
 
-def cmd_topo(kind, n, scheme, rows=None, out=None):
-    Wm = topology_mixing(kind, n, scheme, rows)
+def cmd_topo(args):
+    Wm = topology_mixing(args.kind, args.n, _scheme(args.scheme), args.rows)
     if isinstance(Wm, OnePeerExponential):
-        raise ConfigError(f"topo prints static matrices only; {kind} pairs workers "
+        raise ConfigError(f"topo prints static matrices only; {args.kind} pairs workers "
                           "anew at every step (use it with run or consensus)")
     lines = [",".join(_fmt(v) for v in row) for row in Wm.weights]
-    if out:
-        _write_lines(out, lines)
-        print(f"mixing matrix written to {out}")
+    if args.out:
+        _write_lines(args.out, lines, "mixing matrix")
     else:
         for line in lines:
             print(line)
     print(f"rho,{_fmt(Wm.rho)}")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +276,19 @@ def _build_parser():
 
     p_run = sub.add_parser("run", allow_abbrev=False,
                            help="execute a training run from a config file")
+    p_run.set_defaults(cmd=cmd_run)
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default="metrics.csv")
     p_run.add_argument("--plot-script", action="store_true")
 
     p_val = sub.add_parser("validate", allow_abbrev=False,
                            help="print the momentum/step-size feasibility report")
+    p_val.set_defaults(cmd=cmd_validate)
     p_val.add_argument("--config", required=True)
 
     p_con = sub.add_parser("consensus", allow_abbrev=False,
                            help="gossip vs buffered-momentum averaging")
+    p_con.set_defaults(cmd=cmd_consensus)
     p_con.add_argument("--topology", default="ring")
     p_con.add_argument("--n", type=int, default=16)
     p_con.add_argument("--scheme", default="metropolis_hastings")
@@ -317,6 +302,7 @@ def _build_parser():
 
     p_toy = sub.add_parser("toy2d", allow_abbrev=False,
                            help="two-worker heterogeneous 2-D study")
+    p_toy.set_defaults(cmd=cmd_toy2d)
     p_toy.add_argument("--eta", type=float, default=0.05)
     p_toy.add_argument("--beta", type=float, default=0.9)
     p_toy.add_argument("--mu", type=float, default=None)
@@ -327,6 +313,7 @@ def _build_parser():
 
     p_traj = sub.add_parser("trajectory", allow_abbrev=False,
                             help="single-worker traces on 2-D test functions")
+    p_traj.set_defaults(cmd=cmd_trajectory)
     p_traj.add_argument("--problem", default="rosenbrock")
     p_traj.add_argument("--kinds", default="sgdm,s_qg_dsgdm")
     p_traj.add_argument("--eta", type=float, default=0.001)
@@ -339,6 +326,7 @@ def _build_parser():
 
     p_part = sub.add_parser("partition", allow_abbrev=False,
                             help="Dirichlet label partition statistics")
+    p_part.set_defaults(cmd=cmd_partition)
     p_part.add_argument("--samples", type=int, default=1000)
     p_part.add_argument("--classes", type=int, default=10)
     p_part.add_argument("--n", type=int, default=16)
@@ -348,6 +336,7 @@ def _build_parser():
 
     p_topo = sub.add_parser("topo", allow_abbrev=False,
                             help="print a mixing matrix and its spectral gap")
+    p_topo.set_defaults(cmd=cmd_topo)
     p_topo.add_argument("--kind", default="ring")
     p_topo.add_argument("--n", type=int, default=16)
     p_topo.add_argument("--scheme", default="metropolis_hastings")
@@ -359,39 +348,19 @@ def _build_parser():
 
 def _dispatch(args, rest):
     if args.command in ("run", "validate"):
-        overrides = _collect_overrides(rest)
-        if args.command == "run":
-            return cmd_run(args.config, overrides, out=args.out,
-                           plot_script=args.plot_script)
-        return cmd_validate(args.config, overrides)
-
-    if rest:
+        args.cmd(args, _collect_overrides(rest))
+    elif rest:
         raise ConfigError(f"unknown flag {rest[0]!r}")
-
-    if args.command == "consensus":
-        return cmd_consensus(args.topology, args.n, args.beta, args.mu,
-                             args.T, args.seed, args.out, scheme=_scheme(args.scheme),
-                             dim=args.dim, plot_script=args.plot_script)
-    if args.command == "toy2d":
-        return cmd_toy2d(args.eta, args.beta, args.mu, args.steps,
-                         args.seed, args.out, plot_script=args.plot_script)
-    if args.command == "trajectory":
-        kinds = tuple(k for k in args.kinds.split(",") if k)
-        return cmd_trajectory(args.problem, kinds, args.eta, args.beta,
-                              args.mu, args.steps, args.init, args.out,
-                              plot_script=args.plot_script)
-    if args.command == "partition":
-        return cmd_partition(args.samples, args.classes, args.n,
-                             args.alpha, args.seed, args.out)
-    if args.command == "topo":
-        return cmd_topo(args.kind, args.n, _scheme(args.scheme), rows=args.rows,
-                        out=args.out)
-    raise ConfigError(f"unknown command {args.command!r}")
+    else:
+        args.cmd(args)
+    if getattr(args, "plot_script", False):
+        _emit_plot_script(args.out)
+    return 0
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args, rest = parser.parse_known_args(argv)
+    # built per call, so each subcommand binds the module's cmd_* as it is now
+    args, rest = _build_parser().parse_known_args(argv)
     try:
         return _dispatch(args, rest)
     except NumericalDivergence as exc:

@@ -460,10 +460,14 @@ class RunConfig:
     @staticmethod
     def from_ini(path: str, overrides: dict | None = None) -> "RunConfig":
         parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path!r}")
-        mapping = {section: dict(parser[section]) for section in parser.sections()}
+        try:
+            if not parser.read(path):
+                raise ConfigError(f"cannot read config file {path!r}")
+            # values interpolate on access, so the lookup can raise too
+            mapping = {section: dict(parser[section]) for section in parser.sections()}
+        except configparser.Error as exc:
+            detail = " ".join(str(exc).split())  # some configparser messages span lines
+            raise ConfigError(f"cannot parse config file {path!r}: {detail}") from None
         return RunConfig.from_mapping(mapping, overrides)
 
 

@@ -76,6 +76,27 @@ class TestRunCommand:
         assert main(["run", "--config", str(tmp_path / "nope.ini")]) == 1
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "validate"])
+    @pytest.mark.parametrize("text", [
+        DEMO_INI + "seed = 4\n",  # duplicate key
+        DEMO_INI + "[optim]\nbeta = 0.5\n",  # duplicate section
+        "eta = 0.1\n" + DEMO_INI,  # no section header
+        DEMO_INI.replace("eta = 0.05", "eta = %(x)s"),  # interpolation of no key
+        DEMO_INI.replace("eta = 0.05", "eta = 5%"),  # bad interpolation syntax
+        DEMO_INI + "garbage\n",  # a line that is no key
+    ], ids=["duplicate-key", "duplicate-section", "no-section-header",
+            "missing-interpolation-key", "interpolation-syntax", "no-key"])
+    def test_malformed_ini_exits_1_in_one_line(self, tmp_path, capsys, command, text):
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        out = tmp_path / "m.csv"
+        argv = [command, "--config", str(path)] + (["--out", str(out)] if command == "run" else [])
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"config error: cannot parse config file {str(path)!r}: ")
+        assert not out.exists()
+
     def test_unknown_flag_exits_1(self, demo_config, capsys):
         assert main(["run", "--config", demo_config, "--bogus", "1"]) == 1
         assert "--bogus" in capsys.readouterr().err
@@ -561,6 +582,35 @@ class TestParserBehavior:
             main(["run", "--help"])
         assert exc.value.code == 0
         assert "--config" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [
+        ["consensus", "--n", "4", "--T", "20"],
+        ["toy2d", "--steps", "10"],
+        ["trajectory", "--steps", "10"],
+    ], ids=lambda argv: argv[0])
+    def test_plot_script_written_after_the_command_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        assert quiet_main(argv + ["--out", str(out), "--plot-script"]) == 0
+        script = tmp_path / "o.csv.plot.py"
+        compile(script.read_text(), "plot.py", "exec")
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"plot script written to {script}"
+        assert f"written to {out}" in lines[0]
+
+    def test_main_calls_each_command_as_bound_when_it_runs(self, monkeypatch, capsys):
+        # the benchmark tracer wraps the module's cmd_* in place; main must
+        # call the wrapper, not a function bound when the module loaded
+        calls = []
+        original = cli.cmd_topo
+
+        def wrapper(*args, **kwargs):
+            calls.append("topo")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "cmd_topo", wrapper)
+        assert main(["topo", "--kind", "complete", "--n", "2"]) == 0
+        assert calls == ["topo"]
+        assert capsys.readouterr().out.splitlines()[0] == "0.5,0.5"
 
     def test_module_invocation_subprocess(self, tmp_path):
         # the child imports the package this process imported, installed or not
