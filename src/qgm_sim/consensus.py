@@ -24,11 +24,12 @@ asserted away).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .optim import HyperParams, StackedState, stacked_dsgd_step
+from .optim import HyperParams, StackedState, _average_model, _norm, stacked_dsgd_step
 
 __all__ = [
     "ConsensusRun",
@@ -49,9 +50,8 @@ def consensus_distance(X, x_bar=None) -> float:
     if X.ndim != 2:
         raise ValueError(f"X must be a d x n matrix; got shape {X.shape}")
     if x_bar is None:
-        x_bar = X.mean(axis=1)
-    deviation = X - x_bar[:, None]
-    return float(np.linalg.norm(deviation) / np.sqrt(X.shape[1]))
+        x_bar = _average_model(X)
+    return _norm(X - x_bar[:, None]) / math.sqrt(X.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,15 +93,15 @@ def _run(X0, W, beta: float, mu: float, T: int) -> ConsensusRun:
         raise ValueError(f"iteration count must be >= 0; got {T}")
     hp = HyperParams(eta=1.0, beta=beta, mu=mu)
     S = StackedState.from_matrix(X)
-    mean0 = S.X.mean(axis=1)
+    mean0 = _average_model(S.X)
     trace = [consensus_distance(S.X, mean0)]
     drift = [0.0]
     for t in range(T):
         stacked_dsgd_step("qg_dsgdm", S, None, W.at(t), hp)
-        x_bar = S.X.mean(axis=1)
+        x_bar = _average_model(S.X)
         trace.append(consensus_distance(S.X, x_bar))
         x_bar -= mean0
-        drift.append(float(np.linalg.norm(x_bar)))
+        drift.append(_norm(x_bar))
     return ConsensusRun(
         x0=np.asarray(X0, dtype=float).copy(),
         mixing=W,

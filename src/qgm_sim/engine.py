@@ -40,6 +40,8 @@ from .optim import (
     STEP_KINDS,
     HyperParams,
     StackedState,
+    _average_model,
+    _norm,
     stacked_gt_init,
     stacked_mimelite_round,
     stacked_slowmo_round,
@@ -531,14 +533,14 @@ class MetricsRecord:
 
 def _make_record(problem: ProblemSpec, X: np.ndarray, x_bar: np.ndarray, step: int,
                  lr: float, steps_per_epoch: int) -> MetricsRecord:
-    weight_norm = float(np.linalg.norm(x_bar))
+    weight_norm = _norm(x_bar)
     eff = lr / weight_norm**2 if weight_norm > 0.0 else float("inf")
     return MetricsRecord(
         step=step,
         epoch=step / steps_per_epoch,
         lr=float(lr),
         loss=problem.mean_loss(x_bar),
-        grad_norm=float(np.linalg.norm(problem.mean_gradient(x_bar))),
+        grad_norm=_norm(problem.mean_gradient(x_bar)),
         consensus_dist=consensus_distance(X, x_bar),
         weight_norm=weight_norm,
         eff_stepsize=float(eff),
@@ -620,15 +622,21 @@ def _check_finite(S: StackedState, step: int, method: str, fields: list,
     skipped: the step functions never write into an array.  The map holds
     the arrays themselves, so a skipped one cannot be a new array at a
     reused address.
+
+    A changed array passes when its sum is finite: one NaN or infinity
+    makes the sum NaN or infinite, so a finite sum proves every entry
+    finite.  Only a non-finite sum (a non-finite entry, or finite entries
+    whose sum overflows) pays for the entrywise scan that names the worker.
     """
     for attr, field in fields:
         arr = getattr(S, attr)
         if verified.get(field) is arr:
             continue
-        finite = np.isfinite(arr)
-        if not finite.all():
-            worker = int(np.argmin(finite.all(axis=0))) if arr.ndim == 2 else None
-            raise NumericalDivergence(step, method, field, worker)
+        if not math.isfinite(np.add.reduce(arr, axis=None)):
+            finite = np.isfinite(arr)
+            if not finite.all():
+                worker = int(np.argmin(finite.all(axis=0))) if arr.ndim == 2 else None
+                raise NumericalDivergence(step, method, field, worker)
         verified[field] = arr
 
 
@@ -674,7 +682,7 @@ def run(config: RunConfig) -> RunResult:
         stacked_gt_init(S, grad_fn, step=0)
 
     records: list[MetricsRecord] = []
-    xbar_trace = [S.X.mean(axis=1)]
+    xbar_trace = [_average_model(S.X)]
     verified: dict = {}  # field -> the array last found finite there
     # the arrays S holds: every method adds its history and round buffers
     # in its first span and never drops one, so the set is fixed after it
@@ -695,7 +703,7 @@ def run(config: RunConfig) -> RunResult:
         if fields is None:
             fields = S.array_fields()
         _check_finite(S, end, kind, fields, verified)
-        x_bar = S.X.mean(axis=1)
+        x_bar = _average_model(S.X)
         xbar_trace.append(x_bar)
         if end % config.metrics_every == 0 or end == config.steps:
             records.append(_make_record(problem, S.X, x_bar, end, lr, config.steps_per_epoch))

@@ -44,6 +44,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .optim import _norm
+
 __all__ = [
     "GradientSample",
     "ProblemSpec",
@@ -260,7 +262,7 @@ def toy2d_gradient(worker: int, x, targets=DEFAULT_TOY2D_TARGETS, scale: float =
     x = np.asarray(x, dtype=float)
     target = np.asarray(targets[worker], dtype=float)
     diff = x - target
-    dist = float(np.linalg.norm(diff))
+    dist = _norm(diff)
     if dist == 0.0:
         return GradientSample(np.zeros_like(x), 0.0, converged=True)
     return GradientSample(scale * diff / dist, dist)

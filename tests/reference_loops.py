@@ -12,7 +12,8 @@ they built their ``(n, dim)`` rows directly (a broadcast ``(dim, n)`` view
 and a transposed copy), and :func:`worker_rng`, :func:`worker_b` and
 :func:`quadratic_gradient` the per-worker quadratic oracle as it stood before
 ``ProblemSpec.sample`` became a column of ``sample_all``: the reference of
-``test_oracles.py``.
+``test_oracles.py``.  :func:`check_finite` is the engine's divergence
+check as it stood when it scanned every changed array entry by entry.
 :func:`to_workers` splits a stacked state into per-worker states and
 :func:`per_worker` lifts a per-worker oracle to the matrix contract of
 ``qgm_sim.optim``.  Not collected by pytest (no ``test_`` prefix).
@@ -24,6 +25,7 @@ import dataclasses
 
 import numpy as np
 
+from qgm_sim.engine import NumericalDivergence
 from qgm_sim.optim import HALF_STEP_KINDS, HyperParams, WorkerState, qg_multistep_gate, qhm_core
 from qgm_sim.oracles import GradientSample
 
@@ -503,3 +505,18 @@ def broadcast_mean_loss(spec, x: np.ndarray) -> float:
     return float(np.mean([
         spec.sample(w, x, step=0).loss for w in range(spec.n_workers)
     ]))
+
+
+def check_finite(S, step: int, method: str, fields: list, verified: dict) -> None:
+    """Raise on the first array of ``S`` that holds a non-finite entry,
+    visiting ``fields`` (``S.array_fields()``) in order and skipping an
+    array that is still the one ``verified`` last found finite there."""
+    for attr, field in fields:
+        arr = getattr(S, attr)
+        if verified.get(field) is arr:
+            continue
+        finite = np.isfinite(arr)
+        if not finite.all():
+            worker = int(np.argmin(finite.all(axis=0))) if arr.ndim == 2 else None
+            raise NumericalDivergence(step, method, field, worker)
+        verified[field] = arr

@@ -305,14 +305,22 @@ class TestUnwritableOutput:
         assert err.splitlines() == [
             f"config error: cannot write {out!r}: No such file or directory"]
 
-    def test_run_fails_before_it_runs(self, tmp_path, capsys, monkeypatch):
-        def forbidden(_config):
-            raise AssertionError("ran before checking its output")
+    @pytest.mark.parametrize("argv,computation", [
+        (["run", "--config", os.path.join(CONFIG_DIR, "toy2d_dsgdm.ini")], "run"),
+        (["consensus", "--T", "5"], "topology_mixing"),
+        (["toy2d", "--steps", "3"], "run"),
+        (["trajectory", "--steps", "3"], "run"),
+        (["partition", "--samples", "20", "--classes", "2", "--n", "2"],
+         "dirichlet_partition"),
+        (["topo", "--n", "4"], "topology_mixing"),
+    ], ids=lambda value: value[0] if isinstance(value, list) else None)
+    def test_fails_before_it_computes(self, tmp_path, capsys, monkeypatch, argv, computation):
+        def forbidden(*_args, **_kwargs):
+            raise AssertionError("computed before checking its output")
 
-        monkeypatch.setattr(cli, "run", forbidden)
+        monkeypatch.setattr(cli, computation, forbidden)
         out = str(tmp_path / "missing" / "x.csv")
-        assert main(["run", "--config", os.path.join(CONFIG_DIR, "toy2d_dsgdm.ini"),
-                     "--out", out]) == 1
+        assert main(argv + ["--out", out]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"config error: cannot write {out!r}: No such file or directory"]
 
@@ -597,20 +605,37 @@ class TestParserBehavior:
         assert lines[-1] == f"plot script written to {script}"
         assert f"written to {out}" in lines[0]
 
-    def test_main_calls_each_command_as_bound_when_it_runs(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", os.path.join(CONFIG_DIR, "toy2d_dsgdm.ini"), "--out", "o.csv"],
+        ["validate", "--config", os.path.join(CONFIG_DIR, "toy2d_dsgdm.ini")],
+        ["consensus", "--T", "5", "--out", "o.csv"],
+        ["toy2d", "--steps", "3", "--out", "o.csv"],
+        ["trajectory", "--steps", "3", "--out", "o.csv"],
+        ["partition", "--samples", "20", "--classes", "2", "--n", "2", "--out", "o.csv"],
+        ["topo", "--kind", "complete", "--n", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_main_calls_each_command_as_bound_when_it_runs(
+            self, tmp_path, monkeypatch, capsys, argv):
         # the benchmark tracer wraps the module's cmd_* in place; main must
-        # call the wrapper, not a function bound when the module loaded
+        # call the wrapper, not a function bound when its parser was built,
+        # so main runs once before the wrapper goes in
+        monkeypatch.chdir(tmp_path)
+        command = argv[0]
+        assert quiet_main(argv) == 0
+        unwrapped = capsys.readouterr().out
         calls = []
-        original = cli.cmd_topo
+        original = getattr(cli, f"cmd_{command}")
 
         def wrapper(*args, **kwargs):
-            calls.append("topo")
+            calls.append(command)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "cmd_topo", wrapper)
-        assert main(["topo", "--kind", "complete", "--n", "2"]) == 0
-        assert calls == ["topo"]
-        assert capsys.readouterr().out.splitlines()[0] == "0.5,0.5"
+        monkeypatch.setattr(cli, f"cmd_{command}", wrapper)
+        assert quiet_main(argv) == 0
+        assert calls == [command]
+        assert capsys.readouterr().out == unwrapped
+        if command == "topo":
+            assert unwrapped.splitlines()[0] == "0.5,0.5"
 
     def test_module_invocation_subprocess(self, tmp_path):
         # the child imports the package this process imported, installed or not

@@ -622,6 +622,59 @@ class TestRun:
             engine._check_finite(S, 5, "dsgd", S.array_fields(), verified)
         assert str(exc.value) == "non-finite v of worker 2 at step 5 (method dsgd); aborting"
 
+    @staticmethod
+    def _every_buffer(dim=3, n=5):
+        """A state holding every array a method can hold, all finite."""
+        rng = np.random.default_rng(11)
+        S = StackedState.from_matrix(rng.standard_normal((dim, n)))
+        for attr in ("M_hat", "M_local", "V", "Y", "G_prev", "X_prev", "X_half_prev",
+                     "M_hat_prev"):
+            setattr(S, attr, rng.standard_normal((dim, n)))
+        for attr in ("slow_x", "slow_m", "server_s"):
+            setattr(S, attr, rng.standard_normal(dim))
+        return S
+
+    def test_finite_check_passes_finite_entries_whose_sum_overflows(self):
+        S = self._every_buffer()
+        for attr, _field in S.array_fields():
+            setattr(S, attr, np.full_like(getattr(S, attr), 1.7e308))
+        verified = {}
+        with np.errstate(over="ignore"):  # the sum overflows, as it may in a run
+            engine._check_finite(S, 1, "dsgd", S.array_fields(), verified)
+        assert len(verified) == 12
+        assert all(verified[field] is getattr(S, attr) for attr, field in S.array_fields())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finite_check_names_what_the_entrywise_scan_named(self, bad):
+        # a non-finite entry in any of the 12 buffers, at any worker, among
+        # finite entries that overflow or not, raises the exception the old
+        # entry-by-entry scan raised, and both leave the same arrays verified
+        S0 = self._every_buffer()
+        fields = S0.array_fields()
+        assert [field for _attr, field in fields] == [
+            "x", "m_hat", "m_local", "v", "y_tracker", "g_prev", "x_prev",
+            "x_half_prev", "m_hat_prev", "slow_x", "slow_m", "server_s"]
+        for attr, field in fields:
+            for flat in (0, 4, 7, getattr(S0, attr).size - 1):
+                for fill in (None, 1.7e308):
+                    S = dataclasses.replace(S0)
+                    arr = getattr(S0, attr).copy()
+                    if fill is not None:
+                        arr.fill(fill)
+                    arr.flat[flat % arr.size] = bad
+                    setattr(S, attr, arr)
+                    got, want = {}, {}
+                    with pytest.raises(NumericalDivergence) as new, np.errstate(
+                            over="ignore", invalid="ignore"):
+                        engine._check_finite(S, 9, "qg_dsgdm", fields, got)
+                    with pytest.raises(NumericalDivergence) as old:
+                        ref.check_finite(S, 9, "qg_dsgdm", fields, want)
+                    assert (new.value.step, new.value.field, new.value.worker) == (
+                        old.value.step, old.value.field, old.value.worker) == (
+                        9, field, (flat % arr.size) % arr.shape[1] if arr.ndim == 2 else None)
+                    assert str(new.value) == str(old.value)
+                    assert got.keys() == want.keys()
+
     @pytest.mark.parametrize("kind,attr,field,tau", [
         ("dmsgd_i", "M_hat_prev", "m_hat_prev", "1"),
         ("mimelite", "server_s", "server_s", "2")])

@@ -22,8 +22,10 @@ from qgm_sim.optim import (
     HALF_STEP_KINDS,
     HyperParams,
     StackedState,
+    _average_model,
     _column_norms,
     _half_step,
+    _norm,
     column_mean,
     mix,
     qg_multistep_gate,
@@ -540,6 +542,54 @@ class TestQgDadam:
         assert got.shape == (n,) and got.tobytes() == want.tobytes()
         for i, what in enumerate(special[:n]):
             assert got[i] == 0.0, what  # so the unit movement is zero there
+
+
+def _with_specials(dim, n, what):
+    """A ``(dim, n)`` array of standard normals with special values put in:
+    signed zeros, subnormals, infinities or NaN in a few entries (the last
+    entry among them), or huge entries whose squares overflow."""
+    X = np.random.default_rng(dim * 10007 + n).standard_normal((dim, n))
+    idx = [0, X.size // 2, X.size - 1]
+    values = {
+        "normal": [],
+        "zeros": [0.0, -0.0, -0.0],
+        "all_negative_zero": None,
+        "subnormal": [5e-324, -2.5e-310, 1e-320],
+        "inf": [np.inf, 1.0, -np.inf],
+        "nan": [1.0, np.nan, 2.0],
+        "huge": [1.7e308, -1.7e308, 1.7e308],
+    }[what]
+    if values is None:
+        return np.full((dim, n), -0.0)
+    X.flat[idx[:len(values)]] = values
+    return X
+
+
+class TestWrapperFreeKernels:
+    """The step's bookkeeping calls the numpy kernels under ``ndarray.mean``
+    and ``np.linalg.norm`` directly; both must keep their bits, across
+    numpy's 8-term pairwise-summation blocks and on special values."""
+
+    SPECIALS = ("normal", "zeros", "all_negative_zero", "subnormal", "inf", "nan", "huge")
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 16, 64, 1024])
+    @pytest.mark.parametrize("dim", [1, 2, 8, 64, 512])
+    def test_average_model_and_norm_keep_the_wrapped_bits(self, dim, n):
+        for what in self.SPECIALS:
+            X = _with_specials(dim, n, what)
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_bar = _average_model(X)
+                assert x_bar.tobytes() == X.mean(axis=1).tobytes(), what
+                for v in (X, X.T, X[:, 0], X[0], x_bar):  # C, F, strided, row
+                    got, want = _norm(v), float(np.linalg.norm(v))
+                    assert type(got) is float
+                    assert np.float64(got).tobytes() == np.float64(want).tobytes(), what
+
+    def test_average_model_is_a_fresh_array(self):
+        X = np.arange(6.0).reshape(2, 3)
+        x_bar = _average_model(X)
+        x_bar += 1.0
+        assert np.array_equal(X, np.arange(6.0).reshape(2, 3))
 
 
 # ---------------------------------------------------------------------------
