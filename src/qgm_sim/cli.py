@@ -18,7 +18,6 @@ unknown flags are rejected. Exit codes: 0 success, 1 configuration error,
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 import warnings
@@ -80,10 +79,10 @@ def _write_traces(path, traces, what):
     """Write ``{kind: (T, 2) trace}`` as one ``kind_x,kind_y`` column pair per
     kind and one row per step."""
     lines = ["step," + ",".join(f"{k}_x,{k}_y" for k in traces)]
-    # tolist() gives Python floats, whose repr is _fmt's text for each entry
-    rows = zip(*(trace.tolist() for trace in traces.values()))
-    for t, points in enumerate(rows):
-        lines.append(",".join([str(t)] + [repr(v) for point in points for v in point]))
+    # a row's tolist() gives Python floats, whose repr is _fmt's text for
+    # each entry; one row at a time keeps no second copy of the traces
+    for t, row in enumerate(np.hstack(list(traces.values()))):
+        lines.append(f"{t}," + ",".join(map(repr, row.tolist())))
     _write_lines(path, lines, what)
 
 
@@ -176,8 +175,8 @@ def cmd_consensus(args):
     scheme = _scheme(args.scheme)
     if args.dim < 1:
         raise ConfigError(f"consensus --dim must be >= 1; got {args.dim}")
-    _check_writable(args.out)
     Wm = topology_mixing(args.topology, args.n, scheme)
+    _check_writable(args.out)
     X0 = np.random.default_rng(args.seed).standard_normal((args.dim, args.n))
     plain = gossip_consensus(X0, Wm, args.T)
     buffered = qg_consensus(X0, Wm, args.beta, args.mu, args.T)
@@ -194,9 +193,9 @@ def cmd_consensus(args):
             print(f"iterations_to_1e-2_{label}=not_reached")
 
 
-def _trace_via_engine(args, problem, kind, init, n, seed):
-    """The averaged-model trace of one ``args.steps``-step noise-free run of
-    ``kind`` at ``args.eta``, ``args.beta`` and ``args.mu`` on a complete graph."""
+def _trace_config(args, problem, kind, init, n, seed):
+    """The config of one ``args.steps``-step noise-free run of ``kind`` at
+    ``args.eta``, ``args.beta`` and ``args.mu`` on a complete graph."""
     mapping = {
         "problem": {"kind": problem, "dim": "2", "sigma": "0.0", "init": init},
         "topology": {"kind": "complete", "n": str(n)},
@@ -209,7 +208,14 @@ def _trace_via_engine(args, problem, kind, init, n, seed):
         mapping["optim"]["mu"] = repr(float(args.mu))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return run(RunConfig.from_mapping(mapping)).xbar_trace
+        return RunConfig.from_mapping(mapping)
+
+
+def _traces(configs):
+    """``{kind: averaged-model trace}`` of the ``{kind: config}`` runs."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return {kind: run(config).xbar_trace for kind, config in configs.items()}
 
 
 def cmd_trajectory(args):
@@ -223,9 +229,10 @@ def cmd_trajectory(args):
         if kind not in TRAJECTORY_KINDS:
             raise ConfigError(f"trajectory kind must be one of "
                               f"{TRAJECTORY_KINDS}, got {kind!r}")
+    configs = {k: _trace_config(args, args.problem, _TRAJECTORY_MAP[k], args.init,
+                                n=1, seed=0) for k in kinds}
     _check_writable(args.out)
-    traces = {k: _trace_via_engine(args, args.problem, _TRAJECTORY_MAP[k], args.init,
-                                   n=1, seed=0) for k in kinds}
+    traces = _traces(configs)
     _write_traces(args.out, traces, "trajectories")
     for k in kinds:
         end = traces[k][-1]
@@ -234,9 +241,10 @@ def cmd_trajectory(args):
 
 
 def cmd_toy2d(args):
+    configs = {kind: _trace_config(args, "toy2d", kind, "0.0", n=2, seed=args.seed)
+               for kind in TOY2D_KINDS}
     _check_writable(args.out)
-    traces = {kind: _trace_via_engine(args, "toy2d", kind, "0.0", n=2, seed=args.seed)
-              for kind in TOY2D_KINDS}
+    traces = _traces(configs)
     _write_traces(args.out, traces, "averaged-model traces")
     for kind in TOY2D_KINDS:
         print(f"kind={kind} heading_sum="
@@ -259,10 +267,7 @@ def cmd_partition(args):
 
 
 def cmd_topo(args):
-    scheme = _scheme(args.scheme)
-    if args.out:
-        _check_writable(args.out)
-    Wm = topology_mixing(args.kind, args.n, scheme, args.rows)
+    Wm = topology_mixing(args.kind, args.n, _scheme(args.scheme), args.rows)
     if isinstance(Wm, OnePeerExponential):
         raise ConfigError(f"topo prints static matrices only; {args.kind} pairs workers "
                           "anew at every step (use it with run or consensus)")
@@ -279,28 +284,26 @@ def cmd_topo(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _parser():
-    """The command-line parser, built on first use.  It names each
-    subcommand only: :func:`main` calls the module's ``cmd_<command>`` as
-    bound when it runs, so a wrapper installed after the first call still
-    runs."""
+def _build_parser():
     parser = _Parser(prog="qgm-sim", allow_abbrev=False,
                      description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", allow_abbrev=False,
                            help="execute a training run from a config file")
+    p_run.set_defaults(cmd=cmd_run)
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default="metrics.csv")
     p_run.add_argument("--plot-script", action="store_true")
 
     p_val = sub.add_parser("validate", allow_abbrev=False,
                            help="print the momentum/step-size feasibility report")
+    p_val.set_defaults(cmd=cmd_validate)
     p_val.add_argument("--config", required=True)
 
     p_con = sub.add_parser("consensus", allow_abbrev=False,
                            help="gossip vs buffered-momentum averaging")
+    p_con.set_defaults(cmd=cmd_consensus)
     p_con.add_argument("--topology", default="ring")
     p_con.add_argument("--n", type=int, default=16)
     p_con.add_argument("--scheme", default="metropolis_hastings")
@@ -314,6 +317,7 @@ def _parser():
 
     p_toy = sub.add_parser("toy2d", allow_abbrev=False,
                            help="two-worker heterogeneous 2-D study")
+    p_toy.set_defaults(cmd=cmd_toy2d)
     p_toy.add_argument("--eta", type=float, default=0.05)
     p_toy.add_argument("--beta", type=float, default=0.9)
     p_toy.add_argument("--mu", type=float, default=None)
@@ -324,6 +328,7 @@ def _parser():
 
     p_traj = sub.add_parser("trajectory", allow_abbrev=False,
                             help="single-worker traces on 2-D test functions")
+    p_traj.set_defaults(cmd=cmd_trajectory)
     p_traj.add_argument("--problem", default="rosenbrock")
     p_traj.add_argument("--kinds", default="sgdm,s_qg_dsgdm")
     p_traj.add_argument("--eta", type=float, default=0.001)
@@ -336,6 +341,7 @@ def _parser():
 
     p_part = sub.add_parser("partition", allow_abbrev=False,
                             help="Dirichlet label partition statistics")
+    p_part.set_defaults(cmd=cmd_partition)
     p_part.add_argument("--samples", type=int, default=1000)
     p_part.add_argument("--classes", type=int, default=10)
     p_part.add_argument("--n", type=int, default=16)
@@ -345,6 +351,7 @@ def _parser():
 
     p_topo = sub.add_parser("topo", allow_abbrev=False,
                             help="print a mixing matrix and its spectral gap")
+    p_topo.set_defaults(cmd=cmd_topo)
     p_topo.add_argument("--kind", default="ring")
     p_topo.add_argument("--n", type=int, default=16)
     p_topo.add_argument("--scheme", default="metropolis_hastings")
@@ -355,20 +362,20 @@ def _parser():
 
 
 def _dispatch(args, rest):
-    cmd = globals()[f"cmd_{args.command}"]
     if args.command in ("run", "validate"):
-        cmd(args, _collect_overrides(rest))
+        args.cmd(args, _collect_overrides(rest))
     elif rest:
         raise ConfigError(f"unknown flag {rest[0]!r}")
     else:
-        cmd(args)
+        args.cmd(args)
     if getattr(args, "plot_script", False):
         _emit_plot_script(args.out)
     return 0
 
 
 def main(argv=None):
-    args, rest = _parser().parse_known_args(argv)
+    # built per call, so each subcommand binds the module's cmd_* as it is now
+    args, rest = _build_parser().parse_known_args(argv)
     try:
         return _dispatch(args, rest)
     except NumericalDivergence as exc:

@@ -530,26 +530,8 @@ def _qhm(S: StackedState, G, hp: HyperParams) -> None:
     S.X, S.M_hat = qhm_core(S.X, S.M_hat, G, hp.eta, beta_hat, hp.mu)
 
 
-# per-step kind -> its rule, called as rule(kind, S, W, hp, step, grad_fn);
-# each entry shows where its one gradient is sampled
-_STEP_RULES = {
-    **dict.fromkeys(HALF_STEP_KINDS, lambda kind, S, W, hp, step, grad_fn: stacked_dsgd_step(
-        kind, S, grad_fn(S.X, step), W, hp, step)),
-    "qg_dadam": lambda kind, S, W, hp, step, grad_fn: _qg_dadam(
-        S, grad_fn(S.X, step), W, hp),
-    "dmsgd_i": lambda kind, S, W, hp, step, grad_fn: _dmsgd(
-        S, grad_fn(S.X, step), W, hp, kind),
-    "dmsgd_ii": lambda kind, S, W, hp, step, grad_fn: _dmsgd(
-        S, grad_fn(_dmsgd_anchor(S), step), W, hp, kind),
-    **dict.fromkeys(("d2", "d2_plus"), lambda kind, S, W, hp, step, grad_fn: _d2(
-        S, grad_fn(S.X, step), W, hp, kind)),
-    "gt": lambda kind, S, W, hp, step, grad_fn: _gt(
-        S, W, hp, grad_fn, step, with_momentum=False),
-    "gt_momentum": lambda kind, S, W, hp, step, grad_fn: _gt(
-        S, W, hp, grad_fn, step, with_momentum=True),
-    "qhm": lambda kind, S, W, hp, step, grad_fn: _qhm(S, grad_fn(S.X, step), hp),
-}
-STEP_KINDS = tuple(_STEP_RULES)
+STEP_KINDS = HALF_STEP_KINDS + (
+    "qg_dadam", "dmsgd_i", "dmsgd_ii", "d2", "d2_plus", "gt", "gt_momentum", "qhm")
 
 
 def stacked_step(kind: str, S: StackedState, W, hp: HyperParams, step: int, grad_fn) -> None:
@@ -561,10 +543,22 @@ def stacked_step(kind: str, S: StackedState, W, hp: HyperParams, step: int, grad
     :func:`stacked_gt_init` must have started.  ``W`` is this step's
     mixing matrix; ``hp.eta`` this step's step size.
     """
-    rule = _STEP_RULES.get(kind)
-    if rule is None:
+    if kind in ("gt", "gt_momentum"):
+        _gt(S, W, hp, grad_fn, step, with_momentum=kind == "gt_momentum")
+        return
+    if kind not in STEP_KINDS:
         raise ValueError(f"unknown per-step kind {kind!r}; expected one of {STEP_KINDS}")
-    rule(kind, S, W, hp, step, grad_fn)
+    G = grad_fn(_dmsgd_anchor(S) if kind == "dmsgd_ii" else S.X, step)
+    if kind in HALF_STEP_KINDS:
+        stacked_dsgd_step(kind, S, G, W, hp, step)
+    elif kind == "qg_dadam":
+        _qg_dadam(S, G, W, hp)
+    elif kind in ("dmsgd_i", "dmsgd_ii"):
+        _dmsgd(S, G, W, hp, kind)
+    elif kind in ("d2", "d2_plus"):
+        _d2(S, G, W, hp, kind)
+    else:
+        _qhm(S, G, hp)
 
 
 # ---------------------------------------------------------------------------

@@ -305,14 +305,15 @@ class TestUnwritableOutput:
         assert err.splitlines() == [
             f"config error: cannot write {out!r}: No such file or directory"]
 
+    # topo is not here: its one computation is the mixing matrix, whose
+    # build checks --kind, --n and --rows, so it runs before the write
     @pytest.mark.parametrize("argv,computation", [
         (["run", "--config", os.path.join(CONFIG_DIR, "toy2d_dsgdm.ini")], "run"),
-        (["consensus", "--T", "5"], "topology_mixing"),
+        (["consensus", "--T", "5"], "gossip_consensus"),
         (["toy2d", "--steps", "3"], "run"),
         (["trajectory", "--steps", "3"], "run"),
         (["partition", "--samples", "20", "--classes", "2", "--n", "2"],
          "dirichlet_partition"),
-        (["topo", "--n", "4"], "topology_mixing"),
     ], ids=lambda value: value[0] if isinstance(value, list) else None)
     def test_fails_before_it_computes(self, tmp_path, capsys, monkeypatch, argv, computation):
         def forbidden(*_args, **_kwargs):
@@ -321,6 +322,44 @@ class TestUnwritableOutput:
         monkeypatch.setattr(cli, computation, forbidden)
         out = str(tmp_path / "missing" / "x.csv")
         assert main(argv + ["--out", out]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: cannot write {out!r}: No such file or directory"]
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config", os.path.join(CONFIG_DIR, "toy2d_dsgdm.ini"), "--optim.eta", "-1"],
+        ["consensus", "--topology", "bogus"],
+        ["consensus", "--n", "0"],
+        ["consensus", "--scheme", "bogus"],
+        ["consensus", "--dim", "0"],
+        ["toy2d", "--beta", "1.5"],
+        ["trajectory", "--problem", "bogus"],
+        ["trajectory", "--init", "1,2,3"],
+        ["trajectory", "--steps", "0"],
+        ["partition", "--classes", "0"],
+        ["topo", "--kind", "bogus"],
+        ["topo", "--kind", "one_peer_exponential", "--n", "8"],
+        ["topo", "--kind", "torus", "--n", "6", "--rows", "4"],
+    ], ids=lambda argv: "run" if argv[0] == "run" else "-".join(a.lstrip("-") for a in argv[:3]))
+    def test_argument_errors_come_before_the_output_check(self, tmp_path, capsys, argv):
+        assert quiet_main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+        expected = capsys.readouterr().err
+        assert "cannot write" not in expected
+        assert quiet_main(argv + ["--out", str(tmp_path / "missing" / "x.csv")]) == 1
+        assert capsys.readouterr().err == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["consensus", "--T", "-1"],
+        ["consensus", "--beta", "1.5"],
+        ["partition", "--n", "0"],
+        ["partition", "--alpha", "0"],
+    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]))
+    def test_the_computations_own_checks_come_after_it(self, tmp_path, capsys, argv):
+        # consensus checks --T, --beta and --mu, and the partition --n and
+        # --alpha, as they start, so an unwritable --out is reported first
+        assert quiet_main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
+        assert "cannot write" not in capsys.readouterr().err
+        out = str(tmp_path / "missing" / "x.csv")
+        assert quiet_main(argv + ["--out", out]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"config error: cannot write {out!r}: No such file or directory"]
 
@@ -617,8 +656,8 @@ class TestParserBehavior:
     def test_main_calls_each_command_as_bound_when_it_runs(
             self, tmp_path, monkeypatch, capsys, argv):
         # the benchmark tracer wraps the module's cmd_* in place; main must
-        # call the wrapper, not a function bound when its parser was built,
-        # so main runs once before the wrapper goes in
+        # call the wrapper, not a function bound before it went in, so main
+        # also runs once before
         monkeypatch.chdir(tmp_path)
         command = argv[0]
         assert quiet_main(argv) == 0
