@@ -24,7 +24,7 @@ import warnings
 
 import numpy as np
 
-from .consensus import gossip_consensus, iterations_to_threshold, qg_consensus
+from .consensus import _recursion_params, gossip_consensus, iterations_to_threshold, qg_consensus
 from .engine import (
     ConfigError,
     NumericalDivergence,
@@ -35,7 +35,7 @@ from .engine import (
     topology_mixing,
     write_metrics_csv,
 )
-from .heterogeneity import dirichlet_partition, partition_stats
+from .heterogeneity import _check_split, dirichlet_partition, partition_stats
 from .topology import OnePeerExponential
 
 TRAJECTORY_PROBLEMS = ("rosenbrock", "nonconvex_toy")
@@ -176,6 +176,7 @@ def cmd_consensus(args):
     if args.dim < 1:
         raise ConfigError(f"consensus --dim must be >= 1; got {args.dim}")
     Wm = topology_mixing(args.topology, args.n, scheme)
+    _recursion_params(args.beta, args.mu, args.T)
     _check_writable(args.out)
     X0 = np.random.default_rng(args.seed).standard_normal((args.dim, args.n))
     plain = gossip_consensus(X0, Wm, args.T)
@@ -255,6 +256,7 @@ def cmd_partition(args):
     if not 1 <= args.classes <= args.samples:
         raise ConfigError("partition needs 1 <= classes <= samples; got "
                           f"classes ({args.classes}), samples ({args.samples})")
+    _check_split(args.n, args.alpha)
     _check_writable(args.out)
     labels = np.arange(args.samples) % args.classes
     part = dirichlet_partition(labels, args.n, args.alpha, args.seed)

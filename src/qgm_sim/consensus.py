@@ -82,6 +82,13 @@ class ConsensusRun:
             arr.setflags(write=False)
 
 
+def _recursion_params(beta: float, mu: float, T: int) -> HyperParams:
+    """The checked step parameters of ``T`` iterations of the recursion."""
+    if T < 0:
+        raise ValueError(f"iteration count must be >= 0; got {T}")
+    return HyperParams(eta=1.0, beta=beta, mu=mu)
+
+
 def _run(X0, W, beta: float, mu: float, T: int) -> ConsensusRun:
     """The optimizer's quasi-global recursion with eta = 1 and no gradient."""
     X = np.asarray(X0, dtype=float)
@@ -89,9 +96,7 @@ def _run(X0, W, beta: float, mu: float, T: int) -> ConsensusRun:
         raise ValueError(f"X0 must be a d x n matrix; got shape {X.shape}")
     if X.shape[1] != W.n:
         raise ValueError(f"state count {X.shape[1]} does not match mixing matrix size {W.n}")
-    if T < 0:
-        raise ValueError(f"iteration count must be >= 0; got {T}")
-    hp = HyperParams(eta=1.0, beta=beta, mu=mu)
+    hp = _recursion_params(beta, mu, T)
     S = StackedState.from_matrix(X)
     mean0 = _average_model(S.X)
     trace = [consensus_distance(S.X, mean0)]

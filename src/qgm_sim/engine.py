@@ -612,7 +612,7 @@ class RunResult:
 
 
 def _check_finite(S: StackedState, step: int, method: str, fields: list,
-                  verified: dict) -> None:
+                  verified: dict, x_bar: np.ndarray) -> None:
     """Raise on the first array that holds a non-finite entry, visiting the
     ``(attribute, field name)`` pairs ``fields`` (``S.array_fields()``) in
     order.
@@ -627,12 +627,14 @@ def _check_finite(S: StackedState, step: int, method: str, fields: list,
     makes the sum NaN or infinite, so a finite sum proves every entry
     finite.  Only a non-finite sum (a non-finite entry, or finite entries
     whose sum overflows) pays for the entrywise scan that names the worker.
+    ``X`` is summed through its averaged model ``x_bar``: a non-finite
+    entry makes its row's sum, so ``x_bar`` and its sum, non-finite.
     """
     for attr, field in fields:
         arr = getattr(S, attr)
         if verified.get(field) is arr:
             continue
-        if not math.isfinite(np.add.reduce(arr, axis=None)):
+        if not math.isfinite(np.add.reduce(x_bar if attr == "X" else arr, axis=None)):
             finite = np.isfinite(arr)
             if not finite.all():
                 worker = int(np.argmin(finite.all(axis=0))) if arr.ndim == 2 else None
@@ -702,8 +704,8 @@ def run(config: RunConfig) -> RunResult:
             stacked_step(kind, S, mixing.at(step0), hp, end, grad_fn)
         if fields is None:
             fields = S.array_fields()
-        _check_finite(S, end, kind, fields, verified)
         x_bar = _average_model(S.X)
+        _check_finite(S, end, kind, fields, verified, x_bar)
         xbar_trace.append(x_bar)
         if end % config.metrics_every == 0 or end == config.steps:
             records.append(_make_record(problem, S.X, x_bar, end, lr, config.steps_per_epoch))

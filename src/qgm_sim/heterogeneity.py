@@ -63,6 +63,18 @@ def _largest_remainder_counts(proportions: np.ndarray, total: int) -> np.ndarray
     return counts
 
 
+def _check_split(n: int, alpha: float) -> None:
+    """Raise ``ValueError`` unless ``n >= 1`` and ``0 < alpha < inf``."""
+    if n < 1:
+        raise ValueError(f"client count must satisfy n >= 1; got n={n}")
+    # an infinite alpha makes the Dirichlet draw NaN, which the counts turn
+    # into overlapping shards
+    if not 0 < alpha < math.inf:
+        raise ValueError(
+            f"Dirichlet concentration alpha must be finite and satisfy alpha > 0; "
+            f"got alpha={alpha}")
+
+
 def dirichlet_partition(labels, n: int, alpha: float, seed: int) -> Partition:
     """Split sample indices across ``n`` clients, class by class.
 
@@ -78,14 +90,7 @@ def dirichlet_partition(labels, n: int, alpha: float, seed: int) -> Partition:
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError("labels must be a non-empty 1-d array")
-    if n < 1:
-        raise ValueError(f"client count must satisfy n >= 1; got n={n}")
-    # an infinite alpha makes the Dirichlet draw NaN, which the counts turn
-    # into overlapping shards
-    if not 0 < alpha < math.inf:
-        raise ValueError(
-            f"Dirichlet concentration alpha must be finite and satisfy alpha > 0; "
-            f"got alpha={alpha}")
+    _check_split(n, alpha)
 
     classes = np.unique(labels)
     per_client: list[list[np.ndarray]] = [[] for _ in range(n)]

@@ -200,7 +200,8 @@ class StackedState:
     def from_matrix(cls, X0) -> "StackedState":
         """Workers start at the columns of ``X0`` with zero buffers."""
         X = np.array(X0, dtype=float, order="C")
-        return cls(X=X, M_hat=np.zeros_like(X), M_local=np.zeros_like(X), V=np.zeros_like(X))
+        # np.zeros maps zeroed pages, so a buffer never written stays out of RSS
+        return cls(X=X, M_hat=np.zeros(X.shape), M_local=np.zeros(X.shape), V=np.zeros(X.shape))
 
     def array_fields(self) -> list[tuple[str, str]]:
         """``(attribute, field name)`` of every array held: per-worker
@@ -232,10 +233,12 @@ def mix(X: np.ndarray, W) -> np.ndarray:
     if n == 1:
         return X.copy()
     k = W.offset
-    H = 0.5 * X
-    out = np.empty_like(H)
-    np.add(H[:, :n - k], H[:, k:], out=out[:, :n - k])
-    np.add(H[:, n - k:], H[:, :k], out=out[:, n - k:])
+    out = np.empty_like(X)
+    rows = max(1, (1 << 18) // (n * X.itemsize))  # ~256 KiB of halves, not a full copy
+    for r in range(0, len(X), rows):
+        H, o = 0.5 * X[r:r + rows], out[r:r + rows]
+        np.add(H[:, :n - k], H[:, k:], out=o[:, :n - k])
+        np.add(H[:, n - k:], H[:, :k], out=o[:, n - k:])
     return out
 
 

@@ -122,7 +122,7 @@ class _SeedPools(NamedTuple):
     """SeedSequence's hash state for workers ``0 .. n-1`` of one run after
     its seed and worker words, which is the same at every step."""
 
-    pools: np.ndarray  # (4, n) read-only uint32: column w is worker w's pool
+    left: np.ndarray  # (4, n) read-only uint32: column w is _MIX_MULT_L * worker w's pool
     const: int  # the hash constant the next entropy word starts from
 
 
@@ -134,9 +134,10 @@ def _seed_pools(master_seed: int, n: int) -> _SeedPools:
     words.  The seed words leave the same pool for every worker, so they
     are mixed once with Python ints; the worker words are then mixed into
     all ``n`` pools at once, as a ``(4, n)`` uint32 array whose products
-    wrap modulo 2**32 as the C code's do.  The hash constant advances with
-    every word whatever its value, so its position after the worker word is
-    fixed too.
+    wrap modulo 2**32 as the C code's do.  A step reads the pools only as
+    the left operand of its first word's mix, so they are kept as that
+    product.  The hash constant advances with every word whatever its
+    value, so its position after the worker word is fixed too.
     """
     seed_words = _uint32_words(master_seed)
     seed_words += [0] * (_POOL_SIZE - len(seed_words))
@@ -161,25 +162,29 @@ def _seed_pools(master_seed: int, n: int) -> _SeedPools:
     mult = np.array(consts[1:], dtype=np.uint32)[:, None]
     hashed = (np.arange(n, dtype=np.uint32) ^ xor) * mult
     hashed ^= hashed >> 16
-    pools = _mix(np.array(pool, dtype=np.uint32)[:, None], hashed)
-    pools.setflags(write=False)
-    return _SeedPools(pools, consts[-1])
+    left = _MIX_MULT_L * _mix(np.array(pool, dtype=np.uint32)[:, None], hashed)
+    left.setflags(write=False)
+    return _SeedPools(left, consts[-1])
 
 
 def _step_keys(seed_pools: _SeedPools, step: int) -> np.ndarray:
     """The per-step part of :func:`_philox_keys`: mix the step's one or two
     words into the run's pools, then apply generate_state's output hash.
 
-    A step word is the same for every worker, so its four hashmix values
-    are Python ints and each word costs one ``(4, n)`` mix.
+    A step word is the same for every worker, so its mix's right products
+    are Python ints, and the first word's left product is the run's; the
+    uint32 arrays wrap modulo 2**32 as ``_mix``'s mask does.
     """
-    pools, const = seed_pools
-    for word in _uint32_words(step):
-        hashed = []
+    left, const = seed_pools
+    for i, word in enumerate(_uint32_words(step)):
+        if i:
+            left = _MIX_MULT_L * pools
+        right = []
         for _ in range(_POOL_SIZE):
             value, const = _hashmix(word, const)
-            hashed.append(value)
-        pools = _mix(pools, np.array(hashed, dtype=np.uint32)[:, None])
+            right.append(_MIX_MULT_R * value & _MASK32)
+        pools = left - np.array(right, dtype=np.uint32)[:, None]
+        pools ^= pools >> 16
     # generate_state: one more hash of each pool word, then pairs of words
     # as little-endian uint64
     out = (pools ^ _OUT_XOR) * _OUT_MULT
@@ -240,10 +245,11 @@ def _standard_normals(seed_pools: _SeedPools, step: int, dim: int) -> np.ndarray
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     keys = _step_keys(seed_pools, step).tolist()
     Z = np.empty((len(keys), dim))
-    for w, key in enumerate(keys):
+    normal = gen.standard_normal
+    for key, row in zip(keys, Z):
         keyed["key"] = key
         bitgen.state = state
-        gen.standard_normal(out=Z[w])
+        normal(out=row)
     return Z
 
 
@@ -334,8 +340,9 @@ class ProblemSpec:
     one truth value.
 
     Construction also builds, read-only, what every evaluation reads: the
-    quadratic family's stacked targets ``b_i`` and, when it is noisy, the
-    per-run part of its noise-key hash (:func:`_seed_pools`).
+    quadratic family's stacked targets ``b_i`` (columns and rows) and,
+    when it is noisy, the per-run part of its noise-key hash
+    (:func:`_seed_pools`).
     """
 
     kind: str
@@ -349,6 +356,7 @@ class ProblemSpec:
     sigma_c: float = 0.0
     master_seed: int = 0
     _B: np.ndarray | None = field(default=None, init=False, repr=False)
+    _B_rows: np.ndarray | None = field(default=None, init=False, repr=False)
     _pools: _SeedPools | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -379,14 +387,18 @@ class ProblemSpec:
                 )
             self.a_diag.setflags(write=False)
             self.b_base.setflags(write=False)
-            # the b_i as columns, stacked only when they differ
+            # the b_i as columns and as C-contiguous rows, stacked (and the
+            # rows copied) only when they differ
             B = self.b_base[:, None]
             if self.zeta_c != 0.0:
                 B = np.repeat(B, self.n_workers, axis=1)
                 w = np.arange(self.n_workers)
                 B[w, w] += self.zeta_c
                 B.setflags(write=False)
+            B_rows = np.ascontiguousarray(B.T)
+            B_rows.setflags(write=False)
             object.__setattr__(self, "_B", B)
+            object.__setattr__(self, "_B_rows", B_rows)
             if self.sigma_c != 0.0:
                 object.__setattr__(self, "_pools",
                                    _seed_pools(self.master_seed, self.n_workers))
@@ -461,7 +473,7 @@ class ProblemSpec:
         """``a * x - b_i`` for every worker ``i``, as the rows of a fresh
         C-contiguous ``(n, dim)`` array: the rows a one-worker loop would
         reduce, in the layout whose row sums keep its order."""
-        return np.subtract(self.a_diag * np.asarray(x, dtype=float), self._B.T,
+        return np.subtract(self.a_diag * np.asarray(x, dtype=float), self._B_rows,
                            out=np.empty((self.n_workers, self.dim)))
 
     def _at_every_worker(self, x) -> np.ndarray:
@@ -470,13 +482,16 @@ class ProblemSpec:
 
     def mean_gradient(self, x: np.ndarray) -> np.ndarray:
         """Deterministic gradient of the averaged objective f = mean_i f_i,
-        averaged over an ``(n, dim)`` row stack, worker by worker."""
+        averaged over an ``(n, dim)`` row stack, worker by worker, with
+        ``G.mean(axis=0)``'s kernels."""
         if self.kind == "quadratic_family":
             G = self._residual_rows(x)
             G *= self.a_diag
         else:
             G = np.array([self.sample(w, x, step=0).grad for w in range(self.n_workers)])
-        return G.mean(axis=0)
+        g = np.add.reduce(G, axis=0)
+        g /= self.n_workers
+        return g
 
     def sample_mean_part(self, worker: int, x: np.ndarray) -> np.ndarray:
         """Noise-free gradient of worker ``worker``'s local objective at
@@ -485,15 +500,16 @@ class ProblemSpec:
         return self.local_gradients(self._at_every_worker(x))[:, worker].copy()
 
     def mean_loss(self, x: np.ndarray) -> float:
-        """Averaged objective value f(x) = (1/n) sum_i f_i(x); for the
-        quadratic family each worker's sum runs over a row of a C-contiguous
-        ``(n, dim)`` residual, the order of a one-worker sum."""
+        """Averaged objective value f(x) = (1/n) sum_i f_i(x), with
+        ``np.mean``'s kernels; for the quadratic family each worker's sum
+        runs over a row of a C-contiguous ``(n, dim)`` residual."""
         if self.kind == "quadratic_family":
             R = self._residual_rows(x)
-            return float(np.mean(0.5 * np.sum(np.square(R, out=R), axis=1)))
-        return float(np.mean([
-            self.sample(w, x, step=0).loss for w in range(self.n_workers)
-        ]))
+            losses = np.add.reduce(np.square(R, out=R), axis=1)
+            losses *= 0.5
+        else:
+            losses = np.array([self.sample(w, x, step=0).loss for w in range(self.n_workers)])
+        return float(np.add.reduce(losses)) / self.n_workers
 
 
 def quadratic_family(

@@ -9,10 +9,12 @@ the stacked core with.  The mean evaluations at the end are
 ``ProblemSpec``'s worker-by-worker loops as they stood before they became
 whole-array expressions, then the whole-array versions as they stood before
 they built their ``(n, dim)`` rows directly (a broadcast ``(dim, n)`` view
-and a transposed copy), and :func:`worker_rng`, :func:`worker_b` and
-:func:`quadratic_gradient` the per-worker quadratic oracle as it stood before
-``ProblemSpec.sample`` became a column of ``sample_all``: the reference of
-``test_oracles.py``.  :func:`check_finite` is the engine's divergence
+and a transposed copy), then the row versions as they stood when they read
+the targets through a transposed view and reduced through numpy's
+``np.mean``, ``np.sum`` and ``ndarray.mean`` wrappers, and
+:func:`worker_rng`, :func:`worker_b` and :func:`quadratic_gradient` the
+per-worker quadratic oracle as it stood before ``ProblemSpec.sample``
+became a column of ``sample_all``: the reference of ``test_oracles.py``.  :func:`check_finite` is the engine's divergence
 check as it stood when it scanned every changed array entry by entry.
 :func:`to_workers` splits a stacked state into per-worker states and
 :func:`per_worker` lifts a per-worker oracle to the matrix contract of
@@ -502,6 +504,33 @@ def broadcast_mean_loss(spec, x: np.ndarray) -> float:
         P = np.broadcast_to(np.asarray(x, dtype=float)[:, None], (spec.dim, spec.n_workers))
         R = np.ascontiguousarray((spec.a_diag[:, None] * P - spec._B).T)
         return float(np.mean(0.5 * np.sum(R**2, axis=1)))
+    return float(np.mean([
+        spec.sample(w, x, step=0).loss for w in range(spec.n_workers)
+    ]))
+
+
+def _wrapped_residual_rows(spec, x) -> np.ndarray:
+    return np.subtract(spec.a_diag * np.asarray(x, dtype=float), spec._B.T,
+                       out=np.empty((spec.n_workers, spec.dim)))
+
+
+def wrapped_mean_gradient(spec, x: np.ndarray) -> np.ndarray:
+    """The averaged gradient over ``(n, dim)`` rows built from the
+    transposed target columns, averaged by ``ndarray.mean``."""
+    if spec.kind == "quadratic_family":
+        G = _wrapped_residual_rows(spec, x)
+        G *= spec.a_diag
+    else:
+        G = np.array([spec.sample(w, x, step=0).grad for w in range(spec.n_workers)])
+    return G.mean(axis=0)
+
+
+def wrapped_mean_loss(spec, x: np.ndarray) -> float:
+    """The averaged loss over ``(n, dim)`` residual rows built from the
+    transposed target columns, reduced by ``np.sum`` and ``np.mean``."""
+    if spec.kind == "quadratic_family":
+        R = _wrapped_residual_rows(spec, x)
+        return float(np.mean(0.5 * np.sum(np.square(R, out=R), axis=1)))
     return float(np.mean([
         spec.sample(w, x, step=0).loss for w in range(spec.n_workers)
     ]))

@@ -339,6 +339,12 @@ class TestUnwritableOutput:
         ["topo", "--kind", "bogus"],
         ["topo", "--kind", "one_peer_exponential", "--n", "8"],
         ["topo", "--kind", "torus", "--n", "6", "--rows", "4"],
+        # checked by the computation as it starts, and before the output
+        ["consensus", "--T", "-1"],
+        ["consensus", "--beta", "1.5"],
+        ["consensus", "--mu", "2"],
+        ["partition", "--n", "0"],
+        ["partition", "--alpha", "0"],
     ], ids=lambda argv: "run" if argv[0] == "run" else "-".join(a.lstrip("-") for a in argv[:3]))
     def test_argument_errors_come_before_the_output_check(self, tmp_path, capsys, argv):
         assert quiet_main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
@@ -346,22 +352,6 @@ class TestUnwritableOutput:
         assert "cannot write" not in expected
         assert quiet_main(argv + ["--out", str(tmp_path / "missing" / "x.csv")]) == 1
         assert capsys.readouterr().err == expected
-
-    @pytest.mark.parametrize("argv", [
-        ["consensus", "--T", "-1"],
-        ["consensus", "--beta", "1.5"],
-        ["partition", "--n", "0"],
-        ["partition", "--alpha", "0"],
-    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:2]))
-    def test_the_computations_own_checks_come_after_it(self, tmp_path, capsys, argv):
-        # consensus checks --T, --beta and --mu, and the partition --n and
-        # --alpha, as they start, so an unwritable --out is reported first
-        assert quiet_main(argv + ["--out", str(tmp_path / "x.csv")]) == 1
-        assert "cannot write" not in capsys.readouterr().err
-        out = str(tmp_path / "missing" / "x.csv")
-        assert quiet_main(argv + ["--out", out]) == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"config error: cannot write {out!r}: No such file or directory"]
 
     @pytest.mark.parametrize("existing", [None, "old\n"])
     def test_diverging_run_leaves_its_output_as_it_was(self, demo_config, tmp_path, existing):

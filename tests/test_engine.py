@@ -28,6 +28,7 @@ from qgm_sim.engine import (
     write_metrics_csv,
 )
 from qgm_sim.optim import HyperParams, StackedState, column_mean, mix, stacked_step
+from qgm_sim.oracles import ProblemSpec
 from qgm_sim.topology import (
     MixingMatrix,
     OnePeerExponential,
@@ -613,13 +614,15 @@ class TestRun:
         for step in range(1, 5):
             S.X = S.X + 1.0
             S.V = S.V + 0.5
-            engine._check_finite(S, step, "dsgd", S.array_fields(), verified)
+            engine._check_finite(S, step, "dsgd", S.array_fields(), verified,
+                                 optim._average_model(S.X))
         assert verified["x"] is S.X and verified["m_local"] is S.M_local
         V = S.V.copy()
         V[2, 2] = np.inf
         S.V = V
         with pytest.raises(NumericalDivergence) as exc:
-            engine._check_finite(S, 5, "dsgd", S.array_fields(), verified)
+            engine._check_finite(S, 5, "dsgd", S.array_fields(), verified,
+                                 optim._average_model(S.X))
         assert str(exc.value) == "non-finite v of worker 2 at step 5 (method dsgd); aborting"
 
     @staticmethod
@@ -640,9 +643,54 @@ class TestRun:
             setattr(S, attr, np.full_like(getattr(S, attr), 1.7e308))
         verified = {}
         with np.errstate(over="ignore"):  # the sum overflows, as it may in a run
-            engine._check_finite(S, 1, "dsgd", S.array_fields(), verified)
+            engine._check_finite(S, 1, "dsgd", S.array_fields(), verified,
+                                 optim._average_model(S.X))
         assert len(verified) == 12
         assert all(verified[field] is getattr(S, attr) for attr, field in S.array_fields())
+
+    def test_finite_check_reads_x_through_the_averaged_model(self):
+        # X is summed only through x_bar, so a finite x_bar passes X unread
+        S = self._every_buffer()
+        S.X[1, 3] = np.nan
+        verified = {}
+        engine._check_finite(S, 1, "dsgd", S.array_fields(), verified, np.zeros(3))
+        assert verified["x"] is S.X
+
+    @pytest.mark.parametrize("bad_value", [np.nan, np.inf])
+    @pytest.mark.parametrize("attr", ["X", "V", "server_s"])
+    def test_finite_check_names_a_later_field_past_overflowing_rows(self, attr, bad_value):
+        # X's rows overflow its averaged model, so X is scanned and found
+        # finite; a NaN or inf in X itself or in a later field is still
+        # named as the entrywise scan names it
+        S = self._every_buffer()
+        S.X = np.full_like(S.X, 1.7e308)
+        bad = getattr(S, attr).copy()
+        bad.flat[bad.size - 2] = bad_value
+        setattr(S, attr, bad)
+        with pytest.raises(NumericalDivergence) as new, np.errstate(
+                over="ignore", invalid="ignore"):
+            engine._check_finite(S, 4, "dsgd", S.array_fields(), {},
+                                 optim._average_model(S.X))
+        with pytest.raises(NumericalDivergence) as old:
+            ref.check_finite(S, 4, "dsgd", S.array_fields(), {})
+        assert str(new.value) == str(old.value)
+        assert (new.value.field, new.value.worker) == (old.value.field, old.value.worker)
+
+    def test_each_metrics_row_evaluates_each_mean_once(self, monkeypatch):
+        # the benchmark times these two methods as oracles.mean_eval; the
+        # run must keep calling them, once each per metrics row
+        calls = []
+        for name in ("mean_loss", "mean_gradient"):
+            real = getattr(ProblemSpec, name)
+
+            def counting(spec, x, _name=name, _real=real):
+                calls.append(_name)
+                return _real(spec, x)
+
+            monkeypatch.setattr(ProblemSpec, name, counting)
+        result = quiet_run(make_config(**{"run.steps": "12", "run.metrics_every": "3"}))
+        assert len(result.records) == 4
+        assert sorted(calls) == ["mean_gradient"] * 4 + ["mean_loss"] * 4
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_finite_check_names_what_the_entrywise_scan_named(self, bad):
@@ -666,7 +714,8 @@ class TestRun:
                     got, want = {}, {}
                     with pytest.raises(NumericalDivergence) as new, np.errstate(
                             over="ignore", invalid="ignore"):
-                        engine._check_finite(S, 9, "qg_dsgdm", fields, got)
+                        engine._check_finite(S, 9, "qg_dsgdm", fields, got,
+                                             optim._average_model(S.X))
                     with pytest.raises(NumericalDivergence) as old:
                         ref.check_finite(S, 9, "qg_dsgdm", fields, want)
                     assert (new.value.step, new.value.field, new.value.worker) == (

@@ -208,6 +208,18 @@ class TestOnePeerGossip:
         got = mix(X, schedule.at(t))
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("n,dim", [(512, 512), (512, 100), (1024, 65), (2, 20000)])
+    def test_row_blocks_keep_the_dense_products_bits(self, n, dim):
+        # states larger than one block of halves: eight full blocks, full
+        # blocks and a remainder block, and a tall two-worker state
+        schedule = OnePeerExponential(n)
+        X = np.random.default_rng(dim).standard_normal((dim, n))
+        X.setflags(write=False)
+        for t in range(schedule.sweep):
+            want = X @ one_peer_exponential_matrix(n, t).weights.T
+            got = mix(X, schedule.at(t))
+            assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), t
+
     def test_offsets_and_sweep(self):
         schedule = OnePeerExponential(8)
         assert schedule.sweep == 3

@@ -178,12 +178,53 @@ class TestRngStreams:
         assert not np.array_equal(base, ref.worker_rng(123, 4, 10).standard_normal(6))
         assert not np.array_equal(base, ref.worker_rng(124, 4, 9).standard_normal(6))
 
+    def test_heterogeneous_targets_are_contiguous_read_only_rows(self):
+        spec = quadratic_family(dim=6, n_workers=4, zeta_c=0.7)
+        rows = spec._B_rows
+        assert rows.shape == (4, 6) and rows.flags.c_contiguous and not rows.flags.writeable
+        assert bits(rows) == bits(spec._B.T)
+
     def test_noisy_sample_is_pure(self):
         spec = quadratic_family(dim=4, n_workers=2, sigma_c=0.5)
         x = np.ones(4)
         s1 = spec.sample(1, x, step=7)
         s2 = spec.sample(1, x, step=7)
         assert np.array_equal(s1.grad, s2.grad)
+
+
+@st.composite
+def family_point(draw, family):
+    """A problem of ``family`` and a drawn point: the quadratic at zeta 0,
+    at zeta 1.3 and with one worker, or a 2-d family."""
+    if family.startswith("quadratic"):
+        n = 1 if family == "quadratic_n1" else draw(st.integers(2, N_MAX))
+        zeta = 1.3 if family == "quadratic_zeta" else 0.0
+        dim = draw(st.integers(n if zeta else 1, 300))
+        spec = quadratic_family(dim=dim, n_workers=n, zeta_c=zeta,
+                                cond=draw(st.sampled_from([1.0, 9.0])),
+                                b_scale=draw(st.floats(-2.0, 2.0)))
+    else:
+        n = draw(st.integers(1, 2 if family == "toy2d_hetero" else 12))
+        dim = 2
+        spec = ProblemSpec(kind=family, dim=2, n_workers=n)
+    x = draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim))
+    return spec, np.array(x) * draw(st.sampled_from([1.0, 1e-170, 1e150]))
+
+
+class TestMeansThroughReduce:
+    """``mean_loss`` and ``mean_gradient`` read the row-layout targets and
+    reduce with ``np.add.reduce`` and an in-place divide: the bits of the
+    transposed view and numpy's wrappers they replaced, on every family."""
+
+    @pytest.mark.parametrize("family", ["quadratic_zeta0", "quadratic_zeta", "quadratic_n1",
+                                        "toy2d_hetero", "rosenbrock", "nonconvex_toy"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equal_the_wrapped_formulas(self, family, data):
+        spec, x = data.draw(family_point(family))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf on both sides
+            assert bits(spec.mean_loss(x)) == bits(ref.wrapped_mean_loss(spec, x))
+            assert bits(spec.mean_gradient(x)) == bits(ref.wrapped_mean_gradient(spec, x))
 
 
 # seeds of one, two, three and five 32-bit words, and steps of one and two
@@ -424,6 +465,7 @@ class TestRowLayoutMeans:
     def test_zeta_zero_keeps_one_target_column(self):
         spec = quadratic_family(dim=3, n_workers=5)
         assert spec._B.shape == (3, 1)
+        assert spec._B_rows.shape == (1, 3)
         x = np.array([0.5, -1.0, 2.0])
         x.setflags(write=False)
         assert bits(spec.mean_loss(x)) == bits(ref.broadcast_mean_loss(spec, x))
