@@ -10,10 +10,10 @@ top level as well:
   matrix), spectral gaps.
 * :mod:`qgm_sim.heterogeneity` — Dirichlet label partitioning across
   workers and per-worker class-count statistics.
-* :mod:`qgm_sim.oracles` — deterministic test functions and seeded
-  stochastic gradient oracles (counter-based per worker and step), with
-  every worker sampled in one call (``sample_all``, the one source of a
-  quadratic's gradient), plus a finite-difference gradient checker.
+* :mod:`qgm_sim.oracles` — the noisy quadratic family (``ProblemSpec``,
+  noise counter-based per worker and step) and noise-free 2-d landscapes
+  (``Landscape2D``) behind one protocol, every worker sampled in one call
+  (``sample_all``), plus a finite-difference gradient checker.
 * :mod:`qgm_sim.optim` — one stacked ``(dim, n)`` state and the update
   rules over it, the only optimizer API: decentralized SGD with and
   without momentum, the quasi-global momentum family, double-averaging
@@ -64,6 +64,7 @@ from .optim import (
 )
 from .oracles import (
     GradientSample,
+    Landscape2D,
     ProblemSpec,
     finite_difference_check,
     nonconvex_toy_gradient,
@@ -90,6 +91,7 @@ __all__ = [
     "Graph",
     "GradientSample",
     "HyperParams",
+    "Landscape2D",
     "MetricsRecord",
     "MixingMatrix",
     "NumericalDivergence",

@@ -3,9 +3,10 @@ validation, the training loop, and per-step telemetry.
 
 A run is described by a flat sectioned config (``[problem]``, ``[topology]``,
 ``[optim]``, ``[schedule]``, ``[run]``) loaded into a :class:`RunConfig`.
-Loading builds and validates, once, everything a run reads: the problem, the
-read-only start point, the mixing (a matrix, or the one-peer schedule),
-the :class:`~qgm_sim.optim.HyperParams` and the :class:`ScheduleSpec`.  A
+Loading builds and validates, once, everything a run reads: the problem (a
+quadratic ``ProblemSpec`` or a 2-d ``Landscape2D``), the read-only start
+point, the mixing (a matrix, or the one-peer schedule), the
+:class:`~qgm_sim.optim.HyperParams` and the :class:`ScheduleSpec`.  A
 config that loads is a run that can start, and :func:`run` builds nothing.
 The loop holds the whole run as one :class:`~qgm_sim.optim.StackedState`
 (every buffer a ``(dim, n)`` array, one column per worker), samples every
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .consensus import consensus_distance
-from .oracles import ProblemSpec, quadratic_family, sample_all
+from .oracles import Landscape2D, ProblemSpec, quadratic_family, sample_all
 from .optim import (
     HALF_STEP_KINDS,
     ROUND_KINDS,
@@ -351,15 +352,15 @@ _SCHEMA = {
 class RunConfig:
     """A loaded run, built and validated once; see ``_SCHEMA`` for keys.
 
-    ``problem`` is the run's ProblemSpec, ``x0`` its read-only start point,
-    ``mixing`` its MixingMatrix (for the one-peer topology the
-    :class:`~qgm_sim.topology.OnePeerExponential` schedule, which holds no
-    matrix), ``hp`` the ``[optim]`` step parameters and ``schedule`` the
-    ``[schedule]`` section with ``optim.eta`` as its base step size.  ``==``
-    is identity: the problem and start point hold arrays.
+    ``problem`` is the run's quadratic ``ProblemSpec`` or ``Landscape2D``,
+    ``x0`` its read-only start point, ``mixing`` its MixingMatrix (for the
+    one-peer topology the :class:`~qgm_sim.topology.OnePeerExponential`
+    schedule, which holds no matrix), ``hp`` the ``[optim]`` step parameters
+    and ``schedule`` the ``[schedule]`` section with ``optim.eta`` as its
+    base step size.  ``==`` is identity: the start point holds an array.
     """
 
-    problem: ProblemSpec
+    problem: ProblemSpec | Landscape2D
     x0: np.ndarray
     mixing: MixingMatrix | OnePeerExponential
     n: int
@@ -399,6 +400,7 @@ class RunConfig:
                 raise ConfigError(
                     f"override {dotted!r} must use section.key form")
             _set(*dotted.split(".", 1), raw)
+        dim_given = "dim" in values["problem"]
         for section, keys in _SCHEMA.items():
             for key, (_parser, default) in keys.items():
                 if key not in values[section]:
@@ -441,13 +443,15 @@ class RunConfig:
             if kind != reader and p[key] != parse(f"problem.{key}", default):
                 raise ConfigError(
                     f"problem.{key} is not read by {p['kind']} ({why}); got {p[key]}")
+        if kind != "quadratic_family" and dim_given and p["dim"] != 2:
+            raise ConfigError(f"problem.dim must be 2 for {p['kind']}; got {p['dim']}")
 
         try:
             problem = (quadratic_family(
                 dim=p["dim"], n_workers=t["n"], zeta_c=p["zeta"], sigma_c=p["sigma"],
                 cond=p["cond"], b_scale=p["b_scale"], master_seed=r["seed"])
                 if kind == "quadratic_family" else
-                ProblemSpec(kind=kind, dim=2, n_workers=t["n"], grad_scale=p["scale"]))
+                Landscape2D(kind=kind, n_workers=t["n"], grad_scale=p["scale"]))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         mixing = topology_mixing(t["kind"], t["n"], t["scheme"], t["rows"])
@@ -477,7 +481,7 @@ class RunConfig:
 # problem / topology construction
 # ---------------------------------------------------------------------------
 
-def build_problem(config: RunConfig) -> ProblemSpec:
+def build_problem(config: RunConfig) -> ProblemSpec | Landscape2D:
     """The run's problem, built when the config loaded (``config.problem``)."""
     return config.problem
 
@@ -531,8 +535,8 @@ class MetricsRecord:
     eff_stepsize: float
 
 
-def _make_record(problem: ProblemSpec, X: np.ndarray, x_bar: np.ndarray, step: int,
-                 lr: float, steps_per_epoch: int) -> MetricsRecord:
+def _make_record(problem: ProblemSpec | Landscape2D, X: np.ndarray, x_bar: np.ndarray,
+                 step: int, lr: float, steps_per_epoch: int) -> MetricsRecord:
     weight_norm = _norm(x_bar)
     eff = lr / weight_norm**2 if weight_norm > 0.0 else float("inf")
     return MetricsRecord(
@@ -647,13 +651,12 @@ def build_theorem_report(config: RunConfig) -> TheoremReport:
     ``rho``: a static matrix's spectral gap, and 1 for the time-varying
     one-peer topology, the product of one sweep of whose ``log2(n)``
     matrices is exactly the averaging matrix ``(1/n) 1 1^T``.  The noise
-    level is the quadratic family's ``noise_bound`` (E||noise||^2 = dim
-    sigma^2); other problems are noise-free and get no step-size
-    suggestion."""
-    problem, mixing = config.problem, config.mixing
+    level is the problem's ``noise_bound``: for the quadratic family
+    E||noise||^2 = dim sigma^2, and the 2-d landscapes' None (noise-free)
+    gets no step-size suggestion."""
+    mixing = config.mixing
     report = validate_theorem_conditions(
-        config.hp, mixing.rho, n_workers=config.n,
-        sigma_sq=problem.noise_bound if problem.kind == "quadratic_family" else None,
+        config.hp, mixing.rho, n_workers=config.n, sigma_sq=config.problem.noise_bound,
         total_steps=config.steps)
     if not isinstance(mixing, OnePeerExponential):
         return report

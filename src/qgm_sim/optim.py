@@ -32,10 +32,11 @@ The step functions update the :class:`StackedState` they are given by
 rebinding its fields to fresh arrays.  Buffers start at zero.  Gradients
 come from matrix oracles: ``grad_fn(P, step)`` returns a fresh ``(dim, n)``
 array whose column ``i`` is worker ``i``'s stochastic gradient at
-``P[:, i]`` (the engine passes :func:`qgm_sim.oracles.sample_all`), and
-mimelite's ``full_grad_fn(P)`` returns the noise-free local gradients the
-same way.  Both must be pure in their arguments; states keep the returned
-arrays as history.
+``P[:, i]``, and mimelite's ``full_grad_fn(P)`` returns the noise-free
+local gradients the same way: the engine passes
+:func:`qgm_sim.oracles.sample_all` and ``local_gradients`` of its problem,
+a quadratic ``ProblemSpec`` or a ``Landscape2D``.  Both must be pure in
+their arguments; states keep the returned arrays as history.
 
 Ownership.  A step writes only into arrays it allocated itself in the same
 call: each result is built in one such buffer with in-place operators and

@@ -1,6 +1,10 @@
 """Gradient oracles for the test problems.
 
-Four problem families, each exposing loss and analytic gradient:
+Four problem families, each exposing loss and analytic gradient, in two
+classes that answer one protocol (``n_workers``, ``dim``, ``noise_bound``,
+``sample``, ``local_gradients``, ``sample_all``, ``mean_loss``,
+``mean_gradient``, ``sample_mean_part``): :class:`Landscape2D` holds the
+noise-free 2-d landscapes and :class:`ProblemSpec` the quadratic family.
 
 * ``toy2d_hetero`` — two (or more) workers whose gradients are unit vectors
   pointing from the current iterate toward per-worker target points; the
@@ -19,7 +23,7 @@ Stochastic draws use numpy's counter-based Philox generator keyed by
 ``SeedSequence(entropy=master_seed, spawn_key=(worker, step))``, so every
 (worker, step) pair owns an independent, platform-stable stream and results
 do not depend on evaluation order.  :func:`sample_all` samples every worker
-at once, and splits the work by what changes:
+at once, and a noisy quadratic splits the work by what changes:
 
 * per run, once, when a quadratic :class:`ProblemSpec` is built: its
   stacked targets ``b_i`` and, if it is noisy, ``SeedSequence``'s uint32
@@ -31,8 +35,8 @@ at once, and splits the work by what changes:
   yields the bits of a freshly seeded stream.
 
 For the quadratic family the rest is one whole-matrix expression, and
-:meth:`ProblemSpec.sample` is one column of it; the other families are
-noise-free and loop over workers.
+:meth:`ProblemSpec.sample` is one column of it; the 2-d landscapes loop
+over workers.
 """
 
 from __future__ import annotations
@@ -46,18 +50,11 @@ import numpy as np
 
 from .optim import _norm
 
-__all__ = [
-    "GradientSample",
-    "ProblemSpec",
-    "DEFAULT_TOY2D_TARGETS",
-    "toy2d_gradient",
-    "rosenbrock_gradient",
-    "nonconvex_toy_gradient",
-    "sample_all",
-    "finite_difference_check",
-]
+__all__ = ["GradientSample", "Landscape2D", "ProblemSpec", "DEFAULT_TOY2D_TARGETS",
+           "toy2d_gradient", "rosenbrock_gradient", "nonconvex_toy_gradient", "sample_all",
+           "finite_difference_check"]
 
-PROBLEM_KINDS = ("toy2d_hetero", "rosenbrock", "nonconvex_toy", "quadratic_family")
+LANDSCAPE_KINDS = ("toy2d_hetero", "rosenbrock", "nonconvex_toy")
 
 DEFAULT_TOY2D_TARGETS: tuple[tuple[float, float], ...] = ((0.0, 5.0), (4.0, 0.0))
 
@@ -127,7 +124,7 @@ class _SeedPools(NamedTuple):
 
 
 def _seed_pools(master_seed: int, n: int) -> _SeedPools:
-    """The per-run part of the key hash of :func:`_philox_keys`.
+    """The per-run part of the Philox key hash of :func:`_step_keys`.
 
     SeedSequence hashes its entropy words (the seed's, zero-padded to the
     pool size, then the worker's and the step's) into a pool of four uint32
@@ -168,8 +165,12 @@ def _seed_pools(master_seed: int, n: int) -> _SeedPools:
 
 
 def _step_keys(seed_pools: _SeedPools, step: int) -> np.ndarray:
-    """The per-step part of :func:`_philox_keys`: mix the step's one or two
-    words into the run's pools, then apply generate_state's output hash.
+    """Philox keys of workers ``0 .. n-1`` at ``step``, ``seed_pools`` being
+    ``_seed_pools(master_seed, n)``: row ``w`` of the ``(n, 2)`` uint64 array
+    keys a Philox seeded with ``SeedSequence(entropy=master_seed,
+    spawn_key=(w, step))``.  The per-step part of the hash: mix the step's
+    one or two words into the run's pools, then apply generate_state's
+    output hash.
 
     A step word is the same for every worker, so its mix's right products
     are Python ints, and the first word's left product is the run's; the
@@ -190,21 +191,6 @@ def _step_keys(seed_pools: _SeedPools, step: int) -> np.ndarray:
     out = (pools ^ _OUT_XOR) * _OUT_MULT
     out ^= out >> 16
     return np.ascontiguousarray(out.T, dtype="<u4").view("<u8").astype(np.uint64)
-
-
-def _philox_keys(master_seed: int, n: int, step: int) -> np.ndarray:
-    """Philox keys of workers ``0 .. n-1`` at ``step`` as an ``(n, 2)``
-    uint64 array: row ``w`` is
-    ``SeedSequence(entropy=master_seed, spawn_key=(w, step)).generate_state(2, np.uint64)``,
-    the key of a Philox generator seeded with that SeedSequence.
-
-    The hash runs in two parts: :func:`_seed_pools` mixes the seed and
-    worker words, which a run computes once (a noisy quadratic
-    :class:`ProblemSpec` holds them from construction), and
-    :func:`_step_keys` mixes the step words and hashes the output, which is
-    all each step computes.
-    """
-    return _step_keys(_seed_pools(master_seed, n), step)
 
 
 _thread = threading.local()
@@ -317,14 +303,73 @@ def nonconvex_toy_gradient(x) -> GradientSample:
 
 
 # ---------------------------------------------------------------------------
-# problem family container
+# problem families
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Landscape2D:
+    """A noise-free 2-d landscape of ``kind`` over ``n_workers`` workers,
+    evaluated worker by worker; ``step`` never enters.  ``toy2d_hetero``
+    pulls worker ``w`` toward ``targets[w]`` with magnitude ``grad_scale``;
+    the other kinds give every worker the same landscape."""
+
+    dim = 2  # class constants, not fields
+    noise_bound = None
+
+    kind: str
+    n_workers: int
+    targets: tuple[tuple[float, float], ...] = DEFAULT_TOY2D_TARGETS
+    grad_scale: float = 1.0
+
+    def __post_init__(self):
+        if self.kind not in LANDSCAPE_KINDS:
+            raise ValueError(
+                f"unknown 2-d landscape {self.kind!r}; expected one of {LANDSCAPE_KINDS}")
+        if self.n_workers < 1:
+            raise ValueError(f"n_workers must be >= 1; got {self.n_workers}")
+        if self.kind == "toy2d_hetero" and len(self.targets) < self.n_workers:
+            raise ValueError(f"toy2d_hetero needs one target per worker: "
+                             f"{self.n_workers} workers but {len(self.targets)} targets")
+
+    def sample(self, worker: int, x: np.ndarray, step: int) -> GradientSample:
+        """Worker ``worker``'s oracle at ``x``: the one dispatch on ``kind``,
+        each branch looking up its module-level oracle at call time."""
+        if self.kind == "toy2d_hetero":
+            return toy2d_gradient(worker, x, self.targets, self.grad_scale)
+        if self.kind == "rosenbrock":
+            return rosenbrock_gradient(x)
+        return nonconvex_toy_gradient(x)
+
+    def sample_all(self, P: np.ndarray, step: int = 0) -> np.ndarray:
+        """A fresh ``(dim, n)`` array: column ``i`` is worker ``i``'s
+        gradient at ``P[:, i]``."""
+        G = np.empty(P.shape)
+        for i in range(P.shape[1]):
+            G[:, i] = self.sample(i, P[:, i], step).grad
+        return G
+
+    local_gradients = sample_all  # noise-free
+
+    def sample_mean_part(self, worker: int, x: np.ndarray) -> np.ndarray:
+        """Worker ``worker``'s gradient at ``x``."""
+        return self.sample(worker, x, step=0).grad
+
+    def mean_gradient(self, x: np.ndarray) -> np.ndarray:
+        """Gradient of f = mean_i f_i with ``G.mean(axis=0)``'s kernels."""
+        G = np.array([self.sample(w, x, step=0).grad for w in range(self.n_workers)])
+        g = np.add.reduce(G, axis=0)
+        g /= self.n_workers
+        return g
+
+    def mean_loss(self, x: np.ndarray) -> float:
+        """f(x) = (1/n) sum_i f_i(x) with ``np.mean``'s kernels."""
+        losses = np.array([self.sample(w, x, step=0).loss for w in range(self.n_workers)])
+        return float(np.add.reduce(losses)) / self.n_workers
+
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """A fully-specified problem instance shared by all workers.
-
-    For ``quadratic_family``: f_i(x) = 0.5 ||A x - b_i||^2 with shared
+    """The quadratic family: f_i(x) = 0.5 ||A x - b_i||^2 with shared
     diagonal ``A = diag(a_diag)`` and ``b_i = b_base + zeta_c * e_i`` (the
     first ``n_workers`` standard basis vectors as orthonormal perturbations,
     which requires dim >= n_workers when zeta_c > 0).  Sharing ``A`` keeps
@@ -340,18 +385,16 @@ class ProblemSpec:
     one truth value.
 
     Construction also builds, read-only, what every evaluation reads: the
-    quadratic family's stacked targets ``b_i`` (columns and rows) and,
-    when it is noisy, the per-run part of its noise-key hash
-    (:func:`_seed_pools`).
+    stacked targets ``b_i`` (columns and rows) and, when the family is
+    noisy, the per-run part of its noise-key hash (:func:`_seed_pools`).
     """
 
-    kind: str
+    kind = "quadratic_family"  # a class constant, not a field
+
     dim: int
     n_workers: int
-    targets: tuple[tuple[float, float], ...] = DEFAULT_TOY2D_TARGETS
-    grad_scale: float = 1.0
-    a_diag: np.ndarray | None = None
-    b_base: np.ndarray | None = None
+    a_diag: np.ndarray
+    b_base: np.ndarray
     zeta_c: float = 0.0
     sigma_c: float = 0.0
     master_seed: int = 0
@@ -360,50 +403,32 @@ class ProblemSpec:
     _pools: _SeedPools | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.kind not in PROBLEM_KINDS:
-            raise ValueError(f"unknown problem kind {self.kind!r}; expected one of {PROBLEM_KINDS}")
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1; got {self.n_workers}")
-        if self.kind == "toy2d_hetero":
-            if self.dim != 2:
-                raise ValueError("toy2d_hetero requires dim = 2")
-            if len(self.targets) < self.n_workers:
-                raise ValueError(
-                    f"toy2d_hetero needs one target per worker: "
-                    f"{self.n_workers} workers but {len(self.targets)} targets"
-                )
-        if self.kind in ("rosenbrock", "nonconvex_toy") and self.dim != 2:
-            raise ValueError(f"{self.kind} requires dim = 2")
-        if self.kind == "quadratic_family":
-            if self.a_diag is None or self.b_base is None:
-                raise ValueError("quadratic_family requires a_diag and b_base")
-            if len(self.a_diag) != self.dim or len(self.b_base) != self.dim:
-                raise ValueError("a_diag and b_base must have length dim")
-            if self.zeta_c != 0.0 and self.dim < self.n_workers:
-                raise ValueError(
-                    "quadratic_family heterogeneity uses orthonormal basis "
-                    f"perturbations, requiring dim >= n_workers; got dim={self.dim}, "
-                    f"n_workers={self.n_workers}"
-                )
-            self.a_diag.setflags(write=False)
-            self.b_base.setflags(write=False)
-            # the b_i as columns and as C-contiguous rows, stacked (and the
-            # rows copied) only when they differ
-            B = self.b_base[:, None]
-            if self.zeta_c != 0.0:
-                B = np.repeat(B, self.n_workers, axis=1)
-                w = np.arange(self.n_workers)
-                B[w, w] += self.zeta_c
-                B.setflags(write=False)
-            B_rows = np.ascontiguousarray(B.T)
-            B_rows.setflags(write=False)
-            object.__setattr__(self, "_B", B)
-            object.__setattr__(self, "_B_rows", B_rows)
-            if self.sigma_c != 0.0:
-                object.__setattr__(self, "_pools",
-                                   _seed_pools(self.master_seed, self.n_workers))
+        if len(self.a_diag) != self.dim or len(self.b_base) != self.dim:
+            raise ValueError("a_diag and b_base must have length dim")
+        if self.zeta_c != 0.0 and self.dim < self.n_workers:
+            raise ValueError("quadratic_family heterogeneity uses orthonormal basis "
+                             "perturbations, requiring dim >= n_workers; got "
+                             f"dim={self.dim}, n_workers={self.n_workers}")
+        self.a_diag.setflags(write=False)
+        self.b_base.setflags(write=False)
+        # the b_i as columns and as C-contiguous rows, stacked (and the
+        # rows copied) only when they differ
+        B = self.b_base[:, None]
+        if self.zeta_c != 0.0:
+            B = np.repeat(B, self.n_workers, axis=1)
+            w = np.arange(self.n_workers)
+            B[w, w] += self.zeta_c
+            B.setflags(write=False)
+        B_rows = np.ascontiguousarray(B.T)
+        B_rows.setflags(write=False)
+        object.__setattr__(self, "_B", B)
+        object.__setattr__(self, "_B_rows", B_rows)
+        if self.sigma_c != 0.0:
+            object.__setattr__(self, "_pools", _seed_pools(self.master_seed, self.n_workers))
 
-    # -- quadratic family constants -----------------------------------------
+    # -- analytic constants -------------------------------------------------
 
     @property
     def smoothness(self) -> float:
@@ -433,34 +458,33 @@ class ProblemSpec:
     # -- evaluation ---------------------------------------------------------
 
     def sample(self, worker: int, x: np.ndarray, step: int) -> GradientSample:
-        """Stochastic gradient for one worker at one step (pure function).
-
-        For the quadratic family the gradient is column ``worker`` of
-        :func:`sample_all` with ``x`` at every worker, and the loss the
-        noise-free local objective ``0.5 ||a x - b_worker||^2``.
+        """Stochastic gradient for one worker at one step (pure function):
+        column ``worker`` of :meth:`sample_all` with ``x`` at every worker,
+        and the loss the noise-free local objective
+        ``0.5 ||a x - b_worker||^2``.
         """
-        if self.kind == "toy2d_hetero":
-            return toy2d_gradient(worker, x, self.targets, self.grad_scale)
-        if self.kind == "rosenbrock":
-            return rosenbrock_gradient(x)
-        if self.kind == "nonconvex_toy":
-            return nonconvex_toy_gradient(x)
         X = self._at_every_worker(x)
         r = np.ascontiguousarray(self._residuals(X)[:, worker])
-        return GradientSample(sample_all(self, X, step)[:, worker].copy(), 0.5 * float(r @ r))
+        return GradientSample(self.sample_all(X, step)[:, worker].copy(), 0.5 * float(r @ r))
+
+    def sample_all(self, P: np.ndarray, step: int) -> np.ndarray:
+        """Every worker's stochastic gradient at ``step`` as a fresh
+        ``(dim, n)`` array, ``a (a P - B) + sigma_c Z``: ``B`` the stacked
+        ``b_i`` and row ``i`` of ``Z`` worker ``i``'s Philox draw."""
+        G = self.local_gradients(P)
+        if self._pools is not None:
+            Z = _standard_normals(self._pools, step, self.dim)
+            Z *= self.sigma_c
+            G += Z.T
+        return G
 
     def local_gradients(self, P: np.ndarray) -> np.ndarray:
         """Noise-free local gradients as a fresh ``(dim, n)`` array: column
         ``i`` is the gradient of worker ``i``'s local objective at
         ``P[:, i]``."""
-        if self.kind == "quadratic_family":
-            R = self._residuals(P)
-            R *= self.a_diag[:, None]
-            return R
-        G = np.empty(P.shape)
-        for i in range(P.shape[1]):
-            G[:, i] = self.sample(i, P[:, i], step=0).grad
-        return G
+        R = self._residuals(P)
+        R *= self.a_diag[:, None]
+        return R
 
     def _residuals(self, P: np.ndarray) -> np.ndarray:
         """``a * P[:, i] - b_i`` for every worker ``i``, as a fresh
@@ -484,11 +508,8 @@ class ProblemSpec:
         """Deterministic gradient of the averaged objective f = mean_i f_i,
         averaged over an ``(n, dim)`` row stack, worker by worker, with
         ``G.mean(axis=0)``'s kernels."""
-        if self.kind == "quadratic_family":
-            G = self._residual_rows(x)
-            G *= self.a_diag
-        else:
-            G = np.array([self.sample(w, x, step=0).grad for w in range(self.n_workers)])
+        G = self._residual_rows(x)
+        G *= self.a_diag
         g = np.add.reduce(G, axis=0)
         g /= self.n_workers
         return g
@@ -501,62 +522,35 @@ class ProblemSpec:
 
     def mean_loss(self, x: np.ndarray) -> float:
         """Averaged objective value f(x) = (1/n) sum_i f_i(x), with
-        ``np.mean``'s kernels; for the quadratic family each worker's sum
-        runs over a row of a C-contiguous ``(n, dim)`` residual."""
-        if self.kind == "quadratic_family":
-            R = self._residual_rows(x)
-            losses = np.add.reduce(np.square(R, out=R), axis=1)
-            losses *= 0.5
-        else:
-            losses = np.array([self.sample(w, x, step=0).loss for w in range(self.n_workers)])
+        ``np.mean``'s kernels; each worker's sum runs over a row of a
+        C-contiguous ``(n, dim)`` residual."""
+        R = self._residual_rows(x)
+        losses = np.add.reduce(np.square(R, out=R), axis=1)
+        losses *= 0.5
         return float(np.add.reduce(losses)) / self.n_workers
 
 
-def quadratic_family(
-    dim: int,
-    n_workers: int,
-    zeta_c: float = 0.0,
-    sigma_c: float = 0.0,
-    cond: float = 1.0,
-    b_scale: float = 1.0,
-    master_seed: int = 0,
-) -> ProblemSpec:
+def quadratic_family(dim: int, n_workers: int, zeta_c: float = 0.0, sigma_c: float = 0.0,
+                     cond: float = 1.0, b_scale: float = 1.0, master_seed: int = 0) -> ProblemSpec:
     """Convenience constructor: A = diag(linspace(1, sqrt(cond), dim)),
     b = b_scale * a_diag (so the sigma=0, zeta=0 minimizer is b_scale * 1)."""
     if cond < 1.0:
         raise ValueError(f"condition number must be >= 1; got {cond}")
     a_diag = np.linspace(1.0, math.sqrt(cond), dim)
-    return ProblemSpec(
-        kind="quadratic_family",
-        dim=dim,
-        n_workers=n_workers,
-        a_diag=a_diag,
-        b_base=b_scale * a_diag,
-        zeta_c=zeta_c,
-        sigma_c=sigma_c,
-        master_seed=master_seed,
-    )
+    return ProblemSpec(dim=dim, n_workers=n_workers, a_diag=a_diag, b_base=b_scale * a_diag,
+                       zeta_c=zeta_c, sigma_c=sigma_c, master_seed=master_seed)
 
 
-def sample_all(problem: ProblemSpec, P: np.ndarray, step: int) -> np.ndarray:
+def sample_all(problem: ProblemSpec | Landscape2D, P: np.ndarray, step: int) -> np.ndarray:
     """Every worker's stochastic gradient at ``step`` as a fresh ``(dim, n)``
     array: column ``i`` is worker ``i``'s gradient at ``P[:, i]``.  ``P``
-    has one column per worker of ``problem`` (``ValueError`` otherwise).
-
-    For the quadratic family this is ``a (a P - B) + sigma_c Z``, ``B`` the
-    stacked ``b_i`` and row ``i`` of ``Z`` worker ``i``'s Philox draw.  The
-    other families are noise-free (``step`` does not enter): each worker's
-    oracle is called in turn.
+    has one column per worker of ``problem`` (``ValueError`` otherwise);
+    the problem's own ``sample_all`` computes it.
     """
     if P.shape[1] != problem.n_workers:
         raise ValueError(
             f"P has {P.shape[1]} columns; the problem has {problem.n_workers} workers")
-    G = problem.local_gradients(P)
-    if problem._pools is not None:
-        Z = _standard_normals(problem._pools, step, problem.dim)
-        Z *= problem.sigma_c
-        G += Z.T
-    return G
+    return problem.sample_all(P, step)
 
 
 # ---------------------------------------------------------------------------

@@ -251,7 +251,7 @@ class TestRunConfig:
         ({"topology.kind": "one_peer_exponential", "topology.n": "12", "problem.dim": "12"},
          "one_peer_exponential requires n to be a power of two; got n=12"),
         ({"problem.kind": "toy2d", "problem.zeta": "0", "problem.sigma": "0",
-          "topology.n": "3"},
+          "problem.dim": "2", "topology.n": "3"},
          "toy2d_hetero needs one target per worker: 3 workers but 2 targets"),
         ({"problem.init": "1,2,3"},
          "problem.init has 3 components but the problem dimension is 8"),
@@ -261,6 +261,20 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as exc:
             make_config(**tweaks)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("dim", ["7", "16"])
+    @pytest.mark.parametrize("kind", ["toy2d", "rosenbrock", "nonconvex_toy"])
+    def test_a_2d_family_refuses_a_given_dim_other_than_2(self, kind, dim):
+        # once loaded as a 2-d run whatever dim said; 16 is dim's default,
+        # refused too when given
+        twod = {"problem.kind": kind, "problem.zeta": "0", "problem.sigma": "0",
+                "topology.n": "2"}
+        with pytest.raises(ConfigError) as exc:
+            make_config(**twod, **{"problem.dim": dim})
+        assert str(exc.value) == f"problem.dim must be 2 for {kind}; got {dim}"
+        assert make_config(**twod, **{"problem.dim": "2"}).problem.dim == 2
+        unset = {"problem": {"kind": kind}, "topology": {"n": "2"}, "optim": {"kind": "dsgd"}}
+        assert RunConfig.from_mapping(unset).problem.dim == 2
 
     def test_loading_builds_the_problem_start_point_and_mixing(self):
         cfg = make_config(**{"problem.init": "0.5", "topology.kind": "one_peer_exponential"})
@@ -791,7 +805,7 @@ class TestRun:
     @pytest.mark.parametrize("kind", [k for k in OPTIM_KINDS if k != "qhm"])
     def test_stationary_start_is_fixed_point(self, kind):
         cfg = make_config(**{
-            "problem.kind": "rosenbrock", "problem.zeta": "0",
+            "problem.kind": "rosenbrock", "problem.zeta": "0", "problem.dim": "2",
             "problem.sigma": "0", "problem.init": "1.0,1.0",
             "topology.n": "4", "optim.kind": kind, "optim.tau": "1",
             "optim.eta": "0.01", "run.steps": "10"})
@@ -801,7 +815,7 @@ class TestRun:
 
     def test_stationary_start_single_worker_closed_form(self):
         cfg = make_config(**{
-            "problem.kind": "rosenbrock", "problem.zeta": "0",
+            "problem.kind": "rosenbrock", "problem.zeta": "0", "problem.dim": "2",
             "problem.sigma": "0", "problem.init": "1.0,1.0",
             "topology.kind": "complete", "topology.n": "1",
             "optim.kind": "qhm", "optim.eta": "0.01", "run.steps": "10"})
@@ -837,7 +851,7 @@ class TestRun:
         assert by_step[60] == pytest.approx(0.1)
 
     def test_explicit_init_vector(self):
-        res = quiet_run(make_config(**{"problem.kind": "rosenbrock",
+        res = quiet_run(make_config(**{"problem.kind": "rosenbrock", "problem.dim": "2",
                                        "problem.zeta": "0", "problem.sigma": "0",
                                        "topology.n": "2", "problem.init": "0.5,0.25",
                                        "run.steps": "1"}))

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 
 import reference_loops as ref
 from qgm_sim.oracles import (
+    Landscape2D,
     ProblemSpec,
-    _philox_keys,
     _seed_pools,
     _standard_normals,
+    _step_keys,
     finite_difference_check,
     nonconvex_toy_gradient,
     quadratic_family,
@@ -166,6 +167,24 @@ class TestQuadraticFamily:
             quadratic_family(dim=2, n_workers=4, zeta_c=1.0)
 
 
+class TestProblemFamilies:
+    def test_each_class_refuses_the_other_familys_fields(self):
+        # one class for every family once loaded a noisy-looking rosenbrock
+        # that reported noise_bound 0.5 and sampled without noise
+        with pytest.raises(TypeError, match="sigma_c"):
+            Landscape2D(kind="rosenbrock", n_workers=2, sigma_c=0.5)
+        with pytest.raises(TypeError, match="grad_scale"):
+            ProblemSpec(dim=2, n_workers=2, a_diag=np.ones(2), b_base=np.ones(2),
+                        grad_scale=2.0)
+        assert Landscape2D(kind="rosenbrock", n_workers=2).noise_bound is None
+
+    def test_landscape_kinds_are_the_2d_families(self):
+        with pytest.raises(ValueError, match="unknown 2-d landscape 'quadratic_family'"):
+            Landscape2D(kind="quadratic_family", n_workers=2)
+        with pytest.raises(ValueError, match="n_workers must be >= 1"):
+            Landscape2D(kind="rosenbrock", n_workers=0)
+
+
 class TestRngStreams:
     def test_same_key_same_stream(self):
         a = ref.worker_rng(123, worker=4, step=9).standard_normal(6)
@@ -206,7 +225,7 @@ def family_point(draw, family):
     else:
         n = draw(st.integers(1, 2 if family == "toy2d_hetero" else 12))
         dim = 2
-        spec = ProblemSpec(kind=family, dim=2, n_workers=n)
+        spec = Landscape2D(kind=family, n_workers=n)
     x = draw(st.lists(st.floats(-1e3, 1e3), min_size=dim, max_size=dim))
     return spec, np.array(x) * draw(st.sampled_from([1.0, 1e-170, 1e150]))
 
@@ -232,6 +251,8 @@ class TestMeansThroughReduce:
 SEEDS = [0, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 12345]
 STEPS = [0, 1, 2**32 - 1, 2**32, 2**33 + 7]
 N_MAX = 70
+PROTOCOL = ("n_workers", "dim", "noise_bound", "sample", "local_gradients", "sample_all",
+            "mean_loss", "mean_gradient", "sample_mean_part")
 
 
 def bits(a):
@@ -242,7 +263,7 @@ class TestBatchedDraws:
     @pytest.mark.parametrize("step", STEPS)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_keys_match_seed_sequence(self, seed, step):
-        keys = _philox_keys(seed, N_MAX, step)
+        keys = _step_keys(_seed_pools(seed, N_MAX), step)
         assert keys.shape == (N_MAX, 2) and keys.dtype == np.uint64
         for w in range(N_MAX):
             seq = np.random.SeedSequence(entropy=seed, spawn_key=(w, step))
@@ -258,7 +279,7 @@ class TestBatchedDraws:
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
-            _philox_keys(-1, 2, 0)
+            _seed_pools(-1, 2)
 
     @given(seed=st.sampled_from(SEEDS), step=st.sampled_from(STEPS),
            n=st.integers(1, N_MAX), extra_dim=st.integers(0, 5),
@@ -297,11 +318,17 @@ class TestBatchedDraws:
             assert bits(spec.sample_mean_part(w, x)) == bits(ref.sample_mean_part(spec, w, x)), w
 
     @pytest.mark.parametrize("kind,n", [("toy2d_hetero", 2), ("rosenbrock", 3),
-                                        ("nonconvex_toy", 5)])
+                                        ("nonconvex_toy", 5), ("quadratic_family", 4)])
     def test_noise_free_families_match_per_worker_oracle(self, kind, n):
-        spec = ProblemSpec(kind=kind, dim=2, n_workers=n)
-        P = np.random.default_rng(4).uniform(-2, 2, size=(2, n))
+        # every family answers one protocol; noise-free, sample_all is the
+        # local gradients bit for bit
+        spec = (quadratic_family(dim=6, n_workers=n, zeta_c=0.7, cond=4.0)
+                if kind == "quadratic_family" else Landscape2D(kind=kind, n_workers=n))
+        assert spec.kind == kind and not spec.noise_bound
+        assert [name for name in PROTOCOL if not hasattr(spec, name)] == []
+        P = np.random.default_rng(4).uniform(-2, 2, size=(spec.dim, n))
         G = sample_all(spec, P, 11)
+        assert bits(G) == bits(spec.sample_all(P, 11)) == bits(spec.local_gradients(P))
         for i in range(n):
             assert bits(G[:, i]) == bits(spec.sample(i, P[:, i], 11).grad), i
 
@@ -389,7 +416,7 @@ def mean_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind != "quadratic_family":
         n = draw(st.integers(1, 2 if kind == "toy2d_hetero" else 12))
-        return ProblemSpec(kind=kind, dim=2, n_workers=n), rng.uniform(-2, 2, size=2)
+        return Landscape2D(kind=kind, n_workers=n), rng.uniform(-2, 2, size=2)
     n = draw(st.integers(1, N_MAX))
     zeta = draw(st.sampled_from([0.0, 1.3]))
     dim = draw(st.integers(n if zeta else 1, 300))
