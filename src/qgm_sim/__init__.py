@@ -13,7 +13,7 @@ top level as well:
 * :mod:`qgm_sim.oracles` — the noisy quadratic family (``ProblemSpec``,
   noise counter-based per worker and step) and noise-free 2-d landscapes
   (``Landscape2D``) behind one protocol, every worker sampled in one call
-  (``sample_all``), plus a finite-difference gradient checker.
+  (``sample_all``).
 * :mod:`qgm_sim.optim` — one stacked ``(dim, n)`` state and the update
   rules over it, the only optimizer API: decentralized SGD with and
   without momentum, the quasi-global momentum family, double-averaging
@@ -66,7 +66,6 @@ from .oracles import (
     GradientSample,
     Landscape2D,
     ProblemSpec,
-    finite_difference_check,
     nonconvex_toy_gradient,
     quadratic_family,
     rosenbrock_gradient,
@@ -79,7 +78,6 @@ from .topology import (
     OnePeerExponential,
     build_graph,
     mixing_matrix,
-    one_peer_exponential_matrix,
     spectral_gap,
 )
 
@@ -106,7 +104,6 @@ __all__ = [
     "build_graph",
     "consensus_distance",
     "dirichlet_partition",
-    "finite_difference_check",
     "gossip_consensus",
     "heading_change_sum",
     "iterations_to_threshold",
@@ -114,7 +111,6 @@ __all__ = [
     "metrics_csv_lines",
     "mixing_matrix",
     "nonconvex_toy_gradient",
-    "one_peer_exponential_matrix",
     "partition_stats",
     "qg_consensus",
     "quadratic_family",

@@ -64,10 +64,6 @@ class ConsensusRun:
     matrix.  ``==`` is identity: arrays have no one truth value.
     """
 
-    x0: np.ndarray
-    mixing: object
-    beta: float
-    mu: float
     iterations: int
     trace: np.ndarray
     mean_drift: np.ndarray
@@ -108,10 +104,6 @@ def _run(X0, W, beta: float, mu: float, T: int) -> ConsensusRun:
         x_bar -= mean0
         drift.append(_norm(x_bar))
     return ConsensusRun(
-        x0=np.asarray(X0, dtype=float).copy(),
-        mixing=W,
-        beta=beta,
-        mu=mu,
         iterations=T,
         trace=np.array(trace),
         mean_drift=np.array(drift),

@@ -43,7 +43,6 @@ from .optim import (
     StackedState,
     _average_model,
     _norm,
-    stacked_gt_init,
     stacked_mimelite_round,
     stacked_slowmo_round,
     stacked_step,
@@ -103,8 +102,9 @@ class ConfigError(Exception):
 class NumericalDivergence(Exception):
     """A state array went non-finite; the CLI exits 2 on this.
 
-    ``field`` names the buffer (a :class:`~qgm_sim.optim.WorkerState` field,
-    or ``server_s``, mimelite's server momentum) and ``worker`` the first
+    ``field`` names the buffer as
+    :meth:`~qgm_sim.optim.StackedState.array_fields` does (``x``,
+    ``m_hat``, ..., ``slow_m`` or ``server_s``) and ``worker`` the first
     worker whose column holds a non-finite entry; ``worker`` is None for
     arrays shared by all workers.
     """
@@ -683,8 +683,6 @@ def run(config: RunConfig) -> RunResult:
 
     grad_fn = functools.partial(sample_all, problem)
     S = StackedState.init(config.x0, config.n)
-    if kind in ("gt", "gt_momentum"):
-        stacked_gt_init(S, grad_fn, step=0)
 
     records: list[MetricsRecord] = []
     xbar_trace = [_average_model(S.X)]

@@ -42,14 +42,15 @@ Ownership.  A step writes only into arrays it allocated itself in the same
 call: each result is built in one such buffer with in-place operators and
 ``out=``, then bound to its field, and never written again.  It never
 writes into an array the state holds, an array ``grad_fn`` returned (the
-state may keep it as ``G_prev`` or ``Y``) or the start point; :func:`mix`
-never writes its input and always returns a fresh array.  A step's own
-scratch buffer that it passed to :func:`mix` and nothing else holds may
-take a later result once :func:`mix` has returned: the quasi-global
-movement ``d`` is written into the half-step buffer.  Each buffer keeps the
-IEEE operations of the whole-array expression it replaces, on the same
-operands in the same order (``a *= s`` for ``s * a`` swaps the operands of
-one product), so its bits do not depend on the buffering.
+state may keep it, as ``G_prev``, ``Y`` or qhm's ``M_hat``) or the start
+point; :func:`mix` never writes its input and always returns a fresh
+array.  A step's own scratch buffer that it passed to :func:`mix` and
+nothing else holds may take a later result once :func:`mix` has returned:
+the quasi-global movement ``d`` is written into the half-step buffer.
+Each buffer keeps the IEEE operations of the whole-array expression it
+replaces, on the same operands in the same order (``a *= s`` for ``s * a``
+swaps the operands of one product), so its bits do not depend on the
+buffering.
 """
 
 from __future__ import annotations
@@ -70,11 +71,8 @@ __all__ = [
     "column_mean",
     "stacked_step",
     "stacked_dsgd_step",
-    "stacked_gt_init",
     "stacked_slowmo_round",
     "stacked_mimelite_round",
-    "qg_multistep_gate",
-    "qhm_core",
     "HALF_STEP_KINDS",
     "STEP_KINDS",
     "ROUND_KINDS",
@@ -140,7 +138,6 @@ class WorkerState:
     g_prev: np.ndarray | None = None
     y_tracker: np.ndarray | None = None
     eta_prev: float | None = None
-    slow_x: np.ndarray | None = None
     slow_m: np.ndarray | None = None
 
     def replace(self, **kw) -> "WorkerState":
@@ -154,7 +151,7 @@ _FIELDS = (
     ("X", "x"), ("M_hat", "m_hat"), ("M_local", "m_local"), ("V", "v"),
     ("Y", "y_tracker"), ("G_prev", "g_prev"), ("X_prev", "x_prev"),
     ("X_half_prev", "x_half_prev"), ("M_hat_prev", "m_hat_prev"),
-    ("slow_x", "slow_x"), ("slow_m", "slow_m"), ("server_s", "server_s"),
+    ("slow_m", "slow_m"), ("server_s", "server_s"),
 )
 
 
@@ -168,9 +165,9 @@ class StackedState:
     ``G_prev``, ``X_prev``, ``X_half_prev`` and ``M_hat_prev`` stay ``None``
     until a method needs them.  ``eta_prev`` is the previous step size.
     The round-structured methods keep ``(dim,)`` arrays shared by all
-    workers: ``slow_x`` / ``slow_m``, the slow-momentum round's anchor and
-    buffer, and ``server_s``, the server momentum of a mimelite round (it
-    has no :class:`WorkerState` field).
+    workers: ``slow_m``, the slow-momentum buffer, and ``server_s``, the
+    server momentum of a mimelite round (it has no :class:`WorkerState`
+    field).
 
     The step functions below rebind fields to fresh arrays and never write
     into an array once a field holds it, so arrays handed out stay valid
@@ -188,7 +185,6 @@ class StackedState:
     X_half_prev: np.ndarray | None = None
     M_hat_prev: np.ndarray | None = None
     eta_prev: float | None = None
-    slow_x: np.ndarray | None = None
     slow_m: np.ndarray | None = None
     server_s: np.ndarray | None = None
 
@@ -317,29 +313,17 @@ def _half_step(kind: str, S: StackedState, G, hp: HyperParams) -> np.ndarray:
     return np.subtract(S.X, H, out=H)
 
 
-def qg_multistep_gate(step_index: int, tau: int) -> bool:
-    """Whether the quasi-global buffer updates at 1-based step ``step_index``.
-
-    The multi-step variant refreshes m_hat only every ``tau`` steps and
-    holds it in between; tau=1 updates every step.
-    """
-    if tau < 1:
-        raise ValueError(f"tau must be a positive integer; got {tau}")
-    return step_index % tau == 0
-
-
 def stacked_dsgd_step(kind: str, S: StackedState, G, W, hp: HyperParams,
-                      step_index: int = 1, tau: int | None = None) -> None:
+                      refresh: bool = True) -> None:
     """One step of the dsgd/qg family on ``S`` from the gradient matrix
     ``G``: half steps (:func:`_half_step`), gossip, and for the QG kinds the
     quasi-global buffer update from consecutive synchronized models,
 
         d = (x_before - x_after) / eta,      m_hat <- mu m_hat + (1 - mu) d,
 
-    when the multi-step gate of period ``tau`` (``hp.tau`` unless given)
-    fires at 1-based ``step_index`` (with a period > 1 the buffer is frozen
-    between refreshes).  ``eta`` is the step size the half step used.  For
-    ``qg_dsgdm`` this is the stacked recursion
+    when ``refresh`` is set (the multi-step variant clears it between
+    refreshes, freezing the buffer).  ``eta`` is the step size the half
+    step used.  For ``qg_dsgdm`` this is the stacked recursion
 
         X_{t+1} = ( X_t - eta (beta M + G_t) ) W^T,
         M      <- mu M + (1 - mu) (X_t - X_{t+1}) / eta,
@@ -350,8 +334,7 @@ def stacked_dsgd_step(kind: str, S: StackedState, G, W, hp: HyperParams,
     """
     H = _half_step(kind, S, G, hp)
     X_new = mix(H, W)
-    if kind.startswith("qg_") and qg_multistep_gate(
-            step_index, hp.tau if tau is None else tau):
+    if refresh and kind.startswith("qg_"):
         d = np.subtract(S.X, X_new, out=H)  # H is dead once mix returns
         d /= hp.eta
         d *= 1.0 - hp.mu
@@ -488,11 +471,6 @@ def _d2(S: StackedState, G, W, hp: HyperParams, kind: str) -> None:
     S.X = mix(half, W)
 
 
-def stacked_gt_init(S: StackedState, grad_fn, step: int = 0) -> None:
-    """Start gradient tracking on ``S``: Y = G_prev = g(X, step)."""
-    S.Y = S.G_prev = grad_fn(S.X, step)
-
-
 def _gt(S: StackedState, W, hp: HyperParams, grad_fn, step: int, with_momentum: bool) -> None:
     """Gradient-tracking step (adapt-then-combine).
 
@@ -503,11 +481,12 @@ def _gt(S: StackedState, W, hp: HyperParams, grad_fn, step: int, with_momentum: 
 
     The tracker telescopes gradient differences, so sum_i y_i = sum_i g_i
     at every step and each worker's update direction estimates the *global*
-    gradient — which removes the heterogeneity bias DSGD suffers.  Requires
-    a state started by :func:`stacked_gt_init`.
+    gradient — which removes the heterogeneity bias DSGD suffers.  A state
+    without a tracker starts it first, at its models and step 0:
+    y = g_prev = g(x, 0).
     """
     if S.Y is None:
-        raise ValueError("gradient tracking states must be initialized with stacked_gt_init")
+        S.Y = S.G_prev = grad_fn(S.X, 0)
     if with_momentum:
         m = hp.beta * S.M_local
         m += S.Y
@@ -526,12 +505,21 @@ def _gt(S: StackedState, W, hp: HyperParams, grad_fn, step: int, with_momentum: 
 
 
 def _qhm(S: StackedState, G, hp: HyperParams) -> None:
-    """Single-worker quasi-hyperbolic momentum (:func:`qhm_core`) with the
-    substitution beta_hat = mu + (1 - mu) beta — the closed form of the
-    single-worker quasi-global heavy-ball method (mu = 0 gives SGDm
-    exactly).  No gossip."""
+    """Single-worker quasi-hyperbolic momentum with explicit buffer decay,
+
+        m_hat <- beta_hat m_hat + g
+        x     <- x - eta ( (1 - mu/beta_hat) m_hat + (mu/beta_hat) g ),
+
+    with the substitution beta_hat = mu + (1 - mu) beta — the closed form of
+    the single-worker quasi-global heavy-ball method (mu = 0 gives SGDm
+    exactly).  beta_hat = 0 (beta = mu = 0) is plain SGD.  No gossip."""
     beta_hat = hp.mu + (1.0 - hp.mu) * hp.beta
-    S.X, S.M_hat = qhm_core(S.X, S.M_hat, G, hp.eta, beta_hat, hp.mu)
+    if beta_hat == 0.0:
+        S.X, S.M_hat = S.X - hp.eta * G, G
+        return
+    M = beta_hat * S.M_hat + G
+    w = hp.mu / beta_hat
+    S.X, S.M_hat = S.X - hp.eta * ((1.0 - w) * M + w * G), M
 
 
 STEP_KINDS = HALF_STEP_KINDS + (
@@ -543,9 +531,10 @@ def stacked_step(kind: str, S: StackedState, W, hp: HyperParams, step: int, grad
 
     Gradients come from one ``grad_fn(P, step)`` call: at the current
     models, at the previous half iterates for ``dmsgd_ii``, and at the
-    post-gossip models for the tracking kinds, whose state
-    :func:`stacked_gt_init` must have started.  ``W`` is this step's
-    mixing matrix; ``hp.eta`` this step's step size.
+    post-gossip models for the tracking kinds, whose first step also calls
+    ``grad_fn(X, 0)`` to start the tracker.  ``W`` is this step's mixing
+    matrix; ``hp.eta`` this step's step size.  The QG kinds refresh their
+    buffer at the steps that are multiples of ``hp.tau``.
     """
     if kind in ("gt", "gt_momentum"):
         _gt(S, W, hp, grad_fn, step, with_momentum=kind == "gt_momentum")
@@ -554,7 +543,7 @@ def stacked_step(kind: str, S: StackedState, W, hp: HyperParams, step: int, grad
         raise ValueError(f"unknown per-step kind {kind!r}; expected one of {STEP_KINDS}")
     G = grad_fn(_dmsgd_anchor(S) if kind == "dmsgd_ii" else S.X, step)
     if kind in HALF_STEP_KINDS:
-        stacked_dsgd_step(kind, S, G, W, hp, step)
+        stacked_dsgd_step(kind, S, G, W, hp, step % hp.tau == 0)
     elif kind == "qg_dadam":
         _qg_dadam(S, G, W, hp)
     elif kind in ("dmsgd_i", "dmsgd_ii"):
@@ -590,19 +579,18 @@ def stacked_slowmo_round(S: StackedState, W, hp: HyperParams, base_kind: str,
     slow_m = S.slow_m if S.slow_m is not None else np.zeros_like(x0)
 
     # hp.tau counts this round's inner steps; the inner steps themselves
-    # always refresh their buffers (gate period 1: no multi-step gating
-    # inside a round)
+    # always refresh their buffers (no multi-step gating inside a round)
     for k in range(hp.tau):
         t = step0 + k
         G = grad_fn(S.X, t)
-        stacked_dsgd_step(base_kind, S, G, W.at(t), hp, tau=1)
+        stacked_dsgd_step(base_kind, S, G, W.at(t), hp)
 
     x_tau = column_mean(S.X)
     gamma = hp.eta
     slow_m = hp.slowmo_beta * slow_m + (x0 - x_tau) / gamma
     x_new = x0 - hp.slowmo_alpha * gamma * slow_m
     S.X = np.repeat(x_new[:, None], S.X.shape[1], axis=1)
-    S.slow_x, S.slow_m = x0, slow_m
+    S.slow_m = slow_m
 
 
 def stacked_mimelite_round(S: StackedState, hp: HyperParams, grad_fn, full_grad_fn,
@@ -638,29 +626,3 @@ def stacked_mimelite_round(S: StackedState, hp: HyperParams, grad_fn, full_grad_
         Y = np.subtract(Y, T, out=T)
     S.X = np.repeat(column_mean(Y)[:, None], n, axis=1)
     S.server_s = (1.0 - hp.beta) * column_mean(F) + hp.beta * s
-
-
-# ---------------------------------------------------------------------------
-# single-worker closed form
-# ---------------------------------------------------------------------------
-
-def qhm_core(
-    x: np.ndarray,
-    m_hat: np.ndarray,
-    grad: np.ndarray,
-    eta: float,
-    beta_hat: float,
-    mu: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized quasi-hyperbolic update with explicit buffer decay.
-
-        m_hat <- beta_hat m_hat + g
-        x     <- x - eta ( (1 - mu/beta_hat) m_hat + (mu/beta_hat) g )
-
-    beta_hat = 0 (which forces mu = 0) degenerates to plain SGD.
-    """
-    if beta_hat == 0.0:
-        return x - eta * grad, grad.copy()
-    m_new = beta_hat * m_hat + grad
-    mix = mu / beta_hat
-    return x - eta * ((1.0 - mix) * m_new + mix * grad), m_new

@@ -51,8 +51,7 @@ import numpy as np
 from .optim import _norm
 
 __all__ = ["GradientSample", "Landscape2D", "ProblemSpec", "DEFAULT_TOY2D_TARGETS",
-           "toy2d_gradient", "rosenbrock_gradient", "nonconvex_toy_gradient", "sample_all",
-           "finite_difference_check"]
+           "toy2d_gradient", "rosenbrock_gradient", "nonconvex_toy_gradient", "sample_all"]
 
 LANDSCAPE_KINDS = ("toy2d_hetero", "rosenbrock", "nonconvex_toy")
 
@@ -286,7 +285,8 @@ def nonconvex_toy_gradient(x) -> GradientSample:
     grad = (tanh x + 10 tanh(u) (u - 8 e^x cos 8x),  10 tanh(u) e^x).
     """
     a, b = float(x[0]), float(x[1])
-    if not math.isfinite(a):  # sin and cos have no value at +-inf
+    # sin and cos have no value at +-inf, which 8a reaches for |a| > ~2.2e307
+    if not math.isfinite(8.0 * a):
         return GradientSample(np.full(2, math.nan), math.nan)
     try:
         ea = math.exp(a)
@@ -551,26 +551,3 @@ def sample_all(problem: ProblemSpec | Landscape2D, P: np.ndarray, step: int) -> 
         raise ValueError(
             f"P has {P.shape[1]} columns; the problem has {problem.n_workers} workers")
     return problem.sample_all(P, step)
-
-
-# ---------------------------------------------------------------------------
-# verification helper
-# ---------------------------------------------------------------------------
-
-def finite_difference_check(oracle, x, h: float = 1e-5) -> float:
-    """Max per-coordinate deviation between the oracle's analytic gradient
-    and central differences of its loss, normalized by max(1, |grad_j|).
-
-    ``oracle`` is any callable x -> GradientSample with a deterministic
-    loss (sigma = 0).
-    """
-    x = np.asarray(x, dtype=float)
-    sample = oracle(x)
-    worst = 0.0
-    for j in range(len(x)):
-        step = np.zeros_like(x)
-        step[j] = h
-        fd = (oracle(x + step).loss - oracle(x - step).loss) / (2.0 * h)
-        denom = max(1.0, abs(float(sample.grad[j])))
-        worst = max(worst, abs(fd - float(sample.grad[j])) / denom)
-    return worst

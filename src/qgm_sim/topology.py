@@ -21,12 +21,9 @@ thread count.
 
 The one-peer scheme is :class:`OnePeerExponential`, a schedule that holds no
 array: it names each step's peer offset, and the optimizer averages each
-worker with that one peer directly (:func:`qgm_sim.optim.mix`).
-:func:`one_peer_exponential_matrix` builds the same step as a dense matrix,
-with its ``rho`` in closed form; it is the reference the tests check the
-matrix-free gossip against, and no run builds it.  Both kinds of mixing
-answer ``n``, ``rho`` and ``at(t)``, step ``t``'s mixing: a static matrix
-returns itself, the schedule its :class:`OnePeerStep`.
+worker with that one peer directly (:func:`qgm_sim.optim.mix`).  Both kinds
+of mixing answer ``n``, ``rho`` and ``at(t)``, step ``t``'s mixing: a static
+matrix returns itself, the schedule its :class:`OnePeerStep`.
 
 Convention used everywhere in this package: ``W[i, j]`` is the weight worker
 ``i`` places on worker ``j``'s model, i.e. one gossip round maps the stacked
@@ -51,7 +48,6 @@ __all__ = [
     "build_graph",
     "mixing_matrix",
     "spectral_gap",
-    "one_peer_exponential_matrix",
     "DAVIS_SOUTHERN_WOMEN_EDGES",
 ]
 
@@ -211,7 +207,6 @@ class MixingMatrix:
     n: int
     weights: np.ndarray
     rho: float
-    scheme: str
 
     def __post_init__(self):
         if self.weights.shape != (self.n, self.n):
@@ -251,11 +246,8 @@ def mixing_matrix(graph: Graph, scheme: str = "metropolis_hastings") -> MixingMa
     if scheme not in MIXING_SCHEMES:
         raise ValueError(f"unknown mixing scheme {scheme!r}; expected one of {MIXING_SCHEMES}")
     if graph.time_varying:
-        raise ValueError(
-            "one_peer_exponential is time-varying; use OnePeerExponential(n) "
-            "(or the dense reference one_peer_exponential_matrix(n, t)) "
-            "instead of mixing_matrix()"
-        )
+        raise ValueError("one_peer_exponential is time-varying; use "
+                         "OnePeerExponential(n) instead of mixing_matrix()")
 
     n = graph.n
     deg = graph.degrees()
@@ -279,7 +271,7 @@ def mixing_matrix(graph: Graph, scheme: str = "metropolis_hastings") -> MixingMa
     W[np.arange(n), np.arange(n)] = 1.0 - W.sum(axis=1)
 
     _validate_doubly_stochastic(W, f"{graph.kind}/{scheme}")
-    return MixingMatrix(n=n, weights=W, rho=spectral_gap(W), scheme=scheme)
+    return MixingMatrix(n=n, weights=W, rho=spectral_gap(W))
 
 
 @dataclass(frozen=True)
@@ -300,8 +292,8 @@ class OnePeerExponential:
     ``(i + 2^k) mod n``, ``k = t mod m``, so a step touches two entries per
     row.  One sweep of ``m`` steps multiplies out to exact averaging, so
     ``rho``, the spectral gap of one sweep's product, is 1.  The schedule
-    holds no array; :func:`one_peer_exponential_matrix` is the dense matrix
-    of the same step.
+    holds no array: step ``t``'s matrix would be ``(I + P) / 2`` with ``P``
+    the cyclic shift by the offset, doubly stochastic but not symmetric.
     """
 
     n: int
@@ -324,29 +316,6 @@ class OnePeerExponential:
     def at(self, t: int) -> OnePeerStep:
         """Step ``t`` of the schedule."""
         return OnePeerStep(self.n, self.offset(t))
-
-
-def one_peer_exponential_matrix(n: int, t: int) -> MixingMatrix:
-    """Dense step-``t`` matrix of :class:`OnePeerExponential`, the reference
-    its matrix-free gossip is checked against.
-
-    Worker ``i`` averages halfway with the single peer ``(i + 2^k) mod n``
-    where ``k = t mod log2(n)``:  ``W_t = (I + P_k) / 2`` with ``P_k`` the
-    cyclic-shift permutation by ``2^k``.  Each ``W_t`` is doubly stochastic
-    but directed (asymmetric), and one full sweep multiplies out to the
-    exact averaging matrix:  ``W_0 W_1 ... W_{log2(n)-1} = (1/n) 1 1^T``.
-    ``rho`` is the spectral gap in closed form: ``W_t`` is circulant, so
-    offset 1 has ``sigma_2 = cos(pi/n)``, and larger offsets leave the
-    residue classes mod the offset unmixed (``rho = 0``).
-    """
-    offset = OnePeerExponential(n).offset(t)
-    if n == 1:
-        return MixingMatrix(n=1, weights=np.ones((1, 1)), rho=1.0, scheme="one_peer_exponential")
-    W = 0.5 * np.eye(n)
-    W[np.arange(n), (np.arange(n) + offset) % n] += 0.5
-    _validate_doubly_stochastic(W, f"one_peer_exponential(t={t})")
-    rho = math.sin(math.pi / n) ** 2 if offset == 1 else 0.0
-    return MixingMatrix(n=n, weights=W, rho=rho, scheme="one_peer_exponential")
 
 
 # ---------------------------------------------------------------------------

@@ -14,22 +14,33 @@ the targets through a transposed view and reduced through numpy's
 ``np.mean``, ``np.sum`` and ``ndarray.mean`` wrappers, and
 :func:`worker_rng`, :func:`worker_b` and :func:`quadratic_gradient` the
 per-worker quadratic oracle as it stood before ``ProblemSpec.sample``
-became a column of ``sample_all``: the reference of ``test_oracles.py``.  :func:`check_finite` is the engine's divergence
-check as it stood when it scanned every changed array entry by entry.
-:func:`to_workers` splits a stacked state into per-worker states and
-:func:`per_worker` lifts a per-worker oracle to the matrix contract of
-``qgm_sim.optim``.  Not collected by pytest (no ``test_`` prefix).
+became a column of ``sample_all``: the reference of ``test_oracles.py``.
+:func:`check_finite` is the engine's divergence check as it stood when it
+scanned every changed array entry by entry.  :func:`to_workers` splits a
+stacked state into per-worker states and :func:`per_worker` lifts a
+per-worker oracle to the matrix contract of ``qgm_sim.optim``.
+
+Four functions the package no longer ships, since no run calls them, live
+here as the tests' own references: :func:`qg_multistep_gate` and
+:func:`qhm_core`, the multi-step gate and the quasi-hyperbolic update the
+per-worker loops apply; :func:`one_peer_exponential_matrix`, the dense
+matrix of a one-peer step that the matrix-free gossip is checked against;
+and :func:`finite_difference_check`, which checks the oracles' analytic
+gradients against central differences of their losses.  Not collected by
+pytest (no ``test_`` prefix).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from qgm_sim.engine import NumericalDivergence
-from qgm_sim.optim import HALF_STEP_KINDS, HyperParams, WorkerState, qg_multistep_gate, qhm_core
+from qgm_sim.optim import HALF_STEP_KINDS, HyperParams, WorkerState
 from qgm_sim.oracles import GradientSample
+from qgm_sim.topology import MixingMatrix, OnePeerExponential, _validate_doubly_stochastic
 
 
 def per_worker(fn):
@@ -118,6 +129,17 @@ def local_half_step(kind: str, state: WorkerState, grad: np.ndarray, hp: HyperPa
         m_tmp = beta * state.m_hat + grad
         return state.replace(x=state.x - eta * (beta * m_tmp + grad))
     raise ValueError(f"unknown half-step kind {kind!r}; expected one of {HALF_STEP_KINDS}")
+
+
+def qg_multistep_gate(step_index: int, tau: int) -> bool:
+    """Whether the quasi-global buffer updates at 1-based step ``step_index``.
+
+    The multi-step variant refreshes m_hat only every ``tau`` steps and
+    holds it in between; tau=1 updates every step.
+    """
+    if tau < 1:
+        raise ValueError(f"tau must be a positive integer; got {tau}")
+    return step_index % tau == 0
 
 
 def qg_buffer_update(
@@ -379,7 +401,7 @@ def slowmo_round(
     gamma = hp.eta
     slow_m = hp.slowmo_beta * slow_m + (x0 - x_tau) / gamma
     x_new = x0 - hp.slowmo_alpha * gamma * slow_m
-    return [s.replace(x=x_new.copy(), slow_x=x0.copy(), slow_m=slow_m.copy()) for s in states]
+    return [s.replace(x=x_new.copy(), slow_m=slow_m.copy()) for s in states]
 
 
 def mimelite_round(
@@ -415,6 +437,28 @@ def mimelite_round(
     new_x = np.mean(ys, axis=0)
     new_s = (1.0 - hp.beta) * np.mean(full_grads, axis=0) + hp.beta * server_s
     return new_x, new_s
+
+
+def qhm_core(
+    x: np.ndarray,
+    m_hat: np.ndarray,
+    grad: np.ndarray,
+    eta: float,
+    beta_hat: float,
+    mu: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized quasi-hyperbolic update with explicit buffer decay.
+
+        m_hat <- beta_hat m_hat + g
+        x     <- x - eta ( (1 - mu/beta_hat) m_hat + (mu/beta_hat) g )
+
+    beta_hat = 0 (which forces mu = 0) degenerates to plain SGD.
+    """
+    if beta_hat == 0.0:
+        return x - eta * grad, grad.copy()
+    m_new = beta_hat * m_hat + grad
+    mix = mu / beta_hat
+    return x - eta * ((1.0 - mix) * m_new + mix * grad), m_new
 
 
 def qhm_step(state: WorkerState, grad: np.ndarray, hp: HyperParams) -> WorkerState:
@@ -549,3 +593,49 @@ def check_finite(S, step: int, method: str, fields: list, verified: dict) -> Non
             worker = int(np.argmin(finite.all(axis=0))) if arr.ndim == 2 else None
             raise NumericalDivergence(step, method, field, worker)
         verified[field] = arr
+
+
+# ---------------------------------------------------------------------------
+# dense one-peer matrices and finite differences
+# ---------------------------------------------------------------------------
+
+def one_peer_exponential_matrix(n: int, t: int) -> MixingMatrix:
+    """Dense step-``t`` matrix of :class:`OnePeerExponential`, the reference
+    its matrix-free gossip is checked against.
+
+    Worker ``i`` averages halfway with the single peer ``(i + 2^k) mod n``
+    where ``k = t mod log2(n)``:  ``W_t = (I + P_k) / 2`` with ``P_k`` the
+    cyclic-shift permutation by ``2^k``.  Each ``W_t`` is doubly stochastic
+    but directed (asymmetric), and one full sweep multiplies out to the
+    exact averaging matrix:  ``W_0 W_1 ... W_{log2(n)-1} = (1/n) 1 1^T``.
+    ``rho`` is the spectral gap in closed form: ``W_t`` is circulant, so
+    offset 1 has ``sigma_2 = cos(pi/n)``, and larger offsets leave the
+    residue classes mod the offset unmixed (``rho = 0``).
+    """
+    offset = OnePeerExponential(n).offset(t)
+    if n == 1:
+        return MixingMatrix(n=1, weights=np.ones((1, 1)), rho=1.0)
+    W = 0.5 * np.eye(n)
+    W[np.arange(n), (np.arange(n) + offset) % n] += 0.5
+    _validate_doubly_stochastic(W, f"one_peer_exponential(t={t})")
+    rho = math.sin(math.pi / n) ** 2 if offset == 1 else 0.0
+    return MixingMatrix(n=n, weights=W, rho=rho)
+
+
+def finite_difference_check(oracle, x, h: float = 1e-5) -> float:
+    """Max per-coordinate deviation between the oracle's analytic gradient
+    and central differences of its loss, normalized by max(1, |grad_j|).
+
+    ``oracle`` is any callable x -> GradientSample with a deterministic
+    loss (sigma = 0).
+    """
+    x = np.asarray(x, dtype=float)
+    sample = oracle(x)
+    worst = 0.0
+    for j in range(len(x)):
+        step = np.zeros_like(x)
+        step[j] = h
+        fd = (oracle(x + step).loss - oracle(x - step).loss) / (2.0 * h)
+        denom = max(1.0, abs(float(sample.grad[j])))
+        worst = max(worst, abs(fd - float(sample.grad[j])) / denom)
+    return worst

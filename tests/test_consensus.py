@@ -73,7 +73,7 @@ class TestGossipConsensus:
 
     def test_identity_matrix_keeps_distance_constant(self):
         X0 = gaussian(3, 6, seed=3)
-        run = gossip_consensus(X0, MixingMatrix(6, np.eye(6), 0.0, "identity"), T=10)
+        run = gossip_consensus(X0, MixingMatrix(6, np.eye(6), 0.0), T=10)
         np.testing.assert_allclose(run.trace, run.trace[0], rtol=1e-15)
 
     def test_distance_non_increasing_and_vanishing(self):
@@ -170,7 +170,7 @@ class TestIterationsToThreshold:
 
     def test_raises_when_never_reached(self):
         run = gossip_consensus(gaussian(3, 6, seed=1),
-                               MixingMatrix(6, np.eye(6), 0.0, "identity"), T=10)
+                               MixingMatrix(6, np.eye(6), 0.0), T=10)
         with pytest.raises(ValueError, match="never reached"):
             iterations_to_threshold(run, 1e-6)
 

@@ -28,10 +28,7 @@ from qgm_sim.optim import (
     _norm,
     column_mean,
     mix,
-    qg_multistep_gate,
-    qhm_core,
     stacked_dsgd_step,
-    stacked_gt_init,
     stacked_mimelite_round,
     stacked_slowmo_round,
     stacked_step,
@@ -41,7 +38,6 @@ from qgm_sim.topology import (
     OnePeerExponential,
     build_graph,
     mixing_matrix,
-    one_peer_exponential_matrix,
 )
 
 
@@ -53,7 +49,7 @@ def complete(n):
     return mixing_matrix(build_graph("complete", n))
 
 
-W1 = MixingMatrix(1, np.array([[1.0]]), 1.0, "identity")
+W1 = MixingMatrix(1, np.array([[1.0]]), 1.0)
 
 
 def single(x0):
@@ -204,7 +200,7 @@ class TestOnePeerGossip:
         rng = np.random.default_rng(seed)
         X = rng.uniform(1.0, 2.0, (dim, n)) * rng.choice([-1.0, 1.0], (dim, n)) \
             * 10.0 ** rng.integers(-300, 301, (dim, n))
-        want = X @ one_peer_exponential_matrix(n, t).weights.T
+        want = X @ ref.one_peer_exponential_matrix(n, t).weights.T
         got = mix(X, schedule.at(t))
         assert got.tobytes() == want.tobytes()
 
@@ -216,7 +212,7 @@ class TestOnePeerGossip:
         X = np.random.default_rng(dim).standard_normal((dim, n))
         X.setflags(write=False)
         for t in range(schedule.sweep):
-            want = X @ one_peer_exponential_matrix(n, t).weights.T
+            want = X @ ref.one_peer_exponential_matrix(n, t).weights.T
             got = mix(X, schedule.at(t))
             assert got.flags.c_contiguous and got.tobytes() == want.tobytes(), t
 
@@ -274,21 +270,35 @@ class TestQgBuffer:
         assert S.X[0, 0] == 0.0
         assert S.M_hat[0, 0] == pytest.approx(mu * (1 - mu) * d1 + (1 - mu) * d2, rel=1e-13)
 
+    @staticmethod
+    def _buffer_changes(tau, steps):
+        """The 1-based steps at which ``stacked_step`` moves ``M_hat`` of a
+        two-worker ``qg_dsgdm`` run with ``hp.tau = tau``."""
+        hp = HyperParams(eta=0.1, beta=0.5, tau=tau)
+        S = StackedState.init(np.zeros(2), 2)
+        grad_fn = ref.per_worker(lambda i, x, t: x - (1.0 + i + t))
+        changed = []
+        for t in range(1, steps + 1):
+            before = S.M_hat
+            stacked_step("qg_dsgdm", S, ring(2), hp, t, grad_fn)
+            if not np.array_equal(S.M_hat, before):
+                changed.append(t)
+        return changed
+
     def test_gate_every_fourth_step(self):
-        assert [qg_multistep_gate(k, 4) for k in range(1, 9)] == [
-            False, False, False, True, False, False, False, True]
+        assert self._buffer_changes(4, 8) == [4, 8]
 
     def test_gate_tau_one_always_fires(self):
-        assert all(qg_multistep_gate(k, 1) for k in range(1, 20))
+        assert self._buffer_changes(1, 19) == list(range(1, 20))
 
     def test_gate_rejects_bad_tau(self):
-        with pytest.raises(ValueError):
-            qg_multistep_gate(3, 0)
+        with pytest.raises(ValueError, match="tau"):
+            HyperParams(eta=0.1, tau=0)
 
     @given(step=st.integers(min_value=1, max_value=1000),
            tau=st.integers(min_value=1, max_value=50))
     def test_gate_matches_modulus(self, step, tau):
-        assert qg_multistep_gate(step, tau) == (step % tau == 0)
+        assert ref.qg_multistep_gate(step, tau) == (step % tau == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +452,13 @@ class TestClosedForms:
         np.testing.assert_allclose(a.X[:, 0], b.X[:, 0], atol=1e-12)
 
     def test_zero_decay_core_is_plain_descent(self):
-        x, m = np.array([1.0]), np.array([5.0])
-        x_new, m_new = qhm_core(x, m, np.array([0.5]), 0.1, 0.0, 0.0)
-        assert x_new[0] == pytest.approx(0.95, abs=1e-15)
-        assert m_new[0] == 0.5
+        # beta = mu = 0 makes beta_hat = 0: plain SGD, the buffer the gradient
+        S = single([1.0])
+        S.M_hat = np.array([[5.0]])
+        stacked_step("qhm", S, W1, HyperParams(eta=0.1, beta=0.0, mu=0.0), 1,
+                     ref.per_worker(lambda i, x, t: np.array([0.5])))
+        assert S.X[0, 0] == pytest.approx(0.95, abs=1e-15)
+        assert S.M_hat[0, 0] == 0.5
 
     def test_single_worker_quasi_global_is_quasi_hyperbolic(self):
         # closed form: one quasi-global worker follows the quasi-hyperbolic
@@ -471,7 +484,7 @@ class TestClosedForms:
         for t in range(100):
             gb = rosenbrock_gradient(x).grad
             stacked_step("qg_dsgdm_n", a, W1, hp, t, rosenbrock_fn)
-            x, m = qhm_core(x, m, gb, eta * (1 + beta), beta_hat, mu)
+            x, m = ref.qhm_core(x, m, gb, eta * (1 + beta), beta_hat, mu)
         np.testing.assert_allclose(a.X[:, 0], x, atol=1e-10)
 
     def test_nesterov_variant_rescales_to_weighted_form(self):
@@ -749,7 +762,6 @@ class TestGradientTracking:
     def test_single_worker_is_plain_descent(self):
         hp = HyperParams(eta=0.001, beta=0.0)
         a = single([0.0, 0.0])
-        stacked_gt_init(a, rosenbrock_fn)
         x = np.zeros(2)
         for t in range(1, 51):
             stacked_step("gt", a, W1, hp, t, rosenbrock_fn)
@@ -759,7 +771,6 @@ class TestGradientTracking:
     def test_single_worker_momentum_matches_double_application(self):
         hp = HyperParams(eta=0.001, beta=0.9)
         a = single([0.0, 0.0])
-        stacked_gt_init(a, rosenbrock_fn)
         b = single([0.0, 0.0])
         for t in range(1, 51):
             stacked_step("gt_momentum", a, W1, hp, t, rosenbrock_fn)
@@ -772,7 +783,6 @@ class TestGradientTracking:
         W = ring(4)
         hp = HyperParams(eta=0.1, beta=0.0)
         S = StackedState.init(np.zeros(4), 4)
-        stacked_gt_init(S, grad_fn)
         for t in range(1, 31):
             stacked_step("gt", S, W, hp, t, grad_fn)
             y_sum = S.Y.sum(axis=1)
@@ -788,7 +798,6 @@ class TestGradientTracking:
         hp = HyperParams(eta=0.2, beta=0.0)
 
         tracked = StackedState.init(np.zeros(8), 4)
-        stacked_gt_init(tracked, grad_fn)
         plain = StackedState.init(np.zeros(8), 4)
         for t in range(300):
             stacked_step("gt", tracked, W, hp, t + 1, grad_fn)
@@ -799,10 +808,29 @@ class TestGradientTracking:
         assert err_tracked <= 1e-6
         assert err_plain > 1e-3
 
-    def test_requires_initialization(self):
-        with pytest.raises(ValueError, match="gt_init"):
-            stacked_step("gt", single([0.0]), W1, HyperParams(eta=0.1), 1,
-                         ref.per_worker(lambda i, x, s: np.zeros(1)))
+    @pytest.mark.parametrize("kind", ["gt", "gt_momentum"])
+    def test_first_step_starts_the_tracker(self, kind):
+        # a fresh state's first step is the reference's gt_init followed by
+        # its first gt_step, bit for bit, with the oracle called at step 0
+        # and then step 1
+        prob = quadratic_family(dim=4, n_workers=4, zeta_c=1.5, sigma_c=0.3, master_seed=2)
+        calls = []
+
+        def oracle(i, x, t):
+            calls.append(t)
+            return prob.sample(i, x, t).grad
+
+        hp = HyperParams(eta=0.1, beta=0.9)
+        S = StackedState.init(np.linspace(-1.0, 1.0, 4), 4)
+        want = ref.gt_init(ref.to_workers(S), oracle, 0)
+        want = ref.gt_step(want, ring(4), hp, oracle, 0, with_momentum=kind == "gt_momentum")
+        calls.clear()
+        stacked_step(kind, S, ring(4), hp, 1, ref.per_worker(oracle))
+        assert calls == [0] * 4 + [1] * 4
+        for a, b in zip(ref.to_workers(S), want):
+            for f in dataclasses.fields(a):
+                va, vb = getattr(a, f.name), getattr(b, f.name)
+                assert (va is None and vb is None) or va.tobytes() == vb.tobytes(), f.name
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +855,6 @@ class TestSlowmo:
         x_tau = column_mean(R.X)
         for i in range(4):
             np.testing.assert_allclose(S.X[:, i], x_tau, atol=1e-12)
-        np.testing.assert_allclose(S.slow_x, np.zeros(4), atol=0)
 
     def test_single_worker_single_step_rescales_to_descent(self):
         # tau = 1, one worker, no slow momentum: each round is one descent
@@ -866,9 +893,10 @@ class TestSlowmo:
         S = single([0.0])
         stacked_slowmo_round(S, W1, hp, "dsgd", grad_fn, step0=0)
         m1 = S.slow_m.copy()
+        x0 = S.X[:, 0].copy()  # the second round's anchor
         stacked_slowmo_round(S, W1, hp, "dsgd", grad_fn, step0=1)
         # second round's buffer blends the decayed first with the new drift
-        drift2 = (S.slow_x - (S.slow_x - 0.25 * (S.slow_x - 1.0))) / 0.25
+        drift2 = (x0 - (x0 - 0.25 * (x0 - 1.0))) / 0.25
         np.testing.assert_allclose(S.slow_m, 0.5 * m1 + drift2, atol=1e-12)
 
 
@@ -916,8 +944,7 @@ class TestAnySchedule:
         R = StackedState.from_matrix(X0)
         x0 = R.X[:, 0].copy()
         for t in range(1, 4):
-            stacked_dsgd_step("qg_dsgdm", R, grad_fn(R.X, t), schedule.steps[t % 2], hp,
-                              tau=1)
+            stacked_dsgd_step("qg_dsgdm", R, grad_fn(R.X, t), schedule.steps[t % 2], hp)
         slow_m = hp.slowmo_beta * np.zeros_like(x0) + (x0 - column_mean(R.X)) / hp.eta
         x_new = x0 - hp.slowmo_alpha * hp.eta * slow_m
         assert S.slow_m.tobytes() == slow_m.tobytes()

@@ -24,13 +24,12 @@ from qgm_sim.optim import (
     HyperParams,
     StackedState,
     WorkerState,
-    stacked_gt_init,
     stacked_mimelite_round,
     stacked_slowmo_round,
     stacked_step,
 )
 from qgm_sim.oracles import quadratic_family, sample_all
-from qgm_sim.topology import MixingMatrix, OnePeerExponential, one_peer_exponential_matrix
+from qgm_sim.topology import MixingMatrix, OnePeerExponential
 
 STEPS = 4
 
@@ -71,7 +70,7 @@ def dense_at(mixing, t):
     """The reference's step-``t`` matrix: the one-peer schedule's dense
     matrix, or the static matrix itself."""
     if isinstance(mixing, OnePeerExponential):
-        return one_peer_exponential_matrix(mixing.n, t)
+        return ref.one_peer_exponential_matrix(mixing.n, t)
     return mixing
 
 
@@ -91,7 +90,7 @@ def cases(draw, max_n=6):
     else:
         weights = rng.dirichlet(np.ones(3))
         mixing = MixingMatrix(n, sum(w * np.eye(n)[rng.permutation(n)] for w in weights),
-                              np.nan, "random")
+                              np.nan)
     etas = rng.uniform(0.01, 0.3, size=STEPS)
     hp = HyperParams(eta=float(etas[0]), beta=draw(st.floats(0.0, 0.95)),
                      mu=draw(st.floats(0.0, 0.95)), tau=draw(st.integers(1, 3)))
@@ -117,9 +116,7 @@ def test_stacked_core_matches_per_worker_reference(kind, case):
     S = StackedState.init(x0, n)
     want = ref.to_workers(S)
     if kind in ("gt", "gt_momentum"):
-        want = ref.gt_init(want, grad_fn, 0)
-        stacked_gt_init(S, ref.per_worker(grad_fn), 0)
-        assert_same_bits(ref.to_workers(S), want)
+        want = ref.gt_init(want, grad_fn, 0)  # the core's first step starts its tracker
     for t in range(1, STEPS + 1):
         hp_t = dataclasses.replace(hp, eta=float(etas[t - 1]))
         want = per_worker_step(kind, want, dense_at(mixing, t - 1), hp_t, t, grad_fn)
@@ -222,8 +219,6 @@ def _run_spans_keeping_every_array(kind, mixing, monkeypatch, spans=3):
     x0 = np.linspace(-1.0, 1.0, dim)
     kept.keep(x0, "x0")
     S = StackedState.init(x0, n)
-    if kind in ("gt", "gt_momentum"):
-        stacked_gt_init(S, grad_fn, 0)
 
     def keep_state(span):
         for attr, _ in S.array_fields():
@@ -241,7 +236,7 @@ def _run_spans_keeping_every_array(kind, mixing, monkeypatch, spans=3):
     return kept, mixed
 
 
-@pytest.mark.parametrize("mixing", [MixingMatrix(4, np.full((4, 4), 0.25), np.nan, "complete"),
+@pytest.mark.parametrize("mixing", [MixingMatrix(4, np.full((4, 4), 0.25), np.nan),
                                     OnePeerExponential(4)], ids=["dense", "one_peer"])
 @pytest.mark.parametrize("kind", STEP_KINDS + ROUND_KINDS)
 def test_steps_never_write_into_an_array_they_do_not_own(kind, mixing, monkeypatch):

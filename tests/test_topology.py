@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import reference_loops as ref
 from qgm_sim.topology import (
     DAVIS_SOUTHERN_WOMEN_EDGES,
     Graph,
     MixingMatrix,
     build_graph,
     mixing_matrix,
-    one_peer_exponential_matrix,
     spectral_gap,
 )
 
@@ -132,7 +132,7 @@ class TestMixingMatrix:
         np.testing.assert_allclose(np.diag(W), [0.2, 0.8, 0.8, 0.8, 0.8], atol=1e-15)
 
     def test_time_varying_graph_rejected(self):
-        with pytest.raises(ValueError, match="one_peer_exponential_matrix"):
+        with pytest.raises(ValueError, match=r"use OnePeerExponential\(n\) instead"):
             mixing_matrix(build_graph("one_peer_exponential", 8))
 
     def test_unknown_scheme_rejected(self):
@@ -167,11 +167,11 @@ class TestMixingMatrix:
     def test_weights_must_be_n_by_n(self, shape):
         # mix reads the worker count from n and trusts the weights to match
         with pytest.raises(ValueError, match=r"n=4 workers needs weights of shape \(4, 4\)"):
-            MixingMatrix(4, np.full(shape, 0.25), 0.0, "x")
+            MixingMatrix(4, np.full(shape, 0.25), 0.0)
 
     def test_weights_are_kept_not_copied(self):
         weights = np.full((4, 4), 0.25)
-        W = MixingMatrix(4, weights, 1.0, "x")
+        W = MixingMatrix(4, weights, 1.0)
         assert W.weights is weights and W.at(3) is W
 
     def test_mixing_weights_are_read_only(self):
@@ -246,7 +246,7 @@ class TestSpectralGap:
     def test_asymmetric_input_raises(self):
         W = mixing_matrix(build_graph("ring", 8)).weights.copy()
         W[0, 1] = np.nextafter(W[0, 1], 1.0)  # one ulp off symmetric
-        for bad in (W, one_peer_exponential_matrix(8, 0).weights, np.full((2, 3), 0.5),
+        for bad in (W, ref.one_peer_exponential_matrix(8, 0).weights, np.full((2, 3), 0.5),
                     np.ones(3)):
             with pytest.raises(ValueError, match="transpose"):
                 spectral_gap(bad)
@@ -317,12 +317,12 @@ class TestOnePeerExponential:
         two, so the product equals (1/8) 1 1^T with no floating error."""
         P = np.eye(8)
         for t in range(3):
-            P = P @ one_peer_exponential_matrix(8, t).weights
+            P = P @ ref.one_peer_exponential_matrix(8, t).weights
         assert np.array_equal(P, np.full((8, 8), 1 / 8))
 
     def test_each_step_doubly_stochastic_two_entry_rows(self):
         for t in range(6):
-            W = one_peer_exponential_matrix(8, t).weights
+            W = ref.one_peer_exponential_matrix(8, t).weights
             np.testing.assert_allclose(W.sum(axis=0), np.ones(8), atol=0)
             np.testing.assert_allclose(W.sum(axis=1), np.ones(8), atol=0)
             assert np.all(np.count_nonzero(W, axis=1) == 2)
@@ -331,7 +331,7 @@ class TestOnePeerExponential:
     def test_offset_cycles_through_powers_of_two(self):
         # k = t mod log2(n): offsets 1, 2, 4, then back to 1
         for t, offset in [(0, 1), (1, 2), (2, 4), (3, 1), (5, 4)]:
-            W = one_peer_exponential_matrix(8, t).weights
+            W = ref.one_peer_exponential_matrix(8, t).weights
             assert W[0, offset] == 0.5
 
     def test_closed_form_rho_matches_svd(self):
@@ -339,15 +339,15 @@ class TestOnePeerExponential:
         for m in range(10):
             n = 1 << m
             for t in range(max(m, 1)):
-                W = one_peer_exponential_matrix(n, t)
+                W = ref.one_peer_exponential_matrix(n, t)
                 svd_rho = _svd_gap(W.weights)
                 assert abs(W.rho - svd_rho) <= 1e-14, (n, t)
                 assert (W.rho == 0.0) == (svd_rho == 0.0), (n, t)
 
     def test_single_node(self):
-        W = one_peer_exponential_matrix(1, 0)
+        W = ref.one_peer_exponential_matrix(1, 0)
         assert np.array_equal(W.weights, np.ones((1, 1)))
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
-            one_peer_exponential_matrix(12, 0)
+            ref.one_peer_exponential_matrix(12, 0)
