@@ -14,7 +14,11 @@ worker's gradient in one :func:`~qgm_sim.oracles.sample_all` call per
 evaluation (noise deterministically keyed by (worker, step)), applies the
 configured step rule to the stacked state, and records metrics evaluated at
 the averaged model.  Nothing depends on evaluation order, so metrics are
-byte-identical across reruns.
+byte-identical across reruns.  Beside a one-thread BLAS, a large
+dsgd/qg-family run computes each step's entrywise work and one-peer
+gossip in two row ranges on two threads (:func:`_halves`) and a dense
+gossip as one product; every row reads only the same row of its inputs,
+so its bytes do not depend on the split.
 
 Divergence aborts: any non-finite entry in any array the state holds raises
 :class:`NumericalDivergence` naming the step, the buffer and the worker (the
@@ -28,6 +32,9 @@ import configparser
 import dataclasses
 import functools
 import math
+import os
+import queue
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -43,6 +50,9 @@ from .optim import (
     StackedState,
     _average_model,
     _norm,
+    _run_rows,
+    _whole_task,
+    stacked_dsgd_tasks,
     stacked_mimelite_round,
     stacked_slowmo_round,
     stacked_step,
@@ -539,12 +549,13 @@ def _make_record(problem: ProblemSpec | Landscape2D, X: np.ndarray, x_bar: np.nd
                  step: int, lr: float, steps_per_epoch: int) -> MetricsRecord:
     weight_norm = _norm(x_bar)
     eff = lr / weight_norm**2 if weight_norm > 0.0 else float("inf")
+    loss, grad = problem.mean_loss_and_gradient(x_bar)
     return MetricsRecord(
         step=step,
         epoch=step / steps_per_epoch,
         lr=float(lr),
-        loss=problem.mean_loss(x_bar),
-        grad_norm=_norm(problem.mean_gradient(x_bar)),
+        loss=loss,
+        grad_norm=_norm(grad),
         consensus_dist=consensus_distance(X, x_bar),
         weight_norm=weight_norm,
         eff_stepsize=float(eff),
@@ -646,6 +657,148 @@ def _check_finite(S: StackedState, step: int, method: str, fields: list,
         verified[field] = arr
 
 
+# A half-step run whose buffers hold at least this many entries, with at
+# least this many rows, steps in two row ranges on two threads when two
+# CPUs are allowed and BLAS runs one thread.  At one BLAS thread on two
+# cores, 2^15 entries lost, 2^16 gained on one-peer but not on ring, 2^17
+# and more gained on one-peer, ring and torus, and 2^17 entries in 32 or
+# 64 rows lost (BENCH_20.json)
+_SPLIT_ENTRIES = 1 << 17
+_SPLIT_MIN_ROWS = 128
+
+_helper_lock = threading.Lock()  # starts the helper thread once
+_helper_jobs: queue.SimpleQueue | None = None
+
+
+def _serve(jobs: queue.SimpleQueue) -> None:
+    """The helper thread: run each ``(job, done)`` in turn and put its
+    result, or the exception it raised, into ``done``."""
+    while True:
+        job, done = jobs.get()
+        try:
+            result = job()
+        except BaseException as exc:  # re-raised on the calling thread
+            result = exc
+        job = None  # the step's arrays are freed as soon as the caller drops them
+        done.put(result)
+
+
+def _forget_helper() -> None:
+    """In a forked child, which has no helper thread, start afresh."""
+    global _helper_lock, _helper_jobs
+    _helper_lock, _helper_jobs = threading.Lock(), None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_helper)
+
+
+def _helper() -> queue.SimpleQueue:
+    """The helper thread's job queue, starting the thread on first use."""
+    global _helper_jobs
+    with _helper_lock:
+        if _helper_jobs is None:
+            jobs = queue.SimpleQueue()
+            threading.Thread(target=_serve, args=(jobs,), name="qgm-sim-rows",
+                             daemon=True).start()
+            _helper_jobs = jobs
+    return _helper_jobs
+
+
+@functools.cache
+def _openblas_thread_query():
+    """The thread-count query of the OpenBLAS bundled with numpy's wheel,
+    or None where numpy carries no such library."""
+    import ctypes
+    import glob
+
+    root = os.path.dirname(np.__file__)
+    for path in (glob.glob(os.path.join(root, os.pardir, "numpy.libs", "libscipy_openblas*"))
+                 + glob.glob(os.path.join(root, ".dylibs", "libscipy_openblas*"))):
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            try:
+                query = getattr(ctypes.CDLL(path), name)
+            except (OSError, AttributeError):
+                continue
+            query.argtypes, query.restype = [], ctypes.c_int
+            return query
+    return None
+
+
+def _blas_threads() -> int | None:
+    """How many threads numpy's BLAS runs now, or None when unknown."""
+    query = _openblas_thread_query()
+    return None if query is None else query()
+
+
+def _halves(kind: str, dim: int, n: int) -> tuple[slice, slice] | None:
+    """The two row ranges a run of ``kind`` on ``(dim, n)`` buffers steps
+    in, or None for one range: every kind outside the dsgd/qg family,
+    small states, a single allowed CPU, and a BLAS that runs more threads
+    or does not say (after a threaded call OpenBLAS's idle workers spin on
+    the other cores for a while, and a split step then ran 2-10% slower
+    than one range).  A 2-d landscape, ``dim`` 2, never splits; a split
+    step samples a quadratic's rows."""
+    if (kind not in HALF_STEP_KINDS or dim * n < _SPLIT_ENTRIES or dim < _SPLIT_MIN_ROWS
+            or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+            or _blas_threads() != 1):
+        return None
+    return slice(0, dim // 2), slice(dim // 2, dim)
+
+
+def _in_halves(fn, halves: tuple[slice, slice]) -> tuple:
+    """``(fn(first), fn(second))``, the second on the helper thread."""
+    first, second = halves
+    done = queue.SimpleQueue()  # one per call: an interrupted wait leaves no stale result
+    _helper().put((functools.partial(fn, second), done))
+    try:
+        mine = fn(first)
+    finally:
+        theirs = done.get()
+    if isinstance(theirs, BaseException):
+        raise theirs
+    return mine, theirs
+
+
+def _split_step(tasks: list, halves: tuple[slice, slice], S: StackedState, step: int,
+                method: str, fields: list, verified: dict) -> np.ndarray:
+    """Run a step's tasks (:func:`~qgm_sim.optim.stacked_dsgd_tasks`) over
+    ``halves`` and return the averaged model.
+
+    The row tasks run in both halves at once (:func:`_in_halves`); a dense
+    gossip (:func:`~qgm_sim.optim._whole_task`) runs between them as one
+    product on this thread.  After the last task each half writes its rows
+    of ``x_bar`` and sums its rows of every array :func:`_check_finite`
+    would check.  When every sum is finite the arrays are finite;
+    otherwise :func:`_check_finite` runs over the whole arrays and raises
+    as a run in one range would.
+    """
+    X = S.X
+    x_bar = np.empty(X.shape[0])
+    checked = [(field, getattr(S, attr), attr == "X") for attr, field in fields
+               if verified.get(field) is not getattr(S, attr)]
+    start = 0
+    for i, task in enumerate(tasks):
+        if _whole_task(task):
+            _in_halves(functools.partial(_run_rows, tasks[start:i]), halves)
+            fn, args = task
+            fn(*args)
+            start = i + 1
+    last = tasks[start:]
+
+    def finish(rows: slice) -> bool:
+        _run_rows(last, rows)
+        xb = _average_model(X[rows], x_bar[rows])
+        return all(math.isfinite(np.add.reduce(xb if is_x else arr[rows], axis=None))
+                   for _field, arr, is_x in checked)
+
+    if all(_in_halves(finish, halves)):
+        verified.update((field, arr) for field, arr, _is_x in checked)
+    else:
+        _check_finite(S, step, method, fields, verified, x_bar)
+    return x_bar
+
+
 def build_theorem_report(config: RunConfig) -> TheoremReport:
     """The theorem-condition report of a run, checked at its mixing's
     ``rho``: a static matrix's spectral gap, and 1 for the time-varying
@@ -673,7 +826,9 @@ def run(config: RunConfig) -> RunResult:
     starts at step ``step0`` and ends at ``end``; its step size is the
     schedule's at ``step0 + 1``, and after it the state is checked for
     divergence, the averaged model is traced, and a metrics row is recorded
-    when ``end`` is a multiple of ``metrics_every`` or the last step.
+    when ``end`` is a multiple of ``metrics_every`` or the last step.  A run
+    that :func:`_halves` splits computes each step, its averaged model and
+    its divergence check in two row ranges (:func:`_split_step`).
     """
     problem, mixing, kind = config.problem, config.mixing, config.optim_kind
 
@@ -683,6 +838,7 @@ def run(config: RunConfig) -> RunResult:
 
     grad_fn = functools.partial(sample_all, problem)
     S = StackedState.init(config.x0, config.n)
+    halves = _halves(kind, problem.dim, config.n)
 
     records: list[MetricsRecord] = []
     xbar_trace = [_average_model(S.X)]
@@ -701,12 +857,18 @@ def run(config: RunConfig) -> RunResult:
             stacked_slowmo_round(S, mixing, hp, config.slowmo_base, grad_fn, step0)
         elif kind == "mimelite":
             stacked_mimelite_round(S, hp, grad_fn, problem.local_gradients, step0)
-        else:
+        elif halves is None:
             stacked_step(kind, S, mixing.at(step0), hp, end, grad_fn)
+        else:
+            tasks = stacked_dsgd_tasks(kind, S, mixing.at(step0), hp, end, problem)
         if fields is None:
             fields = S.array_fields()
-        x_bar = _average_model(S.X)
-        _check_finite(S, end, kind, fields, verified, x_bar)
+        if halves is None:
+            x_bar = _average_model(S.X)
+            _check_finite(S, end, kind, fields, verified, x_bar)
+        else:
+            x_bar = _split_step(tasks, halves, S, end, kind, fields, verified)
+            del tasks  # they hold the step's inputs and scratch
         xbar_trace.append(x_bar)
         if end % config.metrics_every == 0 or end == config.steps:
             records.append(_make_record(problem, S.X, x_bar, end, lr, config.steps_per_epoch))

@@ -29,7 +29,7 @@ method's recursion is written out in the docstring of the function that
 computes it.
 
 The step functions update the :class:`StackedState` they are given by
-rebinding its fields to fresh arrays.  Buffers start at zero.  Gradients
+binding its fields to fresh arrays.  Buffers start at zero.  Gradients
 come from matrix oracles: ``grad_fn(P, step)`` returns a fresh ``(dim, n)``
 array whose column ``i`` is worker ``i``'s stochastic gradient at
 ``P[:, i]``, and mimelite's ``full_grad_fn(P)`` returns the noise-free
@@ -38,19 +38,31 @@ local gradients the same way: the engine passes
 a quadratic ``ProblemSpec`` or a ``Landscape2D``.  Both must be pure in
 their arguments; states keep the returned arrays as history.
 
-Ownership.  A step writes only into arrays it allocated itself in the same
+Ownership.  A step writes only into arrays allocated for it in the same
 call: each result is built in one such buffer with in-place operators and
-``out=``, then bound to its field, and never written again.  It never
-writes into an array the state holds, an array ``grad_fn`` returned (the
-state may keep it, as ``G_prev``, ``Y`` or qhm's ``M_hat``) or the start
-point; :func:`mix` never writes its input and always returns a fresh
-array.  A step's own scratch buffer that it passed to :func:`mix` and
-nothing else holds may take a later result once :func:`mix` has returned:
-the quasi-global movement ``d`` is written into the half-step buffer.
-Each buffer keeps the IEEE operations of the whole-array expression it
-replaces, on the same operands in the same order (``a *= s`` for ``s * a``
-swaps the operands of one product), so its bits do not depend on the
-buffering.
+``out=``, bound to its field, and never written again.  It never writes
+into an array the state held before the call, an array ``grad_fn``
+returned (the state may keep it, as ``G_prev``, ``Y`` or qhm's ``M_hat``)
+or the start point; :func:`mix` never writes its input.  A step's own
+scratch buffer that it passed to :func:`mix` and nothing else holds may
+take a later result once :func:`mix` has returned: the quasi-global
+movement ``d`` is written into the half-step buffer.  Each buffer keeps
+the IEEE operations of the whole-array expression it replaces, on the
+same operands in the same order (``a *= s`` for ``s * a`` swaps the
+operands of one product), so its bits do not depend on the buffering.
+
+Rows.  A dsgd/qg-family step (:data:`HALF_STEP_KINDS`) can also be taken
+as a list of row tasks (:func:`stacked_dsgd_tasks`, :func:`_run_rows`):
+the calling thread allocates, with ``np.empty``, every array the step
+writes and binds the results to the state; each task then computes any
+range of rows of its arrays with ``out=``, reading only the same rows of
+its inputs, as the step rules are entrywise and the one-peer shift mixes
+along the worker axis.  The dense gossip is one task that takes every
+row at once (:func:`_whole_task`).  The tasks call the functions
+:func:`stacked_dsgd_step` calls, which allocate their results when given
+no buffer.  The engine runs the row tasks of a large state in two ranges
+on two threads, and the product between them whole, so the bits do not
+depend on the ranges.
 """
 
 from __future__ import annotations
@@ -71,6 +83,7 @@ __all__ = [
     "column_mean",
     "stacked_step",
     "stacked_dsgd_step",
+    "stacked_dsgd_tasks",
     "stacked_slowmo_round",
     "stacked_mimelite_round",
     "HALF_STEP_KINDS",
@@ -169,10 +182,10 @@ class StackedState:
     server momentum of a mimelite round (it has no :class:`WorkerState`
     field).
 
-    The step functions below rebind fields to fresh arrays and never write
-    into an array once a field holds it, so arrays handed out stay valid
-    (the module docstring states the ownership rule).  ``==`` is identity:
-    arrays have no one truth value.
+    The step functions below bind fields to arrays allocated for the step
+    and never write into an array once that step is done, so arrays handed
+    out stay valid (the module docstring states the ownership rule).
+    ``==`` is identity: arrays have no one truth value.
     """
 
     X: np.ndarray
@@ -206,13 +219,16 @@ class StackedState:
         return [(attr, name) for attr, name in _FIELDS if getattr(self, attr) is not None]
 
 
-def mix(X: np.ndarray, W) -> np.ndarray:
-    """One communication round on stacked models, into a fresh array, with
-    one step's mixing ``W``: ``X W^T`` for a
-    :class:`~qgm_sim.topology.MixingMatrix`, so worker i receives
-    sum_j W[i, j] x_j; for a :class:`~qgm_sim.topology.OnePeerStep` with
-    offset k, column i becomes ``0.5 x_i + 0.5 x_{(i + k) mod n}``.  Only
-    models move; buffers stay local.
+def mix(X: np.ndarray, W, out: np.ndarray | None = None) -> np.ndarray:
+    """One communication round on stacked models, with one step's mixing
+    ``W``: ``X W^T`` for a :class:`~qgm_sim.topology.MixingMatrix`, so
+    worker i receives sum_j W[i, j] x_j; for a
+    :class:`~qgm_sim.topology.OnePeerStep` with offset k, column i becomes
+    ``0.5 x_i + 0.5 x_{(i + k) mod n}``.  Only models move; buffers stay
+    local.  The result goes into ``out``, an array of ``X``'s shape that
+    shares no memory with it, or into a fresh array when ``out`` is None;
+    ``X`` is never written.  A row of the one-peer average reads only the
+    same row of ``X``, so it may be given the same rows of larger arrays.
 
     The one-peer average has the bits of the dense product with that
     step's matrix on every finite input outside the subnormal range, where
@@ -226,11 +242,13 @@ def mix(X: np.ndarray, W) -> np.ndarray:
     if X.shape[1] != n:
         raise ValueError(f"state count {X.shape[1]} does not match mixing matrix size {n}")
     if not isinstance(W, OnePeerStep):
-        return X @ W.weights.T
+        return np.matmul(X, W.weights.T, out)
+    if out is None:
+        out = np.empty_like(X)
     if n == 1:
-        return X.copy()
+        np.copyto(out, X)
+        return out
     k = W.offset
-    out = np.empty_like(X)
     rows = max(1, (1 << 18) // (n * X.itemsize))  # ~256 KiB of halves, not a full copy
     for r in range(0, len(X), rows):
         H, o = 0.5 * X[r:r + rows], out[r:r + rows]
@@ -245,11 +263,12 @@ def column_mean(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(X.T).mean(axis=0)
 
 
-def _average_model(X: np.ndarray) -> np.ndarray:
-    """``X.mean(axis=1)`` as a fresh array, bit for bit: the sum reduction
-    and the in-place division by ``n`` that ``ndarray.mean`` runs, without
-    its Python wrapper."""
-    x_bar = np.add.reduce(X, axis=1)
+def _average_model(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``X.mean(axis=1)``, bit for bit: the sum reduction and the in-place
+    division by ``n`` that ``ndarray.mean`` runs, without its Python
+    wrapper, into ``out`` or a fresh array.  Each entry reads only its own
+    row of ``X``."""
+    x_bar = np.add.reduce(X, 1, None, out)  # positional: numpy parses no keywords
     x_bar /= X.shape[1]
     return x_bar
 
@@ -266,7 +285,32 @@ def _norm(v: np.ndarray) -> float:
 # the stacked core: one small function per method, all over StackedState
 # ---------------------------------------------------------------------------
 
-def _half_step(kind: str, S: StackedState, G, hp: HyperParams) -> np.ndarray:
+def _run_rows(tasks, rows: slice) -> None:
+    """Run row tasks in order over ``rows`` of the leading (``dim``) axis.
+
+    A row task is ``(fn, args)``: ``fn(*args)`` computes every row of the
+    arrays it writes, and ``fn`` given the same rows of each array in
+    ``args`` (every other argument passed as it is) computes those rows
+    only.  Running a step's tasks over every row, at once or range by range
+    in order, completes the step; the ranges may run on different threads
+    at the same time.  A :func:`_whole_task` is no row task and never comes
+    here.
+    """
+    for fn, args in tasks:
+        fn(*[a[rows] if isinstance(a, np.ndarray) else a for a in args])
+
+
+def _whole_task(task) -> bool:
+    """Whether ``task`` must run over every row at once: the dense gossip,
+    one matrix product.  A step in row ranges runs it whole, on the calling
+    thread, between the ranges of the tasks before and after it, so the
+    product's bits do not depend on the ranges at any BLAS thread count."""
+    fn, args = task
+    return fn is mix and not isinstance(args[1], OnePeerStep)
+
+
+def _half_step(kind: str, eta: float, beta: float, X, G, M_hat, M_local, M=None,
+               H=None) -> tuple:
     """Pre-gossip models of the dsgd/qg family, per worker column:
 
       dsgd       x <- x - eta g
@@ -277,40 +321,51 @@ def _half_step(kind: str, S: StackedState, G, hp: HyperParams) -> np.ndarray:
 
     The ``_n`` variants apply the buffer the way PyTorch's Nesterov flag
     does: the freshly updated buffer is combined with the raw gradient once
-    more.  The local-momentum kinds write ``M_local``; the QG kinds read
-    ``M_hat`` but never write it (that happens after gossip, in
-    :func:`stacked_dsgd_step`).  ``G`` None means no gradient (pure
-    consensus), which only ``qg_dsgdm`` accepts.
+    more.  Returns ``(H, M)``: the half step, and for the local-momentum
+    kinds the new ``m_local`` (None otherwise), each written into the array
+    given or a fresh one when it is None.  The QG kinds read ``M_hat`` but
+    never write it (that happens after gossip, in :func:`_refresh`).  ``G``
+    None means no gradient (pure consensus), which only ``qg_dsgdm``
+    accepts.
     """
-    eta, beta = hp.eta, hp.beta
     if kind == "dsgd":
-        H = eta * G
+        H = np.multiply(eta, G, H)
     elif kind == "dsgdm":
-        m = beta * S.M_local
-        m += G
-        S.M_local = m
-        H = eta * m
+        M = np.multiply(beta, M_local, M)
+        M += G
+        H = np.multiply(eta, M, H)
     elif kind == "dsgdm_n":
-        m = beta * S.M_local
-        m += G
-        S.M_local = m
-        H = beta * m
+        M = np.multiply(beta, M_local, M)
+        M += G
+        H = np.multiply(beta, M, H)
         H += G
         H *= eta
     elif kind == "qg_dsgdm":
-        H = beta * S.M_hat
+        H = np.multiply(beta, M_hat, H)
         if G is not None:
             H += G
         H *= eta
     elif kind == "qg_dsgdm_n":
-        H = beta * S.M_hat  # m_tmp
+        H = np.multiply(beta, M_hat, H)  # m_tmp
         H += G
         H *= beta
         H += G
         H *= eta
     else:
         raise ValueError(f"unknown half-step kind {kind!r}; expected one of {HALF_STEP_KINDS}")
-    return np.subtract(S.X, H, out=H)
+    np.subtract(X, H, H)
+    return H, M
+
+
+def _refresh(eta: float, mu: float, X, X_new, M_hat, D, M=None) -> np.ndarray:
+    """The quasi-global buffer update (:func:`stacked_dsgd_step`) into
+    ``M``, or a fresh array when it is None, with ``D`` as scratch."""
+    np.subtract(X, X_new, D)
+    D /= eta
+    D *= 1.0 - mu
+    M = np.multiply(mu, M_hat, M)
+    M += D
+    return M
 
 
 def stacked_dsgd_step(kind: str, S: StackedState, G, W, hp: HyperParams,
@@ -332,16 +387,37 @@ def stacked_dsgd_step(kind: str, S: StackedState, G, W, hp: HyperParams,
     into the buffer; ``G`` None drops the gradient, leaving pure buffered
     averaging.
     """
-    H = _half_step(kind, S, G, hp)
-    X_new = mix(H, W)
+    X, M_hat = S.X, S.M_hat
+    H, M = _half_step(kind, hp.eta, hp.beta, X, G, M_hat, S.M_local)
+    if M is not None:
+        S.M_local = M
+    S.X = X_new = mix(H, W)
     if refresh and kind.startswith("qg_"):
-        d = np.subtract(S.X, X_new, out=H)  # H is dead once mix returns
-        d /= hp.eta
-        d *= 1.0 - hp.mu
-        M = hp.mu * S.M_hat
-        M += d
-        S.M_hat = M
-    S.X = X_new
+        S.M_hat = _refresh(hp.eta, hp.mu, X, X_new, M_hat, H)  # H is dead once mix returns
+
+
+def stacked_dsgd_tasks(kind: str, S: StackedState, W, hp: HyperParams, step: int,
+                       problem) -> list:
+    """Step ``step`` of half-step kind ``kind`` on ``S`` as tasks to run
+    over row ranges (:func:`_run_rows`, :func:`_whole_task`): the step that
+    :func:`stacked_step` takes with ``problem.sample_all`` as its oracle,
+    through the same functions.  Every array the tasks write is allocated
+    here and the results are bound to ``S`` before they run.  ``problem``
+    is a quadratic :class:`~qgm_sim.oracles.ProblemSpec`, whose
+    ``sample_rows`` draws the step's noise here, on the calling thread."""
+    X, M_hat, M_local, M = S.X, S.M_hat, S.M_local, None
+    G, H = np.empty(X.shape), np.empty(X.shape)
+    if kind in ("dsgdm", "dsgdm_n"):
+        S.M_local = M = np.empty(X.shape)
+    S.X = X_new = np.empty(X.shape)
+    fn, arrays = problem.sample_rows(step)
+    tasks = [(fn, (X, G, *arrays)),
+             (_half_step, (kind, hp.eta, hp.beta, X, G, M_hat, M_local, M, H)),
+             (mix, (H, W, X_new))]
+    if kind.startswith("qg_") and step % hp.tau == 0:
+        S.M_hat = M_new = np.empty(X.shape)
+        tasks.append((_refresh, (hp.eta, hp.mu, X, X_new, M_hat, H, M_new)))
+    return tasks
 
 
 def _qg_dadam(S: StackedState, G, W, hp: HyperParams) -> None:

@@ -3,8 +3,10 @@
 Four problem families, each exposing loss and analytic gradient, in two
 classes that answer one protocol (``n_workers``, ``dim``, ``noise_bound``,
 ``sample``, ``local_gradients``, ``sample_all``, ``mean_loss``,
-``mean_gradient``, ``sample_mean_part``): :class:`Landscape2D` holds the
-noise-free 2-d landscapes and :class:`ProblemSpec` the quadratic family.
+``mean_gradient``, ``mean_loss_and_gradient``, ``sample_mean_part``):
+:class:`Landscape2D` holds the noise-free 2-d landscapes and
+:class:`ProblemSpec` the quadratic family, which also gives one
+evaluation as a row task (``sample_rows``).
 
 * ``toy2d_hetero`` — two (or more) workers whose gradients are unit vectors
   pointing from the current iterate toward per-worker target points; the
@@ -248,7 +250,9 @@ def toy2d_gradient(worker: int, x, targets=DEFAULT_TOY2D_TARGETS, scale: float =
     grad = scale * (x - target_w) / ||x - target_w||, so a descent step moves
     straight toward the target; loss is the distance ||x - target_w||.  At
     the target itself the gradient is defined as zero and the sample is
-    flagged converged.
+    flagged converged.  A finite ``x - target`` whose norm overflows (past
+    about 1.3e154) is divided by its largest magnitude first, so the pull
+    stays a unit vector and the distance finite where it is representable.
     """
     x = np.asarray(x, dtype=float)
     target = np.asarray(targets[worker], dtype=float)
@@ -256,6 +260,11 @@ def toy2d_gradient(worker: int, x, targets=DEFAULT_TOY2D_TARGETS, scale: float =
     dist = _norm(diff)
     if dist == 0.0:
         return GradientSample(np.zeros_like(x), 0.0, converged=True)
+    if dist == math.inf and np.isfinite(diff).all():
+        big = np.abs(diff).max()
+        diff = diff / big
+        unit = _norm(diff)
+        return GradientSample(scale * diff / unit, big * unit)
     return GradientSample(scale * diff / dist, dist)
 
 
@@ -354,17 +363,23 @@ class Landscape2D:
         """Worker ``worker``'s gradient at ``x``."""
         return self.sample(worker, x, step=0).grad
 
+    def mean_loss_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """:meth:`mean_loss` and :meth:`mean_gradient` at ``x`` from one
+        oracle call per worker, each sample giving both its loss and its
+        gradient."""
+        samples = [self.sample(w, x, step=0) for w in range(self.n_workers)]
+        losses = np.array([s.loss for s in samples])
+        g = np.add.reduce(np.array([s.grad for s in samples]), axis=0)
+        g /= self.n_workers
+        return float(np.add.reduce(losses)) / self.n_workers, g
+
     def mean_gradient(self, x: np.ndarray) -> np.ndarray:
         """Gradient of f = mean_i f_i with ``G.mean(axis=0)``'s kernels."""
-        G = np.array([self.sample(w, x, step=0).grad for w in range(self.n_workers)])
-        g = np.add.reduce(G, axis=0)
-        g /= self.n_workers
-        return g
+        return self.mean_loss_and_gradient(x)[1]
 
     def mean_loss(self, x: np.ndarray) -> float:
         """f(x) = (1/n) sum_i f_i(x) with ``np.mean``'s kernels."""
-        losses = np.array([self.sample(w, x, step=0).loss for w in range(self.n_workers)])
-        return float(np.add.reduce(losses)) / self.n_workers
+        return self.mean_loss_and_gradient(x)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,16 +482,25 @@ class ProblemSpec:
         r = np.ascontiguousarray(self._residuals(X)[:, worker])
         return GradientSample(self.sample_all(X, step)[:, worker].copy(), 0.5 * float(r @ r))
 
+    def sample_rows(self, step: int):
+        """One evaluation at ``step`` as a row task ``(fn, arrays)``:
+        ``fn(P, out, *arrays)`` writes ``a (a P - B) + sigma_c Z`` into
+        ``out`` (a fresh array when it is None) and returns it, ``B`` the
+        stacked ``b_i`` and row ``i`` of ``Z`` worker ``i``'s Philox draw,
+        which is drawn here, on the calling thread.  Row d of ``out`` reads
+        only row d of ``P`` and of ``arrays``, so the task runs over any
+        range of rows (:func:`qgm_sim.optim._run_rows`)."""
+        if self._pools is None:
+            return _quadratic_rows, (self.a_diag[:, None], self._B, None)
+        Z = _standard_normals(self._pools, step, self.dim)
+        Z *= self.sigma_c
+        return _quadratic_rows, (self.a_diag[:, None], self._B, Z.T)
+
     def sample_all(self, P: np.ndarray, step: int) -> np.ndarray:
         """Every worker's stochastic gradient at ``step`` as a fresh
-        ``(dim, n)`` array, ``a (a P - B) + sigma_c Z``: ``B`` the stacked
-        ``b_i`` and row ``i`` of ``Z`` worker ``i``'s Philox draw."""
-        G = self.local_gradients(P)
-        if self._pools is not None:
-            Z = _standard_normals(self._pools, step, self.dim)
-            Z *= self.sigma_c
-            G += Z.T
-        return G
+        ``(dim, n)`` array: :meth:`sample_rows` over every row."""
+        fn, arrays = self.sample_rows(step)
+        return fn(P, None, *arrays)
 
     def local_gradients(self, P: np.ndarray) -> np.ndarray:
         """Noise-free local gradients as a fresh ``(dim, n)`` array: column
@@ -520,6 +544,10 @@ class ProblemSpec:
         every worker."""
         return self.local_gradients(self._at_every_worker(x))[:, worker].copy()
 
+    def mean_loss_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """:meth:`mean_loss` and :meth:`mean_gradient` at ``x``."""
+        return self.mean_loss(x), self.mean_gradient(x)
+
     def mean_loss(self, x: np.ndarray) -> float:
         """Averaged objective value f(x) = (1/n) sum_i f_i(x), with
         ``np.mean``'s kernels; each worker's sum runs over a row of a
@@ -528,6 +556,17 @@ class ProblemSpec:
         losses = np.add.reduce(np.square(R, out=R), axis=1)
         losses *= 0.5
         return float(np.add.reduce(losses)) / self.n_workers
+
+
+def _quadratic_rows(P, out, a, B, Zt) -> np.ndarray:
+    """``a (a P - B) + Zt`` entrywise into ``out``, or a fresh array when it
+    is None, ``a`` a ``(rows, 1)`` column; ``Zt`` None adds nothing."""
+    out = np.multiply(a, P, out)
+    out -= B
+    out *= a
+    if Zt is not None:
+        out += Zt
+    return out
 
 
 def quadratic_family(dim: int, n_workers: int, zeta_c: float = 0.0, sigma_c: float = 0.0,

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import reference_loops as ref
-from qgm_sim import consensus, engine, optim, topology
+from qgm_sim import consensus, engine, optim, oracles, topology
 from qgm_sim.engine import (
     METRICS_HEADER,
     ConfigError,
@@ -403,6 +403,25 @@ class TestMetrics:
             assert rec.eff_stepsize == pytest.approx(rec.lr / wn**2, rel=1e-12)
             g = cfg.problem.mean_gradient(x_bar)
             assert rec.grad_norm == pytest.approx(float(np.linalg.norm(g)), rel=1e-12)
+
+    def test_a_2d_record_calls_each_workers_oracle_once(self, monkeypatch):
+        # one sample per worker gives both the loss and the gradient of the
+        # row, with the bits mean_loss and mean_gradient give
+        calls = []
+        real = oracles.rosenbrock_gradient
+
+        def counted(x):
+            calls.append(None)
+            return real(x)
+
+        problem = oracles.Landscape2D(kind="rosenbrock", n_workers=3)
+        x_bar = np.array([0.3, -1.7])
+        loss, grad = problem.mean_loss(x_bar), problem.mean_gradient(x_bar)
+        monkeypatch.setattr(oracles, "rosenbrock_gradient", counted)
+        rec = engine._make_record(problem, np.repeat(x_bar[:, None], 3, axis=1), x_bar,
+                                  4, 0.1, 10)
+        assert len(calls) == 3
+        assert rec.loss == loss and rec.grad_norm == optim._norm(grad)
 
     def test_cadence_and_final_row(self):
         res = quiet_run(make_config(**{"run.steps": "10", "run.metrics_every": "3"}))

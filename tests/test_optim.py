@@ -24,7 +24,6 @@ from qgm_sim.optim import (
     StackedState,
     _average_model,
     _column_norms,
-    _half_step,
     _norm,
     column_mean,
     mix,
@@ -96,6 +95,13 @@ class TestHyperParams:
 # half steps: one-step hand substitutions
 # ---------------------------------------------------------------------------
 
+def half_step(kind, S, g, hp):
+    """The pre-gossip models of one step: with the one-worker identity
+    mixing and no buffer refresh, the step leaves exactly its half step."""
+    stacked_dsgd_step(kind, S, g, W1, hp, refresh=False)
+    return S.X
+
+
 class TestLocalHalfStep:
     def setup_method(self):
         self.hp = HyperParams(eta=0.1, beta=0.9)
@@ -103,33 +109,33 @@ class TestLocalHalfStep:
         self.g = np.array([[0.5]])
 
     def test_plain_descent_substitution(self):
-        X = _half_step("dsgd", self.S, self.g, self.hp)
+        X = half_step("dsgd", self.S, self.g, self.hp)
         assert X[0, 0] == pytest.approx(0.95, abs=1e-15)
 
     def test_heavy_ball_first_step_equals_descent(self):
-        X = _half_step("dsgdm", self.S, self.g, self.hp)
+        X = half_step("dsgdm", self.S, self.g, self.hp)
         assert self.S.M_local[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert X[0, 0] == pytest.approx(0.95, abs=1e-15)
 
     def test_nesterov_first_step_applies_buffer_twice(self):
-        X = _half_step("dsgdm_n", self.S, self.g, self.hp)
+        X = half_step("dsgdm_n", self.S, self.g, self.hp)
         # m = g, then x - eta (beta m + g) = x - eta (1 + beta) g
         assert self.S.M_local[0, 0] == pytest.approx(0.5, abs=1e-15)
         assert X[0, 0] == pytest.approx(1.0 - 0.1 * 1.9 * 0.5, abs=1e-15)
 
     def test_quasi_global_first_step_equals_descent(self):
-        X = _half_step("qg_dsgdm", self.S, self.g, self.hp)
+        X = half_step("qg_dsgdm", self.S, self.g, self.hp)
         assert X[0, 0] == pytest.approx(0.95, abs=1e-15)
         # the buffer is read, never written, by the half step
         assert self.S.M_hat[0, 0] == 0.0
 
     def test_quasi_global_nesterov_first_step(self):
-        X = _half_step("qg_dsgdm_n", self.S, self.g, self.hp)
+        X = half_step("qg_dsgdm_n", self.S, self.g, self.hp)
         assert X[0, 0] == pytest.approx(1.0 - 0.1 * 1.9 * 0.5, abs=1e-15)
 
     def test_quasi_global_reads_buffer(self):
         self.S.M_hat = m_hat = np.array([[2.0]])
-        X = _half_step("qg_dsgdm", self.S, self.g, self.hp)
+        X = half_step("qg_dsgdm", self.S, self.g, self.hp)
         assert X[0, 0] == pytest.approx(1.0 - 0.1 * (0.9 * 2.0 + 0.5), abs=1e-15)
         assert np.array_equal(self.S.M_hat, m_hat)
 

@@ -52,6 +52,18 @@ class TestToy2d:
         s = toy2d_gradient(0, np.zeros(2), scale=2.5)
         np.testing.assert_allclose(s.grad, [0.0, -2.5])
 
+    @pytest.mark.parametrize("x,pull", [((1e160, 0.0), (1.0, 0.0)), ((-1e160, 0.0), (-1.0, 0.0)),
+                                        ((1e155, 1e155), (0.5**0.5, 0.5**0.5))])
+    def test_pull_stays_a_unit_vector_where_the_squared_distance_overflows(self, x, pull):
+        # ||x - target||^2 overflows past ~1.3e154, where the pull once
+        # came out zero and the loss inf
+        x = np.array(x)
+        with np.errstate(over="ignore"):
+            s = toy2d_gradient(0, x)
+        np.testing.assert_allclose(s.grad, pull, rtol=1e-15, atol=1e-150)
+        assert s.loss == pytest.approx(float(np.hypot(*(x - (0.0, 5.0)))), rel=1e-15)
+        assert not s.converged
+
 
 class TestRosenbrock:
     def test_global_minimum(self):

@@ -208,9 +208,9 @@ def _run_spans_keeping_every_array(kind, mixing, monkeypatch, spans=3):
 
     real_mix = optim.mix
 
-    def mix(X, W):
+    def mix(X, W, out=None):
         bits = X.tobytes()
-        out = real_mix(X, W)
+        out = real_mix(X, W, out)
         assert not np.shares_memory(out, X)
         mixed.append((X, bits, X.tobytes()))
         return out
