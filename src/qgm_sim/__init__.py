@@ -57,7 +57,6 @@ from .heterogeneity import dirichlet_partition, partition_stats
 from .optim import (
     HyperParams,
     StackedState,
-    WorkerState,
     stacked_mimelite_round,
     stacked_slowmo_round,
     stacked_step,
@@ -100,7 +99,6 @@ __all__ = [
     "ScheduleSpec",
     "StackedState",
     "TheoremReport",
-    "WorkerState",
     "build_graph",
     "consensus_distance",
     "dirichlet_partition",

@@ -51,7 +51,6 @@ from .optim import (
     _average_model,
     _norm,
     _run_rows,
-    _whole_task,
     stacked_dsgd_tasks,
     stacked_mimelite_round,
     stacked_slowmo_round,
@@ -593,14 +592,16 @@ def heading_change_sum(points) -> float:
     Segments shorter than 1e-9 times the trajectory's bounding-box diagonal
     are skipped: at that scale a step direction is rounding noise, and a
     converged method sitting at an optimum would otherwise accumulate
-    arbitrary turning angle from jitter."""
+    arbitrary turning angle from jitter.  Lengths are measured on a quarter
+    of the points, where no difference or ``np.hypot`` overflows."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise ValueError(f"points must be (T, 2); got shape {pts.shape}")
+    pts = pts * 0.25
     deltas = np.diff(pts, axis=0)
-    extent = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
-    floor = max(1e-15, 1e-9 * extent)
-    deltas = deltas[np.linalg.norm(deltas, axis=1) > floor]
+    extent = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
+    floor = max(0.25 * 1e-15, 1e-9 * extent)
+    deltas = deltas[np.hypot(deltas[:, 0], deltas[:, 1]) > floor]
     if len(deltas) < 2:
         return 0.0
     headings = np.arctan2(deltas[:, 1], deltas[:, 0])
@@ -760,34 +761,30 @@ def _in_halves(fn, halves: tuple[slice, slice]) -> tuple:
     return mine, theirs
 
 
-def _split_step(tasks: list, halves: tuple[slice, slice], S: StackedState, step: int,
-                method: str, fields: list, verified: dict) -> np.ndarray:
-    """Run a step's tasks (:func:`~qgm_sim.optim.stacked_dsgd_tasks`) over
-    ``halves`` and return the averaged model.
+def _split_step(phases: tuple, halves: tuple[slice, slice], S: StackedState, step: int,
+                 method: str, fields: list, verified: dict) -> np.ndarray:
+    """Run a step's phases (:func:`~qgm_sim.optim.stacked_dsgd_tasks`),
+    each phase of row tasks in both ``halves`` at once (:func:`_in_halves`)
+    and the product between them on this thread, and return the averaged
+    model.
 
-    The row tasks run in both halves at once (:func:`_in_halves`); a dense
-    gossip (:func:`~qgm_sim.optim._whole_task`) runs between them as one
-    product on this thread.  After the last task each half writes its rows
-    of ``x_bar`` and sums its rows of every array :func:`_check_finite`
-    would check.  When every sum is finite the arrays are finite;
-    otherwise :func:`_check_finite` runs over the whole arrays and raises
-    as a run in one range would.
+    After the last task each half writes its rows of ``x_bar`` and sums
+    its rows of every array :func:`_check_finite` would check.  When every
+    sum is finite the arrays are finite; otherwise :func:`_check_finite`
+    runs over the whole arrays and raises as a run in one range would.
     """
+    before, product, after = phases
     X = S.X
     x_bar = np.empty(X.shape[0])
     checked = [(field, getattr(S, attr), attr == "X") for attr, field in fields
                if verified.get(field) is not getattr(S, attr)]
-    start = 0
-    for i, task in enumerate(tasks):
-        if _whole_task(task):
-            _in_halves(functools.partial(_run_rows, tasks[start:i]), halves)
-            fn, args = task
-            fn(*args)
-            start = i + 1
-    last = tasks[start:]
+    if product is not None:
+        _in_halves(functools.partial(_run_rows, before), halves)
+        fn, args = product
+        fn(*args)
 
     def finish(rows: slice) -> bool:
-        _run_rows(last, rows)
+        _run_rows(after, rows)
         xb = _average_model(X[rows], x_bar[rows])
         return all(math.isfinite(np.add.reduce(xb if is_x else arr[rows], axis=None))
                    for _field, arr, is_x in checked)
@@ -860,15 +857,15 @@ def run(config: RunConfig) -> RunResult:
         elif halves is None:
             stacked_step(kind, S, mixing.at(step0), hp, end, grad_fn)
         else:
-            tasks = stacked_dsgd_tasks(kind, S, mixing.at(step0), hp, end, problem)
+            phases = stacked_dsgd_tasks(kind, S, mixing.at(step0), hp, end, problem)
         if fields is None:
             fields = S.array_fields()
         if halves is None:
             x_bar = _average_model(S.X)
             _check_finite(S, end, kind, fields, verified, x_bar)
         else:
-            x_bar = _split_step(tasks, halves, S, end, kind, fields, verified)
-            del tasks  # they hold the step's inputs and scratch
+            x_bar = _split_step(phases, halves, S, end, kind, fields, verified)
+            del phases  # they hold the step's inputs and scratch
         xbar_trace.append(x_bar)
         if end % config.metrics_every == 0 or end == config.steps:
             records.append(_make_record(problem, S.X, x_bar, end, lr, config.steps_per_epoch))

@@ -52,17 +52,17 @@ same operands in the same order (``a *= s`` for ``s * a`` swaps the
 operands of one product), so its bits do not depend on the buffering.
 
 Rows.  A dsgd/qg-family step (:data:`HALF_STEP_KINDS`) can also be taken
-as a list of row tasks (:func:`stacked_dsgd_tasks`, :func:`_run_rows`):
+in phases of row tasks (:func:`stacked_dsgd_tasks`, :func:`_run_rows`):
 the calling thread allocates, with ``np.empty``, every array the step
 writes and binds the results to the state; each task then computes any
 range of rows of its arrays with ``out=``, reading only the same rows of
 its inputs, as the step rules are entrywise and the one-peer shift mixes
-along the worker axis.  The dense gossip is one task that takes every
-row at once (:func:`_whole_task`).  The tasks call the functions
-:func:`stacked_dsgd_step` calls, which allocate their results when given
-no buffer.  The engine runs the row tasks of a large state in two ranges
-on two threads, and the product between them whole, so the bits do not
-depend on the ranges.
+along the worker axis.  A dense gossip is one product over every row,
+and the step's phases name it (:func:`stacked_dsgd_tasks`).  The tasks
+call the functions :func:`stacked_dsgd_step` calls, which allocate their
+results when given no buffer.  The engine runs the row tasks of a large
+state in two ranges on two threads, and the product between them whole,
+so the bits do not depend on the ranges.
 """
 
 from __future__ import annotations
@@ -291,22 +291,12 @@ def _run_rows(tasks, rows: slice) -> None:
     A row task is ``(fn, args)``: ``fn(*args)`` computes every row of the
     arrays it writes, and ``fn`` given the same rows of each array in
     ``args`` (every other argument passed as it is) computes those rows
-    only.  Running a step's tasks over every row, at once or range by range
-    in order, completes the step; the ranges may run on different threads
-    at the same time.  A :func:`_whole_task` is no row task and never comes
-    here.
+    only.  Running a phase's tasks (:func:`stacked_dsgd_tasks`) over every
+    row, at once or range by range in order, completes the phase; the
+    ranges may run on different threads at the same time.
     """
     for fn, args in tasks:
         fn(*[a[rows] if isinstance(a, np.ndarray) else a for a in args])
-
-
-def _whole_task(task) -> bool:
-    """Whether ``task`` must run over every row at once: the dense gossip,
-    one matrix product.  A step in row ranges runs it whole, on the calling
-    thread, between the ranges of the tasks before and after it, so the
-    product's bits do not depend on the ranges at any BLAS thread count."""
-    fn, args = task
-    return fn is mix and not isinstance(args[1], OnePeerStep)
 
 
 def _half_step(kind: str, eta: float, beta: float, X, G, M_hat, M_local, M=None,
@@ -397,27 +387,32 @@ def stacked_dsgd_step(kind: str, S: StackedState, G, W, hp: HyperParams,
 
 
 def stacked_dsgd_tasks(kind: str, S: StackedState, W, hp: HyperParams, step: int,
-                       problem) -> list:
-    """Step ``step`` of half-step kind ``kind`` on ``S`` as tasks to run
-    over row ranges (:func:`_run_rows`, :func:`_whole_task`): the step that
+                       problem) -> tuple[list, tuple | None, list]:
+    """Step ``step`` of half-step kind ``kind`` on ``S`` in phases, the step
     :func:`stacked_step` takes with ``problem.sample_all`` as its oracle,
-    through the same functions.  Every array the tasks write is allocated
-    here and the results are bound to ``S`` before they run.  ``problem``
-    is a quadratic :class:`~qgm_sim.oracles.ProblemSpec`, whose
-    ``sample_rows`` draws the step's noise here, on the calling thread."""
+    through the same functions: ``(before, product, after)``, the row tasks
+    (:func:`_run_rows`) before the dense gossip, the gossip as one task
+    ``(mix, args)`` over every row at once, and the row tasks after it.  A
+    one-peer step's gossip is a row task, so its product is None and every
+    task is in ``after``.  Every array the tasks write is allocated here and
+    bound to ``S`` before they run.  ``problem`` is a quadratic
+    :class:`~qgm_sim.oracles.ProblemSpec`, whose ``sample_rows`` draws the
+    step's noise here, on the calling thread."""
     X, M_hat, M_local, M = S.X, S.M_hat, S.M_local, None
     G, H = np.empty(X.shape), np.empty(X.shape)
     if kind in ("dsgdm", "dsgdm_n"):
         S.M_local = M = np.empty(X.shape)
     S.X = X_new = np.empty(X.shape)
     fn, arrays = problem.sample_rows(step)
-    tasks = [(fn, (X, G, *arrays)),
-             (_half_step, (kind, hp.eta, hp.beta, X, G, M_hat, M_local, M, H)),
-             (mix, (H, W, X_new))]
+    before = [(fn, (X, G, *arrays)),
+              (_half_step, (kind, hp.eta, hp.beta, X, G, M_hat, M_local, M, H))]
+    gossip, after = (mix, (H, W, X_new)), []
     if kind.startswith("qg_") and step % hp.tau == 0:
         S.M_hat = M_new = np.empty(X.shape)
-        tasks.append((_refresh, (hp.eta, hp.mu, X, X_new, M_hat, H, M_new)))
-    return tasks
+        after.append((_refresh, (hp.eta, hp.mu, X, X_new, M_hat, H, M_new)))
+    if isinstance(W, OnePeerStep):
+        return [], None, [*before, gossip, *after]
+    return before, gossip, after
 
 
 def _qg_dadam(S: StackedState, G, W, hp: HyperParams) -> None:

@@ -1,10 +1,10 @@
 """Gradient oracles for the test problems.
 
 Four problem families, each exposing loss and analytic gradient, in two
-classes that answer one protocol (``n_workers``, ``dim``, ``noise_bound``,
-``sample``, ``local_gradients``, ``sample_all``, ``mean_loss``,
-``mean_gradient``, ``mean_loss_and_gradient``, ``sample_mean_part``):
-:class:`Landscape2D` holds the noise-free 2-d landscapes and
+classes that answer one protocol, what a run reads (``n_workers``,
+``dim``, ``noise_bound``, ``sample_all``, ``local_gradients``,
+``mean_loss_and_gradient``), plus each class's per-worker oracle
+``sample``: :class:`Landscape2D` holds the noise-free 2-d landscapes and
 :class:`ProblemSpec` the quadratic family, which also gives one
 evaluation as a row task (``sample_rows``).
 
@@ -359,27 +359,15 @@ class Landscape2D:
 
     local_gradients = sample_all  # noise-free
 
-    def sample_mean_part(self, worker: int, x: np.ndarray) -> np.ndarray:
-        """Worker ``worker``'s gradient at ``x``."""
-        return self.sample(worker, x, step=0).grad
-
     def mean_loss_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        """:meth:`mean_loss` and :meth:`mean_gradient` at ``x`` from one
-        oracle call per worker, each sample giving both its loss and its
-        gradient."""
+        """The averaged objective f = mean_i f_i at ``x`` and its gradient,
+        with ``np.mean``'s and ``G.mean(axis=0)``'s kernels, from one
+        oracle call per worker that gives both."""
         samples = [self.sample(w, x, step=0) for w in range(self.n_workers)]
         losses = np.array([s.loss for s in samples])
         g = np.add.reduce(np.array([s.grad for s in samples]), axis=0)
         g /= self.n_workers
         return float(np.add.reduce(losses)) / self.n_workers, g
-
-    def mean_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Gradient of f = mean_i f_i with ``G.mean(axis=0)``'s kernels."""
-        return self.mean_loss_and_gradient(x)[1]
-
-    def mean_loss(self, x: np.ndarray) -> float:
-        """f(x) = (1/n) sum_i f_i(x) with ``np.mean``'s kernels."""
-        return self.mean_loss_and_gradient(x)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -402,6 +390,10 @@ class ProblemSpec:
     Construction also builds, read-only, what every evaluation reads: the
     stacked targets ``b_i`` (columns and rows) and, when the family is
     noisy, the per-run part of its noise-key hash (:func:`_seed_pools`).
+
+    ``mean_loss_and_gradient`` calls ``mean_loss`` and ``mean_gradient``;
+    they and ``sample_mean_part`` stay methods because the benchmark's
+    tracer times them by name (``METHODS`` in ``perfbench/tracing.py``).
     """
 
     kind = "quadratic_family"  # a class constant, not a field

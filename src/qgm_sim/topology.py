@@ -108,10 +108,6 @@ class Graph:
             deg[v] += 1
         return deg
 
-    def neighbors(self, i: int) -> list[int]:
-        out = [v if u == i else u for u, v in self.edges if i in (u, v)]
-        return sorted(out)
-
 
 def _ring_edges(n: int) -> set[tuple[int, int]]:
     if n == 1:

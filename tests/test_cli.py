@@ -464,6 +464,17 @@ class TestToy2dCommand:
         assert sums["qg_dsgdm"] < sums["dsgdm"]
         assert sums["dsgdm"] > sums["dsgd"]
 
+    def test_zig_zags_near_the_float_maximum_keep_their_turns(self, tmp_path, capsys):
+        # at eta 1e308 every trace swings by ~1e308 per step (dsgdm's spans
+        # 1.3e308 on each axis); the lengths once overflowed and every
+        # heading_sum read 0.0
+        out = tmp_path / "t.csv"
+        assert quiet_main(["toy2d", "--eta", "1e308", "--steps", "5", "--out", str(out)]) == 0
+        sums = {line.split()[0]: float(line.split("heading_sum=")[1])
+                for line in capsys.readouterr().out.splitlines() if line.startswith("kind=")}
+        assert sorted(sums) == ["kind=dsgd", "kind=dsgdm", "kind=qg_dsgdm"]
+        assert all(s >= np.pi for s in sums.values()), sums
+
 
 class TestTrajectoryCommand:
     def test_rosenbrock_oscillation_study(self, tmp_path):

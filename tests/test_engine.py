@@ -406,7 +406,7 @@ class TestMetrics:
 
     def test_a_2d_record_calls_each_workers_oracle_once(self, monkeypatch):
         # one sample per worker gives both the loss and the gradient of the
-        # row, with the bits mean_loss and mean_gradient give
+        # row, with the bits of the per-worker reference loop
         calls = []
         real = oracles.rosenbrock_gradient
 
@@ -416,7 +416,7 @@ class TestMetrics:
 
         problem = oracles.Landscape2D(kind="rosenbrock", n_workers=3)
         x_bar = np.array([0.3, -1.7])
-        loss, grad = problem.mean_loss(x_bar), problem.mean_gradient(x_bar)
+        loss, grad = ref.mean_loss(problem, x_bar), ref.mean_gradient(problem, x_bar)
         monkeypatch.setattr(oracles, "rosenbrock_gradient", counted)
         rec = engine._make_record(problem, np.repeat(x_bar[:, None], 3, axis=1), x_bar,
                                   4, 0.1, 10)
@@ -447,6 +447,19 @@ class TestHeadingChangeSum:
     def test_reversal_scores_pi(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]])
         assert heading_change_sum(pts) == pytest.approx(np.pi, rel=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e200, 1.7e308])
+    @pytest.mark.parametrize("centred", [False, True])
+    def test_zig_zag_keeps_its_turns_at_any_magnitude(self, scale, centred):
+        # the lengths once overflowed to inf and the floor 1e-9 * inf dropped
+        # every segment; centred at 1.7e308, the box's sides and every
+        # segment exceed the float maximum
+        unit = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+        pts = (2.0 * unit - 1.0 if centred else unit) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = heading_change_sum(pts)
+        assert got == heading_change_sum(unit) == pytest.approx(2.0 * np.pi, rel=1e-12)
 
     def test_stationary_segments_skipped(self):
         pts = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])

@@ -248,9 +248,9 @@ def family_point(draw, family):
 
 
 class TestMeansThroughReduce:
-    """``mean_loss`` and ``mean_gradient`` read the row-layout targets and
-    reduce with ``np.add.reduce`` and an in-place divide: the bits of the
-    transposed view and numpy's wrappers they replaced, on every family."""
+    """``mean_loss_and_gradient`` reads the row-layout targets and reduces
+    with ``np.add.reduce`` and an in-place divide: the bits of the
+    transposed view and numpy's wrappers it replaced, on every family."""
 
     @pytest.mark.parametrize("family", ["quadratic_zeta0", "quadratic_zeta", "quadratic_n1",
                                         "toy2d_hetero", "rosenbrock", "nonconvex_toy"])
@@ -259,8 +259,9 @@ class TestMeansThroughReduce:
     def test_equal_the_wrapped_formulas(self, family, data):
         spec, x = data.draw(family_point(family))
         with np.errstate(over="ignore", invalid="ignore"):  # inf on both sides
-            assert bits(spec.mean_loss(x)) == bits(ref.wrapped_mean_loss(spec, x))
-            assert bits(spec.mean_gradient(x)) == bits(ref.wrapped_mean_gradient(spec, x))
+            loss, grad = spec.mean_loss_and_gradient(x)
+            assert bits(loss) == bits(ref.wrapped_mean_loss(spec, x))
+            assert bits(grad) == bits(ref.wrapped_mean_gradient(spec, x))
 
 
 # seeds of one, two, three and five 32-bit words, and steps of one and two
@@ -268,8 +269,9 @@ class TestMeansThroughReduce:
 SEEDS = [0, 7, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 12345]
 STEPS = [0, 1, 2**32 - 1, 2**32, 2**33 + 7]
 N_MAX = 70
-PROTOCOL = ("n_workers", "dim", "noise_bound", "sample", "local_gradients", "sample_all",
-            "mean_loss", "mean_gradient", "sample_mean_part")
+# what a run reads of a problem, and each class's per-worker oracle
+PROTOCOL = ("n_workers", "dim", "noise_bound", "sample", "sample_all", "local_gradients",
+            "mean_loss_and_gradient")
 
 
 def bits(a):
@@ -448,13 +450,13 @@ class TestBatchedMeans:
     @settings(max_examples=120, deadline=None)
     def test_mean_loss_matches_per_worker_loop(self, case):
         spec, x = case
-        assert bits(spec.mean_loss(x)) == bits(ref.mean_loss(spec, x))
+        assert bits(spec.mean_loss_and_gradient(x)[0]) == bits(ref.mean_loss(spec, x))
 
     @given(case=mean_cases())
     @settings(max_examples=120, deadline=None)
     def test_mean_gradient_matches_per_worker_loop(self, case):
         spec, x = case
-        assert bits(spec.mean_gradient(x)) == bits(ref.mean_gradient(spec, x))
+        assert bits(spec.mean_loss_and_gradient(x)[1]) == bits(ref.mean_gradient(spec, x))
 
     @given(case=mean_cases())
     @settings(max_examples=60, deadline=None)
@@ -464,7 +466,7 @@ class TestBatchedMeans:
         G = spec.local_gradients(P)
         for i in range(spec.n_workers):
             assert bits(G[:, i]) == bits(ref.sample_mean_part(spec, i, P[:, i])), i
-            assert bits(G[:, i]) == bits(spec.sample_mean_part(i, P[:, i])), i
+            assert bits(G[:, i]) == bits(spec.sample(i, P[:, i], 0).grad), i  # noise-free
 
 
 @st.composite
@@ -487,22 +489,24 @@ def row_layout_cases(draw):
 
 
 class TestRowLayoutMeans:
-    """``mean_loss`` and ``mean_gradient`` build their ``(n, dim)`` rows
-    directly; the broadcast view and transposed copy they replaced are the
-    reference, bit for bit, on every family."""
+    """``mean_loss_and_gradient`` builds its ``(n, dim)`` rows directly;
+    the broadcast view and transposed copy it replaced are the reference,
+    bit for bit, on every family."""
 
     @given(case=st.one_of(row_layout_cases(), mean_cases()))
     @settings(max_examples=150, deadline=None)
     def test_mean_loss_matches_the_broadcast_layout(self, case):
         spec, x = case
         with np.errstate(over="ignore"):  # squares past 1e308 are inf on both sides
-            assert bits(spec.mean_loss(x)) == bits(ref.broadcast_mean_loss(spec, x))
+            loss = spec.mean_loss_and_gradient(x)[0]
+            assert bits(loss) == bits(ref.broadcast_mean_loss(spec, x))
 
     @given(case=st.one_of(row_layout_cases(), mean_cases()))
     @settings(max_examples=150, deadline=None)
     def test_mean_gradient_matches_the_broadcast_layout(self, case):
         spec, x = case
-        got = spec.mean_gradient(x)
+        with np.errstate(over="ignore"):
+            got = spec.mean_loss_and_gradient(x)[1]
         assert got.shape == (spec.dim,)
         assert bits(got) == bits(ref.broadcast_mean_gradient(spec, x))
 

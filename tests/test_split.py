@@ -22,7 +22,9 @@ import pytest
 
 from qgm_sim import engine, oracles
 from qgm_sim.engine import NumericalDivergence, RunConfig
-from qgm_sim.optim import HALF_STEP_KINDS, ROUND_KINDS, STEP_KINDS
+from qgm_sim.optim import (HALF_STEP_KINDS, ROUND_KINDS, STEP_KINDS, StackedState, mix,
+                           stacked_dsgd_tasks)
+from qgm_sim.topology import MixingMatrix, OnePeerStep
 
 TOPOLOGIES = ("ring", "torus", "complete", "one_peer_exponential")
 PROBLEMS = {"noise_free": ("0.0", "0.0"), "noisy": ("0.0", "0.3"), "heterogeneous": ("0.7", "0.0")}
@@ -117,6 +119,32 @@ def test_nan_in_second_half_diverges_as_whole_run(kind, topology, splitting):
         raised.append((exc.value.step, exc.value.field, exc.value.worker))
     assert calls and raised[0] == raised[1]
     assert raised[0][0] == 3
+
+
+@pytest.mark.parametrize("kind", HALF_STEP_KINDS)
+def test_a_step_names_its_phases(kind):
+    # on a ring the product is the one dense gossip, over the whole state,
+    # and every task before and after it is a row task; a one-peer step's
+    # gossip is a row task, so it has no product
+    for topology in ("ring", "one_peer_exponential"):
+        cfg = config(kind, topology, sigma="0.3")
+        S = StackedState.init(cfg.x0, cfg.n)
+        X = S.X
+        before, product, after = stacked_dsgd_tasks(kind, S, cfg.mixing.at(0), cfg.hp, 2,
+                                                    cfg.problem)
+        rows = before + after
+        assert all(fn is not mix or isinstance(args[1], OnePeerStep) for fn, args in rows)
+        assert all(a.shape[0] == cfg.problem.dim for _fn, args in rows for a in args
+                   if isinstance(a, np.ndarray) and a.ndim == 2)
+        if topology == "ring":
+            fn, (H, W, out) = product
+            assert fn is mix and isinstance(W, MixingMatrix) and out is S.X
+            assert H.shape == out.shape == X.shape
+            assert len(before) == 2 and before[-1][1][-1] is H
+            assert [f.__name__ for f, _args in after] == (["_refresh"] if "qg" in kind else [])
+        else:
+            assert product is None and before == []
+            assert [args[1].offset for f, args in after if f is mix] == [1]
 
 
 def helper_threads():
