@@ -635,9 +635,12 @@ def _check_finite(S: StackedState, step: int, method: str, fields: list,
 
     ``verified`` maps each field to the array last found finite there, and
     is updated in place.  An array that is still that same object is
-    skipped: the step functions never write into an array.  The map holds
-    the arrays themselves, so a skipped one cannot be a new array at a
-    reused address.
+    skipped: the step functions never write into an array the state holds.
+    Every check updates each field that changed, so the map holds only
+    arrays the state holds; an array that left the state, was written by
+    a split step and came back (:func:`run`'s spare arrays) is checked
+    again.  The map holds the arrays themselves, so a skipped one cannot be
+    a new array at a reused address.
 
     A changed array passes when its sum is finite: one NaN or infinity
     makes the sum NaN or infinite, so a finite sum proves every entry
@@ -825,7 +828,10 @@ def run(config: RunConfig) -> RunResult:
     divergence, the averaged model is traced, and a metrics row is recorded
     when ``end`` is a multiple of ``metrics_every`` or the last step.  A run
     that :func:`_halves` splits computes each step, its averaged model and
-    its divergence check in two row ranges (:func:`_split_step`).
+    its divergence check in two row ranges (:func:`_split_step`), and each
+    of its steps writes the arrays the step before retired, so after the
+    first it allocates no ``(dim, n)`` array; the spare arrays live only
+    here, so no caller can hold one.
     """
     problem, mixing, kind = config.problem, config.mixing, config.optim_kind
 
@@ -840,6 +846,7 @@ def run(config: RunConfig) -> RunResult:
     records: list[MetricsRecord] = []
     xbar_trace = [_average_model(S.X)]
     verified: dict = {}  # field -> the array last found finite there
+    spare: list = []  # arrays split steps retired, for later split steps to write
     # the arrays S holds: every method adds its history and round buffers
     # in its first span and never drops one, so the set is fixed after it
     fields = None
@@ -857,7 +864,8 @@ def run(config: RunConfig) -> RunResult:
         elif halves is None:
             stacked_step(kind, S, mixing.at(step0), hp, end, grad_fn)
         else:
-            phases = stacked_dsgd_tasks(kind, S, mixing.at(step0), hp, end, problem)
+            *phases, retired = stacked_dsgd_tasks(kind, S, mixing.at(step0), hp, end,
+                                                  problem, spare)
         if fields is None:
             fields = S.array_fields()
         if halves is None:
@@ -865,6 +873,7 @@ def run(config: RunConfig) -> RunResult:
             _check_finite(S, end, kind, fields, verified, x_bar)
         else:
             x_bar = _split_step(phases, halves, S, end, kind, fields, verified)
+            spare += retired
             del phases  # they hold the step's inputs and scratch
         xbar_trace.append(x_bar)
         if end % config.metrics_every == 0 or end == config.steps:

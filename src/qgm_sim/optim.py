@@ -38,31 +38,39 @@ local gradients the same way: the engine passes
 a quadratic ``ProblemSpec`` or a ``Landscape2D``.  Both must be pure in
 their arguments; states keep the returned arrays as history.
 
-Ownership.  A step writes only into arrays allocated for it in the same
-call: each result is built in one such buffer with in-place operators and
-``out=``, bound to its field, and never written again.  It never writes
-into an array the state held before the call, an array ``grad_fn``
-returned (the state may keep it, as ``G_prev``, ``Y`` or qhm's ``M_hat``)
-or the start point; :func:`mix` never writes its input.  A step's own
-scratch buffer that it passed to :func:`mix` and nothing else holds may
-take a later result once :func:`mix` has returned: the quasi-global
-movement ``d`` is written into the half-step buffer.  Each buffer keeps
-the IEEE operations of the whole-array expression it replaces, on the
-same operands in the same order (``a *= s`` for ``s * a`` swaps the
-operands of one product), so its bits do not depend on the buffering.
+Ownership.  A step writes only into arrays that nothing else holds: those
+allocated for it in the same call, or for a step taken in row tasks the
+spare arrays its caller hands it (see Rows).  Each result is built in one
+such buffer with in-place operators and ``out=``, bound to its field, and
+never written again while the state holds it.  A step never writes into
+an array the state holds when it is called, an array ``grad_fn`` returned
+(the state may keep it, as ``G_prev``, ``Y`` or qhm's ``M_hat``) or the
+start point; :func:`mix` never writes its input.  A step's own temporary
+buffer that it passed to :func:`mix` and nothing else holds may take a
+later result once :func:`mix` has returned: the quasi-global movement
+``d`` is written into the half-step buffer.  Each buffer keeps the IEEE
+operations of the whole-array expression it replaces, on the same
+operands in the same order (``a *= s`` for ``s * a`` swaps the operands
+of one product), so its bits do not depend on the buffering.
 
 Rows.  A dsgd/qg-family step (:data:`HALF_STEP_KINDS`) can also be taken
 in phases of row tasks (:func:`stacked_dsgd_tasks`, :func:`_run_rows`):
-the calling thread allocates, with ``np.empty``, every array the step
-writes and binds the results to the state; each task then computes any
-range of rows of its arrays with ``out=``, reading only the same rows of
-its inputs, as the step rules are entrywise and the one-peer shift mixes
-along the worker axis.  A dense gossip is one product over every row,
-and the step's phases name it (:func:`stacked_dsgd_tasks`).  The tasks
-call the functions :func:`stacked_dsgd_step` calls, which allocate their
-results when given no buffer.  The engine runs the row tasks of a large
-state in two ranges on two threads, and the product between them whole,
-so the bits do not depend on the ranges.
+the calling thread takes every array the step writes from a spare list,
+or from ``np.empty`` when the list is empty, binds the results to the
+state, and names the arrays the step retires (its gradient and half step,
+and the arrays the state drops).  The engine keeps one spare list per run
+and hands a step's retired arrays back to it once the step is done, so a
+large run's steps write the same few arrays over and over and map no
+fresh memory; no caller of the engine can hold one of them.  Each task
+then computes any range of rows of its arrays with ``out=``, reading only
+the same rows of its inputs, as the step rules are entrywise and the
+one-peer shift mixes along the worker axis.  A dense gossip is one
+product over every row, and the step's phases name it
+(:func:`stacked_dsgd_tasks`).  The tasks call the functions
+:func:`stacked_dsgd_step` calls, which allocate their results when given
+no buffer.  The engine runs the row tasks of a large state in two ranges
+on two threads, and the product between them whole, so the bits do not
+depend on the ranges.
 """
 
 from __future__ import annotations
@@ -182,9 +190,10 @@ class StackedState:
     server momentum of a mimelite round (it has no :class:`WorkerState`
     field).
 
-    The step functions below bind fields to arrays allocated for the step
-    and never write into an array once that step is done, so arrays handed
-    out stay valid (the module docstring states the ownership rule).
+    The step functions below bind fields to arrays that nothing else holds
+    and never write into an array the state holds; only a caller that
+    hands an array the state dropped back to :func:`stacked_dsgd_tasks`
+    has it written again (the module docstring states the ownership rule).
     ``==`` is identity: arrays have no one truth value.
     """
 
@@ -387,32 +396,47 @@ def stacked_dsgd_step(kind: str, S: StackedState, G, W, hp: HyperParams,
 
 
 def stacked_dsgd_tasks(kind: str, S: StackedState, W, hp: HyperParams, step: int,
-                       problem) -> tuple[list, tuple | None, list]:
+                       problem, spare: list) -> tuple[list, tuple | None, list, list]:
     """Step ``step`` of half-step kind ``kind`` on ``S`` in phases, the step
     :func:`stacked_step` takes with ``problem.sample_all`` as its oracle,
-    through the same functions: ``(before, product, after)``, the row tasks
-    (:func:`_run_rows`) before the dense gossip, the gossip as one task
-    ``(mix, args)`` over every row at once, and the row tasks after it.  A
-    one-peer step's gossip is a row task, so its product is None and every
-    task is in ``after``.  Every array the tasks write is allocated here and
-    bound to ``S`` before they run.  ``problem`` is a quadratic
+    through the same functions: ``(before, product, after, retired)``, the
+    row tasks (:func:`_run_rows`) before the dense gossip, the gossip as one
+    task ``(mix, args)`` over every row at once, the row tasks after it,
+    and the ``(dim, n)`` arrays the step retires.  A one-peer step's gossip
+    is a row task, so its product is None and every task is in ``after``.
+
+    Every array the tasks write is popped from ``spare``, a list of
+    ``(dim, n)`` arrays that nothing else holds, or allocated when it is
+    empty, and bound to ``S`` before the tasks run.  ``retired`` lists the
+    step's gradient and half step and the arrays the step drops from
+    ``S``: the old ``X``, and the old ``M_hat`` or ``M_local`` when it
+    binds a new one.  Once every task has run, no array of ``S`` depends on
+    them, so the caller may put them into ``spare`` for a later step if
+    it holds none of them itself.  ``problem`` is a quadratic
     :class:`~qgm_sim.oracles.ProblemSpec`, whose ``sample_rows`` draws the
     step's noise here, on the calling thread."""
     X, M_hat, M_local, M = S.X, S.M_hat, S.M_local, None
-    G, H = np.empty(X.shape), np.empty(X.shape)
+
+    def take() -> np.ndarray:
+        return spare.pop() if spare else np.empty(X.shape)
+
+    G, H = take(), take()
+    retired = [G, H, X]
     if kind in ("dsgdm", "dsgdm_n"):
-        S.M_local = M = np.empty(X.shape)
-    S.X = X_new = np.empty(X.shape)
+        S.M_local = M = take()
+        retired.append(M_local)
+    S.X = X_new = take()
     fn, arrays = problem.sample_rows(step)
     before = [(fn, (X, G, *arrays)),
               (_half_step, (kind, hp.eta, hp.beta, X, G, M_hat, M_local, M, H))]
     gossip, after = (mix, (H, W, X_new)), []
     if kind.startswith("qg_") and step % hp.tau == 0:
-        S.M_hat = M_new = np.empty(X.shape)
+        S.M_hat = M_new = take()
+        retired.append(M_hat)
         after.append((_refresh, (hp.eta, hp.mu, X, X_new, M_hat, H, M_new)))
     if isinstance(W, OnePeerStep):
-        return [], None, [*before, gossip, *after]
-    return before, gossip, after
+        return [], None, [*before, gossip, *after], retired
+    return before, gossip, after, retired
 
 
 def _qg_dadam(S: StackedState, G, W, hp: HyperParams) -> None:

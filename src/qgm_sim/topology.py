@@ -14,10 +14,12 @@ squared Frobenius norm, so ``rho = 1`` means one-shot averaging (complete
 graph) and ``rho = 0`` means no mixing at all (disconnected graph or ``W =
 I``).  Every static ``W`` built here is exactly symmetric, so ``sigma_2`` is
 the largest absolute eigenvalue of ``W - (1/n) 1 1^T``, which
-:func:`spectral_gap` takes from the symmetric eigensolver
-``np.linalg.eigvalsh`` and refuses to compute for a matrix that is not
-symmetric.  The last bits of ``rho`` depend on the LAPACK build and the BLAS
-thread count.
+:func:`spectral_gap` refuses to compute for a matrix that is not symmetric.
+A ring's or a complete graph's ``W`` is circulant, and its eigenvalues have
+a closed form in its first row (Gray, "Toeplitz and Circulant Matrices: A
+Review", 2006), evaluated with ``math.cos``; any other ``W`` goes to the
+symmetric eigensolver ``np.linalg.eigvalsh``, and then the last bits of
+``rho`` depend on the LAPACK build and the BLAS thread count.
 
 The one-peer scheme is :class:`OnePeerExponential`, a schedule that holds no
 array: it names each step's peer offset, and the optimizer averages each
@@ -329,13 +331,19 @@ def spectral_gap(W: np.ndarray) -> float:
         || Z W - Zbar ||_F^2 <= (1 - rho) || Z - Zbar ||_F^2 ,
 
     with equality attained in the worst case over ``Z``.  For symmetric
-    ``W`` the singular values are the absolute eigenvalues, so ``sigma_2``
-    is the larger of ``-ev[0]`` and ``ev[-1]`` for the ascending
-    eigenvalues ``ev`` of ``W - (1/n) 1 1^T`` (``np.linalg.eigvalsh``).
-    ``W`` must therefore equal its transpose exactly; every static matrix
+    ``W`` the singular values are the absolute eigenvalues.  ``W`` must
+    therefore equal its transpose exactly; every static matrix
     :func:`mixing_matrix` builds does, and anything else (such as a directed
-    one-peer matrix) raises ``ValueError``.  The last bits of ``rho`` depend
-    on the LAPACK build and the BLAS thread count.
+    one-peer matrix) raises ``ValueError``.
+
+    A circulant ``W``, each row the one above it rotated right by one
+    (``W[1:, 1:] == W[:-1, :-1]`` and ``W[1:, 0] == W[:-1, -1]``, tested
+    on the weights, whatever the graph), takes ``sigma_2`` in closed form
+    from its first row (:func:`_circulant_sigma2`); no bit of it depends on
+    LAPACK or numpy's SIMD dispatch.  Every other ``W`` takes it as the
+    larger of ``-ev[0]`` and ``ev[-1]`` for the ascending eigenvalues ``ev``
+    of ``W - (1/n) 1 1^T`` (``np.linalg.eigvalsh``), and then the last bits
+    of ``rho`` depend on the LAPACK build and the BLAS thread count.
 
     ``rho == 0`` (sigma_2 == 1) means the matrix does not mix at all -- the
     underlying graph is disconnected, or ``W = I`` -- and a warning is
@@ -346,8 +354,11 @@ def spectral_gap(W: np.ndarray) -> float:
         raise ValueError("spectral_gap needs a square matrix exactly equal to its "
                          f"transpose; got one of shape {W.shape} that is not")
     n = W.shape[0]
-    sigma2 = 0.0
-    if n > 1:
+    if n <= 1:
+        sigma2 = 0.0
+    elif np.array_equal(W[1:, 0], W[:-1, -1]) and np.array_equal(W[1:, 1:], W[:-1, :-1]):
+        sigma2 = _circulant_sigma2(W[0])
+    else:
         ev = np.linalg.eigvalsh(W - np.full((n, n), 1.0 / n))
         sigma2 = float(max(-ev[0], ev[-1]))
     rho = max(0.0, 1.0 - sigma2 * sigma2)
@@ -359,3 +370,21 @@ def spectral_gap(W: np.ndarray) -> float:
         )
         return 0.0
     return rho
+
+
+def _circulant_sigma2(row: np.ndarray) -> float:
+    """``sigma_2`` of the symmetric circulant matrix whose first row is
+    ``row``, ``c``: the largest ``|lambda_k|``, ``k = 1 .. n // 2``, of its
+    eigenvalues ``lambda_k = c_0 + sum_j c_j cos(2 pi (j k mod n) / n)``
+    (``lambda_0 = 1`` belongs to consensus, and ``lambda_{n-k} =
+    lambda_k``), summed over the nonzero offsets ``j`` in ascending order
+    with ``math.cos``."""
+    n, c = len(row), row.tolist()
+    offsets = [(j, cj) for j, cj in enumerate(c) if j and cj]
+    sigma2 = 0.0
+    for k in range(1, n // 2 + 1):
+        lam = c[0]
+        for j, cj in offsets:
+            lam += cj * math.cos(2.0 * math.pi * (j * k % n) / n)
+        sigma2 = max(sigma2, abs(lam))
+    return sigma2

@@ -5,7 +5,10 @@ reach ``engine._SPLIT_ENTRIES`` entries and ``engine._SPLIT_MIN_ROWS``
 rows, on two allowed CPUs with BLAS at one thread.  These tests lower that
 constant so that small states split, and compare every output of a split
 run with the same run in one range: the metrics CSV, ``xbar_trace``, every
-field of the final state and the divergence a NaN raises.
+field of the final state and the divergence a NaN raises.  A split step
+writes the arrays earlier steps of its run retired: further tests check
+which arrays those are, that a NaN in one is still caught, and that a
+large run's steps then map no fresh memory.
 """
 
 import json
@@ -31,13 +34,13 @@ PROBLEMS = {"noise_free": ("0.0", "0.0"), "noisy": ("0.0", "0.3"), "heterogeneou
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
 
-def config(kind, topology, zeta="0.0", sigma="0.0", dim=200, steps=6):
+def config(kind, topology, zeta="0.0", sigma="0.0", dim=200, steps=6, tau="2"):
     n = 4
     return RunConfig.from_mapping({
         "problem": {"kind": "quadratic", "dim": str(dim), "zeta": zeta, "sigma": sigma,
                     "cond": "4.0", "init": "0.5"},
         "topology": {"kind": topology, "n": str(n)},
-        "optim": {"kind": kind, "eta": "0.05", "tau": "2"},
+        "optim": {"kind": kind, "eta": "0.05", "tau": tau},
         "schedule": {"kind": "warmup_stage", "warmup_fraction": "0.3",
                      "milestones": "0.5"},
         "run": {"steps": str(steps), "seed": "3", "metrics_every": "2"}})
@@ -121,6 +124,68 @@ def test_nan_in_second_half_diverges_as_whole_run(kind, topology, splitting):
     assert raised[0][0] == 3
 
 
+@pytest.mark.parametrize("step", range(3, 9))
+@pytest.mark.parametrize("kind", HALF_STEP_KINDS)
+def test_nan_in_a_recycled_buffer_is_caught(kind, step, splitting):
+    # From its second step a split run writes the arrays earlier steps
+    # retired.  A NaN left at ``step`` in the recycled buffer the state
+    # keeps (the new m_hat, m_local or x) is found at that step, in that
+    # field and worker, as in a fresh array.  At tau 1 the arrays cycle
+    # through the fields every few steps, so a divergence check that
+    # skipped an array it had once seen in a field would miss one of these.
+    monkeypatch, calls = splitting
+    field = {"dsgd": "x", "dsgdm": "m_local", "dsgdm_n": "m_local"}.get(kind, "m_hat")
+    attr = {"x": "X", "m_local": "M_local", "m_hat": "M_hat"}[field]
+    cfg = config(kind, "one_peer_exponential", sigma="0.3", steps=8, tau="1")
+    mask = np.zeros((cfg.problem.dim, cfg.n), dtype=bool)
+    mask[-5, 2] = True
+    retired_before = []
+    real = engine.stacked_dsgd_tasks
+
+    def poisoned(kind, S, W, hp, t, problem, spare):
+        before, product, after, retired = real(kind, S, W, hp, t, problem, spare)
+        if t == step:
+            target = getattr(S, attr)
+            assert any(target is a for a in retired_before)
+            after = [*after, (np.putmask, (target, mask, np.nan))]
+        retired_before.extend(retired)
+        return before, product, after, retired
+
+    monkeypatch.setattr(engine, "stacked_dsgd_tasks", poisoned)
+    with pytest.raises(NumericalDivergence) as exc:
+        outputs(cfg, 0, monkeypatch)
+    assert len(calls) == step
+    assert (exc.value.step, exc.value.field, exc.value.worker) == (step, field, 2)
+
+
+@pytest.mark.parametrize("kind", HALF_STEP_KINDS)
+def test_a_step_writes_spare_arrays_and_retires_what_the_state_drops(kind):
+    cfg = config(kind, "ring", sigma="0.3")
+    S = StackedState.init(cfg.x0, cfg.n)
+    held = {attr: getattr(S, attr) for attr, _name in S.array_fields()}
+    spare = [np.empty(S.X.shape) for _ in range(5)]
+    offered = list(spare)
+    *_phases, retired = stacked_dsgd_tasks(kind, S, cfg.mixing.at(1), cfg.hp, 2,
+                                           cfg.problem, spare)
+    taken = offered[len(spare):]
+    # every array the step binds to the state came from the spare list, and
+    # the arrays it retires are its own temporaries and the ones the state
+    # dropped
+    now = {attr: getattr(S, attr) for attr in held}
+    replaced = [attr for attr in held if now[attr] is not held[attr]]
+    assert replaced == {"dsgd": ["X"], "dsgdm": ["X", "M_local"], "dsgdm_n": ["X", "M_local"],
+                        "qg_dsgdm": ["X", "M_hat"], "qg_dsgdm_n": ["X", "M_hat"]}[kind]
+    assert all(any(now[attr] is a for a in taken) for attr in replaced)
+    assert len(retired) == len(taken) == 2 + len(replaced)
+    assert all(any(held[attr] is a for a in retired) for attr in replaced)
+    assert not any(a is b for a in retired for b in now.values())
+    # a spare list too short: the step takes what there is, then allocates
+    S = StackedState.init(cfg.x0, cfg.n)
+    spare = offered[:1]
+    stacked_dsgd_tasks(kind, S, cfg.mixing.at(1), cfg.hp, 2, cfg.problem, spare)
+    assert spare == [] and not any(S.X is a for a in offered)
+
+
 @pytest.mark.parametrize("kind", HALF_STEP_KINDS)
 def test_a_step_names_its_phases(kind):
     # on a ring the product is the one dense gossip, over the whole state,
@@ -130,8 +195,8 @@ def test_a_step_names_its_phases(kind):
         cfg = config(kind, topology, sigma="0.3")
         S = StackedState.init(cfg.x0, cfg.n)
         X = S.X
-        before, product, after = stacked_dsgd_tasks(kind, S, cfg.mixing.at(0), cfg.hp, 2,
-                                                    cfg.problem)
+        before, product, after, _retired = stacked_dsgd_tasks(
+            kind, S, cfg.mixing.at(0), cfg.hp, 2, cfg.problem, [])
         rows = before + after
         assert all(fn is not mix or isinstance(args[1], OnePeerStep) for fn, args in rows)
         assert all(a.shape[0] == cfg.problem.dim for _fn, args in rows for a in args
@@ -316,3 +381,45 @@ def test_split_adds_no_blas_dependence_of_its_own(kernel, threads):
     blas_threads, splits = cases.pop("blas_threads"), cases.pop("splits_by_itself")
     assert blas_threads in (None, int(threads)) and splits == (blas_threads == 1)
     assert [case for case, same in cases.items() if not same] == []
+
+
+# Runs in a fresh interpreter at one BLAS thread.  It prints whether a
+# one-peer n 512, dim 512 run splits, and the minor page faults of a
+# second and third such run, of 6 and of 18 steps.
+_FAULT_SCRIPT = r"""
+import json, resource, warnings
+from qgm_sim import engine
+warnings.simplefilter("ignore")
+
+def faults(steps):
+    cfg = engine.RunConfig.from_mapping({
+        "problem": {"kind": "quadratic", "dim": "512", "init": "0.5"},
+        "topology": {"kind": "one_peer_exponential", "n": "512"},
+        "optim": {"kind": "qg_dsgdm"}, "run": {"steps": str(steps)}})
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    engine.run(cfg)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+faults(6)
+print(json.dumps({"splits": engine._halves("qg_dsgdm", 512, 512) is not None,
+                  "six": faults(6), "eighteen": faults(18)}))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="a run splits only where two CPUs are allowed")
+def test_split_steps_stop_faulting():
+    # A split step writes the arrays the run's last step retired, so its
+    # steps map no fresh memory: 12 more steps take fewer minor faults than
+    # 16 a step.  When each step allocated its arrays, they took 816 a step
+    # (9,792 in all), each 2 MB array a fresh mapping.
+    full = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    full["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(ROOT, "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", _FAULT_SCRIPT], env=full, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    if not got["splits"]:
+        pytest.skip("numpy's BLAS does not report one thread, so the run does not split")
+    assert got["eighteen"] - got["six"] < 12 * 16, got

@@ -1,6 +1,7 @@
 """Tests for graph construction, mixing matrices, and spectral gaps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 import reference_loops as ref
 from qgm_sim.topology import (
     DAVIS_SOUTHERN_WOMEN_EDGES,
+    MIXING_SCHEMES,
     Graph,
     MixingMatrix,
     build_graph,
@@ -309,6 +311,119 @@ class TestSpectralGap:
         assert mixing_matrix(relabeled).rho == pytest.approx(
             mixing_matrix(g).rho, abs=1e-12
         )
+
+
+def _eigvalsh_gap(W):
+    """The gap of the symmetric eigensolver route, bit for bit: what every
+    matrix that is not circulant keeps."""
+    n = W.shape[0]
+    ev = np.linalg.eigvalsh(W - np.full((n, n), 1.0 / n))
+    sigma2 = float(max(-ev[0], ev[-1]))
+    rho = max(0.0, 1.0 - sigma2 * sigma2)
+    return 0.0 if rho <= 1e-12 else rho
+
+
+def _mp_gap(W):
+    """The gap of the symmetric circulant ``W`` in 40-digit arithmetic from
+    every eigenvalue ``lambda_k = sum_j W[0, j] cos(2 pi j k / n)``, k = 1
+    .. n - 1, each weight as stored (the clamp to 0 is not needed here)."""
+    mp = pytest.importorskip("mpmath")
+    n = W.shape[0]
+    with mp.workdps(40):
+        c = [(j, mp.mpf(float(w))) for j, w in enumerate(W[0]) if w]
+        cos = [mp.cospi(mp.mpf(2 * m) / n) for m in range(n)]
+        sigma2 = max(abs(mp.fsum(w * cos[j * k % n] for j, w in c)) for k in range(1, n))
+        return float(1 - sigma2 * sigma2)
+
+
+def _circulant(c):
+    """The matrix whose row ``i`` is ``c`` rotated right by ``i``."""
+    return np.array([np.roll(c, i) for i in range(len(c))])
+
+
+RING_SIZES = [*range(3, 33), 63, 64, 65, 127, 128, 255, 256, 511, 512, 997, 1000, 1023, 1024]
+
+
+class TestCirculantGap:
+    """A circulant matrix's gap comes from its first row in closed form;
+    every other matrix keeps the eigensolver's bits."""
+
+    @pytest.mark.parametrize("scheme", ["metropolis_hastings", "uniform_neighbor"])
+    def test_rings_match_mpmath(self, scheme):
+        worst = max(abs(mixing_matrix(build_graph("ring", n), scheme).rho
+                        - _mp_gap(mixing_matrix(build_graph("ring", n), scheme).weights))
+                    for n in RING_SIZES)
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 16, 17, 64, 100, 256])
+    def test_complete_graphs_match_mpmath(self, n):
+        W = mixing_matrix(build_graph("complete", n))
+        assert abs(W.rho - _mp_gap(W.weights)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 9])
+    def test_mpmath_reference_is_the_spectrum(self, n):
+        # the reference's DFT eigenvalues are the matrix's: mpmath's own
+        # symmetric eigensolver on W - J/n agrees to 1e-30
+        mp = pytest.importorskip("mpmath")
+        W = mixing_matrix(build_graph("ring", n)).weights
+        with mp.workdps(40):
+            A = mp.matrix([[mp.mpf(float(w)) - mp.mpf(1) / n for w in row] for row in W])
+            sigma2 = max(abs(ev) for ev in mp.eigsy(A, eigvals_only=True))
+            assert abs(float(1 - sigma2 * sigma2) - _mp_gap(W)) <= 1e-30
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 64), data=st.data())
+    def test_random_circulant_matches_eigvalsh(self, n, data):
+        # a symmetric doubly stochastic circulant: weight c_j = c_{n-j} on
+        # offset j, the rest of each row's mass on the diagonal
+        c = np.zeros(n)
+        for j in range(1, n // 2 + 1):
+            c[j] = c[n - j] = data.draw(st.floats(0.0, 1.0))
+        if c.sum() > 0.0:
+            c *= data.draw(st.floats(0.0, 1.0)) / c.sum()
+        c[0] = 1.0 - c[1:].sum()
+        W = _circulant(c)
+        assert np.array_equal(W, W.T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a matrix that does not mix
+            assert abs(spectral_gap(W) - _eigvalsh_gap(W)) <= 1e-14
+
+    def test_a_ring_takes_no_eigensolver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called on a circulant matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for n in (3, 64, 1024):
+            assert mixing_matrix(build_graph("ring", n)).rho > 0.0
+        assert mixing_matrix(build_graph("complete", 32)).rho == 1.0
+
+    @pytest.mark.parametrize("kind,n,params", [
+        ("torus", 16, {}), ("torus", 8, {"rows": 2}), ("torus", 64, {}), ("torus", 100, {}),
+        ("torus", 12, {"rows": 3}), ("torus", 256, {}), ("star", 3, {}), ("star", 8, {}),
+        ("star", 40, {}), ("social", 32, {})])
+    def test_other_graphs_keep_the_eigensolver_bits(self, kind, n, params):
+        for scheme in MIXING_SCHEMES:
+            try:  # uniform weights need a regular graph
+                W = mixing_matrix(build_graph(kind, n, **params), scheme)
+            except ValueError:
+                continue
+            assert not np.array_equal(W.weights[1:, 1:], W.weights[:-1, :-1])
+            assert W.rho == _eigvalsh_gap(W.weights)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 48), seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 0.5))
+    def test_random_graphs_keep_the_eigensolver_bits(self, n, seed, p):
+        # a random spanning tree plus each other pair with probability p
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(n)
+        edges = {tuple(sorted((int(order[i]), int(order[rng.integers(i)]))))
+                 for i in range(1, n)}
+        edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+        W = mixing_matrix(Graph("random", n, frozenset(edges))).weights
+        circulant = (np.array_equal(W[1:, 0], W[:-1, -1])
+                     and np.array_equal(W[1:, 1:], W[:-1, :-1]))
+        assume(not circulant)  # a relabelled ring or the complete graph
+        assert spectral_gap(W) == _eigvalsh_gap(W)
 
 
 class TestOnePeerExponential:
