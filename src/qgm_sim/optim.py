@@ -213,7 +213,10 @@ class StackedState:
     @classmethod
     def init(cls, x0, n: int) -> "StackedState":
         """All workers start at ``x0`` with zero buffers."""
-        return cls.from_matrix(np.repeat(np.asarray(x0, dtype=float)[:, None], n, axis=1))
+        x0 = np.asarray(x0, dtype=float)
+        X = np.empty((len(x0), n))
+        X[...] = x0[:, None]  # one allocation, where from_matrix would copy
+        return cls(X=X, M_hat=np.zeros(X.shape), M_local=np.zeros(X.shape), V=np.zeros(X.shape))
 
     @classmethod
     def from_matrix(cls, X0) -> "StackedState":

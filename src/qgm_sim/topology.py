@@ -378,13 +378,14 @@ def _circulant_sigma2(row: np.ndarray) -> float:
     eigenvalues ``lambda_k = c_0 + sum_j c_j cos(2 pi (j k mod n) / n)``
     (``lambda_0 = 1`` belongs to consensus, and ``lambda_{n-k} =
     lambda_k``), summed over the nonzero offsets ``j`` in ascending order
-    with ``math.cos``."""
+    with ``math.cos``, taken once per residue ``m = j k mod n``."""
     n, c = len(row), row.tolist()
     offsets = [(j, cj) for j, cj in enumerate(c) if j and cj]
+    cos = [math.cos(2.0 * math.pi * m / n) for m in range(n)]
     sigma2 = 0.0
     for k in range(1, n // 2 + 1):
         lam = c[0]
         for j, cj in offsets:
-            lam += cj * math.cos(2.0 * math.pi * (j * k % n) / n)
+            lam += cj * cos[j * k % n]
         sigma2 = max(sigma2, abs(lam))
     return sigma2

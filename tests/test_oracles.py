@@ -1,5 +1,6 @@
 """Tests for the gradient oracles and their analytic constants."""
 
+import json
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_loops as ref
+from qgm_sim import engine, oracles
 from qgm_sim.oracles import (
     Landscape2D,
     ProblemSpec,
@@ -278,6 +280,21 @@ def bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
+@pytest.fixture
+def draws(monkeypatch):
+    """The steps of every ``oracles._standard_normals`` call from here on,
+    in call order, on any thread."""
+    steps = []
+    draw = oracles._standard_normals
+
+    def counted(seed_pools, step, dim):
+        steps.append(step)
+        return draw(seed_pools, step, dim)
+
+    monkeypatch.setattr(oracles, "_standard_normals", counted)
+    return steps
+
+
 class TestBatchedDraws:
     @pytest.mark.parametrize("step", STEPS)
     @pytest.mark.parametrize("seed", SEEDS)
@@ -351,12 +368,14 @@ class TestBatchedDraws:
         for i in range(n):
             assert bits(G[:, i]) == bits(spec.sample(i, P[:, i], 11).grad), i
 
-    def test_reused_generator_leaks_no_state_between_calls(self):
+    def test_reused_generator_leaks_no_state_between_calls(self, draws):
         spec = quadratic_family(dim=9, n_workers=9, zeta_c=1.0, sigma_c=0.5, master_seed=3)
         P = np.ones((9, 9))
         first = sample_all(spec, P, 5)
         sample_all(spec, P, 6)
+        oracles._noise_memo = (None, {})  # so step 5 is drawn again, after step 6
         assert bits(sample_all(spec, P, 5)) == bits(first)
+        assert draws == [5, 6, 5]
 
     def test_one_column_per_worker_required(self):
         # the keys are hashed for the spec's workers once; a one-worker
@@ -365,30 +384,44 @@ class TestBatchedDraws:
         with pytest.raises(ValueError, match="3 columns; the problem has 1 workers"):
             sample_all(spec, np.ones((4, 3)), 0)
 
-    def test_interleaved_specs_draw_their_own_bits(self):
+    def test_interleaved_specs_draw_their_own_bits(self, draws):
         # each spec holds its own per-run hash; sampling one between the
         # steps of another changes neither
         specs = [quadratic_family(dim=12, n_workers=12, zeta_c=0.5, sigma_c=0.4,
                                   master_seed=2**64 + 3),
                  quadratic_family(dim=5, n_workers=5, sigma_c=1.5, master_seed=7)]
         steps = [0, 1, 2**32, 3]
-        alone = [[bits(sample_all(sp, np.ones((sp.dim, sp.n_workers)), t)) for t in steps]
-                 for sp in specs]
+        alone = []
+        for sp in specs:
+            oracles._noise_memo = (None, {})
+            alone.append([bits(sample_all(sp, np.ones((sp.dim, sp.n_workers)), t))
+                          for t in steps])
+        assert draws == steps + steps
+        oracles._noise_memo = (None, {})
         interleaved = [[], []]
         for t in steps:
             for got, sp in zip(interleaved, specs):
                 got.append(bits(sample_all(sp, np.ones((sp.dim, sp.n_workers)), t)))
         assert interleaved == alone
+        assert draws[2 * len(steps):] == [t for t in steps for _ in specs]
         for sp, drawn in zip(specs, alone):
             assert drawn[0] == bits(np.column_stack([
                 ref.quadratic_gradient(sp, w, np.ones(sp.dim), 0).grad
                 for w in range(sp.n_workers)]))
 
-    def test_threads_sampling_one_spec_draw_the_serial_bits(self):
+    @pytest.mark.parametrize("memo_bytes", [0, oracles._NOISE_MEMO_BYTES],
+                             ids=["every_thread_draws", "threads_share_the_memo"])
+    def test_threads_sampling_one_spec_draw_the_serial_bits(self, memo_bytes, draws,
+                                                            monkeypatch):
         spec = quadratic_family(dim=16, n_workers=16, zeta_c=0.3, sigma_c=0.7, master_seed=5)
         P = np.ones((16, 16))
         steps = range(150)
         serial = [bits(sample_all(spec, P, t)) for t in steps]
+        assert draws == list(steps)
+        # with no room in the memo every thread draws every step; with room,
+        # each step is drawn by a thread that misses and read by the rest
+        oracles._noise_memo = (None, {})
+        monkeypatch.setattr(oracles, "_NOISE_MEMO_BYTES", memo_bytes)
         results = [[] for _ in range(4)]
         start = threading.Barrier(len(results), timeout=60)
 
@@ -408,6 +441,11 @@ class TestBatchedDraws:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert all(out == serial for out in results)
+        threaded = sorted(draws[len(steps):])
+        if memo_bytes:
+            assert set(threaded) == set(steps) and len(threaded) <= 4 * len(steps)
+        else:
+            assert threaded == sorted(4 * list(steps))
 
     def test_import_and_config_load_leave_numpy_random_unloaded(self):
         # the draws' generators are built on a thread's first draw, so
@@ -423,6 +461,164 @@ class TestBatchedDraws:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, timeout=60, check=True)
         assert out.stdout.strip() == "False"
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def noisy_mapping(kind="qg_dsgdm", seed=3, n=8, dim=8, sigma=0.5, steps=12):
+    """A noisy heterogeneous quadratic run on a ring, recording every step."""
+    return {"problem": {"kind": "quadratic", "dim": str(dim), "zeta": "0.5",
+                        "sigma": repr(sigma), "cond": "4.0", "init": "0.5"},
+            "topology": {"kind": "ring", "n": str(n)},
+            "optim": {"kind": kind, "eta": "0.05", "beta": "0.9"},
+            "run": {"steps": str(steps), "seed": str(seed), "metrics_every": "1"}}
+
+
+def run_bytes(mapping):
+    """A run's metrics CSV lines, ``xbar_trace`` and final state, as text."""
+    res = engine.run(engine.RunConfig.from_mapping(mapping))
+    S = res.final_state
+    return [engine.metrics_csv_lines(res.records), res.xbar_trace.tobytes().hex(),
+            [getattr(S, attr).tobytes().hex() for attr, _ in S.array_fields()]]
+
+
+def in_subprocess(code, *args):
+    """The last stdout line of ``code`` run by a fresh interpreter, as JSON."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([os.path.abspath(SRC), os.path.dirname(__file__)]))
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+# a fresh interpreter's run of the mapping in argv[1], as run_bytes gives it
+_FRESH_RUN = """
+import json, sys, warnings
+from test_oracles import run_bytes
+warnings.simplefilter("ignore")
+print(json.dumps(run_bytes(json.loads(sys.argv[1]))))
+"""
+
+# fills the memo, forks while the memo's lock is held (as when another
+# thread is storing a step), and has the child sample a step the memo holds,
+# one it does not and a spec of another signature; prints the child's
+# exit status, 0 when every block equals a fresh stream's draw
+_FORKED_CHILD = """
+import json, os, signal
+import numpy as np
+from qgm_sim import oracles
+from qgm_sim.oracles import quadratic_family
+
+def fresh(spec, step):
+    rows = [np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        entropy=spec.master_seed, spawn_key=(w, step)))).standard_normal(spec.dim)
+        for w in range(spec.n_workers)]
+    return spec.sigma_c * np.array(rows)
+
+kept = quadratic_family(dim=8, n_workers=4, sigma_c=0.5, master_seed=11)
+for t in range(5):
+    kept.sample_rows(t)
+oracles._noise_lock.acquire()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a child stuck on the inherited lock ends here
+    other = quadratic_family(dim=5, n_workers=3, sigma_c=1.5, master_seed=2)
+    ok = all(np.array_equal(spec.sample_rows(t)[1][2].T, fresh(spec, t))
+             for spec, t in [(kept, 2), (kept, 7), (other, 0), (other, 1)])
+    os._exit(0 if ok else 1)
+oracles._noise_lock.release()
+print(json.dumps(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
+"""
+
+
+@pytest.mark.filterwarnings("ignore:momentum bound violated")
+class TestNoiseMemo:
+    """The noise memo: a run reads back the blocks that a run of the same
+    signature drew, and no bit depends on whether it does."""
+
+    def test_a_second_run_of_one_signature_draws_nothing(self, draws):
+        run_bytes(noisy_mapping("qg_dsgdm"))
+        drawn = list(draws)
+        assert drawn and len(set(drawn)) == len(drawn)
+        second = run_bytes(noisy_mapping("dsgdm"))
+        assert draws == drawn
+        assert second == in_subprocess(_FRESH_RUN, json.dumps(noisy_mapping("dsgdm")))
+
+    @pytest.mark.parametrize("change", [{"seed": 4}, {"n": 6}, {"dim": 10}, {"sigma": 0.25}],
+                             ids=["seed", "n", "dim", "sigma"])
+    def test_another_signature_draws_every_step(self, change, draws):
+        run_bytes(noisy_mapping())
+        drawn = list(draws)
+        got = run_bytes(noisy_mapping(**change))
+        assert draws == drawn + drawn
+        oracles._noise_memo = (None, {})
+        assert run_bytes(noisy_mapping(**change)) == got
+
+    def test_noise_blocks_are_read_only(self):
+        spec = quadratic_family(dim=6, n_workers=4, sigma_c=0.5, master_seed=1)
+        drawn, kept = spec.sample_rows(3)[1][2], spec.sample_rows(3)[1][2]
+        assert kept.base is drawn.base
+        for Zt in (drawn, kept):
+            assert not Zt.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                Zt[0, 0] = 1.0
+        assert not any(Z.flags.writeable for Z in oracles._noise_memo[1].values())
+
+    def test_the_memo_keeps_only_the_steps_that_fit(self, draws):
+        spec = quadratic_family(dim=64, n_workers=64, sigma_c=0.5, master_seed=2)
+        P = np.zeros((64, 64))
+        fit = oracles._NOISE_MEMO_BYTES // (64 * 64 * 8)
+        steps = range(fit + 20)
+        first = [bits(sample_all(spec, P, t)) for t in steps]
+        kept = oracles._noise_memo[1]
+        assert sorted(kept) == list(range(fit))
+        assert sum(Z.nbytes for Z in kept.values()) <= oracles._NOISE_MEMO_BYTES
+        del draws[:]
+        assert [bits(sample_all(spec, P, t)) for t in steps] == first
+        assert draws == list(range(fit, fit + 20))
+
+    def test_a_step_larger_than_the_memo_is_never_kept(self, draws):
+        spec = quadratic_family(dim=2**16, n_workers=16, sigma_c=0.5)
+        first = spec.sample_rows(0)[1][2]
+        assert first.nbytes > oracles._NOISE_MEMO_BYTES
+        assert oracles._noise_memo[1] == {}
+        assert bits(spec.sample_rows(0)[1][2]) == bits(first)
+        assert draws == [0, 0]
+
+    def test_threads_running_two_signatures_at_once_get_their_solo_runs(self):
+        mappings = [noisy_mapping("qg_dsgdm", seed=3), noisy_mapping("gt", seed=4)]
+        solo = []
+        for mapping in mappings:
+            oracles._noise_memo = (None, {})
+            solo.append(run_bytes(mapping))
+        oracles._noise_memo = (None, {})
+        # four threads, two on each signature, on two cores
+        results = [[] for _ in range(4)]
+        start = threading.Barrier(len(results), timeout=60)
+
+        def runs(mapping, out):
+            start.wait()
+            out.extend(run_bytes(mapping) for _ in range(3))
+
+        threads = [threading.Thread(target=runs, args=(mappings[i % 2], out))
+                   for i, out in enumerate(results)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert results == [[solo[i % 2]] * 3 for i in range(len(results))]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_draws_the_fresh_streams(self):
+        assert in_subprocess(_FORKED_CHILD) == 0
 
 
 @st.composite

@@ -161,6 +161,28 @@ def test_stacked_mimelite_matches_per_worker_reference(case):
         assert S.server_s.tobytes() == s.tobytes(), r
 
 
+@pytest.mark.parametrize("dim,n", [(1, 1), (3, 5), (7, 1), (512, 512)])
+def test_init_allocates_the_model_once(dim, n):
+    # one array, x0 broadcast into its columns: the bits of np.repeat, which
+    # init once ran and then copied
+    x0 = np.random.default_rng(dim).standard_normal(dim)
+    x0[0] = -0.0
+    if dim > 1:
+        x0[1] = np.nan
+    kept = x0.copy()
+    for start in (x0, list(x0)):
+        S = StackedState.init(start, n)
+        X = S.X
+        assert X.shape == (dim, n) and X.dtype == np.float64
+        assert X.flags.c_contiguous and X.flags.writeable and X.flags.owndata
+        assert X.tobytes() == np.repeat(x0[:, None], n, axis=1).tobytes()
+        assert x0.tobytes() == kept.tobytes()
+        X[...] = 1.0
+        assert x0.tobytes() == kept.tobytes()
+        for buffer in (S.M_hat, S.M_local, S.V):
+            assert buffer.shape == (dim, n) and not buffer.any()
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="per-step kind"):
         stacked_step("slowmo", StackedState.init(np.zeros(1), 1), np.eye(1),

@@ -2,12 +2,14 @@
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import reference_loops as ref
+from qgm_sim import topology
 from qgm_sim.topology import (
     DAVIS_SOUTHERN_WOMEN_EDGES,
     MIXING_SCHEMES,
@@ -336,6 +338,38 @@ def _mp_gap(W):
         return float(1 - sigma2 * sigma2)
 
 
+def _per_pair_sigma2(row):
+    """``topology._circulant_sigma2`` with one ``math.cos`` per offset and
+    frequency, as it stood before it took one per residue: the bits its
+    cosine table must keep."""
+    n, c = len(row), row.tolist()
+    offsets = [(j, cj) for j, cj in enumerate(c) if j and cj]
+    sigma2 = 0.0
+    for k in range(1, n // 2 + 1):
+        lam = c[0]
+        for j, cj in offsets:
+            lam += cj * math.cos(2.0 * math.pi * (j * k % n) / n)
+        sigma2 = max(sigma2, abs(lam))
+    return sigma2
+
+
+def _circulant_rows():
+    """``(name, first row)`` of rings under both schemes and of complete
+    graphs n 2-1024; past n 256 a complete graph's row is built as
+    ``mixing_matrix`` builds it (1/n off the diagonal, the rest of the mass
+    on it), without its ``n (n - 1) / 2`` edges."""
+    for scheme in MIXING_SCHEMES:
+        for n in RING_SIZES:
+            yield f"ring {scheme} n={n}", mixing_matrix(build_graph("ring", n), scheme).weights[0]
+    for n in [*range(2, 33), 63, 64, 65, 100, 127, 128, 255, 256]:
+        yield f"complete n={n}", mixing_matrix(build_graph("complete", n)).weights[0]
+    for n in (257, 511, 512, 997, 1000, 1023, 1024):
+        row = np.full(n, 1.0 / n)
+        row[0] = 0.0
+        row[0] = 1.0 - row.sum()
+        yield f"complete n={n}", row
+
+
 def _circulant(c):
     """The matrix whose row ``i`` is ``c`` rotated right by ``i``."""
     return np.array([np.roll(c, i) for i in range(len(c))])
@@ -387,6 +421,28 @@ class TestCirculantGap:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # a matrix that does not mix
             assert abs(spectral_gap(W) - _eigvalsh_gap(W)) <= 1e-14
+
+    def test_complete_rows_past_256_are_the_matrix_rows(self):
+        rows = dict(_circulant_rows())
+        assert np.array_equal(rows["complete n=512"],
+                              mixing_matrix(build_graph("complete", 512)).weights[0])
+
+    def test_cosine_table_keeps_the_per_pair_bits(self):
+        for name, row in _circulant_rows():
+            assert topology._circulant_sigma2(row).hex() == _per_pair_sigma2(row).hex(), name
+
+    def test_at_most_n_cosines_per_matrix(self, monkeypatch):
+        calls = []
+
+        def cos(x):
+            calls.append(x)
+            return math.cos(x)
+
+        monkeypatch.setattr(topology, "math", SimpleNamespace(cos=cos, pi=math.pi))
+        for name, row in _circulant_rows():
+            del calls[:]
+            topology._circulant_sigma2(row)
+            assert len(calls) <= len(row), name
 
     def test_a_ring_takes_no_eigensolver(self, monkeypatch):
         def refuse(*args, **kwargs):
