@@ -10,9 +10,9 @@ trajectory  Single-worker 2-D optimizer traces on deterministic test functions.
 partition   Dirichlet label partition; per-client class-count table.
 topo        Print a static mixing matrix and its spectral-gap value.
 
-Config-style flags (``--section.key value``) override file values one-to-one;
-unknown flags are rejected. Exit codes: 0 success, 1 configuration error,
-2 numerical divergence.
+Config-style flags (``--section.key value`` or ``--section.key=value``)
+override file values one-to-one; unknown flags are rejected. Exit codes: 0
+success, 1 configuration error, 2 numerical divergence.
 """
 
 from __future__ import annotations
@@ -120,21 +120,18 @@ print("wrote", {csv!r} + ".png")
 
 
 def _collect_overrides(rest):
-    """Turn trailing ``--section.key value`` tokens into an override dict."""
+    """Turn trailing ``--section.key value`` and ``--section.key=value``
+    tokens into an override dict."""
     overrides = {}
-    i = 0
-    while i < len(rest):
-        token = rest[i]
-        if not (token.startswith("--") and "." in token):
-            raise ConfigError(f"unknown flag {token!r}")
-        key = token[2:]
+    tokens = iter(rest)
+    for token in tokens:
+        key, given, value = token[2:].partition("=")
         section, _, field = key.partition(".")
-        if not section or not field:
+        if not (token.startswith("--") and section and field):
             raise ConfigError(f"unknown flag {token!r}")
-        if i + 1 >= len(rest):
+        if not given and (value := next(tokens, None)) is None:
             raise ConfigError(f"flag --{key} expects a value")
-        overrides[key] = rest[i + 1]
-        i += 2
+        overrides[key] = value
     return overrides
 
 

@@ -18,7 +18,10 @@ byte-identical across reruns.  Beside a one-thread BLAS, a large
 dsgd/qg-family run computes each step's entrywise work and one-peer
 gossip in two row ranges on two threads (:func:`_halves`) and a dense
 gossip as one product; every row reads only the same row of its inputs,
-so its bytes do not depend on the split.
+so its bytes do not depend on the split.  The second thread is the run's
+own: it starts before the run's first step and is joined before the run
+returns or raises, so no thread outlives a run and a forked child has
+none to miss.
 
 Divergence aborts: any non-finite entry in any array the state holds raises
 :class:`NumericalDivergence` naming the step, the buffer and the worker (the
@@ -29,6 +32,7 @@ in an optimizer test bed.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import dataclasses
 import functools
 import math
@@ -670,43 +674,32 @@ def _check_finite(S: StackedState, step: int, method: str, fields: list,
 _SPLIT_ENTRIES = 1 << 17
 _SPLIT_MIN_ROWS = 128
 
-_helper_lock = threading.Lock()  # starts the helper thread once
-_helper_jobs: queue.SimpleQueue | None = None
-
-
 def _serve(jobs: queue.SimpleQueue) -> None:
-    """The helper thread: run each ``(job, done)`` in turn and put its
-    result, or the exception it raised, into ``done``."""
-    while True:
-        job, done = jobs.get()
+    """A split run's helper thread: run each ``(job, done)`` in turn and put
+    its result, or the exception it raised, into ``done``, until a None job
+    ends it."""
+    while (item := jobs.get()) is not None:
+        job, done = item
         try:
             result = job()
         except BaseException as exc:  # re-raised on the calling thread
             result = exc
-        job = None  # the step's arrays are freed as soon as the caller drops them
+        item = job = None  # the step's arrays are freed as soon as the caller drops them
         done.put(result)
 
 
-def _forget_helper() -> None:
-    """In a forked child, which has no helper thread, start afresh."""
-    global _helper_lock, _helper_jobs
-    _helper_lock, _helper_jobs = threading.Lock(), None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_helper)
-
-
-def _helper() -> queue.SimpleQueue:
-    """The helper thread's job queue, starting the thread on first use."""
-    global _helper_jobs
-    with _helper_lock:
-        if _helper_jobs is None:
-            jobs = queue.SimpleQueue()
-            threading.Thread(target=_serve, args=(jobs,), name="qgm-sim-rows",
-                             daemon=True).start()
-            _helper_jobs = jobs
-    return _helper_jobs
+@contextlib.contextmanager
+def _helper():
+    """A job queue that a fresh helper thread serves for as long as the
+    block runs; the thread is stopped and joined when the block ends."""
+    jobs = queue.SimpleQueue()
+    thread = threading.Thread(target=_serve, args=(jobs,), name="qgm-sim-rows", daemon=True)
+    thread.start()
+    try:
+        yield jobs
+    finally:
+        jobs.put(None)
+        thread.join()
 
 
 @functools.cache
@@ -750,11 +743,12 @@ def _halves(kind: str, dim: int, n: int) -> tuple[slice, slice] | None:
     return slice(0, dim // 2), slice(dim // 2, dim)
 
 
-def _in_halves(fn, halves: tuple[slice, slice]) -> tuple:
-    """``(fn(first), fn(second))``, the second on the helper thread."""
+def _in_halves(fn, halves: tuple[slice, slice], jobs: queue.SimpleQueue) -> tuple:
+    """``(fn(first), fn(second))``, the second on the helper thread that
+    serves ``jobs``."""
     first, second = halves
     done = queue.SimpleQueue()  # one per call: an interrupted wait leaves no stale result
-    _helper().put((functools.partial(fn, second), done))
+    jobs.put((functools.partial(fn, second), done))
     try:
         mine = fn(first)
     finally:
@@ -764,11 +758,13 @@ def _in_halves(fn, halves: tuple[slice, slice]) -> tuple:
     return mine, theirs
 
 
-def _split_step(phases: tuple, halves: tuple[slice, slice], S: StackedState, step: int,
-                 method: str, fields: list, verified: dict) -> np.ndarray:
+def _split_step(phases: tuple, halves: tuple[slice, slice], jobs: queue.SimpleQueue,
+                S: StackedState, step: int, method: str, fields: list,
+                verified: dict) -> np.ndarray:
     """Run a step's phases (:func:`~qgm_sim.optim.stacked_dsgd_tasks`),
-    each phase of row tasks in both ``halves`` at once (:func:`_in_halves`)
-    and the product between them on this thread, and return the averaged
+    each phase of row tasks in both ``halves`` at once (:func:`_in_halves`,
+    the second half on the run's helper thread, which serves ``jobs``) and
+    the product between them on this thread, and return the averaged
     model.
 
     After the last task each half writes its rows of ``x_bar`` and sums
@@ -782,7 +778,7 @@ def _split_step(phases: tuple, halves: tuple[slice, slice], S: StackedState, ste
     checked = [(field, getattr(S, attr), attr == "X") for attr, field in fields
                if verified.get(field) is not getattr(S, attr)]
     if product is not None:
-        _in_halves(functools.partial(_run_rows, before), halves)
+        _in_halves(functools.partial(_run_rows, before), halves, jobs)
         fn, args = product
         fn(*args)
 
@@ -792,7 +788,7 @@ def _split_step(phases: tuple, halves: tuple[slice, slice], S: StackedState, ste
         return all(math.isfinite(np.add.reduce(xb if is_x else arr[rows], axis=None))
                    for _field, arr, is_x in checked)
 
-    if all(_in_halves(finish, halves)):
+    if all(_in_halves(finish, halves, jobs)):
         verified.update((field, arr) for field, arr, _is_x in checked)
     else:
         _check_finite(S, step, method, fields, verified, x_bar)
@@ -828,10 +824,12 @@ def run(config: RunConfig) -> RunResult:
     divergence, the averaged model is traced, and a metrics row is recorded
     when ``end`` is a multiple of ``metrics_every`` or the last step.  A run
     that :func:`_halves` splits computes each step, its averaged model and
-    its divergence check in two row ranges (:func:`_split_step`), and each
-    of its steps writes the arrays the step before retired, so after the
-    first it allocates no ``(dim, n)`` array; the spare arrays live only
-    here, so no caller can hold one.
+    its divergence check in two row ranges (:func:`_split_step`), the
+    second on a helper thread that it starts before its first step and
+    stops and joins when it returns or raises; a run that does not split
+    starts no thread.  Each of its steps writes the arrays the step before
+    retired, so after the first it allocates no ``(dim, n)`` array; the
+    spare arrays live only here, so no caller can hold one.
     """
     problem, mixing, kind = config.problem, config.mixing, config.optim_kind
 
@@ -852,32 +850,35 @@ def run(config: RunConfig) -> RunResult:
     fields = None
     hp = config.hp
     span = hp.tau if kind in ROUND_KINDS else 1
-    for step0 in range(0, config.steps, span):
-        end = step0 + span
-        lr = lr_schedule(config.schedule, step0 + 1, config.steps)
-        if lr != hp.eta:  # a new stage of the schedule
-            hp = dataclasses.replace(config.hp, eta=lr)
-        if kind == "slowmo":
-            stacked_slowmo_round(S, mixing, hp, config.slowmo_base, grad_fn, step0)
-        elif kind == "mimelite":
-            stacked_mimelite_round(S, hp, grad_fn, problem.local_gradients, step0)
-        elif halves is None:
-            stacked_step(kind, S, mixing.at(step0), hp, end, grad_fn)
-        else:
-            *phases, retired = stacked_dsgd_tasks(kind, S, mixing.at(step0), hp, end,
-                                                  problem, spare)
-        if fields is None:
-            fields = S.array_fields()
-        if halves is None:
-            x_bar = _average_model(S.X)
-            _check_finite(S, end, kind, fields, verified, x_bar)
-        else:
-            x_bar = _split_step(phases, halves, S, end, kind, fields, verified)
-            spare += retired
-            del phases  # they hold the step's inputs and scratch
-        xbar_trace.append(x_bar)
-        if end % config.metrics_every == 0 or end == config.steps:
-            records.append(_make_record(problem, S.X, x_bar, end, lr, config.steps_per_epoch))
+    # a split run steps beside its own helper thread, joined when the loop ends
+    with _helper() if halves is not None else contextlib.nullcontext() as jobs:
+        for step0 in range(0, config.steps, span):
+            end = step0 + span
+            lr = lr_schedule(config.schedule, step0 + 1, config.steps)
+            if lr != hp.eta:  # a new stage of the schedule
+                hp = dataclasses.replace(config.hp, eta=lr)
+            if kind == "slowmo":
+                stacked_slowmo_round(S, mixing, hp, config.slowmo_base, grad_fn, step0)
+            elif kind == "mimelite":
+                stacked_mimelite_round(S, hp, grad_fn, problem.local_gradients, step0)
+            elif halves is None:
+                stacked_step(kind, S, mixing.at(step0), hp, end, grad_fn)
+            else:
+                *phases, retired = stacked_dsgd_tasks(kind, S, mixing.at(step0), hp, end,
+                                                      problem, spare)
+            if fields is None:
+                fields = S.array_fields()
+            if halves is None:
+                x_bar = _average_model(S.X)
+                _check_finite(S, end, kind, fields, verified, x_bar)
+            else:
+                x_bar = _split_step(phases, halves, jobs, S, end, kind, fields, verified)
+                spare += retired
+                del phases  # they hold the step's inputs and scratch
+            xbar_trace.append(x_bar)
+            if end % config.metrics_every == 0 or end == config.steps:
+                records.append(_make_record(problem, S.X, x_bar, end, lr,
+                                            config.steps_per_epoch))
 
     return RunResult(
         records=tuple(records),

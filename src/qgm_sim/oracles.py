@@ -39,9 +39,11 @@ at once, and a noisy quadratic splits the work by what changes:
 A draw depends only on (seed, worker, step), so the noise block
 ``sigma_c * Z`` of a step is kept (:func:`_scaled_noise`): one slot holds
 the steps drawn for the last signature ``(master_seed, n_workers, dim,
-sigma_c)``, and a run with the same signature reads them back instead of
-drawing them again.  A hit is the array a miss would compute, so no bit
-depends on the memo.
+sigma_c)``, those below a step bound that keeps it within 4 MiB, and a
+run with the same signature reads them back instead of drawing them
+again.  A hit is the array a miss would compute, so no bit depends on the
+memo, and threads share it without a lock: the worst a race does is drop
+a block, which is then drawn again.
 
 For the quadratic family the rest is one whole-matrix expression, and
 :meth:`ProblemSpec.sample` is one column of it; the 2-d landscapes loop
@@ -51,7 +53,6 @@ over workers.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -249,48 +250,38 @@ def _standard_normals(seed_pools: _SeedPools, step: int, dim: int) -> np.ndarray
 
 
 # The noise memo: the read-only blocks ``sigma_c * Z`` (``(n, dim)``, one
-# per step) drawn for one signature, at most _NOISE_MEMO_BYTES of them, so
-# the memo adds at most 4 MiB to a process's RSS (all 100 steps of an n 64,
-# dim 64 run take 3.2 MB).  A step of more than 4 MiB is never kept.  The
-# slot is (signature, {step: block}); a run with another signature replaces
-# it.  The lock makes a lookup and a store exact between threads; a forked
-# child, which may inherit it held, makes its own (_forget_noise_lock).
+# per step) drawn for one signature.  The slot is (signature, {step:
+# block}); a run with another signature rebinds it whole, so a dict only
+# ever receives its own signature's blocks and every hit is right without
+# a lock.  Only the steps below _NOISE_MEMO_BYTES // Z.nbytes are kept,
+# which bounds a dict at 4 MiB however threads interleave (all 100 steps
+# of an n 64, dim 64 run take 3.2 MB); a run draws from step 0 up, so it
+# keeps every step that fits.  A step of more than 4 MiB is never kept,
+# and a block stored into a slot another thread has just replaced is lost
+# and drawn again.
 _NOISE_MEMO_BYTES = 4 << 20
-_noise_lock = threading.Lock()
 _noise_memo: tuple = (None, {})
-
-
-def _forget_noise_lock() -> None:
-    """In a forked child, where no other thread runs, unlock the memo."""
-    global _noise_lock
-    _noise_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_noise_lock)
 
 
 def _scaled_noise(spec: ProblemSpec, step: int) -> np.ndarray:
     """``spec``'s noise block at ``step``, ``sigma_c`` times
     :func:`_standard_normals`, as a read-only ``(n, dim)`` array: the
     memo's when it holds that step of ``spec``'s signature, else drawn and
-    kept while the memo has room."""
+    kept when the step is below the memo's bound."""
     global _noise_memo
     signature = (spec.master_seed, spec.n_workers, spec.dim, spec.sigma_c)
-    with _noise_lock:
-        held, steps = _noise_memo
-        if held == signature and (Z := steps.get(step)) is not None:
-            return Z
+    held, steps = _noise_memo
+    if held == signature and (Z := steps.get(step)) is not None:
+        return Z
     Z = _standard_normals(spec._pools, step, spec.dim)
     Z *= spec.sigma_c
     Z.setflags(write=False)
-    with _noise_lock:
-        held, steps = _noise_memo
-        if held != signature:
-            steps = {}
-            _noise_memo = signature, steps
-        if (len(steps) + 1) * Z.nbytes <= _NOISE_MEMO_BYTES:
-            steps[step] = Z
+    held, steps = _noise_memo
+    if held != signature:
+        steps = {}
+        _noise_memo = signature, steps
+    if step < _NOISE_MEMO_BYTES // Z.nbytes:
+        steps[step] = Z
     return Z
 
 
@@ -441,8 +432,10 @@ class ProblemSpec:
     ``==`` is identity: ``a_diag`` and ``b_base`` are arrays, which have no
     one truth value.
 
-    Construction also builds, read-only, what every evaluation reads: the
-    stacked targets ``b_i`` (columns and rows) and, when the family is
+    Construction copies ``a_diag`` and ``b_base`` (any sequence of ``dim``
+    reals) into read-only float64 arrays of the spec's own, leaving the
+    caller's untouched, and builds, read-only, what every evaluation reads:
+    the stacked targets ``b_i`` (columns and rows) and, when the family is
     noisy, the per-run part of its noise-key hash (:func:`_seed_pools`).
 
     ``mean_loss_and_gradient`` calls ``mean_loss`` and ``mean_gradient``;
@@ -466,14 +459,17 @@ class ProblemSpec:
     def __post_init__(self):
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1; got {self.n_workers}")
-        if len(self.a_diag) != self.dim or len(self.b_base) != self.dim:
-            raise ValueError("a_diag and b_base must have length dim")
+        for name in ("a_diag", "b_base"):  # the spec's own read-only float64 copies
+            values = np.array(getattr(self, name), dtype=np.float64)
+            if values.shape != (self.dim,):
+                raise ValueError(f"a_diag and b_base must have shape ({self.dim},); "
+                                 f"got {name} of shape {values.shape}")
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         if self.zeta_c != 0.0 and self.dim < self.n_workers:
             raise ValueError("quadratic_family heterogeneity uses orthonormal basis "
                              "perturbations, requiring dim >= n_workers; got "
                              f"dim={self.dim}, n_workers={self.n_workers}")
-        self.a_diag.setflags(write=False)
-        self.b_base.setflags(write=False)
         # the b_i as columns and as C-contiguous rows, stacked (and the
         # rows copied) only when they differ
         B = self.b_base[:, None]

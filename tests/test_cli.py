@@ -118,6 +118,28 @@ class TestRunCommand:
         _, rows = read_csv(out)
         assert all(row[2] == "0.013" for row in rows)
 
+    def test_override_takes_the_equals_form(self, demo_config, tmp_path, capsys):
+        # as argparse reads --out=path; "--run.seed=5" once exited 1 with
+        # "flag --run.seed=5 expects a value", and took the token after it
+        # as that flag's value
+        paths = [tmp_path / name for name in ("spaced.csv", "equals.csv", "mixed.csv")]
+        argvs = [["--run.seed", "5", "--optim.eta", "0.013"],
+                 ["--run.seed=5", "--optim.eta=0.013"],
+                 ["--run.seed=5", "--optim.eta", "0.013"]]
+        for path, flags in zip(paths, argvs):
+            assert quiet_main(["run", "--config", demo_config, f"--out={path}", *flags]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+        _, rows = read_csv(paths[1])
+        assert all(row[2] == "0.013" for row in rows)
+        seed3 = tmp_path / "seed3.csv"
+        assert quiet_main(["run", "--config", demo_config, "--out", str(seed3)]) == 0
+        assert seed3.read_bytes() != paths[1].read_bytes()
+        capsys.readouterr()
+        assert main(["run", "--config", demo_config, "--run.seed=-1"]) == 1
+        assert "run.seed must be >= 0" in capsys.readouterr().err
+        assert main(["run", "--config", demo_config, "--a=b.c", "1"]) == 1
+        assert capsys.readouterr().err == "config error: unknown flag '--a=b.c'\n"
+
     def test_divergence_exits_2(self, demo_config, tmp_path, capsys):
         code = quiet_main([
             "run", "--config", demo_config, "--out", str(tmp_path / "m.csv"),

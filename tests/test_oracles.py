@@ -197,6 +197,30 @@ class TestProblemFamilies:
                         grad_scale=2.0)
         assert Landscape2D(kind="rosenbrock", n_workers=2).noise_bound is None
 
+    def test_a_quadratic_copies_its_vectors_into_read_only_float64(self):
+        # a list once raised AttributeError (no setflags), integer vectors
+        # with zeta_c != 0 a casting error, and the caller's own arrays
+        # were left read-only
+        a, b = np.array([1, 2, 3, 4]), [2, 0, -1, 5]
+        given = dict(dim=4, n_workers=3, zeta_c=0.5, sigma_c=0.3, master_seed=7)
+        spec = ProblemSpec(a_diag=a, b_base=b, **given)
+        floats = ProblemSpec(a_diag=a.astype(float), b_base=np.array(b, dtype=float), **given)
+        for name in ("a_diag", "b_base"):
+            got = getattr(spec, name)
+            assert got.dtype == np.float64 and got.shape == (4,) and not got.flags.writeable
+        assert a.flags.writeable and a.dtype.kind == "i"
+        a[0] = 9  # the spec keeps its own copy
+        assert spec.a_diag[0] == 1.0
+        P = np.random.default_rng(2).uniform(-2, 2, size=(4, 3))
+        assert bits(spec.sample_all(P, 3)) == bits(floats.sample_all(P, 3))
+        # float64 vectors keep their bits
+        a_f = np.array([0.1, 1 / 3, 2.0**-1074, 7.0])
+        kept = ProblemSpec(a_diag=a_f, b_base=-a_f, **given)
+        assert bits(kept.a_diag) == bits(a_f) and kept.a_diag is not a_f
+        assert a_f.flags.writeable
+        with pytest.raises(ValueError, match=r"shape \(4,\); got b_base of shape \(4, 1\)"):
+            ProblemSpec(a_diag=a_f, b_base=a_f[:, None], **given)
+
     def test_landscape_kinds_are_the_2d_families(self):
         with pytest.raises(ValueError, match="unknown 2-d landscape 'quadratic_family'"):
             Landscape2D(kind="quadratic_family", n_workers=2)
@@ -501,12 +525,13 @@ warnings.simplefilter("ignore")
 print(json.dumps(run_bytes(json.loads(sys.argv[1]))))
 """
 
-# fills the memo, forks while the memo's lock is held (as when another
-# thread is storing a step), and has the child sample a step the memo holds,
+# fills the memo, forks while another thread samples (and so stores into
+# and replaces the memo), and has the child sample a step the memo holds,
 # one it does not and a spec of another signature; prints the child's
-# exit status, 0 when every block equals a fresh stream's draw
+# exit status, 0 when every block it gets and every block its memo holds
+# equals a fresh stream's draw
 _FORKED_CHILD = """
-import json, os, signal
+import json, os, signal, threading
 import numpy as np
 from qgm_sim import oracles
 from qgm_sim.oracles import quadratic_family
@@ -518,17 +543,33 @@ def fresh(spec, step):
     return spec.sigma_c * np.array(rows)
 
 kept = quadratic_family(dim=8, n_workers=4, sigma_c=0.5, master_seed=11)
+rival = quadratic_family(dim=8, n_workers=4, sigma_c=0.5, master_seed=12)
+other = quadratic_family(dim=5, n_workers=3, sigma_c=1.5, master_seed=2)
 for t in range(5):
     kept.sample_rows(t)
-oracles._noise_lock.acquire()
+stop, sampling = threading.Event(), threading.Event()
+
+def sample():
+    t = 0
+    while not stop.is_set():
+        (kept if t % 2 else rival).sample_rows(t % 9)
+        sampling.set()
+        t += 1
+
+thread = threading.Thread(target=sample)
+thread.start()
+sampling.wait(30)
 pid = os.fork()
 if pid == 0:
-    signal.alarm(30)  # a child stuck on the inherited lock ends here
-    other = quadratic_family(dim=5, n_workers=3, sigma_c=1.5, master_seed=2)
+    signal.alarm(30)  # a child stuck on a lock the sampler held ends here
     ok = all(np.array_equal(spec.sample_rows(t)[1][2].T, fresh(spec, t))
              for spec, t in [(kept, 2), (kept, 7), (other, 0), (other, 1)])
+    specs = {(s.master_seed, s.n_workers, s.dim, s.sigma_c): s for s in (kept, rival, other)}
+    held, steps = oracles._noise_memo
+    ok = ok and all(np.array_equal(Z, fresh(specs[held], t)) for t, Z in steps.items())
     os._exit(0 if ok else 1)
-oracles._noise_lock.release()
+stop.set()
+thread.join()
 print(json.dumps(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])))
 """
 
@@ -615,6 +656,42 @@ class TestNoiseMemo:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
         assert results == [[solo[i % 2]] * 3 for i in range(len(results))]
+
+    def test_threads_storing_past_the_bound_keep_the_memo_within_it(self, draws):
+        # four threads sample one signature's steps past the bound, each in
+        # another order, so steps above it are drawn first; the memo keeps
+        # only steps below it (a store into a dict another thread has just
+        # replaced is lost), and each block is its step's own draw
+        spec = quadratic_family(dim=64, n_workers=64, sigma_c=0.5, master_seed=6)
+        P = np.zeros((64, 64))
+        fit = oracles._NOISE_MEMO_BYTES // (64 * 64 * 8)
+        steps = list(range(fit + 24))
+        orders = [steps[::-1], steps, steps[fit:] + steps[:fit], steps[1::2] + steps[::2]]
+        start = threading.Barrier(len(orders), timeout=60)
+
+        def draw(order):
+            start.wait()
+            for t in order:
+                sample_all(spec, P, t)
+
+        threads = [threading.Thread(target=draw, args=(order,)) for order in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        held, kept = oracles._noise_memo
+        assert held == (6, 64, 64, 0.5) and kept and set(kept) <= set(range(fit))
+        assert sum(Z.nbytes for Z in kept.values()) <= oracles._NOISE_MEMO_BYTES
+        assert set(draws) == set(steps)
+        for t, Z in kept.items():
+            rows = [ref.worker_rng(6, w, t).standard_normal(64) for w in range(64)]
+            assert bits(Z) == bits(0.5 * np.array(rows)), t
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_a_forked_child_draws_the_fresh_streams(self):

@@ -8,7 +8,10 @@ run with the same run in one range: the metrics CSV, ``xbar_trace``, every
 field of the final state and the divergence a NaN raises.  A split step
 writes the arrays earlier steps of its run retired: further tests check
 which arrays those are, that a NaN in one is still caught, and that a
-large run's steps then map no fresh memory.
+large run's steps then map no fresh memory.  A split run steps beside one
+helper thread of its own: others check that a run that does not split
+starts none and that none outlives the run that started it, whether it
+returns or raises.
 """
 
 import json
@@ -216,31 +219,93 @@ def helper_threads():
     return sum(t.name == "qgm-sim-rows" for t in threading.enumerate())
 
 
+def counting_helpers_at_each_step(monkeypatch, name):
+    """Record how many helper threads are alive at each call of the
+    engine's ``name`` (a step function), in the list returned."""
+    seen = []
+    real = getattr(engine, name)
+
+    def counted(*args):
+        seen.append(helper_threads())
+        return real(*args)
+
+    monkeypatch.setattr(engine, name, counted)
+    return seen
+
+
 def test_small_state_never_starts_the_thread(monkeypatch):
-    monkeypatch.setattr(engine, "_helper_jobs", None)
     two_cpus_one_blas_thread(monkeypatch)
+    during = counting_helpers_at_each_step(monkeypatch, "stacked_step")
     before = helper_threads()
     cfg = config("qg_dsgdm", "ring")  # 200 x 4 entries, far below the threshold
     assert cfg.problem.dim * cfg.n < engine._SPLIT_ENTRIES
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         engine.run(cfg)
-    assert engine._helper_jobs is None and helper_threads() == before
+    assert during == [before] * cfg.steps and helper_threads() == before
 
 
-def test_split_runs_share_one_thread(splitting):
+def test_no_helper_outlives_its_run(splitting):
+    # each split run steps beside one helper thread of its own, which is
+    # gone once the run returns
     monkeypatch, calls = splitting
-    monkeypatch.setattr(engine, "_helper_jobs", None)
+    during = counting_helpers_at_each_step(monkeypatch, "stacked_dsgd_tasks")
     before = helper_threads()
     for kind in ("qg_dsgdm", "dsgdm"):
         outputs(config(kind, "ring"), 0, monkeypatch)
-    assert len(calls) == 12 and helper_threads() == before + 1
+        assert helper_threads() == before
+    assert len(calls) == 12 and during == [before + 1] * 12
 
 
-def test_concurrent_split_runs_share_the_helper_and_keep_their_bytes(splitting):
-    # six callers on two cores take turns with the one helper thread; a
+@pytest.mark.parametrize("poisoned", ["caller", "helper"])
+def test_no_helper_outlives_a_run_that_diverges(poisoned, splitting):
+    # a NaN in the first or the second half at step 3 aborts the run; its
+    # helper thread is joined all the same
+    monkeypatch, calls = splitting
+    cfg = config("qg_dsgdm", "one_peer_exponential", sigma="0.3")
+    mask = np.zeros((cfg.problem.dim, cfg.n), dtype=bool)
+    mask[0 if poisoned == "caller" else -1, 1] = True
+    during = counting_helpers_at_each_step(monkeypatch, "stacked_dsgd_tasks")
+    real = engine.stacked_dsgd_tasks
+
+    def poisoned_step(kind, S, W, hp, t, problem, spare):
+        before, product, after, retired = real(kind, S, W, hp, t, problem, spare)
+        if t == 3:
+            after = [*after, (np.putmask, (S.X, mask, np.nan))]
+        return before, product, after, retired
+
+    monkeypatch.setattr(engine, "stacked_dsgd_tasks", poisoned_step)
+    before = helper_threads()
+    with pytest.raises(NumericalDivergence) as exc:
+        outputs(cfg, 0, monkeypatch)
+    assert (exc.value.step, exc.value.field, exc.value.worker) == (3, "x", 1)
+    assert len(calls) == 3 and during == [before + 1] * 3
+    assert helper_threads() == before
+
+
+def test_no_helper_outlives_a_run_whose_half_raises(splitting):
+    # an exception in the helper's half is raised on the calling thread,
+    # which then joins the helper
+    monkeypatch, calls = splitting
+    real = engine._run_rows
+
+    def failing(tasks, rows):
+        if rows.start:
+            raise RuntimeError("second half")
+        return real(tasks, rows)
+
+    monkeypatch.setattr(engine, "_run_rows", failing)
+    before = helper_threads()
+    with pytest.raises(RuntimeError, match="second half"):
+        outputs(config("dsgd", "one_peer_exponential"), 0, monkeypatch)
+    assert len(calls) == 1 and helper_threads() == before
+
+
+def test_concurrent_split_runs_keep_their_bytes(splitting):
+    # six callers on two cores, each run with its own helper thread; a
     # half that ran for another caller's step would move bytes
     monkeypatch, calls = splitting
+    before = helper_threads()
     cases = [config(kind, topology, sigma="0.3") for kind in ("qg_dsgdm", "dsgdm_n", "dsgd")
              for topology in ("ring", "one_peer_exponential")]
     want = [outputs(cfg, 1 << 62, monkeypatch) for cfg in cases]
@@ -268,16 +333,16 @@ def test_concurrent_split_runs_share_the_helper_and_keep_their_bytes(splitting):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert len(calls) == 6 * len(cases) and got == want
+    assert helper_threads() == before
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_a_forked_child_starts_its_own_helper(splitting):
-    # the child of a process whose helper thread runs has no such thread;
-    # its first split run must start one rather than wait for the parent's
+    # a forked child has no thread but the one that forked; its split runs
+    # start their own helpers and give the parent's bytes
     monkeypatch, calls = splitting
     cfg = config("qg_dsgdm", "ring", sigma="0.3")
     want = outputs(cfg, 0, monkeypatch)
-    assert engine._helper_jobs is not None
     pid = os.fork()
     if pid == 0:  # the child: exit 0 only on the parent's bytes
         code = 1

@@ -413,8 +413,8 @@ class TestCirculantGap:
         c = np.zeros(n)
         for j in range(1, n // 2 + 1):
             c[j] = c[n - j] = data.draw(st.floats(0.0, 1.0))
-        if c.sum() > 0.0:
-            c *= data.draw(st.floats(0.0, 1.0)) / c.sum()
+        if c.sum() > 0.0:  # scaled after the division: 1 / a subnormal sum overflows
+            c = c / c.sum() * data.draw(st.floats(0.0, 1.0))
         c[0] = 1.0 - c[1:].sum()
         W = _circulant(c)
         assert np.array_equal(W, W.T)
