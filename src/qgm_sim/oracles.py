@@ -38,12 +38,13 @@ at once, and a noisy quadratic splits the work by what changes:
 
 A draw depends only on (seed, worker, step), so the noise block
 ``sigma_c * Z`` of a step is kept (:func:`_scaled_noise`): one slot holds
-the steps drawn for the last signature ``(master_seed, n_workers, dim,
-sigma_c)``, those below a step bound that keeps it within 4 MiB, and a
-run with the same signature reads them back instead of drawing them
-again.  A hit is the array a miss would compute, so no bit depends on the
-memo, and threads share it without a lock: the worst a race does is drop
-a block, which is then drawn again.
+the kept steps of the last signature ``(master_seed, n_workers, dim,
+sigma_c)`` to keep one: those below a step bound that keeps it within
+4 MiB, so a step past the bound leaves the slot as it was.  A run with
+the same signature reads them back instead of drawing them again.  A hit
+is the array a miss would compute, so no bit depends on the memo, and
+threads share it without a lock: the worst a race does is drop a block,
+which is then drawn again.
 
 For the quadratic family the rest is one whole-matrix expression, and
 :meth:`ProblemSpec.sample` is one column of it; the 2-d landscapes loop
@@ -267,7 +268,8 @@ def _scaled_noise(spec: ProblemSpec, step: int) -> np.ndarray:
     """``spec``'s noise block at ``step``, ``sigma_c`` times
     :func:`_standard_normals`, as a read-only ``(n, dim)`` array: the
     memo's when it holds that step of ``spec``'s signature, else drawn and
-    kept when the step is below the memo's bound."""
+    kept when the step is below the memo's bound; only a kept step rebinds
+    the slot to a new signature."""
     global _noise_memo
     signature = (spec.master_seed, spec.n_workers, spec.dim, spec.sigma_c)
     held, steps = _noise_memo
@@ -276,11 +278,11 @@ def _scaled_noise(spec: ProblemSpec, step: int) -> np.ndarray:
     Z = _standard_normals(spec._pools, step, spec.dim)
     Z *= spec.sigma_c
     Z.setflags(write=False)
-    held, steps = _noise_memo
-    if held != signature:
-        steps = {}
-        _noise_memo = signature, steps
     if step < _NOISE_MEMO_BYTES // Z.nbytes:
+        held, steps = _noise_memo
+        if held != signature:
+            steps = {}
+            _noise_memo = signature, steps
         steps[step] = Z
     return Z
 

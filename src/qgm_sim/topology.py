@@ -36,6 +36,7 @@ distinction only matters for the directed one-peer matrices.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -104,18 +105,18 @@ class Graph:
     params: dict = field(default_factory=dict)
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return _edges_and_degrees(self)[1]
+
+
+def _edges_and_degrees(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """``graph``'s edges as an ``(E, 2)`` int64 array, and its node degrees."""
+    edges = np.fromiter(itertools.chain.from_iterable(graph.edges), np.int64).reshape(-1, 2)
+    return edges, np.bincount(edges.ravel(), minlength=graph.n)
 
 
 def _ring_edges(n: int) -> set[tuple[int, int]]:
     if n == 1:
         return set()
-    if n == 2:
-        return {(0, 1)}
     return {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
 
 
@@ -144,8 +145,7 @@ def _torus_edges(rows: int, cols: int) -> set[tuple[int, int]]:
         for c in range(cols):
             i = r * cols + c
             for j in (((r + 1) % rows) * cols + c, r * cols + (c + 1) % cols):
-                if i != j:
-                    edges.add((min(i, j), max(i, j)))
+                edges.add((min(i, j), max(i, j)))
     return edges
 
 
@@ -174,8 +174,7 @@ def build_graph(kind: str, n: int, **params) -> Graph:
         return Graph("torus", n, frozenset(_torus_edges(rows, cols)),
                      params={"rows": rows, "cols": cols})
     if kind == "complete":
-        return Graph("complete", n,
-                     frozenset((i, j) for i in range(n) for j in range(i + 1, n)))
+        return Graph("complete", n, frozenset(itertools.combinations(range(n), 2)))
     if kind == "star":
         return Graph("star", n, frozenset((0, i) for i in range(1, n)))
     if kind == "social":
@@ -248,13 +247,10 @@ def mixing_matrix(graph: Graph, scheme: str = "metropolis_hastings") -> MixingMa
                          "OnePeerExponential(n) instead of mixing_matrix()")
 
     n = graph.n
-    deg = graph.degrees()
-    W = np.zeros((n, n))
+    edges, deg = _edges_and_degrees(graph)
+    u, v = edges.T
     if scheme == "metropolis_hastings":
-        for u, v in graph.edges:
-            w = 1.0 / (1.0 + max(deg[u], deg[v]))
-            W[u, v] = w
-            W[v, u] = w
+        w = 1.0 / (1.0 + np.maximum(deg[u], deg[v]))
     else:  # uniform_neighbor
         if n > 1 and np.any(deg != deg[0]):
             raise ValueError(
@@ -262,10 +258,10 @@ def mixing_matrix(graph: Graph, scheme: str = "metropolis_hastings") -> MixingMa
                 f"graph kind {graph.kind!r} has degrees in [{deg.min()}, {deg.max()}] -- "
                 "use metropolis_hastings instead"
             )
-        for u, v in graph.edges:
-            w = 1.0 / (deg[0] + 1.0)
-            W[u, v] = w
-            W[v, u] = w
+        w = 1.0 / (deg[0] + 1.0)
+    W = np.zeros((n, n))
+    W[u, v] = w
+    W[v, u] = w
     W[np.arange(n), np.arange(n)] = 1.0 - W.sum(axis=1)
 
     _validate_doubly_stochastic(W, f"{graph.kind}/{scheme}")

@@ -19,6 +19,10 @@ became a column of ``sample_all``: the reference of ``test_oracles.py``.
 scanned every changed array entry by entry.  :func:`to_workers` splits a
 stacked state into per-worker states and :func:`per_worker` lifts a
 per-worker oracle to the matrix contract of ``qgm_sim.optim``.
+:func:`degrees` and :func:`mixing_weights` are ``topology``'s degree count
+and mixing weights as they stood when they looped over the edges one by
+one, the reference that ``test_topology.py`` compares the array
+expressions with bit for bit.
 
 Four functions the package no longer ships, since no run calls them, live
 here as the tests' own references: :func:`qg_multistep_gate` and
@@ -639,3 +643,41 @@ def finite_difference_check(oracle, x, h: float = 1e-5) -> float:
         denom = max(1.0, abs(float(sample.grad[j])))
         worst = max(worst, abs(fd - float(sample.grad[j])) / denom)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# per-edge mixing weights
+# ---------------------------------------------------------------------------
+
+def degrees(graph) -> np.ndarray:
+    """Each node's degree, counted edge by edge: ``Graph.degrees`` as it
+    stood before it became one ``np.bincount``."""
+    deg = np.zeros(graph.n, dtype=np.int64)
+    for u, v in graph.edges:
+        deg[u] += 1
+        deg[v] += 1
+    return deg
+
+
+def mixing_weights(graph, scheme: str) -> np.ndarray:
+    """The weights of ``mixing_matrix(graph, scheme)`` set edge by edge, as
+    they stood before they became one array expression per scheme; an
+    irregular graph under ``uniform_neighbor`` raises ``ValueError``.  Not
+    validated: the caller compares the bits."""
+    n = graph.n
+    deg = degrees(graph)
+    W = np.zeros((n, n))
+    if scheme == "metropolis_hastings":
+        for u, v in graph.edges:
+            w = 1.0 / (1.0 + max(deg[u], deg[v]))
+            W[u, v] = w
+            W[v, u] = w
+    else:  # uniform_neighbor
+        if n > 1 and np.any(deg != deg[0]):
+            raise ValueError("uniform_neighbor weights require a regular graph")
+        for u, v in graph.edges:
+            w = 1.0 / (deg[0] + 1.0)
+            W[u, v] = w
+            W[v, u] = w
+    W[np.arange(n), np.arange(n)] = 1.0 - W.sum(axis=1)
+    return W

@@ -101,6 +101,10 @@ class TestRunCommand:
         assert main(["run", "--config", demo_config, "--bogus", "1"]) == 1
         assert "--bogus" in capsys.readouterr().err
 
+    def test_flag_without_a_value_exits_1(self, demo_config, capsys):
+        assert main(["run", "--config", demo_config, "--run.seed"]) == 1
+        assert capsys.readouterr().err == "config error: flag --run.seed expects a value\n"
+
     def test_unknown_config_key_exits_1(self, demo_config, capsys):
         assert main(["run", "--config", demo_config, "--optim.lr", "0.1"]) == 1
         assert "optim.lr" in capsys.readouterr().err
@@ -497,6 +501,23 @@ class TestToy2dCommand:
         assert sorted(sums) == ["kind=dsgd", "kind=dsgdm", "kind=qg_dsgdm"]
         assert all(s >= np.pi for s in sums.values()), sums
 
+    def test_mu_moves_only_the_quasi_global_trace(self, tmp_path, capsys):
+        # mu is the quasi-global buffer's own momentum, beta when not given
+        paths = {mu: tmp_path / f"t{mu}.csv" for mu in ("default", "0.9", "0.5")}
+        sums = {}
+        for mu, path in paths.items():
+            flags = [] if mu == "default" else ["--mu", mu]
+            assert quiet_main(["toy2d", *flags, "--out", str(path)]) == 0
+            sums[mu] = {line.split()[0]: float(line.split("heading_sum=")[1])
+                        for line in capsys.readouterr().out.splitlines()
+                        if line.startswith("kind=")}
+        assert paths["0.9"].read_bytes() == paths["default"].read_bytes()
+        traces = {mu: np.loadtxt(path, delimiter=",", skiprows=1) for mu, path in paths.items()}
+        assert np.array_equal(traces["0.5"][:, :5], traces["default"][:, :5])
+        assert not np.array_equal(traces["0.5"][:, 5:], traces["default"][:, 5:])
+        assert sums["0.5"]["kind=qg_dsgdm"] == pytest.approx(3.0348, abs=1e-4)
+        assert sums["default"]["kind=qg_dsgdm"] == pytest.approx(0.0897, abs=1e-4)
+
 
 class TestTrajectoryCommand:
     def test_rosenbrock_oscillation_study(self, tmp_path):
@@ -554,6 +575,16 @@ class TestTrajectoryCommand:
         assert main(["trajectory", "--kinds", kinds, "--out", str(out)]) == 1
         assert "at least one kind" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_mu_moves_only_the_quasi_global_trace(self, tmp_path):
+        paths = {mu: tmp_path / f"t{mu}.csv" for mu in ("default", "0.9", "0.5")}
+        for mu, path in paths.items():
+            flags = [] if mu == "default" else ["--mu", mu]
+            assert quiet_main(["trajectory", "--steps", "50", *flags, "--out", str(path)]) == 0
+        assert paths["0.9"].read_bytes() == paths["default"].read_bytes()
+        traces = {mu: np.loadtxt(path, delimiter=",", skiprows=1) for mu, path in paths.items()}
+        assert np.array_equal(traces["0.5"][:, :3], traces["default"][:, :3])
+        assert not np.array_equal(traces["0.5"][:, 3:], traces["default"][:, 3:])
 
     def test_bad_problem_exits_1(self, tmp_path, capsys):
         assert main(["trajectory", "--problem", "quadratic",
@@ -654,6 +685,13 @@ class TestParserBehavior:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("command", ["consensus", "toy2d", "trajectory", "partition", "topo"])
+    def test_unknown_flag_on_a_command_without_overrides_exits_1(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        assert main([command, "--out", str(out), "--bogus", "1"]) == 1
+        assert capsys.readouterr().err == "config error: unknown flag '--bogus'\n"
+        assert not out.exists()
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

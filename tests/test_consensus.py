@@ -97,6 +97,10 @@ class TestGossipConsensus:
         run = gossip_consensus(gaussian(4, 8, seed=5), ring(8), T=200)
         assert np.max(run.mean_drift) <= 1e-12
 
+    def test_start_must_be_a_matrix(self):
+        with pytest.raises(ValueError, match=r"^X0 must be a d x n matrix; got shape \(4,\)$"):
+            gossip_consensus(np.ones(4), ring(4), T=1)
+
     @pytest.mark.parametrize("mixing", [ring(4), OnePeerExponential(4)])
     @pytest.mark.parametrize("T", [0, 3])
     def test_column_count_must_match_the_mixing(self, mixing, T):

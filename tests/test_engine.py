@@ -112,6 +112,22 @@ class TestSchedule:
         with pytest.raises(ConfigError, match="schedule kind"):
             ScheduleSpec(kind="cosine", base_eta=1.0)
 
+    def test_total_steps_must_be_positive(self):
+        spec = ScheduleSpec(kind="constant", base_eta=0.1)
+        with pytest.raises(ConfigError, match=r"^total_steps must be >= 1; got 0$"):
+            lr_schedule(spec, 1, 0)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("warmup_fraction", 1.0, r"warmup_fraction must lie in \[0, 1\); got 1\.0"),
+        ("warmup_fraction", -0.1, r"warmup_fraction must lie in \[0, 1\); got -0\.1"),
+        ("warmup_start_factor", 0.0, r"warmup_start_factor must lie in \(0, 1\]; got 0\.0"),
+        ("warmup_start_factor", 1.5, r"warmup_start_factor must lie in \(0, 1\]; got 1\.5"),
+        ("decay_factor", 0.0, r"decay_factor must be > 0; got 0\.0"),
+    ])
+    def test_out_of_range_fields_rejected_by_name(self, field, value, message):
+        with pytest.raises(ConfigError, match=rf"^{message}$"):
+            ScheduleSpec(kind="warmup_stage", base_eta=1.0, **{field: value})
+
     @pytest.mark.parametrize("factor", [math.inf, 1e200, 1e-200])
     def test_last_stage_must_be_a_finite_positive_step(self, factor):
         # 1 / factor**2 is 0, overflows, or divides by zero
@@ -253,12 +269,27 @@ class TestRunConfig:
          "toy2d_hetero needs one target per worker: 3 workers but 2 targets"),
         ({"problem.init": "1,2,3"},
          "problem.init has 3 components but the problem dimension is 8"),
+        ({"optim.eta": "fast"}, "optim.eta: cannot parse 'fast' as float"),
+        ({"schedule.milestones": "0.5,x"},
+         "schedule.milestones: cannot parse '0.5,x' as comma-separated floats"),
+        ({"problem.init": "1,a"}, "problem.init: cannot parse '1,a' as floats"),
+        ({"problem.kind": "cubic"},
+         "problem.kind must be one of ['nonconvex_toy', 'quadratic', 'quadratic_family', "
+         "'rosenbrock', 'toy2d', 'toy2d_hetero']; got 'cubic'"),
+        ({"optim.kind": "slowmo", "optim.slowmo_base": "slowmo"},
+         "optim.slowmo_base must be a per-step kind; got 'slowmo'"),
     ])
     def test_unbuildable_run_fails_at_load(self, tweaks, message):
-        # each of these once loaded and failed only when run
+        # each fails at load in one line; the first six once loaded and
+        # failed only when run
         with pytest.raises(ConfigError) as exc:
             make_config(**tweaks)
         assert str(exc.value) == message
+
+    def test_override_without_a_section_rejected(self):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_mapping({"optim": {"kind": "dsgd"}}, overrides={"seed": "1"})
+        assert str(exc.value) == "override 'seed' must use section.key form"
 
     @pytest.mark.parametrize("dim", ["7", "16"])
     @pytest.mark.parametrize("kind", ["toy2d", "rosenbrock", "nonconvex_toy"])

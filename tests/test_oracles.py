@@ -185,6 +185,12 @@ class TestQuadraticFamily:
         with pytest.raises(ValueError, match="dim >= n_workers"):
             quadratic_family(dim=2, n_workers=4, zeta_c=1.0)
 
+    def test_a_quadratic_needs_a_worker_and_a_condition_number_of_at_least_1(self):
+        with pytest.raises(ValueError, match=r"^n_workers must be >= 1; got 0$"):
+            ProblemSpec(dim=2, n_workers=0, a_diag=np.ones(2), b_base=np.ones(2))
+        with pytest.raises(ValueError, match=r"^condition number must be >= 1; got 0\.5$"):
+            quadratic_family(dim=2, n_workers=2, cond=0.5)
+
 
 class TestProblemFamilies:
     def test_each_class_refuses_the_other_familys_fields(self):
@@ -627,6 +633,21 @@ class TestNoiseMemo:
         assert oracles._noise_memo[1] == {}
         assert bits(spec.sample_rows(0)[1][2]) == bits(first)
         assert draws == [0, 0]
+
+    def test_a_step_it_does_not_keep_leaves_the_held_signature(self, draws):
+        # a block past the bound once rebound the slot to its own
+        # signature, emptying it, so the held spec drew all its steps again
+        held = quadratic_family(dim=64, n_workers=64, sigma_c=0.5, master_seed=2)
+        P = np.zeros((64, 64))
+        first = [bits(sample_all(held, P, t)) for t in range(10)]
+        assert sorted(oracles._noise_memo[1]) == list(range(10))
+        big = quadratic_family(dim=2**16, n_workers=16, sigma_c=0.5)
+        assert big.sample_rows(0)[1][2].nbytes > oracles._NOISE_MEMO_BYTES
+        signature, kept = oracles._noise_memo
+        assert signature == (2, 64, 64, 0.5) and sorted(kept) == list(range(10))
+        del draws[:]
+        assert [bits(sample_all(held, P, t)) for t in range(10)] == first
+        assert draws == []
 
     def test_threads_running_two_signatures_at_once_get_their_solo_runs(self):
         mappings = [noisy_mapping("qg_dsgdm", seed=3), noisy_mapping("gt", seed=4)]

@@ -43,6 +43,17 @@ def _svd_gap(W):
     return 0.0 if rho <= 1e-12 else rho
 
 
+def _random_graph(n, seed, p):
+    """A random spanning tree on ``n`` nodes plus each other pair with
+    probability ``p``."""
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    edges = {tuple(sorted((int(order[i]), int(order[rng.integers(i)]))))
+             for i in range(1, n)}
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    return Graph("random", n, frozenset(edges))
+
+
 class TestGraphConstruction:
     def test_ring_edges(self):
         g = build_graph("ring", 5)
@@ -183,6 +194,66 @@ class TestMixingMatrix:
         with pytest.raises(ValueError):
             W.weights[0, 0] = 0.5
 
+    @pytest.mark.parametrize("W,message", [
+        (np.full((2, 3), 0.5), r"must be square; got shape \(2, 3\)"),
+        (np.array([[1.5, -0.5], [-0.5, 1.5]]), r"must be nonnegative \(min entry -5\.000e-01\)"),
+        (np.array([[0.5, 0.25], [0.25, 0.5]]),
+         r"must be doubly stochastic \(row-sum error 2\.500e-01, column-sum error 2\.500e-01\)"),
+    ], ids=["non_square", "negative", "not_stochastic"])
+    def test_validation_names_what_is_wrong(self, W, message):
+        with pytest.raises(ValueError, match=rf"^ctx: mixing (matrix|weights) {message}"):
+            topology._validate_doubly_stochastic(W, "ctx")
+
+    def test_self_loop_edge_rejected(self):
+        # a loop counts twice in its node's degree and its weight lands on
+        # the diagonal, so that row no longer sums to one
+        g = Graph("looped", 3, frozenset({(0, 1), (1, 2), (0, 2), (1, 1)}))
+        with pytest.raises(ValueError, match="^looped/metropolis_hastings: .*doubly stochastic"):
+            mixing_matrix(g)
+
+
+def _assert_per_edge_bits(graph):
+    """``graph``'s degrees and both schemes' weights equal the per-edge
+    loops' bit for bit; a scheme the loops refuse, ``mixing_matrix``
+    refuses too."""
+    deg = graph.degrees()
+    assert deg.dtype == np.int64 and deg.tobytes() == ref.degrees(graph).tobytes()
+    for scheme in MIXING_SCHEMES:
+        try:
+            want = ref.mixing_weights(graph, scheme)
+        except ValueError:
+            with pytest.raises(ValueError, match="regular graph"):
+                mixing_matrix(graph, scheme)
+            continue
+        assert mixing_matrix(graph, scheme).weights.tobytes() == want.tobytes(), scheme
+
+
+class TestPerEdgeReference:
+    """The array weights against the per-edge loops they replaced."""
+
+    @pytest.mark.parametrize("kind,n,params", [
+        ("ring", 1, {}), ("ring", 2, {}), ("ring", 3, {}), ("ring", 1024, {}),
+        ("torus", 4, {}), ("torus", 8, {"rows": 2}), ("torus", 8, {"rows": 4}),
+        ("torus", 12, {"rows": 3}), ("torus", 12, {"rows": 6}), ("torus", 100, {}),
+        ("torus", 256, {"rows": 2}), ("star", 1, {}), ("star", 2, {}), ("star", 33, {}),
+        ("social", 32, {}), ("complete", 1, {}), ("complete", 2, {}), ("complete", 256, {})])
+    def test_every_kind_keeps_the_per_edge_bits(self, kind, n, params):
+        _assert_per_edge_bits(build_graph(kind, n, **params))
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["ring", "torus", "complete", "star"]), n=st.integers(1, 256))
+    def test_any_size_keeps_the_per_edge_bits(self, kind, n):
+        try:  # a torus needs a grid factorization
+            graph = build_graph(kind, n)
+        except ValueError:
+            assume(False)
+        _assert_per_edge_bits(graph)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 1.0))
+    def test_random_graphs_keep_the_per_edge_bits(self, n, seed, p):
+        _assert_per_edge_bits(_random_graph(n, seed, p))
+
 
 class TestSpectralGap:
     def test_ring16_matches_circulant_eigenvalue(self):
@@ -226,13 +297,7 @@ class TestSpectralGap:
     @given(n=st.integers(2, 64), seed=st.integers(0, 2**32 - 1),
            p=st.floats(0.0, 1.0))
     def test_random_connected_graph_matches_svd(self, n, seed, p):
-        # a random spanning tree plus each other pair with probability p
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(n)
-        edges = {tuple(sorted((int(order[i]), int(order[rng.integers(i)]))))
-                 for i in range(1, n)}
-        edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
-        W = mixing_matrix(Graph("random", n, frozenset(edges)))
+        W = mixing_matrix(_random_graph(n, seed, p))
         assert abs(W.rho - _svd_gap(W.weights)) <= 1e-14
 
     @settings(max_examples=60, deadline=None)
@@ -469,13 +534,7 @@ class TestCirculantGap:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(3, 48), seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 0.5))
     def test_random_graphs_keep_the_eigensolver_bits(self, n, seed, p):
-        # a random spanning tree plus each other pair with probability p
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(n)
-        edges = {tuple(sorted((int(order[i]), int(order[rng.integers(i)]))))
-                 for i in range(1, n)}
-        edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
-        W = mixing_matrix(Graph("random", n, frozenset(edges))).weights
+        W = mixing_matrix(_random_graph(n, seed, p)).weights
         circulant = (np.array_equal(W[1:, 0], W[:-1, -1])
                      and np.array_equal(W[1:, 1:], W[:-1, :-1]))
         assume(not circulant)  # a relabelled ring or the complete graph
