@@ -7,7 +7,7 @@ top level as well:
 * :mod:`qgm_sim.topology` — communication graphs and doubly stochastic
   mixing matrices (ring, torus, star, complete, a fixed 32-node social
   graph), the time-varying one-peer exponential schedule (which holds no
-  matrix), spectral gaps.
+  matrix), ``mixing_for`` from a topology kind to either, spectral gaps.
 * :mod:`qgm_sim.heterogeneity` — Dirichlet label partitioning across
   workers and per-worker class-count statistics.
 * :mod:`qgm_sim.oracles` — the noisy quadratic family (``ProblemSpec``,
@@ -76,6 +76,7 @@ from .topology import (
     MixingMatrix,
     OnePeerExponential,
     build_graph,
+    mixing_for,
     mixing_matrix,
     spectral_gap,
 )
@@ -107,6 +108,7 @@ __all__ = [
     "iterations_to_threshold",
     "lr_schedule",
     "metrics_csv_lines",
+    "mixing_for",
     "mixing_matrix",
     "nonconvex_toy_gradient",
     "partition_stats",

@@ -32,11 +32,10 @@ from .engine import (
     build_theorem_report,
     heading_change_sum,
     run,
-    topology_mixing,
     write_metrics_csv,
 )
 from .heterogeneity import _check_split, dirichlet_partition, partition_stats
-from .topology import OnePeerExponential
+from .topology import OnePeerExponential, mixing_for
 
 TRAJECTORY_PROBLEMS = ("rosenbrock", "nonconvex_toy")
 TOY2D_KINDS = ("dsgd", "dsgdm", "qg_dsgdm")
@@ -172,7 +171,7 @@ def cmd_consensus(args):
     scheme = _scheme(args.scheme)
     if args.dim < 1:
         raise ConfigError(f"consensus --dim must be >= 1; got {args.dim}")
-    Wm = topology_mixing(args.topology, args.n, scheme)
+    Wm = mixing_for(args.topology, args.n, scheme)
     _recursion_params(args.beta, args.mu, args.T)
     _check_writable(args.out)
     X0 = np.random.default_rng(args.seed).standard_normal((args.dim, args.n))
@@ -266,7 +265,7 @@ def cmd_partition(args):
 
 
 def cmd_topo(args):
-    Wm = topology_mixing(args.kind, args.n, _scheme(args.scheme), args.rows)
+    Wm = mixing_for(args.kind, args.n, _scheme(args.scheme), args.rows)
     if isinstance(Wm, OnePeerExponential):
         raise ConfigError(f"topo prints static matrices only; {args.kind} pairs workers "
                           "anew at every step (use it with run or consensus)")

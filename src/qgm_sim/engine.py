@@ -60,13 +60,7 @@ from .optim import (
     stacked_slowmo_round,
     stacked_step,
 )
-from .topology import (
-    MIXING_SCHEMES,
-    MixingMatrix,
-    OnePeerExponential,
-    build_graph,
-    mixing_matrix,
-)
+from .topology import MixingMatrix, OnePeerExponential, mixing_for
 
 __all__ = [
     "ConfigError",
@@ -465,9 +459,9 @@ class RunConfig:
                 cond=p["cond"], b_scale=p["b_scale"], master_seed=r["seed"])
                 if kind == "quadratic_family" else
                 Landscape2D(kind=kind, n_workers=t["n"], grad_scale=p["scale"]))
+            mixing = mixing_for(t["kind"], t["n"], t["scheme"], t["rows"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        mixing = topology_mixing(t["kind"], t["n"], t["scheme"], t["rows"])
         x0 = _initial_point(p["init"], problem.dim)
         x0.flags.writeable = False
         return RunConfig(
@@ -502,22 +496,6 @@ def build_problem(config: RunConfig) -> ProblemSpec | Landscape2D:
 def build_mixing(config: RunConfig):
     """The run's mixing, built when the config loaded (``config.mixing``)."""
     return config.mixing
-
-
-def topology_mixing(kind: str, n: int, scheme: str = "metropolis_hastings",
-                    rows: int | None = None):
-    """MixingMatrix for static topologies, or the OnePeerExponential
-    schedule for the time-varying pairing scheme."""
-    try:
-        graph = build_graph(kind, n, **({} if rows is None else {"rows": rows}))
-        if scheme not in MIXING_SCHEMES:  # one-peer builds no weights from it
-            raise ValueError(
-                f"unknown mixing scheme {scheme!r}; expected one of {MIXING_SCHEMES}")
-        if graph.time_varying:
-            return OnePeerExponential(n)
-        return mixing_matrix(graph, scheme=scheme)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def _initial_point(init: tuple[float, ...], dim: int) -> np.ndarray:

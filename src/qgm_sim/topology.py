@@ -2,9 +2,10 @@
 
 Workers in a decentralized run communicate over an undirected graph (or, for
 the time-varying one-peer scheme, a step-indexed sequence of directed
-pairings).  This module builds those graphs, turns them into doubly
-stochastic mixing matrices ``W``, and measures how fast repeated mixing
-contracts disagreement:
+pairings).  This module builds those graphs, each a :class:`Graph` whose
+``edges`` are one ``(E, 2)`` array, turns them into doubly stochastic mixing
+matrices ``W``, and measures how fast repeated mixing contracts
+disagreement:
 
     spectral gap  rho = 1 - sigma_2(W)^2,
 
@@ -21,11 +22,14 @@ Review", 2006), evaluated with ``math.cos``; any other ``W`` goes to the
 symmetric eigensolver ``np.linalg.eigvalsh``, and then the last bits of
 ``rho`` depend on the LAPACK build and the BLAS thread count.
 
-The one-peer scheme is :class:`OnePeerExponential`, a schedule that holds no
-array: it names each step's peer offset, and the optimizer averages each
-worker with that one peer directly (:func:`qgm_sim.optim.mix`).  Both kinds
-of mixing answer ``n``, ``rho`` and ``at(t)``, step ``t``'s mixing: a static
-matrix returns itself, the schedule its :class:`OnePeerStep`.
+The one-peer scheme is no graph but :class:`OnePeerExponential`, a schedule
+that holds no array: it names each step's peer offset, and the optimizer
+averages each worker with that one peer directly
+(:func:`qgm_sim.optim.mix`).  Both kinds of mixing answer ``n``, ``rho`` and
+``at(t)``, step ``t``'s mixing: a static matrix returns itself, the schedule
+its :class:`OnePeerStep`.  :func:`mixing_for` maps a topology kind, a size
+and a scheme to either, and is what a config, ``qgm-sim consensus`` and
+``qgm-sim topo`` call.
 
 Convention used everywhere in this package: ``W[i, j]`` is the weight worker
 ``i`` places on worker ``j``'s model, i.e. one gossip round maps the stacked
@@ -36,7 +40,6 @@ distinction only matters for the directed one-peer matrices.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -49,12 +52,13 @@ __all__ = [
     "OnePeerExponential",
     "OnePeerStep",
     "build_graph",
+    "mixing_for",
     "mixing_matrix",
     "spectral_gap",
     "DAVIS_SOUTHERN_WOMEN_EDGES",
 ]
 
-GRAPH_KINDS = ("ring", "torus", "complete", "star", "social", "one_peer_exponential")
+TOPOLOGY_KINDS = ("ring", "torus", "complete", "star", "social", "one_peer_exponential")
 MIXING_SCHEMES = ("metropolis_hastings", "uniform_neighbor")
 
 # ---------------------------------------------------------------------------
@@ -87,104 +91,101 @@ DAVIS_SOUTHERN_WOMEN_EDGES: tuple[tuple[int, int], ...] = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """An undirected communication graph on nodes ``0 .. n-1``.
 
-    ``edges`` holds each undirected pair once as ``(u, v)`` with ``u < v``
-    and never contains self-loops.  For the time-varying
-    ``one_peer_exponential`` kind the pairing changes every step, so
-    ``edges`` is empty and ``time_varying`` is set; its mixing is the
-    schedule :class:`OnePeerExponential`.
+    ``edges`` may be given as any ``(u, v)`` pairs, an array or an iterable;
+    the graph keeps them as a read-only ``(E, 2)`` int64 array that holds
+    each pair once as ``(u, v)`` with ``u < v``, rows ascending, so ``(0,
+    1)`` and ``(1, 0)`` are one edge.  ``n < 1``, edges that are not pairs, a
+    self-loop and a node outside ``0 .. n-1`` raise ``ValueError``.  ``==``
+    is identity: the edges are an array, which has no one truth value.
     """
 
     kind: str
     n: int
-    edges: frozenset[tuple[int, int]]
-    time_varying: bool = False
+    edges: np.ndarray
     params: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        n, given = self.n, self.edges
+        if n < 1:
+            raise ValueError(f"graph size must satisfy n >= 1; got n={n}")
+        pairs = np.asarray(given if isinstance(given, np.ndarray) else list(given), np.int64)
+        if pairs.size and pairs.shape[1:] != (2,):
+            raise ValueError(f"graph edges must be (u, v) pairs; got shape {pairs.shape}")
+        pairs = pairs.reshape(-1, 2)
+        outside = pairs[(pairs < 0) | (pairs >= n)]
+        if outside.size:
+            raise ValueError(f"graph edges must join nodes in 0 .. n-1 = 0 .. {n - 1}; "
+                             f"got node {outside[0]}")
+        lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+        if np.any(lo == hi):
+            raise ValueError("graph edges must join two distinct nodes; got a self-loop "
+                             f"at node {lo[lo == hi][0]}")
+        # a pair's key is lo * n + hi >= 0; sorted, each is kept where it first occurs
+        key = np.sort(lo * n + hi)
+        key = key[np.diff(key, prepend=-1) != 0]
+        edges = np.stack(np.divmod(key, n), axis=1)
+        edges.setflags(write=False)
+        object.__setattr__(self, "edges", edges)
+
     def degrees(self) -> np.ndarray:
-        return _edges_and_degrees(self)[1]
-
-
-def _edges_and_degrees(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
-    """``graph``'s edges as an ``(E, 2)`` int64 array, and its node degrees."""
-    edges = np.fromiter(itertools.chain.from_iterable(graph.edges), np.int64).reshape(-1, 2)
-    return edges, np.bincount(edges.ravel(), minlength=graph.n)
-
-
-def _ring_edges(n: int) -> set[tuple[int, int]]:
-    if n == 1:
-        return set()
-    return {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
+        return np.bincount(self.edges.ravel(), minlength=self.n)
 
 
 def _torus_dims(n: int, rows: int | None) -> tuple[int, int]:
-    if rows is not None:
-        cols, rem = divmod(n, rows)
-        if rem or rows < 2 or cols < 2:
-            raise ValueError(
-                f"torus requires n = rows x cols with rows >= 2 and cols >= 2; "
-                f"got n={n}, rows={rows}"
-            )
-        return rows, cols
-    # most-square factorization with both sides >= 2
-    for r in range(int(math.isqrt(n)), 1, -1):
-        if n % r == 0:
-            return r, n // r
-    raise ValueError(
-        f"torus requires n = rows x cols with rows >= 2 and cols >= 2; "
-        f"n={n} has no such factorization"
-    )
+    need = "torus requires n = rows x cols with rows >= 2 and cols >= 2; "
+    if rows is None:  # the most-square factorization with both sides >= 2
+        rows = next((r for r in range(math.isqrt(n), 1, -1) if n % r == 0), None)
+        if rows is None:
+            raise ValueError(need + f"n={n} has no such factorization")
+    elif rows < 2 or n % rows or n // rows < 2:
+        raise ValueError(need + f"got n={n}, rows={rows}")
+    return rows, n // rows
 
 
-def _torus_edges(rows: int, cols: int) -> set[tuple[int, int]]:
-    edges: set[tuple[int, int]] = set()
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            for j in (((r + 1) % rows) * cols + c, r * cols + (c + 1) % cols):
-                edges.add((min(i, j), max(i, j)))
-    return edges
-
-
-def build_graph(kind: str, n: int, **params) -> Graph:
-    """Construct a communication graph.
-
-    Kinds: ``ring`` (cycle), ``torus`` (2-d periodic grid; pass ``rows`` to
-    pick the factorization, default is the most-square one), ``complete``,
-    ``star`` (hub is node 0), ``social`` (the fixed 32-node affiliation
-    network above; requires ``n == 32``), and ``one_peer_exponential``
-    (time-varying directed pairings; requires ``n`` to be a power of two).
-    """
-    if kind not in GRAPH_KINDS:
-        raise ValueError(f"unknown graph kind {kind!r}; expected one of {GRAPH_KINDS}")
+def _check_topology(kind: str, n: int, params: dict) -> None:
+    if kind not in TOPOLOGY_KINDS:
+        raise ValueError(f"unknown graph kind {kind!r}; expected one of {TOPOLOGY_KINDS}")
     if n < 1:
         raise ValueError(f"graph size must satisfy n >= 1; got n={n}")
-
     extra = set(params) - ({"rows"} if kind == "torus" else set())
     if extra:
         raise ValueError(f"unexpected parameters {sorted(extra)} for graph kind {kind!r}")
 
-    if kind == "ring":
-        return Graph("ring", n, frozenset(_ring_edges(n)))
+
+def build_graph(kind: str, n: int, **params) -> Graph:
+    """Construct a communication graph, its edges made as one array.
+
+    Kinds: ``ring`` (cycle), ``torus`` (2-d periodic grid; pass ``rows`` to
+    pick the factorization, default is the most-square one), ``complete``,
+    ``star`` (hub is node 0) and ``social`` (the fixed 32-node affiliation
+    network above; requires ``n == 32``).  ``one_peer_exponential`` pairs
+    workers anew at every step and has no graph: it raises ``ValueError``
+    here, and :func:`mixing_for` gives its schedule.
+    """
+    _check_topology(kind, n, params)
+    i = np.arange(n)
+    if kind == "ring":  # a 2-ring's pairs (0, 1) and (1, 0) are one edge
+        return Graph("ring", n, np.stack([i, (i + 1) % n], axis=1)[: n if n > 1 else 0])
     if kind == "torus":
         rows, cols = _torus_dims(n, params.get("rows"))
-        return Graph("torus", n, frozenset(_torus_edges(rows, cols)),
+        r, c = np.divmod(i, cols)  # each node's down and right neighbour
+        down, right = (r + 1) % rows * cols + c, r * cols + (c + 1) % cols
+        return Graph("torus", n, np.stack([np.tile(i, 2), np.concatenate([down, right])], axis=1),
                      params={"rows": rows, "cols": cols})
     if kind == "complete":
-        return Graph("complete", n, frozenset(itertools.combinations(range(n), 2)))
+        return Graph("complete", n, np.stack(np.triu_indices(n, 1), axis=1))
     if kind == "star":
-        return Graph("star", n, frozenset((0, i) for i in range(1, n)))
+        return Graph("star", n, np.stack([np.zeros_like(i[1:]), i[1:]], axis=1))
     if kind == "social":
         if n != 32:
             raise ValueError(f"the social graph is fixed at 32 nodes; got n={n}")
-        return Graph("social", 32, frozenset(DAVIS_SOUTHERN_WOMEN_EDGES))
-    # one_peer_exponential
-    if n & (n - 1):
-        raise ValueError(f"one_peer_exponential requires n to be a power of two; got n={n}")
-    return Graph("one_peer_exponential", n, frozenset(), time_varying=True)
+        return Graph("social", 32, DAVIS_SOUTHERN_WOMEN_EDGES)
+    raise ValueError("one_peer_exponential pairs workers anew at every step and has no "
+                     "graph; its mixing is the schedule OnePeerExponential(n)")
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +231,11 @@ def _validate_doubly_stochastic(W: np.ndarray, context: str) -> None:
                          f"(row-sum error {row_err:.3e}, column-sum error {col_err:.3e})")
 
 
+def _check_scheme(scheme: str) -> None:
+    if scheme not in MIXING_SCHEMES:
+        raise ValueError(f"unknown mixing scheme {scheme!r}; expected one of {MIXING_SCHEMES}")
+
+
 def mixing_matrix(graph: Graph, scheme: str = "metropolis_hastings") -> MixingMatrix:
     """Build a doubly stochastic mixing matrix supported on ``graph``.
 
@@ -240,15 +246,9 @@ def mixing_matrix(graph: Graph, scheme: str = "metropolis_hastings") -> MixingMa
       self.  Only doubly stochastic when the graph is regular, so irregular
       graphs are rejected.
     """
-    if scheme not in MIXING_SCHEMES:
-        raise ValueError(f"unknown mixing scheme {scheme!r}; expected one of {MIXING_SCHEMES}")
-    if graph.time_varying:
-        raise ValueError("one_peer_exponential is time-varying; use "
-                         "OnePeerExponential(n) instead of mixing_matrix()")
-
-    n = graph.n
-    edges, deg = _edges_and_degrees(graph)
-    u, v = edges.T
+    _check_scheme(scheme)
+    n, deg = graph.n, graph.degrees()
+    u, v = graph.edges.T
     if scheme == "metropolis_hastings":
         w = 1.0 / (1.0 + np.maximum(deg[u], deg[v]))
     else:  # uniform_neighbor
@@ -310,6 +310,22 @@ class OnePeerExponential:
     def at(self, t: int) -> OnePeerStep:
         """Step ``t`` of the schedule."""
         return OnePeerStep(self.n, self.offset(t))
+
+
+def mixing_for(kind: str, n: int, scheme: str = "metropolis_hastings",
+               rows: int | None = None) -> MixingMatrix | OnePeerExponential:
+    """The mixing of topology ``kind`` over ``n`` workers: for
+    ``one_peer_exponential`` the schedule ``OnePeerExponential(n)``, which
+    checks ``scheme`` but builds no weights from it, and for every other kind
+    ``mixing_matrix(build_graph(kind, n, rows=rows), scheme)``, ``rows`` left
+    out when ``None``.  What either refuses raises ``ValueError``."""
+    params = {} if rows is None else {"rows": rows}
+    if kind != "one_peer_exponential":
+        return mixing_matrix(build_graph(kind, n, **params), scheme)
+    _check_topology(kind, n, params)
+    schedule = OnePeerExponential(n)
+    _check_scheme(scheme)
+    return schedule
 
 
 # ---------------------------------------------------------------------------

@@ -680,6 +680,74 @@ class TestTopoCommand:
         assert "magic" in capsys.readouterr().err
 
 
+_TORUS = "torus requires n = rows x cols with rows >= 2 and cols >= 2; "
+_IRREGULAR_STAR = ("uniform_neighbor weights require a regular graph (all degrees equal); "
+                   "graph kind 'star' has degrees in [1, 4] -- use metropolis_hastings instead")
+_SCHEMES = "('metropolis_hastings', 'uniform_neighbor')"
+_KINDS = "('ring', 'torus', 'complete', 'star', 'social', 'one_peer_exponential')"
+
+
+# case: (kind, n, scheme, rows, config error, CLI error if not the same)
+TOPOLOGY_REFUSALS = {
+    "ring_n0": ("ring", 0, "metropolis_hastings", None,
+                "n must be >= 1; got 0", "graph size must satisfy n >= 1; got n=0"),
+    "torus_prime": ("torus", 7, "metropolis_hastings", None,
+                    _TORUS + "n=7 has no such factorization", None),
+    "torus_rows_3": ("torus", 16, "metropolis_hastings", 3,
+                     _TORUS + "got n=16, rows=3", None),
+    "social_16": ("social", 16, "metropolis_hastings", None,
+                  "the social graph is fixed at 32 nodes; got n=16", None),
+    "one_peer_6": ("one_peer_exponential", 6, "metropolis_hastings", None,
+                   "one_peer_exponential requires n to be a power of two; got n=6", None),
+    "one_peer_n0": ("one_peer_exponential", 0, "metropolis_hastings", None,
+                    "n must be >= 1; got 0", "graph size must satisfy n >= 1; got n=0"),
+    "one_peer_rows": ("one_peer_exponential", 8, "metropolis_hastings", 2,
+                      "unexpected parameters ['rows'] for graph kind 'one_peer_exponential'",
+                      None),
+    "unknown_kind": ("hypercube", 8, "metropolis_hastings", None,
+                     f"unknown graph kind 'hypercube'; expected one of {_KINDS}", None),
+    "ring_unknown_scheme": ("ring", 8, "laplacian", None,
+                            f"unknown mixing scheme 'laplacian'; expected one of {_SCHEMES}",
+                            "unknown scheme 'laplacian'"),
+    "one_peer_unknown_scheme": ("one_peer_exponential", 8, "laplacian", None,
+                                "unknown mixing scheme 'laplacian'; expected one of "
+                                f"{_SCHEMES}", "unknown scheme 'laplacian'"),
+    "star_uniform": ("star", 5, "uniform_neighbor", None, _IRREGULAR_STAR, None),
+}
+
+
+class TestTopologyRefusals:
+    """Each way a topology is refused, in a config, ``qgm-sim topo`` and
+    ``qgm-sim consensus``: the exact text, frozen when the topology kinds
+    still went through one pseudo-graph, and exit code 1 from the CLI.
+    A case with ``rows`` has no consensus leg: consensus takes no --rows."""
+
+    @pytest.mark.parametrize("case", TOPOLOGY_REFUSALS)
+    def test_config_refusal(self, case):
+        kind, n, scheme, rows, want, _ = TOPOLOGY_REFUSALS[case]
+        topology = {"kind": kind, "n": str(n), "scheme": scheme}
+        if rows is not None:
+            topology["rows"] = str(rows)
+        with pytest.raises(qgm_sim.ConfigError) as exc:
+            RunConfig.from_mapping({"problem": {"kind": "quadratic", "dim": "2"},
+                                    "topology": topology, "optim": {"kind": "dsgd"}})
+        assert str(exc.value) == want
+
+    @pytest.mark.parametrize("case,command", [
+        (case, command) for case, refusal in TOPOLOGY_REFUSALS.items()
+        for command in ("topo",) + (() if refusal[3] else ("consensus",))])
+    def test_cli_refusal(self, tmp_path, capsys, case, command):
+        kind, n, scheme, rows, config_text, cli_text = TOPOLOGY_REFUSALS[case]
+        if command == "topo":
+            argv = ["topo", "--kind", kind] + ([] if rows is None else ["--rows", str(rows)])
+        else:
+            argv = ["consensus", "--topology", kind, "--T", "1",
+                    "--out", str(tmp_path / "c.csv")]
+        assert main(argv + ["--n", str(n), "--scheme", scheme]) == 1
+        assert capsys.readouterr().err == f"config error: {cli_text or config_text}\n"
+        assert not os.listdir(tmp_path)
+
+
 class TestParserBehavior:
     def test_unknown_subcommand_exits_1(self):
         with pytest.raises(SystemExit) as exc:

@@ -184,6 +184,14 @@ class TestIterationsToThreshold:
         with pytest.raises(ValueError):
             run.trace[0] = 99.0
 
+    @pytest.mark.parametrize("name", ["trace", "mean_drift"])
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_a_trace_not_of_length_T_plus_1_is_refused(self, name, length):
+        arrays = {"trace": np.zeros(4), "mean_drift": np.zeros(4), name: np.zeros(length)}
+        with pytest.raises(ValueError, match=rf"^{name} must have length T\+1 = 4; "
+                                             rf"got {length}$"):
+            ConsensusRun(iterations=3, x_final=np.zeros((2, 2)), **arrays)
+
 
 @given(d=st.integers(1, 40), n=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
        scale=st.sampled_from([1.0, 1e160, 1e-170]))

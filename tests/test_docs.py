@@ -1,13 +1,16 @@
 """The README's examples run: its config example loads and documents every
-config key, and its library example prints what it printed when written."""
+config key, its library example prints what it printed when written, and
+every ``qgm-sim`` line of its shell blocks parses with the CLI's parser."""
 
 import configparser
 import os
 import re
+import shlex
 import warnings
 
 import pytest
 
+from qgm_sim.cli import _build_parser, _collect_overrides
 from qgm_sim.engine import _SCHEMA, RunConfig
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -44,3 +47,27 @@ def test_readme_library_example_runs(capsys):
     loss, consensus_dist = map(float, lines[2].split())
     assert (loss, consensus_dist) == pytest.approx((0.3773061003607566, 0.02030391073293295))
     assert len(lines) == 3
+
+
+def readme_cli_lines() -> list[str]:
+    """Every ``qgm-sim`` command line in README's ```sh blocks."""
+    with open(README, encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), flags=re.S)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("qgm-sim ")]
+
+
+def test_readme_shows_every_cli_command():
+    commands = {shlex.split(line)[1] for line in readme_cli_lines()}
+    assert commands == {"run", "validate", "consensus", "toy2d", "trajectory",
+                        "partition", "topo"}
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_line_parses(line):
+    # parsed as main parses it, without running it: a usage error exits 1
+    args, rest = _build_parser().parse_known_args(shlex.split(line)[1:])
+    if args.command in ("run", "validate"):
+        _collect_overrides(rest)
+    else:
+        assert rest == [], f"{args.command} takes no {rest[0]!r}"

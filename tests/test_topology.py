@@ -1,5 +1,6 @@
 """Tests for graph construction, mixing matrices, and spectral gaps."""
 
+import hashlib
 import math
 import warnings
 from types import SimpleNamespace
@@ -15,7 +16,9 @@ from qgm_sim.topology import (
     MIXING_SCHEMES,
     Graph,
     MixingMatrix,
+    OnePeerExponential,
     build_graph,
+    mixing_for,
     mixing_matrix,
     spectral_gap,
 )
@@ -57,12 +60,13 @@ def _random_graph(n, seed, p):
 class TestGraphConstruction:
     def test_ring_edges(self):
         g = build_graph("ring", 5)
-        assert g.edges == frozenset({(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)})
+        assert g.edges.tolist() == [[0, 1], [0, 4], [1, 2], [2, 3], [3, 4]]
+        assert g.edges.dtype == np.int64 and not g.edges.flags.writeable
         assert list(g.degrees()) == [2] * 5
 
     def test_ring_degenerate_sizes(self):
-        assert build_graph("ring", 1).edges == frozenset()
-        assert build_graph("ring", 2).edges == frozenset({(0, 1)})
+        assert build_graph("ring", 1).edges.shape == (0, 2)
+        assert build_graph("ring", 2).edges.tolist() == [[0, 1]]
 
     def test_torus_4x4_degrees(self):
         """Every node of a 4x4 periodic grid has 4 distinct neighbors."""
@@ -86,9 +90,16 @@ class TestGraphConstruction:
         with pytest.raises(ValueError, match="rows"):
             build_graph("torus", 7)
 
+    @pytest.mark.parametrize("rows", [0, -2, 1, 3, 16])
+    def test_torus_rejects_rows_that_make_no_grid(self, rows):
+        # rows = 0 is refused before anything divides by it
+        with pytest.raises(ValueError, match=r"^torus requires n = rows x cols with rows >= 2 "
+                                             rf"and cols >= 2; got n=16, rows={rows}$"):
+            build_graph("torus", 16, rows=rows)
+
     def test_star_structure(self):
         g = build_graph("star", 5)
-        assert g.edges == frozenset({(0, 1), (0, 2), (0, 3), (0, 4)})
+        assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3], [0, 4]]
         assert list(g.degrees()) == [4, 1, 1, 1, 1]
         for node, peers in ((0, [1, 2, 3, 4]), (3, [0])):
             assert sorted(v if u == node else u for u, v in g.edges if node in (u, v)) == peers
@@ -114,14 +125,39 @@ class TestGraphConstruction:
 
     def test_one_peer_requires_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
-            build_graph("one_peer_exponential", 6)
-        assert build_graph("one_peer_exponential", 8).time_varying
+            mixing_for("one_peer_exponential", 6)
+        assert mixing_for("one_peer_exponential", 8) == OnePeerExponential(8)
 
     def test_rejects_unknown_kind_and_stray_params(self):
         with pytest.raises(ValueError, match="unknown graph kind"):
             build_graph("hypercube", 8)
         with pytest.raises(ValueError, match="unexpected parameters"):
             build_graph("ring", 8, rows=2)
+
+    def test_a_pair_in_both_orientations_is_one_edge(self):
+        both = Graph("x", 3, frozenset({(0, 1), (1, 0), (1, 2)}))
+        once = Graph("x", 3, frozenset({(0, 1), (1, 2)}))
+        assert both.edges.tolist() == once.edges.tolist() == [[0, 1], [1, 2]]
+        assert both.degrees().tolist() == [1, 2, 1]
+        assert (mixing_matrix(both).weights.tobytes()
+                == mixing_matrix(once).weights.tobytes())
+
+    def test_edges_given_as_an_array_or_pairs_are_the_same(self):
+        pairs = [(3, 1), (0, 2), (1, 0)]
+        assert (Graph("x", 4, np.array(pairs)).edges.tolist()
+                == Graph("x", 4, iter(pairs)).edges.tolist() == [[0, 1], [0, 2], [1, 3]])
+
+    @pytest.mark.parametrize("n,edges,message", [
+        (0, (), r"graph size must satisfy n >= 1; got n=0"),
+        (3, [(0, 1), (2, 2)],
+         r"graph edges must join two distinct nodes; got a self-loop at node 2"),
+        (3, [(0, 1), (1, 3)], r"graph edges must join nodes in 0 \.\. n-1 = 0 \.\. 2; got node 3"),
+        (3, [(-1, 1)], r"graph edges must join nodes in 0 \.\. n-1 = 0 \.\. 2; got node -1"),
+        (3, [(0, 1, 2)], r"graph edges must be \(u, v\) pairs; got shape \(1, 3\)"),
+    ], ids=["n0", "self_loop", "node_past_n", "negative_node", "not_pairs"])
+    def test_graph_refuses_what_is_no_graph_on_n_nodes(self, n, edges, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Graph("x", n, edges)
 
 
 class TestMixingMatrix:
@@ -147,8 +183,15 @@ class TestMixingMatrix:
         np.testing.assert_allclose(np.diag(W), [0.2, 0.8, 0.8, 0.8, 0.8], atol=1e-15)
 
     def test_time_varying_graph_rejected(self):
-        with pytest.raises(ValueError, match=r"use OnePeerExponential\(n\) instead"):
-            mixing_matrix(build_graph("one_peer_exponential", 8))
+        with pytest.raises(ValueError, match=r"^one_peer_exponential pairs workers anew at "
+                                             r"every step and has no graph"):
+            build_graph("one_peer_exponential", 8)
+
+    def test_mixing_for_gives_the_schedule_or_the_static_matrix(self):
+        assert mixing_for("one_peer_exponential", 8, "uniform_neighbor") == OnePeerExponential(8)
+        got = mixing_for("torus", 8, "uniform_neighbor", rows=2)
+        want = mixing_matrix(build_graph("torus", 8, rows=2), "uniform_neighbor")
+        assert got.weights.tobytes() == want.weights.tobytes() and got.rho == want.rho
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ValueError, match="unknown mixing scheme"):
@@ -175,8 +218,7 @@ class TestMixingMatrix:
         np.testing.assert_allclose(W.sum(axis=1), np.ones(n), atol=1e-12)
         assert W.min() >= -1e-15
         np.testing.assert_allclose(W, W.T, atol=1e-15)
-        off = {(i, j) for i in range(n) for j in range(i + 1, n) if W[i, j] != 0}
-        assert off == set(g.edges)
+        assert np.array_equal(np.argwhere(np.triu(W, 1)), g.edges)
 
     @pytest.mark.parametrize("shape", [(6, 6), (4, 6), (4,), (1, 4, 4)])
     def test_weights_must_be_n_by_n(self, shape):
@@ -205,11 +247,11 @@ class TestMixingMatrix:
             topology._validate_doubly_stochastic(W, "ctx")
 
     def test_self_loop_edge_rejected(self):
-        # a loop counts twice in its node's degree and its weight lands on
-        # the diagonal, so that row no longer sums to one
-        g = Graph("looped", 3, frozenset({(0, 1), (1, 2), (0, 2), (1, 1)}))
-        with pytest.raises(ValueError, match="^looped/metropolis_hastings: .*doubly stochastic"):
-            mixing_matrix(g)
+        # a loop would count twice in its node's degree and put its weight
+        # on the diagonal, so the graph refuses it when it is built
+        with pytest.raises(ValueError, match="^graph edges must join two distinct nodes; "
+                                             "got a self-loop at node 1$"):
+            Graph("looped", 3, frozenset({(0, 1), (1, 2), (0, 2), (1, 1)}))
 
 
 def _assert_per_edge_bits(graph):
@@ -253,6 +295,37 @@ class TestPerEdgeReference:
     @given(n=st.integers(1, 64), seed=st.integers(0, 2**32 - 1), p=st.floats(0.0, 1.0))
     def test_random_graphs_keep_the_per_edge_bits(self, n, seed, p):
         _assert_per_edge_bits(_random_graph(n, seed, p))
+
+
+# SHA-256 of ``weights.tobytes()``, frozen before the graph became its edge
+# array.  A regular graph's weights are the same bytes under both schemes;
+# star and social are irregular, and uniform_neighbor refuses them.
+WEIGHT_PINS = {
+    ("ring", 4, None): "30c66ce1d9bb5d68e995fa549f248c7b636385f23ade748d116ac8b2710f3d7e",
+    ("ring", 16, None): "12eac83372477cf5e6dc5a2dfc4c698f4351eb6b6cb51512959aaba9362431b3",
+    ("ring", 64, None): "babd35f6874ede662886d5a924993e5bb0c79960e639952e178f631d84baaf14",
+    ("ring", 1024, None): "1fbe83e73469885a284c70615d34b4e3005009dda023cf9cb74f4b6808b9ea47",
+    ("torus", 16, None): "57085081d16a5a8bddbc53d6af51849b81824d625fb44f07ffd3ec3beaba8755",
+    ("torus", 16, 2): "3f8a3d20044cafa0a27424f0c2109690cd94b785c61a93e34e5f1efe70cb5a93",
+    ("torus", 100, None): "154f65f83efc7032548afee96ba3b66e14313b0ecb55bbda6ff26a1d2a0c908b",
+    ("torus", 100, 2): "3eb1c10605b198c0436bed92e99c787fc3ea481dfebbfe68c52a358f15a7d267",
+    ("star", 33, None): "f73045c8e5b81db1165fe621ab70ec8b06add3fa40c9d021def7ce0f2e450979",
+    ("social", 32, None): "07967fc29812a6ad6db3efd3de4536cf60fd6ced523e2858c2f89cf41fa4dcf8",
+    ("complete", 2, None): "5e5c794534608bdcc5f3c19fd8d94ad66ab3aedaeb79694b00adab9d1df8e25f",
+    ("complete", 256, None): "9d4ade33b4e77e27774a7dc23246a646ee2640a796a540ca14810e688581f668",
+    ("complete", 1024, None): "988167d99f739e44a10ea3c0b2ea04d1982d47280c277672b30475d7c4815544",
+}
+
+
+@pytest.mark.parametrize("scheme", MIXING_SCHEMES)
+@pytest.mark.parametrize("kind,n,rows", list(WEIGHT_PINS))
+def test_weights_keep_their_pinned_bytes(kind, n, rows, scheme):
+    if scheme == "uniform_neighbor" and kind in ("star", "social"):
+        with pytest.raises(ValueError, match="regular graph"):
+            mixing_for(kind, n, scheme, rows)
+        return
+    weights = mixing_for(kind, n, scheme, rows).weights
+    assert hashlib.sha256(weights.tobytes()).hexdigest() == WEIGHT_PINS[kind, n, rows]
 
 
 class TestSpectralGap:
@@ -371,10 +444,7 @@ class TestSpectralGap:
         g = build_graph("ring", 7)
         rng = np.random.default_rng(3)
         perm = rng.permutation(7)
-        edges = frozenset(
-            (min(perm[u], perm[v]), max(perm[u], perm[v])) for u, v in g.edges
-        )
-        relabeled = Graph("ring", 7, edges)
+        relabeled = Graph("ring", 7, perm[g.edges])  # pairs in either orientation
         assert mixing_matrix(relabeled).rho == pytest.approx(
             mixing_matrix(g).rho, abs=1e-12
         )
