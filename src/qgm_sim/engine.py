@@ -12,16 +12,17 @@ The loop holds the whole run as one :class:`~qgm_sim.optim.StackedState`
 (every buffer a ``(dim, n)`` array, one column per worker), samples every
 worker's gradient in one :func:`~qgm_sim.oracles.sample_all` call per
 evaluation (noise deterministically keyed by (worker, step)), applies the
-configured step rule to the stacked state, and records metrics evaluated at
-the averaged model.  Nothing depends on evaluation order, so metrics are
-byte-identical across reruns.  Beside a one-thread BLAS, a large
-dsgd/qg-family run computes each step's entrywise work and one-peer
-gossip in two row ranges on two threads (:func:`_halves`) and a dense
-gossip as one product; every row reads only the same row of its inputs,
-so its bytes do not depend on the split.  The second thread is the run's
-own: it starts before the run's first step and is joined before the run
-returns or raises, so no thread outlives a run and a forked child has
-none to miss.
+configured step rule to the stacked state, writes the averaged model into
+its row of the run's trace, one array allocated before the first step, and
+records metrics evaluated at that row.  Nothing depends on evaluation
+order, so metrics are byte-identical across reruns.  Beside a one-thread
+BLAS, a large dsgd/qg-family run computes each step's entrywise work and
+one-peer gossip in two row ranges on two threads (:func:`_halves`) and a
+dense gossip as one product; every row reads only the same row of its
+inputs, so its bytes do not depend on the split.  The second thread is
+the run's own: it starts before the run's first step and is joined before
+the run returns or raises, so no thread outlives a run and a forked child
+has none to miss.
 
 Divergence aborts: any non-finite entry in any array the state holds raises
 :class:`NumericalDivergence` naming the step, the buffer and the worker (the
@@ -78,8 +79,6 @@ __all__ = [
     "validate_theorem_conditions",
     "write_metrics_csv",
 ]
-
-METRICS_HEADER = "step,epoch,lr,loss,grad_norm,consensus_dist,weight_norm,eff_stepsize"
 
 OPTIM_KINDS = STEP_KINDS + ROUND_KINDS
 
@@ -526,6 +525,11 @@ class MetricsRecord:
     eff_stepsize: float
 
 
+# the metrics CSV's columns: MetricsRecord's fields, in their order
+_METRICS_COLUMNS = tuple(field.name for field in dataclasses.fields(MetricsRecord))
+METRICS_HEADER = ",".join(_METRICS_COLUMNS)
+
+
 def _make_record(problem: ProblemSpec | Landscape2D, X: np.ndarray, x_bar: np.ndarray,
                  step: int, lr: float, steps_per_epoch: int) -> MetricsRecord:
     weight_norm = _norm(x_bar)
@@ -544,20 +548,13 @@ def _make_record(problem: ProblemSpec | Landscape2D, X: np.ndarray, x_bar: np.nd
 
 
 def metrics_csv_lines(records) -> list[str]:
-    """Exact CSV serialization: shortest round-trip float representation,
-    independent of how the records were computed."""
+    """Exact CSV serialization, one column per :class:`MetricsRecord`
+    field: the integer step, then each float in its shortest round-trip
+    representation, independent of how the records were computed."""
     lines = [METRICS_HEADER]
     for r in records:
-        lines.append(",".join([
-            str(r.step),
-            repr(float(r.epoch)),
-            repr(float(r.lr)),
-            repr(float(r.loss)),
-            repr(float(r.grad_norm)),
-            repr(float(r.consensus_dist)),
-            repr(float(r.weight_norm)),
-            repr(float(r.eff_stepsize)),
-        ]))
+        step, *values = (getattr(r, name) for name in _METRICS_COLUMNS)
+        lines.append(",".join([str(step), *(repr(float(v)) for v in values)]))
     return lines
 
 
@@ -738,12 +735,12 @@ def _in_halves(fn, halves: tuple[slice, slice], jobs: queue.SimpleQueue) -> tupl
 
 def _split_step(phases: tuple, halves: tuple[slice, slice], jobs: queue.SimpleQueue,
                 S: StackedState, step: int, method: str, fields: list,
-                verified: dict) -> np.ndarray:
+                verified: dict, x_bar: np.ndarray) -> None:
     """Run a step's phases (:func:`~qgm_sim.optim.stacked_dsgd_tasks`),
     each phase of row tasks in both ``halves`` at once (:func:`_in_halves`,
     the second half on the run's helper thread, which serves ``jobs``) and
-    the product between them on this thread, and return the averaged
-    model.
+    the product between them on this thread, and write the averaged model
+    into ``x_bar``.
 
     After the last task each half writes its rows of ``x_bar`` and sums
     its rows of every array :func:`_check_finite` would check.  When every
@@ -752,7 +749,6 @@ def _split_step(phases: tuple, halves: tuple[slice, slice], jobs: queue.SimpleQu
     """
     before, product, after = phases
     X = S.X
-    x_bar = np.empty(X.shape[0])
     checked = [(field, getattr(S, attr), attr == "X") for attr, field in fields
                if verified.get(field) is not getattr(S, attr)]
     if product is not None:
@@ -770,7 +766,6 @@ def _split_step(phases: tuple, halves: tuple[slice, slice], jobs: queue.SimpleQu
         verified.update((field, arr) for field, arr, _is_x in checked)
     else:
         _check_finite(S, step, method, fields, verified, x_bar)
-    return x_bar
 
 
 def build_theorem_report(config: RunConfig) -> TheoremReport:
@@ -798,9 +793,12 @@ def run(config: RunConfig) -> RunResult:
     Every method advances the stacked state one span at a time: a round of
     ``tau`` steps for slowmo and mimelite, one step for the rest.  Each span
     starts at step ``step0`` and ends at ``end``; its step size is the
-    schedule's at ``step0 + 1``, and after it the state is checked for
-    divergence, the averaged model is traced, and a metrics row is recorded
-    when ``end`` is a multiple of ``metrics_every`` or the last step.  A run
+    schedule's at ``step0 + 1``, and after it the averaged model is written
+    into row ``end // span`` of the trace, the state is checked for
+    divergence, and a metrics row is recorded from that row when ``end`` is
+    a multiple of ``metrics_every`` or the last step.  The trace is one
+    ``(steps // span + 1, dim)`` array, allocated before the first span and
+    returned as it is, so no span allocates its averaged model.  A run
     that :func:`_halves` splits computes each step, its averaged model and
     its divergence check in two row ranges (:func:`_split_step`), the
     second on a helper thread that it starts before its first step and
@@ -820,17 +818,19 @@ def run(config: RunConfig) -> RunResult:
     halves = _halves(kind, problem.dim, config.n)
 
     records: list[MetricsRecord] = []
-    xbar_trace = [_average_model(S.X)]
+    hp = config.hp
+    span = hp.tau if kind in ROUND_KINDS else 1
+    spans = range(0, config.steps, span)
+    xbar_trace = np.empty((len(spans) + 1, problem.dim))
+    _average_model(S.X, xbar_trace[0])
     verified: dict = {}  # field -> the array last found finite there
     spare: list = []  # arrays split steps retired, for later split steps to write
     # the arrays S holds: every method adds its history and round buffers
     # in its first span and never drops one, so the set is fixed after it
     fields = None
-    hp = config.hp
-    span = hp.tau if kind in ROUND_KINDS else 1
     # a split run steps beside its own helper thread, joined when the loop ends
     with _helper() if halves is not None else contextlib.nullcontext() as jobs:
-        for step0 in range(0, config.steps, span):
+        for step0 in spans:
             end = step0 + span
             lr = lr_schedule(config.schedule, step0 + 1, config.steps)
             if lr != hp.eta:  # a new stage of the schedule
@@ -846,14 +846,13 @@ def run(config: RunConfig) -> RunResult:
                                                       problem, spare)
             if fields is None:
                 fields = S.array_fields()
+            x_bar = xbar_trace[end // span]
             if halves is None:
-                x_bar = _average_model(S.X)
-                _check_finite(S, end, kind, fields, verified, x_bar)
+                _check_finite(S, end, kind, fields, verified, _average_model(S.X, x_bar))
             else:
-                x_bar = _split_step(phases, halves, jobs, S, end, kind, fields, verified)
+                _split_step(phases, halves, jobs, S, end, kind, fields, verified, x_bar)
                 spare += retired
                 del phases  # they hold the step's inputs and scratch
-            xbar_trace.append(x_bar)
             if end % config.metrics_every == 0 or end == config.steps:
                 records.append(_make_record(problem, S.X, x_bar, end, lr,
                                             config.steps_per_epoch))
@@ -861,6 +860,6 @@ def run(config: RunConfig) -> RunResult:
     return RunResult(
         records=tuple(records),
         final_state=S,
-        xbar_trace=np.stack(xbar_trace, axis=0),
+        xbar_trace=xbar_trace,
         theorem_report=report,
     )

@@ -4,9 +4,12 @@ To emulate heterogeneous clients, the indices of each class are split across
 the ``n`` clients according to a proportion vector drawn from
 ``Dirichlet(alpha * 1_n)``.  Small ``alpha`` concentrates each class on few
 clients (in the limit every client sees a single class); large ``alpha``
-approaches an even, iid-like split.  Allocation is per class, so coverage
-and disjointness hold by construction, with largest-remainder rounding to
-turn proportions into integer counts.
+approaches an even, iid-like split.  Largest-remainder rounding turns
+proportions into integer counts, and the split is one owner array, the
+client of every sample, filled class by class: each sample has exactly one
+owner, so coverage and disjointness hold by construction, and one stable
+sort of that array cuts the shards.  Every sample belongs to one class of
+``np.unique(labels)``, NaN labels to one class of their own.
 
 Determinism: draws come from numpy's counter-based Philox generator, keyed
 by ``SeedSequence(entropy=seed, spawn_key=(class_position,))`` — the same
@@ -85,17 +88,19 @@ def dirichlet_partition(labels, n: int, alpha: float, seed: int) -> Partition:
     If the draw leaves some client empty and there are at least as many
     samples as clients, indices are reassigned deterministically: repeatedly
     move the lowest index held by the lowest-id largest shard to the
-    lowest-id empty shard.
+    lowest-id empty shard.  The shards are slices of one stable argsort of
+    the owner array, which keeps each one ascending.
     """
     labels = np.asarray(labels)
     if labels.ndim != 1 or labels.size == 0:
         raise ValueError("labels must be a non-empty 1-d array")
     _check_split(n, alpha)
 
-    classes = np.unique(labels)
-    per_client: list[list[np.ndarray]] = [[] for _ in range(n)]
-    for pos, cls in enumerate(classes):
-        idx = np.flatnonzero(labels == cls)
+    # each sample is in one class, so the loop writes its client into owner
+    classes, inverse = np.unique(labels, return_inverse=True)
+    owner = np.empty(labels.size, dtype=np.intp)
+    for pos in range(len(classes)):
+        idx = np.flatnonzero(inverse == pos)
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(pos,)))
         )
@@ -106,27 +111,19 @@ def dirichlet_partition(labels, n: int, alpha: float, seed: int) -> Partition:
             raise ValueError(
                 f"Dirichlet concentration alpha={alpha} is too large for {n} clients: "
                 f"its gamma draws overflow")
-        counts = _largest_remainder_counts(proportions, len(idx))
-        for client, chunk in enumerate(np.split(idx, np.cumsum(counts)[:-1])):
-            if len(chunk):
-                per_client[client].append(chunk)
-
-    shards = [
-        np.sort(np.concatenate(chunks)) if chunks else np.empty(0, dtype=np.int64)
-        for chunks in per_client
-    ]
+        owner[idx] = np.repeat(np.arange(n), _largest_remainder_counts(proportions, len(idx)))
 
     # deterministic repair: no client stays empty when there is enough data
+    sizes = np.bincount(owner, minlength=n)
     if labels.size >= n:
-        sizes = np.array([len(s) for s in shards])
         while (sizes == 0).any():
             donor = int(np.argmax(sizes))          # lowest id among the largest
             receiver = int(np.argmin(sizes != 0))  # lowest-id empty shard
-            moved, shards[donor] = shards[donor][0], shards[donor][1:]
-            shards[receiver] = np.array([moved], dtype=np.int64)
+            owner[np.argmax(owner == donor)] = receiver  # the donor's lowest index
             sizes[donor] -= 1
             sizes[receiver] += 1
 
+    shards = np.split(np.argsort(owner, kind="stable"), np.cumsum(sizes)[:-1])
     return Partition(n=n, shards=tuple(shards), alpha=float(alpha), seed=int(seed))
 
 
@@ -134,18 +131,18 @@ def partition_stats(partition: Partition, labels) -> np.ndarray:
     """Per-client class-count matrix (``n`` rows, one column per class).
 
     Columns follow sorted class order.  Row ``c`` sums to ``len(shards[c])``
-    and each column sums to the global count of that class.
+    and each column sums to the global count of that class: one
+    ``np.bincount`` over the cells ``owner * classes + class``.
     """
     labels = np.asarray(labels)
-    total = sum(len(s) for s in partition.shards)
+    sizes = partition.sizes()
+    total = int(sizes.sum())
     if labels.ndim != 1 or labels.size != total:
         raise ValueError(
             f"labels length {labels.size} does not match the partitioned "
             f"sample count {total}"
         )
     classes, inverse = np.unique(labels, return_inverse=True)
-    counts = np.zeros((partition.n, len(classes)), dtype=np.int64)
-    for client, shard in enumerate(partition.shards):
-        if len(shard):
-            counts[client] = np.bincount(inverse[shard], minlength=len(classes))
-    return counts
+    owner = np.repeat(np.arange(partition.n), sizes)
+    cells = owner * len(classes) + inverse[np.concatenate(partition.shards)]
+    return np.bincount(cells, minlength=partition.n * len(classes)).reshape(partition.n, -1)

@@ -46,9 +46,12 @@ is the array a miss would compute, so no bit depends on the memo, and
 threads share it without a lock: the worst a race does is drop a block,
 which is then drawn again.
 
-For the quadratic family the rest is one whole-matrix expression, and
-:meth:`ProblemSpec.sample` is one column of it; the 2-d landscapes loop
-over workers.
+For the quadratic family the rest is two kernels: every worker's
+gradients at once, one whole-matrix expression (:func:`_quadratic_rows`),
+and every worker's residual ``a x - b_i`` at one point, the rows of an
+``(n, dim)`` array (:meth:`ProblemSpec._residual_rows`), which the mean
+evaluations reduce and of which :meth:`ProblemSpec.sample` reads one row;
+the 2-d landscapes loop over workers.
 """
 
 from __future__ import annotations
@@ -441,8 +444,9 @@ class ProblemSpec:
     noisy, the per-run part of its noise-key hash (:func:`_seed_pools`).
 
     ``mean_loss_and_gradient`` calls ``mean_loss`` and ``mean_gradient``;
-    they and ``sample_mean_part`` stay methods because the benchmark's
-    tracer times them by name (``METHODS`` in ``perfbench/tracing.py``).
+    they, ``sample`` and ``sample_mean_part`` stay methods because the
+    benchmark's tracer times them by name (``METHODS`` in
+    ``perfbench/tracing.py``).
     """
 
     kind = "quadratic_family"  # a class constant, not a field
@@ -461,6 +465,10 @@ class ProblemSpec:
     def __post_init__(self):
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1; got {self.n_workers}")
+        # noise_bound reads sigma_c squared: a negative sigma_c would declare
+        # its magnitude's noise and draw other bytes
+        if not self.sigma_c >= 0:
+            raise ValueError(f"sigma_c must be >= 0; got {self.sigma_c}")
         for name in ("a_diag", "b_base"):  # the spec's own read-only float64 copies
             values = np.array(getattr(self, name), dtype=np.float64)
             if values.shape != (self.dim,):
@@ -518,13 +526,17 @@ class ProblemSpec:
 
     def sample(self, worker: int, x: np.ndarray, step: int) -> GradientSample:
         """Stochastic gradient for one worker at one step (pure function):
-        column ``worker`` of :meth:`sample_all` with ``x`` at every worker,
-        and the loss the noise-free local objective
+        row ``worker`` of :meth:`_residual_rows` times ``a``, plus that
+        worker's row of the step's noise block when the family is noisy,
+        which is column ``worker`` of :meth:`sample_all` with ``x`` at every
+        worker; the loss is the noise-free local objective
         ``0.5 ||a x - b_worker||^2``.
         """
-        X = self._at_every_worker(x)
-        r = np.ascontiguousarray(self._residuals(X)[:, worker])
-        return GradientSample(self.sample_all(X, step)[:, worker].copy(), 0.5 * float(r @ r))
+        r = self._residual_rows(x)[worker]
+        g = r * self.a_diag
+        if self._pools is not None:
+            g += _scaled_noise(self, step)[worker]
+        return GradientSample(g, 0.5 * float(r @ r))
 
     def sample_rows(self, step: int):
         """One evaluation at ``step`` as a row task ``(fn, arrays)``:
@@ -535,9 +547,8 @@ class ProblemSpec:
         memo (:func:`_scaled_noise`).  Row d of ``out`` reads only row d of
         ``P`` and of ``arrays``, so the task runs over any range of rows
         (:func:`qgm_sim.optim._run_rows`)."""
-        if self._pools is None:
-            return _quadratic_rows, (self.a_diag[:, None], self._B, None)
-        return _quadratic_rows, (self.a_diag[:, None], self._B, _scaled_noise(self, step).T)
+        Zt = None if self._pools is None else _scaled_noise(self, step).T
+        return _quadratic_rows, (self.a_diag[:, None], self._B, Zt)
 
     def sample_all(self, P: np.ndarray, step: int) -> np.ndarray:
         """Every worker's stochastic gradient at ``step`` as a fresh
@@ -548,17 +559,8 @@ class ProblemSpec:
     def local_gradients(self, P: np.ndarray) -> np.ndarray:
         """Noise-free local gradients as a fresh ``(dim, n)`` array: column
         ``i`` is the gradient of worker ``i``'s local objective at
-        ``P[:, i]``."""
-        R = self._residuals(P)
-        R *= self.a_diag[:, None]
-        return R
-
-    def _residuals(self, P: np.ndarray) -> np.ndarray:
-        """``a * P[:, i] - b_i`` for every worker ``i``, as a fresh
-        ``(dim, n)`` array."""
-        R = self.a_diag[:, None] * P
-        R -= self._B
-        return R
+        ``P[:, i]``, :func:`_quadratic_rows` without noise."""
+        return _quadratic_rows(P, None, self.a_diag[:, None], self._B, None)
 
     def _residual_rows(self, x) -> np.ndarray:
         """``a * x - b_i`` for every worker ``i``, as the rows of a fresh
@@ -566,10 +568,6 @@ class ProblemSpec:
         reduce, in the layout whose row sums keep its order."""
         return np.subtract(self.a_diag * np.asarray(x, dtype=float), self._B_rows,
                            out=np.empty((self.n_workers, self.dim)))
-
-    def _at_every_worker(self, x) -> np.ndarray:
-        """``x`` as every column of a read-only ``(dim, n)`` view."""
-        return np.broadcast_to(np.asarray(x, dtype=float)[:, None], (self.dim, self.n_workers))
 
     def mean_gradient(self, x: np.ndarray) -> np.ndarray:
         """Deterministic gradient of the averaged objective f = mean_i f_i,
@@ -583,9 +581,10 @@ class ProblemSpec:
 
     def sample_mean_part(self, worker: int, x: np.ndarray) -> np.ndarray:
         """Noise-free gradient of worker ``worker``'s local objective at
-        ``x``: column ``worker`` of :meth:`local_gradients` with ``x`` at
-        every worker."""
-        return self.local_gradients(self._at_every_worker(x))[:, worker].copy()
+        ``x``: row ``worker`` of :meth:`_residual_rows` times ``a``, which
+        is column ``worker`` of :meth:`local_gradients` with ``x`` at every
+        worker."""
+        return self._residual_rows(x)[worker] * self.a_diag
 
     def mean_loss_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """:meth:`mean_loss` and :meth:`mean_gradient` at ``x``."""

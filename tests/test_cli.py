@@ -115,6 +115,15 @@ class TestRunCommand:
         assert quiet_main(["run", "--config", demo_config, "--run.seed", "-1"]) == 1
         assert "run.seed" in capsys.readouterr().err
 
+    def test_negative_sigma_exits_1_naming_sigma(self, demo_config, tmp_path, capsys):
+        # a negative sigma once ran, reporting the noise bound of its magnitude
+        out = tmp_path / "m.csv"
+        argv = ["run", "--config", demo_config, "--out", str(out), "--problem.sigma", "-0.5"]
+        assert quiet_main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: sigma_c must be >= 0; got -0.5"]
+        assert not out.exists()
+
     def test_eta_override_reflected_in_lr_column(self, demo_config, tmp_path):
         out = tmp_path / "m.csv"
         assert quiet_main(["run", "--config", demo_config, "--out", str(out),

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -521,6 +522,21 @@ class TestRun:
         W = mixing_matrix(build_graph("ring", 4))
         c, d = consensus.gossip_consensus(X0, W, 5), consensus.gossip_consensus(X0, W, 5)
         assert (c == d) is False and (c == c) is True
+
+    def test_a_long_run_holds_its_trace_once(self):
+        # the trace was a list of per-step arrays that np.stack copied at
+        # the end, a peak of about 2.05 times the trace here
+        cfg = make_config(**{"problem.dim": "1024", "problem.zeta": "0",
+                             "problem.sigma": "0", "run.steps": "800",
+                             "run.metrics_every": "100"})
+        tracemalloc.start()
+        try:
+            res = quiet_run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.xbar_trace.shape == (801, 1024)
+        assert peak < 1.3 * res.xbar_trace.nbytes
 
     def test_divergence_aborts_with_step_and_method(self):
         cfg = make_config(**{"problem.kind": "rosenbrock", "problem.sigma": "0",

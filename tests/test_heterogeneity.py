@@ -1,5 +1,6 @@
 """Tests for Dirichlet client partitioning."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -160,3 +161,42 @@ class TestPartitionStats:
         counts = partition_stats(p, labels)
         # columns in sorted class order: bird, cat, dog
         assert list(counts.sum(axis=0)) == [1, 2, 1]
+
+
+def _partition_digest() -> str:
+    """SHA-256 over the shards (dtype and bytes) and ``partition_stats``
+    of partitions that cover fewer samples than clients, the empty-shard
+    repair (at alpha 1e-3 each class lands on one client, so three classes
+    leave five of eight clients empty before it), one client, string and
+    float labels, and alpha from 1e-3 to 1e3."""
+    h = hashlib.sha256()
+    cases = [(np.array([0, 1, 0]), 5, 1.0, 9),
+             (_balanced_labels(3, 20), 8, 1e-3, 0),
+             (np.zeros(10, dtype=int), 10, 1e-3, 0),
+             (_balanced_labels(4, 37), 1, 0.5, 3),
+             (np.array(["cat", "dog", "cat", "bird", "dog", "cat"]), 3, 0.7, 1),
+             (np.array([0.5, -1.25, 0.5, 2.0, -1.25, 0.5, 2.0]), 2, 2.0, 5)]
+    cases += [(_balanced_labels(5, 60), 6, alpha, seed)
+              for seed, alpha in enumerate(10.0 ** np.arange(-3, 4))]
+    for labels, n, alpha, seed in cases:
+        p = dirichlet_partition(labels, n, alpha, seed)
+        for array in (*p.shards, partition_stats(p, labels)):
+            h.update(f"{array.dtype.str}{array.shape}".encode())
+            h.update(array.tobytes())
+    return h.hexdigest()
+
+
+class TestPartitionPin:
+    def test_shards_and_stats_keep_their_bytes(self):
+        # frozen before the shards were cut from one owner array
+        assert _partition_digest() == (
+            "468dd78e5e5a9dacb38e0ae44255b9b812e8ffadcfdeb411068cdebd111bae5f")
+
+    def test_nan_labels_form_one_class(self):
+        # NaN == NaN is False: a class-by-equality split once left every
+        # NaN-labelled sample in no shard, and partition_stats then refused
+        # the partition it was given
+        labels = np.array([0.0, 1.0, np.nan, 1.0, np.nan, 0.0])
+        p = dirichlet_partition(labels, 2, 1.0, seed=0)
+        assert np.array_equal(np.sort(np.concatenate(p.shards)), np.arange(6))
+        assert list(partition_stats(p, labels).sum(axis=0)) == [2, 2, 2]

@@ -191,6 +191,13 @@ class TestQuadraticFamily:
         with pytest.raises(ValueError, match=r"^condition number must be >= 1; got 0\.5$"):
             quadratic_family(dim=2, n_workers=2, cond=0.5)
 
+    @pytest.mark.parametrize("sigma_c", [-0.5, -1e-300, float("nan")])
+    def test_a_quadratic_refuses_a_negative_noise_level(self, sigma_c):
+        # -0.5 once ran with noise_bound 1.0, as 0.5 does, and other bytes
+        with pytest.raises(ValueError, match=rf"^sigma_c must be >= 0; got {sigma_c}$"):
+            quadratic_family(dim=4, n_workers=2, sigma_c=sigma_c)
+        assert quadratic_family(dim=4, n_workers=2, sigma_c=-0.0).noise_bound == 0.0
+
 
 class TestProblemFamilies:
     def test_each_class_refuses_the_other_familys_fields(self):
