@@ -85,8 +85,27 @@ def _recursion_params(beta: float, mu: float, T: int) -> HyperParams:
     return HyperParams(eta=1.0, beta=beta, mu=mu)
 
 
-def _run(X0, W, beta: float, mu: float, T: int) -> ConsensusRun:
-    """The optimizer's quasi-global recursion with eta = 1 and no gradient."""
+def gossip_consensus(X0, W, T: int) -> ConsensusRun:
+    """Plain gossip averaging for T iterations: X <- X W^T each round.
+
+    ``W`` is any mixing that answers ``n`` and ``at(t)``: a MixingMatrix,
+    the time-varying :class:`~qgm_sim.topology.OnePeerExponential`
+    schedule, or another schedule of matrices.  The distance trace
+    contracts at the second singular value of W and the column mean stays
+    put (up to rounding).  It is :func:`qg_consensus` at beta = mu = 0.
+    """
+    return qg_consensus(X0, W, 0.0, 0.0, T)
+
+
+def qg_consensus(X0, W, beta: float, mu: float, T: int) -> ConsensusRun:
+    """Buffered consensus: the synchronized movement X - X_next feeds a
+    momentum term that accelerates averaging on sparse graphs.
+
+    :func:`gossip_consensus` is this function at beta = mu = 0, and beta = 0
+    alone gives the same bits (the buffer is never read).  On a complete
+    graph the distance is zero from the first iteration onward regardless
+    of beta and mu.
+    """
     X = np.asarray(X0, dtype=float)
     if X.ndim != 2:
         raise ValueError(f"X0 must be a d x n matrix; got shape {X.shape}")
@@ -109,29 +128,6 @@ def _run(X0, W, beta: float, mu: float, T: int) -> ConsensusRun:
         mean_drift=np.array(drift),
         x_final=S.X,
     )
-
-
-def gossip_consensus(X0, W, T: int) -> ConsensusRun:
-    """Plain gossip averaging for T iterations: X <- X W^T each round.
-
-    ``W`` is any mixing that answers ``n`` and ``at(t)``: a MixingMatrix,
-    the time-varying :class:`~qgm_sim.topology.OnePeerExponential`
-    schedule, or another schedule of matrices.  The distance trace
-    contracts at the second singular value of W and the column mean stays
-    put (up to rounding).
-    """
-    return _run(X0, W, beta=0.0, mu=0.0, T=T)
-
-
-def qg_consensus(X0, W, beta: float, mu: float, T: int) -> ConsensusRun:
-    """Buffered consensus: the synchronized movement X - X_next feeds a
-    momentum term that accelerates averaging on sparse graphs.
-
-    beta = 0 reproduces :func:`gossip_consensus` bit for bit (the buffer is
-    never read).  On a complete graph the distance is zero from the first
-    iteration onward regardless of beta and mu.
-    """
-    return _run(X0, W, beta=beta, mu=mu, T=T)
 
 
 def iterations_to_threshold(run, threshold: float = 1e-2) -> int:

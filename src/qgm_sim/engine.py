@@ -20,9 +20,10 @@ BLAS, a large dsgd/qg-family run computes each step's entrywise work and
 one-peer gossip in two row ranges on two threads (:func:`_halves`) and a
 dense gossip as one product; every row reads only the same row of its
 inputs, so its bytes do not depend on the split.  The second thread is
-the run's own: it starts before the run's first step and is joined before
-the run returns or raises, so no thread outlives a run and a forked child
-has none to miss.
+the run's own, held by one :func:`_row_ranges` block around its steps: it
+starts before the run's first step and is joined before the run returns
+or raises, so no thread outlives a run and a forked child has none to
+miss.
 
 Divergence aborts: any non-finite entry in any array the state holds raises
 :class:`NumericalDivergence` naming the step, the buffer and the worker (the
@@ -262,12 +263,6 @@ def _count(name: str, raw: str) -> int:
     return value
 
 
-def _seed(name: str, raw: str) -> int:
-    if (value := _int(name, raw)) < 0:  # SeedSequence takes non-negative entropy only
-        raise ConfigError(f"{name} must be >= 0; got {value}")
-    return value
-
-
 def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite; got {value}")
@@ -279,6 +274,15 @@ def _finite(name: str, raw: str) -> float:
         return _require_finite(name, float(raw))
     except ValueError:
         raise ConfigError(f"{name}: cannot parse {raw!r} as float") from None
+
+
+def _at_least(parse, bound):
+    """``parse``, refusing a value below ``bound`` by the key's name."""
+    def bounded(name: str, raw: str):
+        if (value := parse(name, raw)) < bound:
+            raise ConfigError(f"{name} must be >= {bound}; got {value}")
+        return value
+    return bounded
 
 
 def _blank_or(parse):
@@ -313,8 +317,8 @@ _SCHEMA = {
         "kind": (_text, "quadratic"),
         "dim": (_count, "16"),
         "zeta": (_finite, "0.0"),
-        "sigma": (_finite, "0.0"),
-        "cond": (_finite, "1.0"),
+        "sigma": (_at_least(_finite, 0), "0.0"),
+        "cond": (_at_least(_finite, 1), "1.0"),
         "b_scale": (_finite, "1.0"),
         "scale": (_finite, "1.0"),
         "init": (_init, "0.0"),
@@ -347,7 +351,7 @@ _SCHEMA = {
     },
     "run": {
         "steps": (_count, "100"),
-        "seed": (_seed, "0"),
+        "seed": (_at_least(_int, 0), "0"),  # SeedSequence takes non-negative entropy only
         "steps_per_epoch": (_count, "50"),
         "metrics_every": (_count, "1"),
     },
@@ -649,33 +653,6 @@ def _check_finite(S: StackedState, step: int, method: str, fields: list,
 _SPLIT_ENTRIES = 1 << 17
 _SPLIT_MIN_ROWS = 128
 
-def _serve(jobs: queue.SimpleQueue) -> None:
-    """A split run's helper thread: run each ``(job, done)`` in turn and put
-    its result, or the exception it raised, into ``done``, until a None job
-    ends it."""
-    while (item := jobs.get()) is not None:
-        job, done = item
-        try:
-            result = job()
-        except BaseException as exc:  # re-raised on the calling thread
-            result = exc
-        item = job = None  # the step's arrays are freed as soon as the caller drops them
-        done.put(result)
-
-
-@contextlib.contextmanager
-def _helper():
-    """A job queue that a fresh helper thread serves for as long as the
-    block runs; the thread is stopped and joined when the block ends."""
-    jobs = queue.SimpleQueue()
-    thread = threading.Thread(target=_serve, args=(jobs,), name="qgm-sim-rows", daemon=True)
-    thread.start()
-    try:
-        yield jobs
-    finally:
-        jobs.put(None)
-        thread.join()
-
 
 @functools.cache
 def _openblas_thread_query():
@@ -718,27 +695,49 @@ def _halves(kind: str, dim: int, n: int) -> tuple[slice, slice] | None:
     return slice(0, dim // 2), slice(dim // 2, dim)
 
 
-def _in_halves(fn, halves: tuple[slice, slice], jobs: queue.SimpleQueue) -> tuple:
-    """``(fn(first), fn(second))``, the second on the helper thread that
-    serves ``jobs``."""
+@contextlib.contextmanager
+def _row_ranges(halves: tuple[slice, slice]):
+    """``each(fn) -> (fn(first), fn(second))`` over ``halves`` for as long
+    as the block runs, the second half on a fresh helper thread; what either
+    half raised is raised here once both are done.  The thread is stopped
+    and joined when the block ends."""
     first, second = halves
-    done = queue.SimpleQueue()  # one per call: an interrupted wait leaves no stale result
-    jobs.put((functools.partial(fn, second), done))
+    jobs = queue.SimpleQueue()
+
+    def serve():
+        for fn, done in iter(jobs.get, None):
+            try:
+                result = fn(second)
+            except BaseException as exc:  # re-raised on the calling thread
+                result = exc
+            fn = None  # the step's arrays are freed as soon as the caller drops them
+            done.put(result)
+
+    def each(fn) -> tuple:
+        done = queue.SimpleQueue()  # one per call: an interrupted wait leaves no stale result
+        jobs.put((fn, done))
+        try:
+            mine = fn(first)
+        finally:
+            theirs = done.get()
+        if isinstance(theirs, BaseException):
+            raise theirs
+        return mine, theirs
+
+    thread = threading.Thread(target=serve, name="qgm-sim-rows", daemon=True)
+    thread.start()
     try:
-        mine = fn(first)
+        yield each
     finally:
-        theirs = done.get()
-    if isinstance(theirs, BaseException):
-        raise theirs
-    return mine, theirs
+        jobs.put(None)
+        thread.join()
 
 
-def _split_step(phases: tuple, halves: tuple[slice, slice], jobs: queue.SimpleQueue,
-                S: StackedState, step: int, method: str, fields: list,
-                verified: dict, x_bar: np.ndarray) -> None:
+def _split_step(phases: tuple, each, S: StackedState, step: int, method: str,
+                fields: list, verified: dict, x_bar: np.ndarray) -> None:
     """Run a step's phases (:func:`~qgm_sim.optim.stacked_dsgd_tasks`),
-    each phase of row tasks in both ``halves`` at once (:func:`_in_halves`,
-    the second half on the run's helper thread, which serves ``jobs``) and
+    each phase of row tasks in both row ranges at once through ``each``
+    (:func:`_row_ranges`, the second range on the run's helper thread) and
     the product between them on this thread, and write the averaged model
     into ``x_bar``.
 
@@ -752,7 +751,7 @@ def _split_step(phases: tuple, halves: tuple[slice, slice], jobs: queue.SimpleQu
     checked = [(field, getattr(S, attr), attr == "X") for attr, field in fields
                if verified.get(field) is not getattr(S, attr)]
     if product is not None:
-        _in_halves(functools.partial(_run_rows, before), halves, jobs)
+        each(functools.partial(_run_rows, before))
         fn, args = product
         fn(*args)
 
@@ -762,7 +761,7 @@ def _split_step(phases: tuple, halves: tuple[slice, slice], jobs: queue.SimpleQu
         return all(math.isfinite(np.add.reduce(xb if is_x else arr[rows], axis=None))
                    for _field, arr, is_x in checked)
 
-    if all(_in_halves(finish, halves, jobs)):
+    if all(each(finish)):
         verified.update((field, arr) for field, arr, _is_x in checked)
     else:
         _check_finite(S, step, method, fields, verified, x_bar)
@@ -801,11 +800,12 @@ def run(config: RunConfig) -> RunResult:
     returned as it is, so no span allocates its averaged model.  A run
     that :func:`_halves` splits computes each step, its averaged model and
     its divergence check in two row ranges (:func:`_split_step`), the
-    second on a helper thread that it starts before its first step and
-    stops and joins when it returns or raises; a run that does not split
-    starts no thread.  Each of its steps writes the arrays the step before
-    retired, so after the first it allocates no ``(dim, n)`` array; the
-    spare arrays live only here, so no caller can hold one.
+    second on the helper thread of its :func:`_row_ranges` block, which
+    starts before the first step and is stopped and joined when the run
+    returns or raises; a run that does not split starts no thread.  Each
+    of its steps writes the arrays the step before retired, so after the
+    first it allocates no ``(dim, n)`` array; the spare arrays live only
+    here, so no caller can hold one.
     """
     problem, mixing, kind = config.problem, config.mixing, config.optim_kind
 
@@ -829,7 +829,7 @@ def run(config: RunConfig) -> RunResult:
     # in its first span and never drops one, so the set is fixed after it
     fields = None
     # a split run steps beside its own helper thread, joined when the loop ends
-    with _helper() if halves is not None else contextlib.nullcontext() as jobs:
+    with _row_ranges(halves) if halves is not None else contextlib.nullcontext() as each:
         for step0 in spans:
             end = step0 + span
             lr = lr_schedule(config.schedule, step0 + 1, config.steps)
@@ -850,7 +850,7 @@ def run(config: RunConfig) -> RunResult:
             if halves is None:
                 _check_finite(S, end, kind, fields, verified, _average_model(S.X, x_bar))
             else:
-                _split_step(phases, halves, jobs, S, end, kind, fields, verified, x_bar)
+                _split_step(phases, each, S, end, kind, fields, verified, x_bar)
                 spare += retired
                 del phases  # they hold the step's inputs and scratch
             if end % config.metrics_every == 0 or end == config.steps:

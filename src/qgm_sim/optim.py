@@ -214,9 +214,7 @@ class StackedState:
     def init(cls, x0, n: int) -> "StackedState":
         """All workers start at ``x0`` with zero buffers."""
         x0 = np.asarray(x0, dtype=float)
-        X = np.empty((len(x0), n))
-        X[...] = x0[:, None]  # one allocation, where from_matrix would copy
-        return cls(X=X, M_hat=np.zeros(X.shape), M_local=np.zeros(X.shape), V=np.zeros(X.shape))
+        return cls.from_matrix(np.broadcast_to(x0[:, None], (len(x0), n)))  # a view, copied once
 
     @classmethod
     def from_matrix(cls, X0) -> "StackedState":
@@ -577,24 +575,20 @@ def _gt(S: StackedState, W, hp: HyperParams, grad_fn, step: int, with_momentum: 
                                              u = beta m_local + y),
         y <- gossip(y) + g(x_new, step) - g_prev
 
-    The tracker telescopes gradient differences, so sum_i y_i = sum_i g_i
-    at every step and each worker's update direction estimates the *global*
-    gradient — which removes the heterogeneity bias DSGD suffers.  A state
-    without a tracker starts it first, at its models and step 0:
-    y = g_prev = g(x, 0).
+    The local step is :func:`_half_step`'s ``dsgd`` (``dsgdm_n`` with
+    momentum), the tracker ``y`` as its gradient.  The tracker telescopes
+    gradient differences, so sum_i y_i = sum_i g_i at every step and each
+    worker's update direction estimates the *global* gradient — which
+    removes the heterogeneity bias DSGD suffers.  A state without a tracker
+    starts it first, at its models and step 0: y = g_prev = g(x, 0).
     """
     if S.Y is None:
         S.Y = S.G_prev = grad_fn(S.X, 0)
-    if with_momentum:
-        m = hp.beta * S.M_local
-        m += S.Y
-        S.M_local = m
-        H = hp.beta * m
-        H += S.Y
-        H *= hp.eta
-    else:
-        H = hp.eta * S.Y
-    S.X = mix(np.subtract(S.X, H, out=H), W)
+    H, M = _half_step("dsgdm_n" if with_momentum else "dsgd", hp.eta, hp.beta, S.X, S.Y,
+                      S.M_hat, S.M_local)
+    if M is not None:
+        S.M_local = M
+    S.X = mix(H, W)
     G = grad_fn(S.X, step)
     Y = mix(S.Y, W)
     Y += G

@@ -526,13 +526,12 @@ class ProblemSpec:
 
     def sample(self, worker: int, x: np.ndarray, step: int) -> GradientSample:
         """Stochastic gradient for one worker at one step (pure function):
-        row ``worker`` of :meth:`_residual_rows` times ``a``, plus that
-        worker's row of the step's noise block when the family is noisy,
-        which is column ``worker`` of :meth:`sample_all` with ``x`` at every
-        worker; the loss is the noise-free local objective
-        ``0.5 ||a x - b_worker||^2``.
+        :meth:`_residual` times ``a``, plus that worker's row of the step's
+        noise block when the family is noisy, which is column ``worker`` of
+        :meth:`sample_all` with ``x`` at every worker; the loss is the
+        noise-free local objective ``0.5 ||a x - b_worker||^2``.
         """
-        r = self._residual_rows(x)[worker]
+        r = self._residual(worker, x)
         g = r * self.a_diag
         if self._pools is not None:
             g += _scaled_noise(self, step)[worker]
@@ -562,6 +561,12 @@ class ProblemSpec:
         ``P[:, i]``, :func:`_quadratic_rows` without noise."""
         return _quadratic_rows(P, None, self.a_diag[:, None], self._B, None)
 
+    def _residual(self, worker: int, x) -> np.ndarray:
+        """Row ``worker`` of :meth:`_residual_rows`, ``a * x - b_worker``,
+        built alone; a worker out of range raises ``IndexError``."""
+        b = np.broadcast_to(self._B_rows, (self.n_workers, self.dim))[worker]
+        return self.a_diag * np.asarray(x, dtype=float) - b
+
     def _residual_rows(self, x) -> np.ndarray:
         """``a * x - b_i`` for every worker ``i``, as the rows of a fresh
         C-contiguous ``(n, dim)`` array: the rows a one-worker loop would
@@ -581,10 +586,9 @@ class ProblemSpec:
 
     def sample_mean_part(self, worker: int, x: np.ndarray) -> np.ndarray:
         """Noise-free gradient of worker ``worker``'s local objective at
-        ``x``: row ``worker`` of :meth:`_residual_rows` times ``a``, which
-        is column ``worker`` of :meth:`local_gradients` with ``x`` at every
-        worker."""
-        return self._residual_rows(x)[worker] * self.a_diag
+        ``x``: :meth:`_residual` times ``a``, which is column ``worker`` of
+        :meth:`local_gradients` with ``x`` at every worker."""
+        return self._residual(worker, x) * self.a_diag
 
     def mean_loss_and_gradient(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """:meth:`mean_loss` and :meth:`mean_gradient` at ``x``."""

@@ -121,7 +121,16 @@ class TestRunCommand:
         argv = ["run", "--config", demo_config, "--out", str(out), "--problem.sigma", "-0.5"]
         assert quiet_main(argv) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "config error: sigma_c must be >= 0; got -0.5"]
+            "config error: problem.sigma must be >= 0; got -0.5"]
+        assert not out.exists()
+
+    def test_condition_below_one_exits_1_naming_cond(self, demo_config, tmp_path, capsys):
+        # refused by the key's parser, not by quadratic_family's own message
+        out = tmp_path / "m.csv"
+        argv = ["run", "--config", demo_config, "--out", str(out), "--problem.cond", "0.5"]
+        assert quiet_main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: problem.cond must be >= 1; got 0.5"]
         assert not out.exists()
 
     def test_eta_override_reflected_in_lr_column(self, demo_config, tmp_path):

@@ -1,15 +1,23 @@
 """The README's examples run: its config example loads and documents every
 config key, its library example prints what it printed when written, and
-every ``qgm-sim`` line of its shell blocks parses with the CLI's parser."""
+every ``qgm-sim`` line of its shell blocks parses with the CLI's parser.
+Every Sphinx cross-reference in the package's docstrings names something
+that exists."""
 
+import ast
 import configparser
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 import shlex
 import warnings
+from importlib.util import find_spec
 
 import pytest
 
+import qgm_sim
 from qgm_sim.cli import _build_parser, _collect_overrides
 from qgm_sim.engine import _SCHEMA, RunConfig
 
@@ -71,3 +79,45 @@ def test_readme_cli_line_parses(line):
         _collect_overrides(rest)
     else:
         assert rest == [], f"{args.command} takes no {rest[0]!r}"
+
+
+CROSS_REFERENCE = re.compile(r":(func|class|meth|attr|data|mod):`~?([\w.]+)`")
+
+
+def _lookup(owner, dotted: str) -> bool:
+    for part in dotted.split("."):
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
+def _resolves(module, role: str, target: str) -> bool:
+    """Whether ``target`` names something from ``module``: in the module,
+    in ``qgm_sim`` (with or without its ``qgm_sim.`` prefix), or, for a
+    bare ``:meth:`` or ``:attr:``, on a class the module defines."""
+    if role == "mod":
+        return find_spec(target) is not None
+    owners = [module, qgm_sim]
+    if role in ("meth", "attr") and "." not in target:
+        owners += [cls for _name, cls in inspect.getmembers(module, inspect.isclass)
+                   if cls.__module__ == module.__name__]
+    return (any(_lookup(owner, target) for owner in owners)
+            or target.startswith("qgm_sim.") and _lookup(qgm_sim, target[len("qgm_sim."):]))
+
+
+def test_every_docstring_cross_reference_resolves():
+    # a helper renamed or removed leaves the references to it behind
+    refs, stale = 0, []
+    for info in [None, *pkgutil.iter_modules(qgm_sim.__path__)]:
+        module = qgm_sim if info is None else importlib.import_module(f"qgm_sim.{info.name}")
+        tree = ast.parse(inspect.getsource(module))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef)):
+                continue
+            for role, target in CROSS_REFERENCE.findall(ast.get_docstring(node) or ""):
+                refs += 1
+                if not _resolves(module, role, target):
+                    stale.append(f"{module.__name__}: :{role}:`{target}`")
+    assert refs > 0 and not stale, stale

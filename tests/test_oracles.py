@@ -1,5 +1,6 @@
 """Tests for the gradient oracles and their analytic constants."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -810,6 +811,35 @@ class TestRowLayoutMeans:
             got = spec.mean_loss_and_gradient(x)[1]
         assert got.shape == (spec.dim,)
         assert bits(got) == bits(ref.broadcast_mean_gradient(spec, x))
+
+    @given(case=row_layout_cases(), sigma=st.sampled_from([0.0, 0.4]),
+           worker=st.integers(0, N_MAX - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_one_worker_oracles_build_that_workers_row(self, case, sigma, worker):
+        # sample and sample_mean_part once built every worker's row to
+        # return one; the row they build alone has the same bits
+        spec, x = case
+        spec = dataclasses.replace(spec, sigma_c=sigma, master_seed=worker)
+        w = worker % spec.n_workers
+        row = spec._residual_rows(x)[w]
+        grad = row * spec.a_diag
+        assert bits(spec.sample_mean_part(w, x)) == bits(grad)
+        if sigma:
+            grad += oracles._scaled_noise(spec, 3)[w]
+        with np.errstate(over="ignore"):  # squares past 1e308 are inf on both sides
+            got = spec.sample(w, x, 3)
+            assert bits(got.loss) == bits(0.5 * float(row @ row))
+        assert bits(got.grad) == bits(grad)
+
+    @pytest.mark.parametrize("zeta", [0.0, 1.3])
+    def test_one_worker_oracles_refuse_a_worker_out_of_range(self, zeta):
+        # a shared target is one row, which every worker reads
+        spec = quadratic_family(dim=4, n_workers=3, zeta_c=zeta)
+        assert spec._B_rows.shape == ((3 if zeta else 1), 4)
+        with pytest.raises(IndexError):
+            spec.sample_mean_part(3, np.zeros(4))
+        with pytest.raises(IndexError):
+            spec.sample(3, np.zeros(4), 0)
 
     def test_zeta_zero_keeps_one_target_column(self):
         spec = quadratic_family(dim=3, n_workers=5)
