@@ -39,12 +39,8 @@ from .topology import OnePeerExponential, mixing_for
 
 TRAJECTORY_PROBLEMS = ("rosenbrock", "nonconvex_toy")
 TOY2D_KINDS = ("dsgd", "dsgdm", "qg_dsgdm")
-_SCHEME_ALIASES = {
-    "mh": "metropolis_hastings",
-    "metropolis_hastings": "metropolis_hastings",
-    "uniform": "uniform_neighbor",
-    "uniform_neighbor": "uniform_neighbor",
-}
+# --scheme's short names; any other name goes to mixing_for as given
+_SCHEME_ALIASES = {"mh": "metropolis_hastings", "uniform": "uniform_neighbor"}
 # engine optimizer implementing each single-worker trajectory method
 _TRAJECTORY_MAP = {
     "sgdm": "dsgdm",
@@ -83,13 +79,6 @@ def _write_traces(path, traces, what):
     for t, row in enumerate(np.hstack(list(traces.values()))):
         lines.append(f"{t}," + ",".join(map(repr, row.tolist())))
     _write_lines(path, lines, what)
-
-
-def _scheme(name):
-    scheme = _SCHEME_ALIASES.get(name)
-    if scheme is None:
-        raise ConfigError(f"unknown scheme {name!r}")
-    return scheme
 
 
 def _emit_plot_script(csv_path):
@@ -168,10 +157,9 @@ def cmd_validate(args, overrides):
 
 
 def cmd_consensus(args):
-    scheme = _scheme(args.scheme)
     if args.dim < 1:
         raise ConfigError(f"consensus --dim must be >= 1; got {args.dim}")
-    Wm = mixing_for(args.topology, args.n, scheme)
+    Wm = mixing_for(args.topology, args.n, _SCHEME_ALIASES.get(args.scheme, args.scheme))
     _recursion_params(args.beta, args.mu, args.T)
     _check_writable(args.out)
     X0 = np.random.default_rng(args.seed).standard_normal((args.dim, args.n))
@@ -263,7 +251,8 @@ def cmd_partition(args):
 
 
 def cmd_topo(args):
-    Wm = mixing_for(args.kind, args.n, _scheme(args.scheme), args.rows)
+    Wm = mixing_for(args.kind, args.n, _SCHEME_ALIASES.get(args.scheme, args.scheme),
+                    args.rows)
     if isinstance(Wm, OnePeerExponential):
         raise ConfigError(f"topo prints static matrices only; {args.kind} pairs workers "
                           "anew at every step (use it with run or consensus)")

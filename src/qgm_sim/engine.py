@@ -136,7 +136,9 @@ class ScheduleSpec:
 
     ``warmup_stage`` ramps linearly from ``warmup_start_factor * base_eta``
     to ``base_eta`` over the first ``warmup_fraction`` of training, then
-    divides by ``decay_factor`` at each milestone fraction reached.
+    divides by ``decay_factor`` at each milestone fraction reached.  Each
+    refusal starts with its field's name, which but for ``base_eta``
+    (``optim.eta``) is the field's ``[schedule]`` key.
     """
 
     kind: str = "constant"
@@ -149,7 +151,7 @@ class ScheduleSpec:
     def __post_init__(self):
         if self.kind not in ("constant", "warmup_stage"):
             raise ConfigError(
-                f"schedule kind must be 'constant' or 'warmup_stage'; got {self.kind!r}")
+                f"kind must be 'constant' or 'warmup_stage'; got {self.kind!r}")
         if not self.base_eta > 0:
             raise ConfigError(f"base_eta must be > 0; got {self.base_eta}")
         if not 0.0 <= self.warmup_fraction < 1.0:
@@ -171,7 +173,7 @@ class ScheduleSpec:
             last = math.nan
         if not 0.0 < last < math.inf:
             raise ConfigError(
-                f"schedule.decay_factor {self.decay_factor} over {len(ms)} milestones "
+                f"decay_factor {self.decay_factor} over {len(ms)} milestones "
                 f"leaves the last stage without a finite step size > 0 "
                 f"(base_eta {self.base_eta})")
         object.__setattr__(self, "milestones", ms)
@@ -257,12 +259,6 @@ def _int(name: str, raw: str) -> int:
         raise ConfigError(f"{name}: cannot parse {raw!r} as int") from None
 
 
-def _count(name: str, raw: str) -> int:
-    if (value := _int(name, raw)) < 1:
-        raise ConfigError(f"{name.partition('.')[2]} must be >= 1; got {value}")
-    return value
-
-
 def _require_finite(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite; got {value}")
@@ -311,11 +307,13 @@ def _init(name: str, raw: str) -> tuple[float, ...]:
 
 # section -> key -> (parser, default text); None marks a required key.  A
 # parser reads one key's text, given or default, as parser(section.key, text)
-# and raises ConfigError naming the key if the text is not a valid value
+# and raises ConfigError naming the key if the text is not a valid value.
+# HyperParams and ScheduleSpec fields are named as their [optim] and
+# [schedule] keys, so their refusals are prefixed with the section alone
 _SCHEMA = {
     "problem": {
         "kind": (_text, "quadratic"),
-        "dim": (_count, "16"),
+        "dim": (_at_least(_int, 1), "16"),
         "zeta": (_finite, "0.0"),
         "sigma": (_at_least(_finite, 0), "0.0"),
         "cond": (_at_least(_finite, 1), "1.0"),
@@ -325,7 +323,7 @@ _SCHEMA = {
     },
     "topology": {
         "kind": (_text, "ring"),
-        "n": (_count, "4"),
+        "n": (_int, "4"),
         "scheme": (_text, "metropolis_hastings"),
         "rows": (_blank_or(_int), ""),
     },
@@ -337,7 +335,7 @@ _SCHEMA = {
         "beta1": (_finite, "0.9"),
         "beta2": (_finite, "0.99"),
         "epsilon": (_finite, "1e-8"),
-        "tau": (_int, "1"),
+        "tau": (_at_least(_int, 1), "1"),
         "slowmo_alpha": (_finite, "1.0"),
         "slowmo_beta": (_finite, "0.7"),
         "slowmo_base": (_text, "dsgdm"),
@@ -350,10 +348,10 @@ _SCHEMA = {
         "decay_factor": (_finite, "10.0"),
     },
     "run": {
-        "steps": (_count, "100"),
+        "steps": (_at_least(_int, 1), "100"),
         "seed": (_at_least(_int, 0), "0"),  # SeedSequence takes non-negative entropy only
-        "steps_per_epoch": (_count, "50"),
-        "metrics_every": (_count, "1"),
+        "steps_per_epoch": (_at_least(_int, 1), "50"),
+        "metrics_every": (_at_least(_int, 1), "1"),
     },
 }
 
@@ -421,14 +419,17 @@ class RunConfig:
         p, t, o, s, r = (values["problem"], values["topology"], values["optim"],
                          values["schedule"], values["run"])
         try:  # constructing these validates their parameter ranges
-            schedule = ScheduleSpec(
-                kind=s["kind"], base_eta=o["eta"], warmup_fraction=s["warmup_fraction"],
-                warmup_start_factor=s["warmup_start_factor"],
-                milestones=s["milestones"], decay_factor=s["decay_factor"])
             hp = HyperParams(**{key: value for key, value in o.items()
                                 if key not in ("kind", "slowmo_base")})
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"optim.{exc}") from None
+        try:
+            schedule = ScheduleSpec(
+                kind=s["kind"], base_eta=hp.eta, warmup_fraction=s["warmup_fraction"],
+                warmup_start_factor=s["warmup_start_factor"],
+                milestones=s["milestones"], decay_factor=s["decay_factor"])
+        except ConfigError as exc:
+            raise ConfigError(f"schedule.{exc}") from None
 
         kind = _PROBLEM_ALIASES.get(p["kind"])
         if kind is None:
@@ -456,13 +457,13 @@ class RunConfig:
         if kind != "quadratic_family" and dim_given and p["dim"] != 2:
             raise ConfigError(f"problem.dim must be 2 for {p['kind']}; got {p['dim']}")
 
-        try:
+        try:  # the topology first: its words refuse topology.n
+            mixing = mixing_for(t["kind"], t["n"], t["scheme"], t["rows"])
             problem = (quadratic_family(
                 dim=p["dim"], n_workers=t["n"], zeta_c=p["zeta"], sigma_c=p["sigma"],
                 cond=p["cond"], b_scale=p["b_scale"], master_seed=r["seed"])
                 if kind == "quadratic_family" else
                 Landscape2D(kind=kind, n_workers=t["n"], grad_scale=p["scale"]))
-            mixing = mixing_for(t["kind"], t["n"], t["scheme"], t["rows"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         x0 = _initial_point(p["init"], problem.dim)

@@ -109,7 +109,8 @@ class HyperParams:
     ``mu`` is the quasi-global mixing factor and defaults to ``beta`` when
     left unset.  ``tau`` counts local steps per buffer update / round for
     the multi-step, SlowMo, and MimeLite variants (1 = update every step;
-    SlowMo is customarily run with tau = 12).
+    SlowMo is customarily run with tau = 12).  Each refusal starts with its
+    field's name, the field's ``[optim]`` key.
     """
 
     eta: float
@@ -124,7 +125,7 @@ class HyperParams:
 
     def __post_init__(self):
         if not self.eta > 0:
-            raise ValueError(f"learning rate must satisfy eta > 0; got {self.eta}")
+            raise ValueError(f"eta must be > 0; got {self.eta}")
         if self.mu is None:
             object.__setattr__(self, "mu", self.beta)
         for name in ("beta", "mu", "beta1", "beta2", "slowmo_beta"):

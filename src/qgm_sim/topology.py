@@ -146,32 +146,32 @@ def _torus_dims(n: int, rows: int | None) -> tuple[int, int]:
     return rows, n // rows
 
 
-def _check_topology(kind: str, n: int, params: dict) -> None:
+def _check_topology(kind: str, n: int, rows: int | None) -> None:
     if kind not in TOPOLOGY_KINDS:
         raise ValueError(f"unknown graph kind {kind!r}; expected one of {TOPOLOGY_KINDS}")
     if n < 1:
         raise ValueError(f"graph size must satisfy n >= 1; got n={n}")
-    extra = set(params) - ({"rows"} if kind == "torus" else set())
-    if extra:
-        raise ValueError(f"unexpected parameters {sorted(extra)} for graph kind {kind!r}")
+    if rows is not None and kind != "torus":
+        raise ValueError(f"unexpected parameters ['rows'] for graph kind {kind!r}")
 
 
-def build_graph(kind: str, n: int, **params) -> Graph:
+def build_graph(kind: str, n: int, rows: int | None = None) -> Graph:
     """Construct a communication graph, its edges made as one array.
 
-    Kinds: ``ring`` (cycle), ``torus`` (2-d periodic grid; pass ``rows`` to
-    pick the factorization, default is the most-square one), ``complete``,
-    ``star`` (hub is node 0) and ``social`` (the fixed 32-node affiliation
-    network above; requires ``n == 32``).  ``one_peer_exponential`` pairs
-    workers anew at every step and has no graph: it raises ``ValueError``
-    here, and :func:`mixing_for` gives its schedule.
+    Kinds: ``ring`` (cycle), ``torus`` (2-d periodic grid; ``rows``, which
+    no other kind takes, picks the factorization, default the most-square
+    one), ``complete``, ``star`` (hub is node 0) and ``social`` (the fixed
+    32-node affiliation network above; requires ``n == 32``).
+    ``one_peer_exponential`` pairs workers anew at every step and has no
+    graph: it raises ``ValueError`` here, and :func:`mixing_for` gives its
+    schedule.
     """
-    _check_topology(kind, n, params)
+    _check_topology(kind, n, rows)
     i = np.arange(n)
     if kind == "ring":  # a 2-ring's pairs (0, 1) and (1, 0) are one edge
         return Graph("ring", n, np.stack([i, (i + 1) % n], axis=1)[: n if n > 1 else 0])
     if kind == "torus":
-        rows, cols = _torus_dims(n, params.get("rows"))
+        rows, cols = _torus_dims(n, rows)
         r, c = np.divmod(i, cols)  # each node's down and right neighbour
         down, right = (r + 1) % rows * cols + c, r * cols + (c + 1) % cols
         return Graph("torus", n, np.stack([np.tile(i, 2), np.concatenate([down, right])], axis=1),
@@ -317,12 +317,11 @@ def mixing_for(kind: str, n: int, scheme: str = "metropolis_hastings",
     """The mixing of topology ``kind`` over ``n`` workers: for
     ``one_peer_exponential`` the schedule ``OnePeerExponential(n)``, which
     checks ``scheme`` but builds no weights from it, and for every other kind
-    ``mixing_matrix(build_graph(kind, n, rows=rows), scheme)``, ``rows`` left
-    out when ``None``.  What either refuses raises ``ValueError``."""
-    params = {} if rows is None else {"rows": rows}
+    ``mixing_matrix(build_graph(kind, n, rows), scheme)``.  What either
+    refuses raises ``ValueError``."""
     if kind != "one_peer_exponential":
-        return mixing_matrix(build_graph(kind, n, **params), scheme)
-    _check_topology(kind, n, params)
+        return mixing_matrix(build_graph(kind, n, rows), scheme)
+    _check_topology(kind, n, rows)
     schedule = OnePeerExponential(n)
     _check_scheme(scheme)
     return schedule

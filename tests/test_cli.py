@@ -133,6 +133,21 @@ class TestRunCommand:
             "config error: problem.cond must be >= 1; got 0.5"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,want", [
+        (["run", "--config", os.path.join(CONFIG_DIR, "quadratic_ring16_qg.ini"),
+          "--optim.eta", "-1"], "optim.eta must be > 0; got -1.0"),
+        (["run", "--config", os.path.join(CONFIG_DIR, "quadratic_ring16_qg.ini"),
+          "--problem.dim", "0"], "problem.dim must be >= 1; got 0"),
+        (["toy2d", "--steps", "0"], "run.steps must be >= 1; got 0"),
+        (["trajectory", "--eta", "-1"], "optim.eta must be > 0; got -1.0"),
+    ], ids=["run-eta", "run-dim", "toy2d-steps", "trajectory-eta"])
+    def test_refusal_names_the_config_key(self, tmp_path, capsys, argv, want):
+        # toy2d and trajectory fill a config from their flags
+        out = tmp_path / "o.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"config error: {want}\n"
+        assert not out.exists()
+
     def test_eta_override_reflected_in_lr_column(self, demo_config, tmp_path):
         out = tmp_path / "m.csv"
         assert quiet_main(["run", "--config", demo_config, "--out", str(out),
@@ -705,44 +720,41 @@ _SCHEMES = "('metropolis_hastings', 'uniform_neighbor')"
 _KINDS = "('ring', 'torus', 'complete', 'star', 'social', 'one_peer_exponential')"
 
 
-# case: (kind, n, scheme, rows, config error, CLI error if not the same)
+# case: (kind, n, scheme, rows, error from a config, topo and consensus)
 TOPOLOGY_REFUSALS = {
     "ring_n0": ("ring", 0, "metropolis_hastings", None,
-                "n must be >= 1; got 0", "graph size must satisfy n >= 1; got n=0"),
+                "graph size must satisfy n >= 1; got n=0"),
     "torus_prime": ("torus", 7, "metropolis_hastings", None,
-                    _TORUS + "n=7 has no such factorization", None),
-    "torus_rows_3": ("torus", 16, "metropolis_hastings", 3,
-                     _TORUS + "got n=16, rows=3", None),
+                    _TORUS + "n=7 has no such factorization"),
+    "torus_rows_3": ("torus", 16, "metropolis_hastings", 3, _TORUS + "got n=16, rows=3"),
     "social_16": ("social", 16, "metropolis_hastings", None,
-                  "the social graph is fixed at 32 nodes; got n=16", None),
+                  "the social graph is fixed at 32 nodes; got n=16"),
     "one_peer_6": ("one_peer_exponential", 6, "metropolis_hastings", None,
-                   "one_peer_exponential requires n to be a power of two; got n=6", None),
+                   "one_peer_exponential requires n to be a power of two; got n=6"),
     "one_peer_n0": ("one_peer_exponential", 0, "metropolis_hastings", None,
-                    "n must be >= 1; got 0", "graph size must satisfy n >= 1; got n=0"),
+                    "graph size must satisfy n >= 1; got n=0"),
     "one_peer_rows": ("one_peer_exponential", 8, "metropolis_hastings", 2,
-                      "unexpected parameters ['rows'] for graph kind 'one_peer_exponential'",
-                      None),
+                      "unexpected parameters ['rows'] for graph kind 'one_peer_exponential'"),
     "unknown_kind": ("hypercube", 8, "metropolis_hastings", None,
-                     f"unknown graph kind 'hypercube'; expected one of {_KINDS}", None),
+                     f"unknown graph kind 'hypercube'; expected one of {_KINDS}"),
     "ring_unknown_scheme": ("ring", 8, "laplacian", None,
-                            f"unknown mixing scheme 'laplacian'; expected one of {_SCHEMES}",
-                            "unknown scheme 'laplacian'"),
+                            f"unknown mixing scheme 'laplacian'; expected one of {_SCHEMES}"),
     "one_peer_unknown_scheme": ("one_peer_exponential", 8, "laplacian", None,
                                 "unknown mixing scheme 'laplacian'; expected one of "
-                                f"{_SCHEMES}", "unknown scheme 'laplacian'"),
-    "star_uniform": ("star", 5, "uniform_neighbor", None, _IRREGULAR_STAR, None),
+                                f"{_SCHEMES}"),
+    "star_uniform": ("star", 5, "uniform_neighbor", None, _IRREGULAR_STAR),
 }
 
 
 class TestTopologyRefusals:
     """Each way a topology is refused, in a config, ``qgm-sim topo`` and
-    ``qgm-sim consensus``: the exact text, frozen when the topology kinds
-    still went through one pseudo-graph, and exit code 1 from the CLI.
+    ``qgm-sim consensus``: one exact text for all three, in topology's
+    words, and exit code 1 from the CLI.
     A case with ``rows`` has no consensus leg: consensus takes no --rows."""
 
     @pytest.mark.parametrize("case", TOPOLOGY_REFUSALS)
     def test_config_refusal(self, case):
-        kind, n, scheme, rows, want, _ = TOPOLOGY_REFUSALS[case]
+        kind, n, scheme, rows, want = TOPOLOGY_REFUSALS[case]
         topology = {"kind": kind, "n": str(n), "scheme": scheme}
         if rows is not None:
             topology["rows"] = str(rows)
@@ -755,14 +767,14 @@ class TestTopologyRefusals:
         (case, command) for case, refusal in TOPOLOGY_REFUSALS.items()
         for command in ("topo",) + (() if refusal[3] else ("consensus",))])
     def test_cli_refusal(self, tmp_path, capsys, case, command):
-        kind, n, scheme, rows, config_text, cli_text = TOPOLOGY_REFUSALS[case]
+        kind, n, scheme, rows, want = TOPOLOGY_REFUSALS[case]
         if command == "topo":
             argv = ["topo", "--kind", kind] + ([] if rows is None else ["--rows", str(rows)])
         else:
             argv = ["consensus", "--topology", kind, "--T", "1",
                     "--out", str(tmp_path / "c.csv")]
         assert main(argv + ["--n", str(n), "--scheme", scheme]) == 1
-        assert capsys.readouterr().err == f"config error: {cli_text or config_text}\n"
+        assert capsys.readouterr().err == f"config error: {want}\n"
         assert not os.listdir(tmp_path)
 
 

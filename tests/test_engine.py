@@ -110,7 +110,7 @@ class TestSchedule:
             ScheduleSpec(kind="warmup_stage", base_eta=1.0, milestones=(0.0, 0.5))
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigError, match="schedule kind"):
+        with pytest.raises(ConfigError, match="^kind must be 'constant' or 'warmup_stage'"):
             ScheduleSpec(kind="cosine", base_eta=1.0)
 
     def test_total_steps_must_be_positive(self):
@@ -402,6 +402,38 @@ class TestRunConfig:
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
             else:
                 assert a == b, field.name
+
+
+# key -> a value its own rule refuses.  topology.kind, topology.n and
+# topology.scheme are refused in topology's words, the ones `qgm-sim topo`
+# and `consensus` print (test_cli.TOPOLOGY_REFUSALS)
+KEY_REFUSALS = {
+    "problem.kind": "x", "problem.dim": "0", "problem.zeta": "nan", "problem.sigma": "-1",
+    "problem.cond": "0.5", "problem.b_scale": "nan", "problem.scale": "nan",
+    "problem.init": "a", "topology.rows": "x",
+    "optim.kind": "x", "optim.eta": "-1", "optim.beta": "1.5", "optim.mu": "1.5",
+    "optim.beta1": "1.5", "optim.beta2": "-0.5", "optim.epsilon": "0", "optim.tau": "0",
+    "optim.slowmo_alpha": "0", "optim.slowmo_beta": "1.5", "optim.slowmo_base": "x",
+    "schedule.kind": "cosine", "schedule.warmup_fraction": "1.5",
+    "schedule.warmup_start_factor": "0", "schedule.milestones": "0.9,0.1",
+    "schedule.decay_factor": "0",
+    "run.steps": "0", "run.seed": "-1", "run.steps_per_epoch": "0", "run.metrics_every": "0",
+}
+
+
+class TestKeyRefusals:
+    @pytest.mark.parametrize("key", KEY_REFUSALS)
+    def test_refusal_starts_with_its_key(self, key):
+        with pytest.raises(ConfigError) as exc:
+            RunConfig.from_mapping({"optim": {"kind": "dsgd"}}, {key: KEY_REFUSALS[key]})
+        text = str(exc.value)
+        assert text.startswith((key + " ", key + ":")), text
+
+    def test_every_key_but_topologys_own_has_a_case(self):
+        keys = {f"{section}.{key}" for section, entries in engine._SCHEMA.items()
+                for key in entries}
+        topologys = {"topology.kind", "topology.n", "topology.scheme"}
+        assert set(KEY_REFUSALS) == keys - topologys
 
 
 # ---------------------------------------------------------------------------

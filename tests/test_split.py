@@ -313,22 +313,23 @@ def test_concurrent_split_runs_keep_their_bytes(splitting):
     got = [None] * len(cases)
 
     def work(i):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = engine.run(cases[i])
+        res = engine.run(cases[i])
         S = res.final_state
         got[i] = (engine.metrics_csv_lines(res.records), res.xbar_trace.tobytes(),
                   {name: getattr(S, attr).tobytes() for attr, name in S.array_fields()},
                   S.eta_prev)
 
+    # the warning filters are process-wide: set once, around all the threads
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
